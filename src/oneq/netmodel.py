@@ -222,6 +222,37 @@ def classical_send(
     return bool(delivered), link.latency(size_bits)
 
 
+def _adjacency(edges: Iterable[tuple[str, str]]) -> dict[str, tuple[str, ...]]:
+    """Undirected adjacency; each node's peers in ascending id order."""
+    peers: dict[str, list[str]] = {}
+    for x, y in edges:
+        peers.setdefault(x, []).append(y)
+        peers.setdefault(y, []).append(x)
+    return {node: tuple(sorted(p)) for node, p in peers.items()}
+
+
+def _bfs_path(adjacency: dict, a: str, b: str) -> Optional[tuple[str, ...]]:
+    """Shortest hop path a..b, endpoints included; ties go to lower ids."""
+    if a == b:
+        return (a,)
+    frontier = [a]
+    parents: dict[str, str] = {a: a}
+    while frontier:
+        nxt: list[str] = []
+        for node in frontier:
+            for peer in adjacency.get(node, ()):
+                if peer not in parents:
+                    parents[peer] = node
+                    if peer == b:
+                        path = [b]
+                        while path[-1] != a:
+                            path.append(parents[path[-1]])
+                        return tuple(path[::-1])
+                    nxt.append(peer)
+        frontier = nxt
+    return None
+
+
 class Topology:
     """Immutable scenario topology with geometry and link lookups."""
 
@@ -278,6 +309,14 @@ class Topology:
             if key not in self.quantum_links:
                 raise ConfigurationError(f"repeater edge {a}-{b} has no quantum link")
             self.repeater_edges.add(key)
+        # The topology never changes after load, so both routing graphs are
+        # built here and every path found in them is kept.
+        self._graphs = {
+            "bs": _adjacency((link.a, link.b) for link in self.classical_links.values()
+                             if {self.nodes[link.a].kind, self.nodes[link.b].kind} <= BS_KINDS),
+            "repeater": _adjacency(tuple(edge) for edge in self.repeater_edges),
+        }
+        self._paths: dict[tuple[str, str, str], Optional[tuple]] = {}
 
     def _require(self, node_id: str) -> NodeSpec:
         if node_id not in self.nodes:
@@ -289,8 +328,12 @@ class Topology:
     def position(self, node_id: str, t: float) -> np.ndarray:
         return self._require(node_id).position_at(t)
 
+    def _coords(self, node_id: str, t: float) -> Sequence[float]:
+        node = self._require(node_id)
+        return node.position_at(t) if node.mobility.kind == "waypoint" else node.position
+
     def distance(self, a: str, b: str, t: float) -> float:
-        return float(np.linalg.norm(self.position(a, t) - self.position(b, t)))
+        return math.dist(self._coords(a, t), self._coords(b, t))
 
     def in_classical_coverage(self, ue_id: str, bs_id: str, t: float) -> bool:
         bs = self._require(bs_id)
@@ -354,28 +397,17 @@ class Topology:
             return self.in_quantum_coverage(b, a, t)
         return True
 
+    def _path(self, graph: str, a: str, b: str) -> Optional[list[str]]:
+        key = (graph, a, b)
+        if key not in self._paths:
+            self._paths[key] = _bfs_path(self._graphs[graph], a, b)
+        path = self._paths[key]
+        return None if path is None else list(path)
+
+    def bs_route(self, a: str, b: str) -> Optional[list[str]]:
+        """Shortest hop path over BS-to-BS classical links, endpoints included."""
+        return self._path("bs", a, b)
+
     def repeater_path(self, a: str, b: str) -> Optional[list[str]]:
         """Shortest hop path over repeater edges, endpoints included."""
-        if a == b:
-            return [a]
-        adjacency: dict[str, list[str]] = {}
-        for edge in self.repeater_edges:
-            x, y = sorted(edge)
-            adjacency.setdefault(x, []).append(y)
-            adjacency.setdefault(y, []).append(x)
-        frontier = [a]
-        parents: dict[str, str] = {a: a}
-        while frontier:
-            nxt: list[str] = []
-            for node in frontier:
-                for peer in sorted(adjacency.get(node, ())):
-                    if peer not in parents:
-                        parents[peer] = node
-                        if peer == b:
-                            path = [b]
-                            while path[-1] != a:
-                                path.append(parents[path[-1]])
-                            return path[::-1]
-                        nxt.append(peer)
-            frontier = nxt
-        return None
+        return self._path("repeater", a, b)

@@ -385,35 +385,11 @@ class Stack:
             tail.insert(0, bs)
             right = bs
         if left != right:
-            mid = self._bs_route(left, right)
+            mid = self.topo.bs_route(left, right)
             if mid is None:
                 return None
             hops.extend(mid[1:])
         return hops + (tail if hops[-1] != tail[0] else tail[1:])
-
-    def _bs_route(self, a: str, b: str) -> Optional[list[str]]:
-        if a == b:
-            return [a]
-        frontier = [a]
-        parents = {a: a}
-        bs_ids = {n.id for n in self.topo.nodes.values() if n.kind in BS_KINDS}
-        while frontier:
-            nxt: list[str] = []
-            for node in frontier:
-                for key, _ in sorted(self.topo.classical_links.items(),
-                                     key=lambda kv: sorted(kv[0])):
-                    if node in key:
-                        (peer,) = key - {node}
-                        if peer in bs_ids and peer not in parents:
-                            parents[peer] = node
-                            if peer == b:
-                                path = [b]
-                                while path[-1] != a:
-                                    path.append(parents[path[-1]])
-                                return path[::-1]
-                            nxt.append(peer)
-            frontier = nxt
-        return None
 
     def send_routed(self, src: str, dst: str, msg_kind: str,
                     bits: Optional[float] = None):
