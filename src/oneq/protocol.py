@@ -922,7 +922,7 @@ class Stack:
         for pair in survivors:
             self._store_for_ues(pair)
         if survivors:
-            for h in set(survivors[0].holders):
+            for h in survivors[0].holders:
                 self._enter_entangled(h)
 
         elapsed = self.sim.now - t_start

@@ -51,8 +51,8 @@ __all__ = [
     "state_fidelity",
 ]
 
-# Largest register the oracle accepts.  4096 amplitudes at n = 12 keep every
-# exact-mode computation comfortably in memory.
+# Largest register the oracle accepts.  65,536 amplitudes (1 MiB) at n = 16
+# keep every exact-mode computation comfortably in memory.
 MAX_QUBITS = 16
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)

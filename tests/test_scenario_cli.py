@@ -3,6 +3,8 @@
 import copy
 import json
 import math
+import re
+import shutil
 from pathlib import Path
 
 import pytest
@@ -236,3 +238,20 @@ class TestCli:
     def test_sweep_rejects_bad_param(self, capsys):
         assert main(["sweep", str(BASELINE), "--param", "apps[0].bogus",
                      "--values", "1"]) == 2
+
+
+class TestReadme:
+    def test_library_use_snippet_runs(self, tmp_path, monkeypatch, capsys):
+        readme = (REPO / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Library use", 1)[1]
+        snippet = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+        (tmp_path / "scenarios").mkdir()
+        shutil.copy(BASELINE, tmp_path / "scenarios" / BASELINE.name)
+        monkeypatch.chdir(tmp_path)
+        exec(compile(snippet, "README.md", "exec"), {"__name__": "readme"})
+        printed = capsys.readouterr().out.splitlines()
+        assert printed[0] == "qkd_baseline-s7 key"
+        assert len(printed) == 2
+        for name in ("metrics.csv", "app_results.csv", "trace.jsonl",
+                     "summary.json"):
+            assert (tmp_path / "out" / name).exists(), name
