@@ -325,9 +325,6 @@ class Topology:
 
     # -- geometry ----------------------------------------------------------
 
-    def position(self, node_id: str, t: float) -> np.ndarray:
-        return self._require(node_id).position_at(t)
-
     def _coords(self, node_id: str, t: float) -> Sequence[float]:
         node = self._require(node_id)
         return node.position_at(t) if node.mobility.kind == "waypoint" else node.position

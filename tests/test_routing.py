@@ -14,7 +14,6 @@ import pytest
 from oneq.engine import Simulator
 from oneq.netmodel import (
     BS_KINDS,
-    UE_KINDS,
     ClassicalLinkSpec,
     NodeSpec,
     QuantumLinkSpec,
@@ -203,17 +202,6 @@ def test_disconnected_pairs_and_self_routes():
     for node in ("A", "B", "C", "D"):
         assert topo.bs_route(node, node) == [node]
         assert topo.repeater_path(node, node) == [node]
-
-
-def test_bs_route_never_relays_through_a_ue():
-    nodes = [NodeSpec(id="A", kind="CBS", position=(0.0, 0.0, 0.0)),
-             NodeSpec(id="B", kind="CBS", position=(0.0, 0.0, 0.0)),
-             NodeSpec(id="U", kind="CUE", position=(0.0, 0.0, 0.0))]
-    links = [ClassicalLinkSpec(a=x, b="U", rate_bps=1e9, prop_delay_s=0.0,
-                               p_err_c=0.0) for x in ("A", "B")]
-    topo = Topology(nodes=nodes, classical_links=links)
-    assert topo.nodes["U"].kind in UE_KINDS
-    assert topo.bs_route("A", "B") is None
 
 
 def test_returned_paths_are_fresh_lists():
