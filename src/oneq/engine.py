@@ -158,13 +158,6 @@ class Simulator:
 
     # -- scheduling ---------------------------------------------------------
 
-    def schedule(self, event: Event) -> None:
-        if event.time < self.now:
-            raise ValueError(
-                f"cannot schedule event at t={event.time} before now={self.now}"
-            )
-        heapq.heappush(self._heap, (event.time, event.seq, event))
-
     def schedule_call(
         self,
         delay: float,

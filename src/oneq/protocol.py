@@ -178,8 +178,7 @@ _TERMINAL_STATES = ("consumed", "discarded", "expired")
 class ResourceLedger:
     """Lifecycle and memory-slot accounting for every entangled resource."""
 
-    def __init__(self, sim: Simulator, topo: Topology):
-        self.sim = sim
+    def __init__(self, topo: Topology):
         self.topo = topo
         self.resources: dict[str, WernerPair | GhzResource] = {}
         self.state: dict[str, str] = {}
@@ -231,8 +230,8 @@ class ResourceLedger:
     def mark_discarded(self, resource_id: str, reason: str) -> None:
         self._finish(resource_id, "discarded", reason)
 
-    def expire_remaining(self, t: float) -> list[str]:
-        expired = [rid for rid, st in self.state.items() if st == "live"]
+    def expire_remaining(self) -> list[str]:
+        expired = self.live_ids()
         for rid in expired:
             self._finish(rid, "expired", "run-end")
         return expired
@@ -257,7 +256,7 @@ class Stack:
         self.sim = sim
         self.topo = topo
         self.defaults = defaults or Defaults()
-        self.ledger = ResourceLedger(sim, topo)
+        self.ledger = ResourceLedger(topo)
         self.ues: dict[str, QueContext] = {
             node.id: QueContext(node_id=node.id)
             for node in topo.nodes.values()
@@ -594,7 +593,7 @@ class Stack:
 
     def finalize(self) -> None:
         """Expire whatever is still live; call once at end of run."""
-        for rid in self.ledger.expire_remaining(self.sim.now):
+        for rid in self.ledger.expire_remaining():
             res = self.ledger.resources[rid]
             self.sim.metrics.incr("pairs_expired")
             for h in res.holders:

@@ -18,6 +18,7 @@ applications.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -60,17 +61,33 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 H_GATE = np.array([[1, 1], [1, -1]], dtype=complex) * _INV_SQRT2
 X_GATE = np.array([[0, 1], [1, 0]], dtype=complex)
 Z_GATE = np.array([[1, 0], [0, -1]], dtype=complex)
-CNOT_GATE = np.array(
-    [[1, 0, 0, 0],
-     [0, 1, 0, 0],
-     [0, 0, 0, 1],
-     [0, 0, 1, 0]],
-    dtype=complex,
-)
+_FIXED_GATES = {"H": H_GATE, "X": X_GATE, "Z": Z_GATE}
 
 
 def _rz(theta: float) -> np.ndarray:
     return np.array([[1, 0], [0, np.exp(1j * theta)]], dtype=complex)
+
+
+@functools.lru_cache(maxsize=64)
+def _basis_rotation(theta: float) -> np.ndarray:
+    """H Rz(-theta): maps |+_theta> to |0> and |-_theta> to |1>."""
+    matrix = H_GATE @ _rz(-theta)
+    matrix.flags.writeable = False
+    return matrix
+
+
+@functools.lru_cache(maxsize=64)
+def _cnot_permutation(n: int, control: int, target: int) -> np.ndarray:
+    """Index map of CNOT on n qubits: new amplitudes are ``old[perm]``."""
+    index = np.arange(1 << n)
+    perm = index ^ (((index >> (n - 1 - control)) & 1) << (n - 1 - target))
+    perm.flags.writeable = False
+    return perm
+
+
+def _split(amps: np.ndarray, n: int, qubit: int) -> np.ndarray:
+    """View of an n-qubit amplitude vector as (before, qubit, after) axes."""
+    return amps.reshape(1 << qubit, 2, 1 << (n - 1 - qubit))
 
 
 # ---------------------------------------------------------------------------
@@ -295,8 +312,8 @@ class PureState:
             raise ValueError(f"amplitude count {amps.size} is not a power of two")
         if n > MAX_QUBITS:
             raise ValueError(f"{n} qubits exceeds the oracle cap of {MAX_QUBITS}")
-        norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > 1e-7:
+        norm = math.sqrt(np.vdot(amps, amps).real)
+        if not abs(norm - 1.0) <= 1e-7:  # also rejects NaN
             raise ValueError(f"state is not normalized (norm {norm})")
         self.amplitudes = amps
 
@@ -319,7 +336,7 @@ class PureState:
     def tensor(self, other: "PureState") -> "PureState":
         if self.n_qubits + other.n_qubits > MAX_QUBITS:
             raise ValueError("tensor product exceeds the oracle cap")
-        return PureState(np.kron(self.amplitudes, other.amplitudes))
+        return PureState(np.multiply.outer(self.amplitudes, other.amplitudes))
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
@@ -352,20 +369,13 @@ def oracle_apply(
                 raise ValueError("RZ requires theta")
             matrix = _rz(theta)
         else:
-            matrix = {"H": H_GATE, "X": X_GATE, "Z": Z_GATE}[name]
+            matrix = _FIXED_GATES[name]
         (q,) = targets
-        tensor = state.amplitudes.reshape([2] * n)
-        tensor = np.moveaxis(np.tensordot(matrix, tensor, axes=([1], [q])), 0, q)
-        return PureState(tensor.reshape(-1))
+        return PureState(np.matmul(matrix, _split(state.amplitudes, n, q)))
     if name == "CNOT":
         _check_targets(state, targets, 2)
         control, target = targets
-        tensor = state.amplitudes.reshape([2] * n)
-        tensor = np.moveaxis(tensor, (control, target), (0, 1))
-        shaped = tensor.reshape(4, -1)
-        shaped = CNOT_GATE @ shaped
-        tensor = np.moveaxis(shaped.reshape([2] * n), (0, 1), (control, target))
-        return PureState(tensor.reshape(-1))
+        return PureState(state.amplitudes[_cnot_permutation(n, control, target)])
     raise ValueError(f"unknown gate {gate!r}")
 
 
@@ -390,16 +400,13 @@ def oracle_measure(
     n = state.n_qubits
     if not 0 <= qubit < n:
         raise ValueError(f"qubit index {qubit} out of range for {n} qubits")
-    work = state
-    if basis.kind in ("X", "EQ"):
-        # Rotate the measured basis onto Z: Rz(-theta) then H maps
-        # |+_theta> to |0> and |-_theta> to |1>.
-        work = oracle_apply(work, "RZ", (qubit,), theta=-basis.theta)
-        work = oracle_apply(work, "H", (qubit,))
-    tensor = np.moveaxis(work.amplitudes.reshape([2] * n), qubit, 0)
-    p0 = float(np.sum(np.abs(tensor[0]) ** 2))
+    view = _split(state.amplitudes, n, qubit)
+    if basis.kind != "Z":
+        view = np.matmul(_basis_rotation(basis.theta), view)
+    zero = view[:, 0]
+    p0 = float(np.vdot(zero, zero).real)
     outcome = int(rng.random() >= p0)
-    branch = tensor[outcome].reshape(-1)
+    branch = view[:, outcome]
     p = p0 if outcome == 0 else 1.0 - p0
     if p <= 0.0:
         raise ValueError("measured a zero-probability branch; state was inconsistent")

@@ -8,6 +8,7 @@ import pytest
 import oracles
 from oneq.errors import ResourceError
 from oneq.qcore import (
+    MAX_QUBITS,
     GhzResource,
     MeasurementBasis,
     PureState,
@@ -253,3 +254,128 @@ class TestGhz:
         ghz = GhzResource(id="g", holders=("a", "b", "c"), w=0.85, created_at=0.0)
         with pytest.raises(ResourceError):
             ghz_x_reduce(ghz, "z", rng)
+
+
+# ---------------------------------------------------------------------------
+# Statevector kernel against full matrices and explicit projectors
+# ---------------------------------------------------------------------------
+
+P0 = np.array([[1, 0], [0, 0]], dtype=complex)
+P1 = np.array([[0, 0], [0, 1]], dtype=complex)
+
+
+def _random_state(n, seed):
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    return amps / np.linalg.norm(amps)
+
+
+def _on_qubit(op, qubit, n):
+    """Full 2^n-column matrix acting as ``op`` on one qubit, identity elsewhere."""
+    return oracles.kron(*[op if k == qubit else oracles.I2 for k in range(n)])
+
+
+def _cnot_matrix(control, target, n):
+    flipped = [P1 if k == control else oracles.X if k == target else oracles.I2
+               for k in range(n)]
+    return _on_qubit(P0, control, n) + oracles.kron(*flipped)
+
+
+class _FixedDraw:
+    """Stands in for a Generator: random() always returns ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+class TestKernelCrossCheck:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_single_qubit_gates_match_full_matrices(self, n):
+        amps = _random_state(n, 100 + n)
+        theta = 0.7 + n
+        gates = [("H", None, oracles.H), ("X", None, oracles.X),
+                 ("Z", None, oracles.Z), ("RZ", theta, oracles.rz(theta))]
+        for q in range(n):
+            for name, angle, matrix in gates:
+                state = PureState(amps.copy())
+                out = oracle_apply(state, name, (q,), theta=angle)
+                expected = _on_qubit(matrix, q, n) @ amps
+                np.testing.assert_allclose(out.amplitudes, expected, atol=1e-12)
+                np.testing.assert_array_equal(state.amplitudes, amps)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_cnot_matches_full_matrix_on_every_ordered_pair(self, n):
+        amps = _random_state(n, 200 + n)
+        pairs = [(c, t) for c in range(n) for t in range(n) if c != t]
+        for control, target in pairs:
+            state = PureState(amps.copy())
+            out = oracle_apply(state, "CNOT", (control, target))
+            expected = _cnot_matrix(control, target, n) @ amps
+            np.testing.assert_allclose(out.amplitudes, expected, atol=1e-12)
+            np.testing.assert_array_equal(state.amplitudes, amps)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_measure_matches_explicit_projectors(self, n):
+        amps = _random_state(n, 300 + n)
+        bases = [Z_BASIS, X_BASIS] + [MeasurementBasis.equatorial(k * math.pi / 4)
+                                      for k in range(8)]
+        for basis in bases:
+            phase = np.exp(1j * basis.theta)
+            if basis.kind == "Z":
+                vectors = (np.array([1, 0], dtype=complex), np.array([0, 1], dtype=complex))
+            else:
+                vectors = (np.array([1, phase]) / math.sqrt(2),
+                           np.array([1, -phase]) / math.sqrt(2))
+            for q in range(n):
+                probs = []
+                for outcome, vec in enumerate(vectors):
+                    projector = _on_qubit(np.outer(vec, vec.conj()), q, n)
+                    prob = float(np.vdot(amps, projector @ amps).real)
+                    probs.append(prob)
+                    # <vec| on qubit q keeps the other qubits in order.
+                    bra = _on_qubit(vec.conj()[None, :], q, n)
+                    post = bra @ amps / math.sqrt(prob)
+                    draw = 0.0 if outcome == 0 else np.nextafter(1.0, 0.0)
+                    got, rest = oracle_measure(PureState(amps), q, basis, _FixedDraw(draw))
+                    assert got == outcome
+                    assert rest.n_qubits == n - 1
+                    np.testing.assert_allclose(rest.amplitudes, post, atol=1e-12)
+                assert sum(probs) == pytest.approx(1.0, abs=1e-12)
+                # The outcome flips where the draw crosses P(0).
+                for draw, outcome in ((probs[0] - 1e-9, 0), (probs[0] + 1e-9, 1)):
+                    assert oracle_measure(PureState(amps), q, basis,
+                                          _FixedDraw(draw))[0] == outcome
+
+    def test_purestate_keeps_its_checks(self):
+        with pytest.raises(ValueError, match="not normalized"):
+            PureState([1.0, 1.0])
+        with pytest.raises(ValueError, match="not normalized"):
+            PureState([math.nan, 0.0])
+        with pytest.raises(ValueError, match="power of two"):
+            PureState(np.ones(6) / math.sqrt(6))
+        over = np.zeros(1 << (MAX_QUBITS + 1), dtype=complex)
+        over[0] = 1.0
+        with pytest.raises(ValueError, match="cap"):
+            PureState(over)
+        # The 1e-7 norm tolerance is unchanged.
+        PureState(np.array([1.0 + 5e-8, 0.0]))
+        with pytest.raises(ValueError, match="not normalized"):
+            PureState(np.array([1.0 + 2e-7, 0.0]))
+
+    def test_tensor_products_are_validated(self):
+        with pytest.raises(ValueError, match="cap"):
+            PureState.zeros(MAX_QUBITS // 2 + 1).tensor(PureState.zeros(MAX_QUBITS // 2))
+        unnormalised = PureState.zeros(1)
+        unnormalised.amplitudes = np.array([1.0, 1.0], dtype=complex)
+        with pytest.raises(ValueError, match="not normalized"):
+            unnormalised.tensor(PureState.zeros(1))
+        ragged = PureState.zeros(1)
+        ragged.amplitudes = np.array([1.0, 0.0, 0.0], dtype=complex)
+        with pytest.raises(ValueError, match="power of two"):
+            ragged.tensor(PureState.zeros(1))
+        pair = PureState(_random_state(1, 1)).tensor(PureState(_random_state(2, 2)))
+        np.testing.assert_allclose(
+            pair.amplitudes, np.kron(_random_state(1, 1), _random_state(2, 2)), atol=1e-15)
