@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy import stats
 
 from .. import qcore
 from ..protocol import Stack
@@ -87,6 +86,8 @@ def rsp_collapse(w: float, theta_eighths: int, rng) -> tuple[int, qcore.PureStat
 
 def blindness_pvalue(deltas_eighths) -> float:
     """Chi-square p-value for the announced angles being grid-uniform."""
+    from scipy import stats  # imported here: it takes about a second and no run needs it
+
     counts = np.bincount(np.asarray(deltas_eighths, dtype=int) % GRID,
                          minlength=GRID)
     return float(stats.chisquare(counts).pvalue)
@@ -98,6 +99,8 @@ def pattern_distinguishability_pvalue(deltas_a, deltas_b) -> float:
     Large values mean the announced-angle histograms do not separate the
     two computations.
     """
+    from scipy import stats
+
     ca = np.bincount(np.asarray(deltas_a, dtype=int) % GRID, minlength=GRID)
     cb = np.bincount(np.asarray(deltas_b, dtype=int) % GRID, minlength=GRID)
     table = np.stack([ca, cb])

@@ -48,31 +48,28 @@ class Event:
 
 
 class Trace:
-    """Append-only run log; one record per domain happening."""
+    """Append-only run log; one record per domain happening.
+
+    Each record is kept once, as its canonical JSON line: keys t, node,
+    kind, details in that order, detail keys sorted, compact separators.
+    """
 
     def __init__(self) -> None:
-        self.records: list[dict] = []
+        self.lines: list[str] = []
 
     def emit(self, t: float, node: str, kind: str, **details: Any) -> None:
-        self.records.append({"t": t, "node": node, "kind": kind, "details": details})
+        record = {"t": t, "node": node, "kind": kind,
+                  "details": {k: details[k] for k in sorted(details)}}
+        self.lines.append(json.dumps(record, separators=(",", ":"), allow_nan=False))
 
     def __iter__(self):
-        return iter(self.records)
+        return map(json.loads, self.lines)
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.lines)
 
     def to_jsonl(self) -> str:
-        lines = []
-        for rec in self.records:
-            ordered = {
-                "t": rec["t"],
-                "node": rec["node"],
-                "kind": rec["kind"],
-                "details": {k: rec["details"][k] for k in sorted(rec["details"])},
-            }
-            lines.append(json.dumps(ordered, separators=(",", ":"), allow_nan=False))
-        return "\n".join(lines) + ("\n" if lines else "")
+        return "\n".join(self.lines) + ("\n" if self.lines else "")
 
 
 class Metrics:
@@ -224,6 +221,14 @@ class Simulator:
     @property
     def pending_events(self) -> int:
         return len(self._heap)
+
+    def drop_pending(self) -> None:
+        """Forget every queued event, closing the processes they would resume.
+
+        A finished run calls this so that nothing refers back to the run and
+        reference counting alone frees it.
+        """
+        self._heap.clear()
 
 
 # ---------------------------------------------------------------------------

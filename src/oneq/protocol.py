@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from typing import Iterable, Optional, Sequence
 
 from . import qcore
@@ -97,7 +98,6 @@ class EntanglementRequest:
     count: int
     max_latency_s: float
     min_fidelity: float
-    priority: int = 0
 
     def __post_init__(self) -> None:
         if self.count < 1:
@@ -289,21 +289,19 @@ class Stack:
         )
         if new_state == QueState.CONNECTED:
             ctx.last_activity = self.sim.now
-            self._arm_inactivity(ctx)
+            self._arm_inactivity(ctx, self.defaults.inactivity_timeout_s)
 
-    def _arm_inactivity(self, ctx: QueContext) -> None:
-        timeout = self.defaults.inactivity_timeout_s
+    def _arm_inactivity(self, ctx: QueContext, delay: float) -> None:
+        self.sim.schedule_call(delay, partial(self._check_inactivity, ctx), EventKind.TIMER)
 
-        def check() -> None:
-            if ctx.state is not QueState.CONNECTED:
-                return
-            remaining = ctx.last_activity + timeout - self.sim.now
-            if remaining <= 1e-12:
-                self._set_state(ctx, QueState.INACTIVE, "inactivity-timeout")
-            else:
-                self.sim.schedule_call(remaining, check, EventKind.TIMER)
-
-        self.sim.schedule_call(timeout, check, EventKind.TIMER)
+    def _check_inactivity(self, ctx: QueContext) -> None:
+        if ctx.state is not QueState.CONNECTED:
+            return
+        remaining = ctx.last_activity + self.defaults.inactivity_timeout_s - self.sim.now
+        if remaining <= 1e-12:
+            self._set_state(ctx, QueState.INACTIVE, "inactivity-timeout")
+        else:
+            self._arm_inactivity(ctx, remaining)
 
     def _touch_activity(self, *node_ids: str) -> None:
         for node_id in node_ids:
@@ -514,18 +512,22 @@ class Stack:
             if ctx is not None:
                 ctx.stored.add(resource.id)
 
+    def _unstore_for_ues(self, resource: WernerPair | GhzResource) -> None:
+        for h in resource.holders:
+            ctx = self.ues.get(h)
+            if ctx is not None:
+                ctx.stored.discard(resource.id)
+
     def discard_pair(self, resource_id: str, reason: str) -> None:
         res = self.ledger.live(resource_id)
         self.ledger.mark_discarded(resource_id, reason)
         self.sim.metrics.incr("pairs_discarded")
+        self._unstore_for_ues(res)
         if reason == "below-threshold":
             self.sim.metrics.incr("pairs_discarded_below_threshold")
-        for h in res.holders:
-            ctx = self.ues.get(h)
-            if ctx is not None:
-                ctx.stored.discard(resource_id)
-            if self.topo.nodes[h].kind in UE_KINDS and reason == "below-threshold":
-                self.sim.metrics.incr(f"pairs_discarded_below_threshold.{h}")
+            for h in res.holders:
+                if self.topo.nodes[h].kind in UE_KINDS:
+                    self.sim.metrics.incr(f"pairs_discarded_below_threshold.{h}")
         self.sim.trace.emit(self.sim.now, res.holders[0], "pair-discarded",
                             id=resource_id, reason=reason)
         for h in res.holders:
@@ -551,10 +553,7 @@ class Stack:
                         holder_states: list[str]) -> None:
         self.ledger.mark_consumed(res.id, purpose)
         self.sim.metrics.incr("pairs_consumed")
-        for h in res.holders:
-            ctx = self.ues.get(h)
-            if ctx is not None:
-                ctx.stored.discard(res.id)
+        self._unstore_for_ues(res)
         self.sim.trace.emit(
             self.sim.now, res.holders[0], "pair-consumed",
             id=res.id, purpose=purpose,
@@ -596,10 +595,7 @@ class Stack:
         for rid in self.ledger.expire_remaining():
             res = self.ledger.resources[rid]
             self.sim.metrics.incr("pairs_expired")
-            for h in res.holders:
-                ctx = self.ues.get(h)
-                if ctx is not None:
-                    ctx.stored.discard(rid)
+            self._unstore_for_ues(res)
             self.sim.trace.emit(self.sim.now, res.holders[0], "pair-expired", id=rid)
 
     # ------------------------------------------------------------------
@@ -632,11 +628,8 @@ class Stack:
         self.ledger.mark_consumed(pair_ab_id, "swap")
         self.ledger.mark_consumed(pair_bc_id, "swap")
         self.sim.metrics.incr("pairs_consumed", 2)
-        for h in set(pair_ab.holders) | set(pair_bc.holders):
-            ctx = self.ues.get(h)
-            if ctx is not None:
-                ctx.stored.discard(pair_ab_id)
-                ctx.stored.discard(pair_bc_id)
+        self._unstore_for_ues(pair_ab)
+        self._unstore_for_ues(pair_bc)
         out = WernerPair(
             id=self.ledger.new_id(),
             holders=(left, right),
@@ -727,13 +720,66 @@ class Stack:
             w=links[0].w0 * links[1].w0, created_at=t, last_touched=t,
         )
 
+    def _attempt_slot(self, chain: list[str], links: Sequence[QuantumLinkSpec], dual: bool,
+                      segments: dict[int, WernerPair], delivered: list[WernerPair]):
+        """Generator: one attempt slot of a session; end-to-end pairs go to delivered.
+
+        A dual downlink is one joint roll at the shared source and a direct
+        link one roll.  A multi-hop chain tries every missing segment and,
+        once all are held, swaps them left to right into one pair.
+        """
+        if dual:
+            pair = self._attempt_direct_ue_pair(chain[1], chain[0], chain[2], links)
+            if pair is not None and self.ledger.can_store(pair.holders):
+                self._register_pair(pair, f"src:{chain[1]}")
+                delivered.append(pair)
+            return
+        if len(chain) == 2:
+            if self.ledger.can_store(chain):
+                rng = self.sim.rng_stream(chain[1] if self.topo.nodes[chain[1]].kind
+                                          in BS_KINDS else chain[0], "entanglement")
+                pair = self.topo.attempt_pair(
+                    links[0], (chain[0], chain[1]), rng, self.sim.now, self.ledger.new_id,
+                )
+                if pair is not None:
+                    self._register_pair(pair, "direct")
+                    delivered.append(pair)
+            return
+        # Multi-hop: fill missing segments, then swap left to right.
+        for i, link in enumerate(links):
+            if i in segments:
+                continue
+            holders = (chain[i], chain[i + 1])
+            if not self.ledger.can_store(holders):
+                continue
+            src = holders[0] if self.topo.nodes[holders[0]].kind in BS_KINDS else holders[1]
+            rng = self.sim.rng_stream(src, "entanglement")
+            pair = self.topo.attempt_pair(link, holders, rng, self.sim.now, self.ledger.new_id)
+            if pair is not None:
+                self._register_pair(pair, "segment")
+                segments[i] = pair
+        if len(segments) < len(links):
+            return
+        merged = segments[0]
+        for i in range(1, len(links)):
+            out_id = yield from self.swap_with_correction(
+                merged.id, segments[i].id, chain[i], chain[0],
+            )
+            if out_id is None:
+                break
+            merged = self.ledger.resources[out_id]
+        else:
+            delivered.append(merged)
+        segments.clear()
+
     def entanglement_session(self, request: EntanglementRequest):
         """Generator returning a SessionResult.
 
         Step 1 is the classical request, step 2 repeats generation attempts
         every attempt period, step 3 is the classical ACK.  Pairs must meet
-        request.min_fidelity at ACK time or they are discarded and
-        regeneration continues until the latency budget runs out.
+        request.min_fidelity at ACK time or they are discarded.  When too
+        few survive and the latency budget is not spent, one regeneration
+        round repeats steps 2 and 3 with the survivors kept.
         """
         t_start = self.sim.now
         requester = request.requester
@@ -780,97 +826,15 @@ class Stack:
         period = max(link.attempt_period_s for link in links)
         deadline = t_start + request.max_latency_s
 
-        delivered: list[WernerPair] = []
+        survivors: list[WernerPair] = []
         segments: dict[int, WernerPair] = {}
         attempts = 0
         discarded_below = 0
         aborted = ""
 
-        def segment_holders(i: int) -> tuple[str, str]:
-            return (chain[i], chain[i + 1])
-
-        while self.sim.now < deadline and len(delivered) < request.count:
-            yield (min(period, max(deadline - self.sim.now, 1e-12)),
-                   EventKind.ENTANGLEMENT_ATTEMPT)
-            if self.sim.now >= deadline:
-                break
-            attempts += 1
-            try:
-                if dual:
-                    pair = self._attempt_direct_ue_pair(chain[1], chain[0], chain[2], links)
-                    if pair is not None and self.ledger.can_store(pair.holders):
-                        self._register_pair(pair, f"src:{chain[1]}")
-                        delivered.append(pair)
-                    continue
-                if len(chain) == 2:
-                    if self.ledger.can_store(chain):
-                        rng = self.sim.rng_stream(chain[1] if self.topo.nodes[chain[1]].kind
-                                                  in BS_KINDS else chain[0], "entanglement")
-                        pair = self.topo.attempt_pair(
-                            links[0], (chain[0], chain[1]), rng, self.sim.now,
-                            self.ledger.new_id,
-                        )
-                        if pair is not None:
-                            self._register_pair(pair, "direct")
-                            delivered.append(pair)
-                    continue
-                # Multi-hop: fill missing segments, then swap left to right.
-                for i, link in enumerate(links):
-                    if i in segments:
-                        continue
-                    holders = segment_holders(i)
-                    if not self.ledger.can_store(holders):
-                        continue
-                    src = holders[0] if self.topo.nodes[holders[0]].kind in BS_KINDS \
-                        else holders[1]
-                    rng = self.sim.rng_stream(src, "entanglement")
-                    pair = self.topo.attempt_pair(link, holders, rng, self.sim.now,
-                                                  self.ledger.new_id)
-                    if pair is not None:
-                        self._register_pair(pair, "segment")
-                        segments[i] = pair
-                if len(segments) == len(links):
-                    merged = segments[0]
-                    failed = False
-                    for i in range(1, len(links)):
-                        repeater = chain[i]
-                        out_id = yield from self.swap_with_correction(
-                            merged.id, segments[i].id, repeater, chain[0],
-                        )
-                        if out_id is None:
-                            failed = True
-                            break
-                        merged = self.ledger.resources[out_id]
-                    segments.clear()
-                    if not failed:
-                        delivered.append(merged)
-            except CoverageError as err:
-                aborted = "coverage-lost"
-                self.sim.trace.emit(self.sim.now, requester, "session-coverage-lost",
-                                    detail=str(err))
-                break
-
-        # Step 3: ACK, then the freshness screen at ACK time.
-        yield from self.send_message(requester, bs_a, "ack")
-        survivors: list[WernerPair] = []
-        for pair in delivered:
-            state = self.ledger.state.get(pair.id)
-            if state != "live":
-                continue
-            if fidelity_of(self.age_pair(pair)) + 1e-12 >= request.min_fidelity:
-                survivors.append(pair)
-            else:
-                discarded_below += 1
-                self.discard_pair(pair.id, "below-threshold")
-        for leftover in segments.values():
-            if self.ledger.state.get(leftover.id) == "live":
-                self.discard_pair(leftover.id, "segment-unused")
-
-        regenerate = (not aborted and len(survivors) < request.count
-                      and self.sim.now < deadline)
-        if regenerate:
-            # Not enough fresh pairs survived the screen; fold the survivors
-            # back in and keep generating against the same deadline.
+        # The first pass, then at most one regeneration round that keeps the
+        # survivors of the first screen and generates against the same deadline.
+        for _ in range(2):
             delivered = survivors
             while self.sim.now < deadline and len(delivered) < request.count:
                 yield (min(period, max(deadline - self.sim.now, 1e-12)),
@@ -879,23 +843,14 @@ class Stack:
                     break
                 attempts += 1
                 try:
-                    if dual:
-                        pair = self._attempt_direct_ue_pair(chain[1], chain[0],
-                                                            chain[2], links)
-                        if pair is not None and self.ledger.can_store(pair.holders):
-                            self._register_pair(pair, f"src:{chain[1]}")
-                            delivered.append(pair)
-                    elif len(chain) == 2 and self.ledger.can_store(chain):
-                        rng = self.sim.rng_stream(chain[1] if self.topo.nodes[chain[1]].kind
-                                                  in BS_KINDS else chain[0], "entanglement")
-                        pair = self.topo.attempt_pair(links[0], (chain[0], chain[1]), rng,
-                                                      self.sim.now, self.ledger.new_id)
-                        if pair is not None:
-                            self._register_pair(pair, "direct")
-                            delivered.append(pair)
-                except CoverageError:
+                    yield from self._attempt_slot(chain, links, dual, segments, delivered)
+                except CoverageError as err:
                     aborted = "coverage-lost"
+                    self.sim.trace.emit(self.sim.now, requester, "session-coverage-lost",
+                                        detail=str(err))
                     break
+
+            # Step 3: ACK, then the freshness screen at ACK time.
             yield from self.send_message(requester, bs_a, "ack")
             survivors = []
             for pair in delivered:
@@ -906,6 +861,12 @@ class Stack:
                 else:
                     discarded_below += 1
                     self.discard_pair(pair.id, "below-threshold")
+            for leftover in segments.values():
+                if self.ledger.state.get(leftover.id) == "live":
+                    self.discard_pair(leftover.id, "segment-unused")
+            segments.clear()
+            if aborted or len(survivors) >= request.count or self.sim.now >= deadline:
+                break
 
         if survivors and not self.topo.in_classical_coverage(
                 requester, bs_a, self.sim.now):
@@ -1012,10 +973,7 @@ class Stack:
         correction, reduced = qcore.ghz_x_reduce(ghz, measured_party, rng,
                                                  new_id=self.ledger.new_id())
         self.ledger.mark_consumed(ghz_id, "locc-reduce")
-        for h in ghz.holders:
-            ctx = self.ues.get(h)
-            if ctx is not None:
-                ctx.stored.discard(ghz_id)
+        self._unstore_for_ues(ghz)
         self.ledger.register(reduced)
         self._store_for_ues(reduced)
         self.sim.trace.emit(self.sim.now, measured_party, "ghz-reduced",

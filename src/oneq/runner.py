@@ -105,6 +105,7 @@ def run_scenario(scenario: Scenario, seed: Optional[int] = None,
     sim.spawn(startup(), on_done=launch)
     sim.run_until(horizon)
     stack.finalize()
+    sim.drop_pending()
 
     app_rows: list[tuple] = []
     summary_apps: dict[str, dict] = {}

@@ -61,6 +61,25 @@ class TestScheduling:
         assert marks == [1.0, 2.5, 5.0]
         assert results == ["done"]
 
+    def test_drop_pending_closes_queued_processes(self):
+        sim = Simulator(seed=0)
+        closed = []
+
+        def proc():
+            try:
+                while True:
+                    yield 1.0
+            finally:
+                closed.append(sim.now)
+
+        sim.spawn(proc())
+        sim.run_until(2.5)
+        sim.drop_pending()
+        assert sim.pending_events == 0
+        assert closed == [2.5]
+        sim.run_until(10.0)
+        assert sim.now == 10.0
+
     def test_negative_yield_rejected(self):
         sim = Simulator(seed=0)
 
@@ -107,6 +126,18 @@ class TestTraceAndMetrics:
         line = trace.to_jsonl()
         assert line == '{"t":0.5,"node":"n1","kind":"thing","details":{"alpha":"x","zeta":1}}\n'
         assert json.loads(line)["details"] == {"alpha": "x", "zeta": 1}
+
+    def test_records_iterate_as_dicts(self):
+        trace = Trace()
+        trace.emit(0.25, "n1", "a", b=2, a=[1, "x"])
+        trace.emit(1.0, "n2", "b")
+        assert len(trace) == 2
+        assert list(trace) == [
+            {"t": 0.25, "node": "n1", "kind": "a", "details": {"a": [1, "x"], "b": 2}},
+            {"t": 1.0, "node": "n2", "kind": "b", "details": {}},
+        ]
+        with pytest.raises(ValueError):
+            trace.emit(0.0, "n1", "bad", x=float("nan"))
 
     def test_empty_trace_serializes_empty(self):
         assert Trace().to_jsonl() == ""

@@ -286,6 +286,58 @@ class TestSessions:
         assert {"session-start", "session-end", "pair-created"} <= kinds
 
 
+class TestRegeneration:
+    """One regeneration round after a failed screen, on every chain shape.
+
+    q_attempt = 1 and lossless classical links make every run below
+    deterministic: each slot heralds, and the first screen drops the pair
+    that waited one slot for its partner.
+    """
+
+    @staticmethod
+    def _after_first_ack(sim):
+        records = list(sim.trace)
+        acks = [i for i, r in enumerate(records)
+                if r["kind"] == "msg" and r["details"]["msg"] == "ack"]
+        return len(acks), records[acks[0]:]
+
+    def test_multi_hop_round_generates_and_swaps(self, make_stack):
+        sim, stack = make_stack(two_cell_topology(q_attempt=1.0, t_coh_ue=0.01))
+        drive(sim, stack.register("QUE1", "QBS1"))
+        drive(sim, stack.register("QUE2", "QBS2"))
+        res = drive(sim, stack.entanglement_session(
+            _request(count=2, max_latency_s=0.01, min_fidelity=0.89)))
+        n_acks, after = self._after_first_ack(sim)
+        assert n_acks == 2
+        # one slot refills all three segments and swaps them at both stations
+        assert sum(r["kind"] == "pair-created" and r["details"]["via"] == "segment"
+                   for r in after) == 3
+        assert sum(r["kind"] == "swap" for r in after) == 2
+        assert res.outcome == SessionOutcome.PARTIALLY_FULFILLED
+        assert res.attempts == 3
+        assert res.discarded_below_threshold == 2
+        (rid,) = res.delivered
+        assert set(stack.ledger.live(rid).holders) == {"QUE1", "QUE2"}
+        assert stack.ledger.live_ids() == [rid]
+
+    def test_dual_downlink_round_rescreens_survivors(self, make_stack):
+        sim, stack = make_stack(one_cell_topology(
+            q_attempt=1.0, w0=0.97, t_coh_s=0.01, attempt_period_s=1e-3))
+        drive(sim, stack.register("QUE1", "QBS1"))
+        drive(sim, stack.register("QUE2", "QBS1"))
+        res = drive(sim, stack.entanglement_session(
+            _request(count=2, max_latency_s=0.01, min_fidelity=0.95)))
+        n_acks, after = self._after_first_ack(sim)
+        assert n_acks == 2
+        assert [r["details"]["via"] for r in after if r["kind"] == "pair-created"] \
+            == ["src:QBS1"]
+        assert res.outcome == SessionOutcome.PARTIALLY_FULFILLED
+        assert res.delivered == ("p000003",)
+        assert res.attempts == 3
+        assert res.discarded_below_threshold == 2
+        assert res.elapsed_s == pytest.approx(0.003003768, abs=1e-9)
+
+
 class TestLedger:
     def test_slot_accounting(self, make_stack):
         topo = one_cell_topology(memory_slots=2)

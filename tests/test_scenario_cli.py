@@ -1,10 +1,14 @@
 """Scenario schema, runner artifacts, sweeps, and the command line."""
 
 import copy
+import gc
 import json
 import math
+import os
 import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -115,6 +119,31 @@ class TestRunner:
         assert art.summary["apps"]["qkd0"]["outcome"] == "unfinished"
         with pytest.raises(OneQError):
             raise_if_unfinished(art)
+
+    def test_finished_runs_leave_no_cycles(self):
+        # Reference counting alone frees a finished run, so peak memory does
+        # not depend on when the cyclic collector happens to run.
+        scenarios = [load_scenario_file(str(path))[0] for path in SCENARIOS]
+        for scenario in scenarios:  # first runs import modules lazily
+            run_scenario(scenario, seed=0)
+        gc.collect()
+        gc.disable()
+        try:
+            for scenario in scenarios:
+                run_scenario(scenario, seed=0)
+                assert gc.collect() == 0, scenario.name
+        finally:
+            gc.enable()
+
+    def test_import_leaves_scipy_stats_out(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p)
+        code = "import sys, oneq.runner, oneq.cli; print('scipy.stats' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_write_artifacts_layout(self, tmp_path):
         scenario, _ = load_scenario_file(str(BASELINE))
