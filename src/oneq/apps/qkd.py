@@ -20,7 +20,6 @@ from .. import qcore
 from ..protocol import (
     EntanglementRequest,
     SessionOutcome,
-    SliceType,
     Stack,
 )
 
@@ -208,7 +207,6 @@ class QkdApp:
         cfg = self.config
         request = EntanglementRequest(
             requester=cfg.alice, peers=(cfg.bob,),
-            slice_type=SliceType.GENERATE_AND_MEASURE,
             count=cfg.n_pairs, max_latency_s=cfg.max_latency_s,
             min_fidelity=cfg.min_fidelity,
         )

@@ -80,7 +80,6 @@ class SensingConfig:
     tau_interrogate_s: float = 1e-3
     t2_s: float = 0.05
     reinit_delay_s: float = 1e-4
-    min_fidelity: float = 0.5
     max_latency_s: float = 0.5
     trace_reports: bool = False
 

@@ -13,12 +13,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, CoverageError
-from .qcore import WernerPair
+from .errors import ConfigurationError
 
 __all__ = [
     "NodeKind",
@@ -360,39 +359,17 @@ class Topology:
     def quantum_link(self, a: str, b: str) -> Optional[QuantumLinkSpec]:
         return self.quantum_links.get(frozenset((a, b)))
 
-    def attempt_pair(
-        self,
-        link: QuantumLinkSpec,
-        holders: tuple[str, str],
-        rng: np.random.Generator,
-        t: float,
-        id_alloc: Callable[[], str],
-    ) -> Optional[WernerPair]:
-        """One heralded generation attempt over an FSO link.
-
-        Succeeds with probability q_attempt, yielding a fresh pair at w0.
-        Raises CoverageError when the holders are not mutually reachable on
-        the quantum plane at time t.
-        """
-        if frozenset(holders) != frozenset((link.a, link.b)):
-            raise CoverageError(f"holders {holders} do not match link {link.a}-{link.b}")
-        if not self._quantum_reachable(link.a, link.b, t):
-            raise CoverageError(f"no quantum coverage between {link.a} and {link.b} at t={t}")
-        if rng.random() >= link.q_attempt:
-            return None
-        return WernerPair(id=id_alloc(), holders=holders, w=link.w0, created_at=t, last_touched=t)
-
-    def _quantum_reachable(self, a: str, b: str, t: float) -> bool:
+    def quantum_reachable(self, a: str, b: str, t: float) -> bool:
+        """True when a and b can herald over their quantum link at time t."""
         na, nb = self._require(a), self._require(b)
-        if not na.available_at(t) or not nb.available_at(t):
-            return False
-        # UE endpoints must sit inside the BS quantum disk.  Engineered
-        # BS-to-BS links are range-validated at deployment, not per attempt.
+        # UE endpoints must sit inside the BS quantum disk (which checks that
+        # both are available).  Engineered BS-to-BS links are range-validated
+        # at deployment, not per attempt.
         if na.kind in UE_KINDS and nb.kind in BS_KINDS:
             return self.in_quantum_coverage(a, b, t)
         if nb.kind in UE_KINDS and na.kind in BS_KINDS:
             return self.in_quantum_coverage(b, a, t)
-        return True
+        return na.available_at(t) and nb.available_at(t)
 
     def _path(self, graph: str, a: str, b: str) -> Optional[list[str]]:
         key = (graph, a, b)

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import qcore
 from .engine import EventKind, Simulator
@@ -36,7 +36,6 @@ from .qcore import GhzResource, PureState, WernerPair, decay, fidelity_of
 
 __all__ = [
     "QueState",
-    "SliceType",
     "SessionOutcome",
     "HandoverMode",
     "PolicyMode",
@@ -68,11 +67,6 @@ _ALLOWED_TRANSITIONS = {
 }
 
 
-class SliceType(str, Enum):
-    GENERATE_AND_STORE = "GenerateAndStore"
-    GENERATE_AND_MEASURE = "GenerateAndMeasure"
-
-
 class SessionOutcome(str, Enum):
     FULFILLED = "Fulfilled"
     PARTIALLY_FULFILLED = "PartiallyFulfilled"
@@ -94,7 +88,6 @@ class PolicyMode(str, Enum):
 class EntanglementRequest:
     requester: str
     peers: tuple[str, ...]
-    slice_type: SliceType
     count: int
     max_latency_s: float
     min_fidelity: float
@@ -247,6 +240,15 @@ class QueContext:
     serving_bs: Optional[str] = None
     stored: set = field(default_factory=set)
     last_activity: float = 0.0
+
+
+class _Segment(NamedTuple):
+    """One pair a session heralds: every leg from source in the same slot."""
+
+    source: str
+    legs: tuple[QuantumLinkSpec, ...]
+    holders: tuple[str, str]
+    via: str
 
 
 class Stack:
@@ -494,7 +496,32 @@ class Stack:
     # Resource creation and consumption
     # ------------------------------------------------------------------
 
-    def _register_pair(self, pair: WernerPair, link_note: str) -> None:
+    def _herald(self, source: str, legs: Sequence[QuantumLinkSpec],
+                parties: Iterable[str]) -> Optional[float]:
+        """One heralded attempt slot at source; the delivered w, or None.
+
+        Every leg must herald in the same slot, so the success probability
+        is the product of the leg q_attempts and the delivered Werner
+        parameter the product of the leg w0s.  A party without a free
+        memory slot skips the slot without a draw; a leg out of quantum
+        reach raises CoverageError.
+        """
+        if not self.ledger.can_store(parties):
+            return None
+        t = self.sim.now
+        for link in legs:
+            if not self.topo.quantum_reachable(link.a, link.b, t):
+                raise CoverageError(
+                    f"no quantum coverage between {link.a} and {link.b} at t={t}")
+        rng = self.sim.rng_stream(source, "entanglement")
+        if rng.random() >= math.prod(link.q_attempt for link in legs):
+            return None
+        return math.prod(link.w0 for link in legs)
+
+    def _register_pair(self, holders: tuple[str, str], w: float, link_note: str) -> WernerPair:
+        t = self.sim.now
+        pair = WernerPair(id=self.ledger.new_id(), holders=holders, w=w,
+                          created_at=t, last_touched=t)
         self.ledger.register(pair)
         self.sim.metrics.incr("pairs_created")
         for h in pair.holders:
@@ -505,6 +532,7 @@ class Stack:
             id=pair.id, holders="+".join(pair.holders), w=round(pair.w, 9),
             via=link_note,
         )
+        return pair
 
     def _store_for_ues(self, resource: WernerPair | GhzResource) -> None:
         for h in resource.holders:
@@ -691,86 +719,47 @@ class Stack:
         mid = self.topo.repeater_path(bs_a, target)
         return None if mid is None else [requester] + mid
 
-    def _chain_links(self, chain: list[str]) -> Optional[list[QuantumLinkSpec]]:
-        links = []
-        for a, b in zip(chain, chain[1:]):
-            link = self.topo.quantum_link(a, b)
-            if link is None:
-                return None
-            links.append(link)
-        return links
+    def _session_plan(self, chain: list[str]) -> Optional[list[_Segment]]:
+        """The segments a session heralds; None when a quantum link is missing.
 
-    def _attempt_direct_ue_pair(self, bs: str, ue1: str, ue2: str,
-                                links: Sequence[QuantumLinkSpec]) -> Optional[WernerPair]:
-        """Dual downlink from one source: both legs must herald in the tick.
-
-        The source emits |phi+> and each leg depolarizes independently, so
-        the joint success probability is the product of the leg q_attempts
-        and the delivered Werner parameter is the product of the leg w0s.
+        Same-cell UE-to-UE delivery is one dual downlink from the shared
+        station; any other chain is one segment per link, sourced at its
+        base-station end, swapped together once all are held.
         """
-        t = self.sim.now
-        for ue, link in ((ue1, links[0]), (ue2, links[1])):
-            if not self.topo.in_quantum_coverage(ue, bs, t):
-                raise CoverageError(f"{ue} has no quantum coverage from {bs} at t={t}")
-        rng = self.sim.rng_stream(bs, "entanglement")
-        if rng.random() >= links[0].q_attempt * links[1].q_attempt:
+        links = [self.topo.quantum_link(a, b) for a, b in zip(chain, chain[1:])]
+        if None in links:
             return None
-        return WernerPair(
-            id=self.ledger.new_id(), holders=(ue1, ue2),
-            w=links[0].w0 * links[1].w0, created_at=t, last_touched=t,
-        )
+        kinds = [self.topo.nodes[n].kind for n in chain]
+        if len(chain) == 3 and kinds[1] in BS_KINDS and kinds[2] in UE_KINDS:
+            return [_Segment(chain[1], tuple(links), (chain[0], chain[2]), f"src:{chain[1]}")]
+        via = "direct" if len(links) == 1 else "segment"
+        return [_Segment(a if kind in BS_KINDS else b, (link,), (a, b), via)
+                for a, b, kind, link in zip(chain, chain[1:], kinds, links)]
 
-    def _attempt_slot(self, chain: list[str], links: Sequence[QuantumLinkSpec], dual: bool,
-                      segments: dict[int, WernerPair], delivered: list[WernerPair]):
+    def _attempt_slot(self, plan: list[_Segment], segments: dict[int, WernerPair],
+                      delivered: list[WernerPair]):
         """Generator: one attempt slot of a session; end-to-end pairs go to delivered.
 
-        A dual downlink is one joint roll at the shared source and a direct
-        link one roll.  A multi-hop chain tries every missing segment and,
-        once all are held, swaps them left to right into one pair.
+        Every missing segment gets one heralding attempt.  Once all are held
+        they are swapped left to right into one pair.  A lost correction
+        ends the slot; the segments right of it stay held for the next one.
         """
-        if dual:
-            pair = self._attempt_direct_ue_pair(chain[1], chain[0], chain[2], links)
-            if pair is not None and self.ledger.can_store(pair.holders):
-                self._register_pair(pair, f"src:{chain[1]}")
-                delivered.append(pair)
+        for i, seg in enumerate(plan):
+            if i not in segments:
+                w = self._herald(seg.source, seg.legs, seg.holders)
+                if w is not None:
+                    segments[i] = self._register_pair(seg.holders, w, seg.via)
+        if len(segments) < len(plan):
             return
-        if len(chain) == 2:
-            if self.ledger.can_store(chain):
-                rng = self.sim.rng_stream(chain[1] if self.topo.nodes[chain[1]].kind
-                                          in BS_KINDS else chain[0], "entanglement")
-                pair = self.topo.attempt_pair(
-                    links[0], (chain[0], chain[1]), rng, self.sim.now, self.ledger.new_id,
-                )
-                if pair is not None:
-                    self._register_pair(pair, "direct")
-                    delivered.append(pair)
-            return
-        # Multi-hop: fill missing segments, then swap left to right.
-        for i, link in enumerate(links):
-            if i in segments:
-                continue
-            holders = (chain[i], chain[i + 1])
-            if not self.ledger.can_store(holders):
-                continue
-            src = holders[0] if self.topo.nodes[holders[0]].kind in BS_KINDS else holders[1]
-            rng = self.sim.rng_stream(src, "entanglement")
-            pair = self.topo.attempt_pair(link, holders, rng, self.sim.now, self.ledger.new_id)
-            if pair is not None:
-                self._register_pair(pair, "segment")
-                segments[i] = pair
-        if len(segments) < len(links):
-            return
-        merged = segments[0]
-        for i in range(1, len(links)):
+        merged = segments.pop(0)
+        for i in range(1, len(plan)):
             out_id = yield from self.swap_with_correction(
-                merged.id, segments[i].id, chain[i], chain[0],
+                merged.id, segments.pop(i).id, plan[i].holders[0], plan[0].holders[0],
             )
             if out_id is None:
-                break
+                return
             merged = self.ledger.resources[out_id]
-        else:
-            delivered.append(merged)
-        segments.clear()
+        delivered.append(merged)
 
     def entanglement_session(self, request: EntanglementRequest):
         """Generator returning a SessionResult.
@@ -802,8 +791,8 @@ class Stack:
         chain = self._session_chain(requester, target)
         if chain is None:
             return reject("no-delivery-chain")
-        links = self._chain_links(chain)
-        if links is None:
+        plan = self._session_plan(chain)
+        if plan is None:
             return reject("missing-quantum-link")
         if not self.topo.in_quantum_coverage(requester, bs_a, self.sim.now):
             return reject("requester-outside-quantum-cell")
@@ -820,10 +809,7 @@ class Stack:
             if not ok:
                 return reject("setup-undeliverable")
 
-        # Same-cell UE-to-UE delivery is a dual downlink handled as one roll.
-        dual = len(chain) == 3 and self.topo.nodes[chain[1]].kind in BS_KINDS \
-            and self.topo.nodes[chain[2]].kind in UE_KINDS
-        period = max(link.attempt_period_s for link in links)
+        period = max(link.attempt_period_s for seg in plan for link in seg.legs)
         deadline = t_start + request.max_latency_s
 
         survivors: list[WernerPair] = []
@@ -843,7 +829,7 @@ class Stack:
                     break
                 attempts += 1
                 try:
-                    yield from self._attempt_slot(chain, links, dual, segments, delivered)
+                    yield from self._attempt_slot(plan, segments, delivered)
                 except CoverageError as err:
                     aborted = "coverage-lost"
                     self.sim.trace.emit(self.sim.now, requester, "session-coverage-lost",
@@ -919,9 +905,9 @@ class Stack:
                     max_latency_s: float = 1.0):
         """Generator: distribute one GHZ resource from bs_id to the holders.
 
-        Joint heralding: every leg must succeed in the same attempt slot, so
-        the per-slot probability is the product of the leg q_attempts and
-        the mixture parameter is the product of the leg w0s.
+        Each attempt slot is one joint heralding over every leg (see
+        _herald).  Returns the resource id, or None when the latency budget
+        runs out or a holder leaves quantum coverage.
         """
         legs = []
         for h in holders:
@@ -933,29 +919,27 @@ class Stack:
         if len(parties) < 2:
             raise ProtocolError("a GHZ resource needs at least two parties")
         period = max(l.attempt_period_s for l in legs)
-        p_joint = math.prod(l.q_attempt for l in legs)
-        w0 = math.prod(l.w0 for l in legs)
         deadline = self.sim.now + max_latency_s
-        rng = self.sim.rng_stream(bs_id, "entanglement")
         while self.sim.now < deadline:
             yield (period, EventKind.ENTANGLEMENT_ATTEMPT)
-            for h in holders:
-                if not self.topo.in_quantum_coverage(h, bs_id, self.sim.now):
-                    raise CoverageError(f"{h} left quantum coverage of {bs_id}")
-            if not self.ledger.can_store(parties):
+            try:
+                w = self._herald(bs_id, legs, parties)
+            except CoverageError as err:
+                self.sim.trace.emit(self.sim.now, bs_id, "ghz-coverage-lost",
+                                    detail=str(err))
+                return None
+            if w is None:
                 continue
-            if rng.random() < p_joint:
-                ghz = GhzResource(id=self.ledger.new_id(), holders=parties, w=w0,
-                                  created_at=self.sim.now)
-                self.ledger.register(ghz)
-                self._store_for_ues(ghz)
-                for h in parties:
-                    self._enter_entangled(h)
-                self.sim.metrics.incr("ghz_created")
-                self.sim.trace.emit(self.sim.now, bs_id, "ghz-created",
-                                    id=ghz.id, holders="+".join(parties),
-                                    w=round(w0, 9))
-                return ghz.id
+            ghz = GhzResource(id=self.ledger.new_id(), holders=parties, w=w,
+                              created_at=self.sim.now)
+            self.ledger.register(ghz)
+            self._store_for_ues(ghz)
+            for h in parties:
+                self._enter_entangled(h)
+            self.sim.metrics.incr("ghz_created")
+            self.sim.trace.emit(self.sim.now, bs_id, "ghz-created",
+                                id=ghz.id, holders="+".join(parties), w=round(w, 9))
+            return ghz.id
         return None
 
     def ghz_reduce_deliver(self, ghz_id: str, measured_party: str):
@@ -1059,7 +1043,7 @@ class Stack:
         link = self.topo.quantum_link(src, dst)
         if link is None:
             raise ProtocolError(f"no quantum link {src}-{dst}")
-        if not self.topo._quantum_reachable(src, dst, self.sim.now):
+        if not self.topo.quantum_reachable(src, dst, self.sim.now):
             raise CoverageError(f"no quantum coverage between {src} and {dst}")
         yield (link.attempt_period_s, EventKind.ENTANGLEMENT_ATTEMPT)
         rng = self.sim.rng_stream(src, "entanglement")
@@ -1115,18 +1099,12 @@ class Stack:
         downtime = 0.0
         session_result: Optional[SessionResult] = None
         if mode == HandoverMode.SOFT:
-            rng = self.sim.rng_stream(bs_old, "entanglement")
             for rid in stored_ids:
-                bridge = None
-                t_bridge0 = self.sim.now
-                while bridge is None:
+                w = None
+                while w is None:
                     yield (bridge_link.attempt_period_s, EventKind.ENTANGLEMENT_ATTEMPT)
-                    if not self.ledger.can_store((bs_old, bs_new)):
-                        continue
-                    bridge = self.topo.attempt_pair(
-                        bridge_link, (bs_old, bs_new), rng, self.sim.now,
-                        self.ledger.new_id)
-                self._register_pair(bridge, "bridge")
+                    w = self._herald(bs_old, (bridge_link,), (bs_old, bs_new))
+                bridge = self._register_pair((bs_old, bs_new), w, "bridge")
                 t_swap = self.sim.now
                 out_id = yield from self.swap_with_correction(
                     rid, bridge.id, bs_old, ue_id)
@@ -1147,7 +1125,6 @@ class Stack:
                     self._set_state(ctx, QueState.CONNECTED, "handover-hard")
                 request = EntanglementRequest(
                     requester=ue_id, peers=(bs_new,),
-                    slice_type=SliceType.GENERATE_AND_STORE,
                     count=len(stored_ids), max_latency_s=5.0,
                     min_fidelity=self.defaults.f_min,
                 )
@@ -1199,7 +1176,6 @@ class Stack:
                 if ok:
                     request = EntanglementRequest(
                         requester=ue_id, peers=(bs_id,),
-                        slice_type=SliceType.GENERATE_AND_STORE,
                         count=deficit, max_latency_s=max_latency_s,
                         min_fidelity=min_fidelity,
                     )
@@ -1254,7 +1230,6 @@ class Stack:
                 if connected and self.topo.in_quantum_coverage(ue_id, bs_id, self.sim.now):
                     request = EntanglementRequest(
                         requester=ue_id, peers=(bs_id,),
-                        slice_type=SliceType.GENERATE_AND_STORE,
                         count=deficit, max_latency_s=max(check_period_s, 0.1),
                         min_fidelity=f_min,
                     )

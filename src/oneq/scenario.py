@@ -9,7 +9,7 @@ Unknown keys are warnings by default and errors under strict mode.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Optional
 
 from .apps import QkdConfig, SensingConfig, UbqcConfig
@@ -46,16 +46,10 @@ _POLICY_KEYS = {"mode", "targets", "buffer_target", "check_period_s", "min_fidel
 _DEFAULT_KEYS = {"f_min", "inactivity_timeout_s", "retry_cap",
                  "registration_messages", "message_bits"}
 _APP_COMMON = {"type", "id", "start_s"}
-_APP_KEYS = {
-    "qkd": _APP_COMMON | {"alice", "bob", "n_pairs", "rounds", "min_fidelity",
-                          "max_latency_s", "sample_fraction", "qber_abort",
-                          "k_target", "retry_until_key", "max_rounds"},
-    "ubqc": _APP_COMMON | {"client", "server", "phi_eighths", "shots", "exact",
-                           "blinding", "min_fidelity", "max_latency_s"},
-    "sensing": _APP_COMMON | {"fusion", "sensors", "phi_true", "shots", "mode",
-                              "tau_interrogate_s", "t2_s", "reinit_delay_s",
-                              "min_fidelity", "max_latency_s", "trace_reports"},
-}
+_APP_CONFIGS = {"qkd": QkdConfig, "ubqc": UbqcConfig, "sensing": SensingConfig}
+# An app block sets its config's fields (all but app_id, which is "id").
+_APP_FIELDS = {kind: {f.name for f in fields(cls)} - {"app_id"}
+               for kind, cls in _APP_CONFIGS.items()}
 _OP_KEYS = {"op", "at_s", "ue", "to", "mode"}
 
 
@@ -205,27 +199,23 @@ def _parse_apps(data: dict, check: _Check) -> list[AppSpec]:
             check.fail(path, "app must be an object")
             continue
         kind = check.typed(item, "type", str, path, default="")
-        if kind not in _APP_KEYS:
+        if kind not in _APP_CONFIGS:
             check.fail(f"{path}.type", f"unknown app type {kind!r}")
             continue
-        check.unknown_keys(path, item, _APP_KEYS[kind])
+        check.unknown_keys(path, item, _APP_COMMON | _APP_FIELDS[kind])
         app_id = check.typed(item, "id", str, path, default=f"app{i}")
         if app_id in seen_ids:
             check.fail(f"{path}.id", f"duplicate app id {app_id!r}")
         seen_ids.add(app_id)
         start_s = check.typed(item, "start_s", float, path, required=False,
                               default=0.0)
-        kwargs = {k: v for k, v in item.items()
-                  if k not in ("type", "id", "start_s")}
+        kwargs = {k: v for k, v in item.items() if k in _APP_FIELDS[kind]}
         try:
-            if kind == "qkd":
-                config = QkdConfig(app_id=app_id, **kwargs)
-            elif kind == "ubqc":
+            if kind == "ubqc":
                 kwargs["phi_eighths"] = tuple(kwargs.get("phi_eighths", ()))
-                config = UbqcConfig(app_id=app_id, **kwargs)
-            else:
+            elif kind == "sensing":
                 kwargs["sensors"] = tuple(kwargs.get("sensors", ()))
-                config = SensingConfig(app_id=app_id, **kwargs)
+            config = _APP_CONFIGS[kind](app_id=app_id, **kwargs)
         except (TypeError, ValueError) as err:
             check.fail(path, str(err))
             continue

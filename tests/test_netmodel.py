@@ -1,10 +1,13 @@
 """Unit tests for topology, geometry, mobility, and the two link planes."""
 
+import copy
 import math
 
 import numpy as np
 import pytest
 
+from conftest import QUIET
+from oneq.engine import Simulator
 from oneq.errors import ConfigurationError, CoverageError
 from oneq.netmodel import (
     CellSpec,
@@ -16,6 +19,8 @@ from oneq.netmodel import (
     classical_send,
     orbit_next_window,
 )
+from oneq.protocol import Stack
+from oneq.qcore import WernerPair
 
 
 def _node(nid, kind="QUE", pos=(0.0, 0.0, 0.0), slots=4, **kw):
@@ -206,33 +211,53 @@ class TestLinks:
         with pytest.raises(ValueError):
             classical_send(link, -1, rng)
 
-    def test_attempt_pair_statistics_and_payload(self):
-        topo = _coverage_topology()
-        link = QuantumLinkSpec(a="QBS1", b="near", q_attempt=0.3,
-                               attempt_period_s=1e-3, w0=0.91)
-        topo.quantum_links[frozenset(("QBS1", "near"))] = link
-        rng = np.random.default_rng(9)
-        counter = iter(range(10_000))
-        made = [
-            topo.attempt_pair(link, ("QBS1", "near"), rng, 0.5,
-                              lambda: f"p{next(counter)}")
-            for _ in range(10_000)
-        ]
-        pairs = [p for p in made if p is not None]
-        rate = len(pairs) / len(made)
-        assert abs(rate - 0.3) <= 3 * math.sqrt(0.3 * 0.7 / len(made))
-        assert len({p.id for p in pairs}) == len(pairs)
-        assert all(p.w == 0.91 and p.created_at == 0.5 for p in pairs)
+    @staticmethod
+    def _stack(topo):
+        return Stack(Simulator(seed=9), topo, QUIET)
 
-    def test_attempt_pair_requires_coverage(self):
-        topo = _coverage_topology()
-        link = QuantumLinkSpec(a="QBS1", b="far", q_attempt=1.0,
+    def test_herald_statistics_and_payload(self):
+        # one leg, then two legs that must herald in the same slot; "mover"
+        # starts inside the quantum disk of QBS1 and the clock stays at 0
+        stack = self._stack(_coverage_topology())
+        n = 10_000
+        for legs, parties, rate, w in (
+                ((("near", 0.3, 0.91),), ("QBS1", "near"), 0.3, 0.91),
+                ((("near", 0.6, 0.91), ("mover", 0.5, 0.93)), ("near", "mover"),
+                 0.3, 0.91 * 0.93)):
+            links = tuple(QuantumLinkSpec(a="QBS1", b=ue, q_attempt=q,
+                                          attempt_period_s=1e-3, w0=w0)
+                          for ue, q, w0 in legs)
+            made = [stack._herald("QBS1", links, parties) for _ in range(n)]
+            heralded = [x for x in made if x is not None]
+            assert abs(len(heralded) / n - rate) <= 3 * math.sqrt(rate * (1 - rate) / n)
+            assert set(heralded) == {w}
+
+    def test_herald_requires_coverage(self):
+        stack = self._stack(_coverage_topology())
+        near = QuantumLinkSpec(a="QBS1", b="near", q_attempt=1.0,
                                attempt_period_s=1e-3, w0=0.91)
-        rng = np.random.default_rng(10)
+        far = QuantumLinkSpec(a="QBS1", b="far", q_attempt=1.0,
+                              attempt_period_s=1e-3, w0=0.91)
         with pytest.raises(CoverageError):
-            topo.attempt_pair(link, ("QBS1", "far"), rng, 0.0, lambda: "p0")
+            stack._herald("QBS1", (far,), ("QBS1", "far"))
         with pytest.raises(CoverageError):
-            topo.attempt_pair(link, ("QBS1", "near"), rng, 0.0, lambda: "p0")
+            stack._herald("QBS1", (near, far), ("near", "far"))
+        assert stack._herald("QBS1", (near,), ("QBS1", "near")) == 0.91
+
+    def test_herald_skips_full_memory_without_a_draw(self):
+        stack = self._stack(_coverage_topology())
+        link = QuantumLinkSpec(a="QBS1", b="near", q_attempt=1.0,
+                               attempt_period_s=1e-3, w0=0.91)
+        rng = stack.sim.rng_stream("QBS1", "entanglement")
+        for _ in range(4):  # "near" has four memory slots
+            stack.ledger.register(WernerPair(id=stack.ledger.new_id(),
+                                             holders=("QBS1", "near"), w=0.9,
+                                             created_at=0.0))
+        untouched = copy.deepcopy(rng)
+        assert stack._herald("QBS1", (link,), ("QBS1", "near")) is None
+        assert rng.random() == untouched.random()
+        stack.ledger.mark_discarded("p000001", "test")
+        assert stack._herald("QBS1", (link,), ("QBS1", "near")) == 0.91
 
     def test_repeater_path_bfs(self):
         def qbs(nid):

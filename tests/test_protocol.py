@@ -13,7 +13,6 @@ from oneq.protocol import (
     PolicyMode,
     QueState,
     SessionOutcome,
-    SliceType,
     Stack,
 )
 from oneq.qcore import (
@@ -27,9 +26,9 @@ from oneq.qcore import (
 
 
 def _request(peer="QUE2", requester="QUE1", count=2, max_latency_s=1.0,
-             min_fidelity=0.8, slice_type=SliceType.GENERATE_AND_STORE):
+             min_fidelity=0.8):
     return EntanglementRequest(
-        requester=requester, peers=(peer,), slice_type=slice_type,
+        requester=requester, peers=(peer,),
         count=count, max_latency_s=max_latency_s, min_fidelity=min_fidelity,
     )
 
@@ -210,7 +209,6 @@ class TestSessions:
             _request(min_fidelity=0.1)
         with pytest.raises(ValueError):
             EntanglementRequest(requester="a", peers=("b", "c"),
-                                slice_type=SliceType.GENERATE_AND_STORE,
                                 count=1, max_latency_s=1.0, min_fidelity=0.8)
 
     def test_rejected_when_not_connected(self, make_stack):
@@ -498,6 +496,19 @@ class TestCrossCellSession:
             assert pair.w <= product + 1e-12
             assert pair.w >= product * 0.98
         assert any(r["kind"] == "swap" for r in sim.trace)
+
+    def test_lost_correction_leaves_no_segment_live(self, make_stack):
+        # at this seed the first swap's correction is lost; the segment right
+        # of it must be reused by the next slot, not left live until run end
+        sim, stack = make_stack(two_cell_topology(q_attempt=1.0, p_err_c=0.5), seed=31,
+                                defaults=Defaults(inactivity_timeout_s=1e9, retry_cap=2))
+        assert drive(sim, stack.register("QUE1", "QBS1"))
+        assert drive(sim, stack.register("QUE2", "QBS2"))
+        res = drive(sim, stack.entanglement_session(_request(count=1)))
+        assert [r["details"]["reason"] for r in sim.trace
+                if r["kind"] == "pair-discarded"] == ["correction-lost"]
+        assert res.outcome == SessionOutcome.FULFILLED
+        assert stack.ledger.live_ids() == list(res.delivered)
 
 
 class TestTeleport:

@@ -59,6 +59,16 @@ class TestLoadScenario:
         with pytest.raises(SchemaError):
             load_scenario(doc, strict=True)
 
+    def test_unknown_app_key_warns_then_fails_strict(self):
+        doc = _baseline_doc()
+        doc["apps"][0]["colour"] = "red"
+        scenario, warnings = load_scenario(doc)
+        assert warnings == ["$.apps[0].colour: unknown key"]
+        assert scenario.apps[0].config == load_scenario(_baseline_doc())[0].apps[0].config
+        with pytest.raises(SchemaError) as err:
+            load_scenario(doc, strict=True)
+        assert err.value.violations == ["$.apps[0].colour: unknown key"]
+
     def test_non_object_document_rejected(self):
         with pytest.raises(SchemaError):
             load_scenario([1, 2, 3])

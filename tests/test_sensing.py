@@ -1,6 +1,8 @@
 """Distributed phase estimation: probe models, estimator, app runs."""
 
+import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +17,10 @@ from oneq.apps.sensing import (
     probe_probability,
 )
 from oneq.errors import ConfigurationError
+from oneq.runner import run_scenario
+from oneq.scenario import load_scenario
+
+SENSING_SQL = Path(__file__).resolve().parent.parent / "scenarios" / "sensing_sql.json"
 
 
 class TestProbeModels:
@@ -191,3 +197,25 @@ class TestGhzOnEngine:
         sim, stack, res = _run_app(make_stack, topo, cfg, seed=29)
         assert res.discarded > 0
         assert res.bits_used + res.discarded == 150
+
+    def test_sensor_leaving_coverage_discards_shots(self):
+        # the shipped sensing scenario with one GHZ app whose first sensor
+        # walks out of the quantum disk (radius 1500 m) at about t = 0.41 s
+        doc = json.loads(SENSING_SQL.read_text(encoding="utf-8"))
+        doc["quantum_links"] = [
+            {"a": "QBS1", "b": s, "q_attempt": 0.9, "attempt_period_s": 1e-4, "w0": 0.97}
+            for s in ("S1", "S2")]
+        doc["nodes"][1]["mobility"] = {
+            "kind": "waypoint", "waypoints": [[0.0, [100, 0, 0]], [0.5, [1800, 0, 0]]]}
+        doc["apps"] = [{"type": "sensing", "id": "ghz2", "fusion": "QBS1",
+                        "sensors": ["S1", "S2"], "phi_true": 0.5, "shots": 1000,
+                        "mode": "ghz", "reinit_delay_s": 1e-4}]
+        scenario, _ = load_scenario(doc, strict=True)
+        artifacts = run_scenario(scenario)
+        records = [json.loads(line) for line in artifacts.trace_jsonl.splitlines()]
+        lost = [r for r in records if r["kind"] == "ghz-coverage-lost"]
+        assert lost and all("S1" in r["details"]["detail"] for r in lost)
+        assert artifacts.summary["apps"]["ghz2"]["outcome"] == "done"
+        gauges = {name: value for _, _, name, value, _ in artifacts.metrics_rows}
+        assert gauges["app.ghz2.discarded"] == len(lost)
+        assert gauges["app.ghz2.bits_used"] + len(lost) == 1000
