@@ -16,6 +16,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import Any, Callable, Generator, Iterable, Optional, Sequence
 
 import numpy as np
@@ -47,6 +48,24 @@ class Event:
     payload: Callable[[], None]
 
 
+def _json_value(value: Any) -> str:
+    """value as json.dumps(value, separators=(",", ":"), allow_nan=False) writes it.
+
+    Exact str, bool, int and finite float are written directly; anything
+    else (subclasses, lists, None, NaN) goes to json.dumps itself.
+    """
+    cls = type(value)
+    if cls is str:
+        return _json_str(value)
+    if cls is float and math.isfinite(value):
+        return float.__repr__(value)
+    if cls is bool:
+        return "true" if value else "false"
+    if cls is int:
+        return int.__repr__(value)
+    return json.dumps(value, separators=(",", ":"), allow_nan=False)
+
+
 class Trace:
     """Append-only run log; one record per domain happening.
 
@@ -58,9 +77,9 @@ class Trace:
         self.lines: list[str] = []
 
     def emit(self, t: float, node: str, kind: str, **details: Any) -> None:
-        record = {"t": t, "node": node, "kind": kind,
-                  "details": {k: details[k] for k in sorted(details)}}
-        self.lines.append(json.dumps(record, separators=(",", ":"), allow_nan=False))
+        body = ",".join([f"{_json_str(k)}:{_json_value(details[k])}" for k in sorted(details)])
+        self.lines.append(f'{{"t":{_json_value(t)},"node":{_json_value(node)},'
+                          f'"kind":{_json_value(kind)},"details":{{{body}}}}}')
 
     def __iter__(self):
         return map(json.loads, self.lines)

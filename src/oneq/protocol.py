@@ -8,8 +8,9 @@ or expired at run end); the ledger enforces both.
 
 All protocol steps are generator processes driven by the event engine.  A
 yielded float is the simulated delay until the step resumes.  Classical
-messages always go through the lossy channel model, one attempt per yield,
-with a bounded retry budget.
+messages always go through the lossy channel model with a bounded retry
+budget, one attempt per yield, except that a routed message crosses a
+fixed backbone stretch in one yield.
 """
 
 from __future__ import annotations
@@ -166,6 +167,11 @@ class Defaults:
 
 
 _TERMINAL_STATES = ("consumed", "discarded", "expired")
+
+# Simulated seconds a handover may spend provisioning entanglement at the
+# new station: the soft bridge must herald within it, and a hard handover's
+# replacement session has it as its latency budget.
+HANDOVER_BUDGET_S = 5.0
 
 
 class ResourceLedger:
@@ -390,18 +396,75 @@ class Stack:
             hops.extend(mid[1:])
         return hops + (tail if hops[-1] != tail[0] else tail[1:])
 
+    def _fixed_hop(self, src: str, dst: str) -> bool:
+        """True for a linked hop between two base stations with no orbit window.
+
+        Whether such a hop can be used never changes, and relaying over it
+        touches no UE activity timer.
+        """
+        a, b = self.topo.nodes[src], self.topo.nodes[dst]
+        return (a.kind in BS_KINDS and b.kind in BS_KINDS
+                and a.mobility.kind != "orbit" and b.mobility.kind != "orbit"
+                and self.topo.classical_link(src, dst) is not None)
+
     def send_routed(self, src: str, dst: str, msg_kind: str,
                     bits: Optional[float] = None):
-        """Generator: deliver over the hop route; False when any hop fails."""
+        """Generator: deliver over the hop route; False when any hop fails.
+
+        A fixed stretch (two or more consecutive fixed hops, see _fixed_hop)
+        is crossed in one event by _send_stretch; every other hop goes
+        through send_message.
+        """
         route = self.classical_route(src, dst)
         if route is None:
             self.sim.trace.emit(self.sim.now, src, "msg-no-route", dst=dst, msg=msg_kind)
             return False
-        for hop_src, hop_dst in zip(route, route[1:]):
-            ok = yield from self.send_message(hop_src, hop_dst, msg_kind, bits=bits)
+        i = 0
+        while i < len(route) - 1:
+            j = i
+            while j < len(route) - 1 and self._fixed_hop(route[j], route[j + 1]):
+                j += 1
+            if j - i >= 2:
+                ok = yield from self._send_stretch(route[i:j + 1], msg_kind, bits)
+                i = j
+            else:
+                ok = yield from self.send_message(route[i], route[i + 1], msg_kind, bits=bits)
+                i += 1
             if not ok:
                 return False
         return True
+
+    def _send_stretch(self, hops: list[str], msg_kind: str, bits: Optional[float]):
+        """Generator: relay over a fixed stretch in one event; returns delivered bool.
+
+        Each hop in turn draws up to retry_cap transmissions from its source's
+        classical stream, as send_message would; the summed latency is
+        yielded once, and a hop that uses up its retries fails the message
+        at that hop's time.  One msg-route record stands for the stretch.
+        """
+        if bits is None:
+            bits = self._bits(msg_kind)
+        latency = 0.0
+        tx = 0
+        failed_at: Optional[str] = None
+        for hop_src, hop_dst in zip(hops, hops[1:]):
+            link = self.topo.classical_link(hop_src, hop_dst)
+            rng = self.sim.rng_stream(hop_src, "classical")
+            for _ in range(self.defaults.retry_cap):
+                delivered, hop_latency = classical_send(link, bits, rng)
+                latency += hop_latency
+                tx += 1
+                if delivered:
+                    break
+            else:
+                failed_at = hop_src
+                break
+        yield (latency, EventKind.MESSAGE_DELIVERY)
+        delivered = failed_at is None
+        failure = {} if delivered else {"failed_at": failed_at}
+        self.sim.trace.emit(self.sim.now, hops[0], "msg-route", route="+".join(hops),
+                            msg=msg_kind, delivered=delivered, tx=tx, **failure)
+        return delivered
 
     # ------------------------------------------------------------------
     # Registration and connection management
@@ -1068,8 +1131,11 @@ class Stack:
         Soft mode bridges each stored pair over a bs_old-bs_new repeater
         link and swaps at bs_old, so end-to-end entanglement survives.
         Hard mode discards the stored pairs and provisions replacements via
-        a fresh session.  Soft falls back to hard, with a trace warning,
-        when the bridge link does not exist.
+        a fresh session.  Both get HANDOVER_BUDGET_S: the bridge must
+        herald within it, and the hard session's latency budget is it.
+        Soft falls back to hard, with a trace warning, when the bridge link
+        does not exist, and for the pairs not yet bridged when the budget
+        runs out or a bridge station leaves quantum reach.
         """
         ctx = self.ue(ue_id)
         bs_old = ctx.serving_bs
@@ -1098,13 +1164,24 @@ class Stack:
         migrated: list[str] = []
         downtime = 0.0
         session_result: Optional[SessionResult] = None
+        unbridged = stored_ids
         if mode == HandoverMode.SOFT:
-            for rid in stored_ids:
-                w = None
-                while w is None:
-                    yield (bridge_link.attempt_period_s, EventKind.ENTANGLEMENT_ATTEMPT)
-                    w = self._herald(bs_old, (bridge_link,), (bs_old, bs_new))
-                bridge = self._register_pair((bs_old, bs_new), w, "bridge")
+            deadline = self.sim.now + HANDOVER_BUDGET_S
+            for k, rid in enumerate(stored_ids):
+                try:
+                    bridge = yield from self._bridge(bs_old, bs_new, bridge_link, deadline)
+                except CoverageError as err:
+                    bridge, failure = None, str(err)
+                else:
+                    failure = f"no bridge heralded within {HANDOVER_BUDGET_S} s"
+                if bridge is None:
+                    self.sim.trace.emit(self.sim.now, ue_id, "warn",
+                                        msg="soft-handover-bridge-failed-falling-back-hard",
+                                        bs_old=bs_old, bs_new=bs_new, detail=failure,
+                                        pairs=len(stored_ids) - k)
+                    mode = HandoverMode.HARD
+                    unbridged = stored_ids[k:]
+                    break
                 t_swap = self.sim.now
                 out_id = yield from self.swap_with_correction(
                     rid, bridge.id, bs_old, ue_id)
@@ -1114,23 +1191,24 @@ class Stack:
                     self._store_for_ues(out)
                     migrated.append(out_id)
             ctx.serving_bs = bs_new
-        else:
+        if mode == HandoverMode.HARD:
             t_gap0 = self.sim.now
             was_entangled = ctx.state == QueState.ENTANGLED
-            for rid in stored_ids:
+            for rid in unbridged:
                 self.discard_pair(rid, "handover-released")
             ctx.serving_bs = bs_new
-            if stored_ids:
+            if unbridged:
                 if ctx.state == QueState.ENTANGLED:
                     self._set_state(ctx, QueState.CONNECTED, "handover-hard")
                 request = EntanglementRequest(
                     requester=ue_id, peers=(bs_new,),
-                    count=len(stored_ids), max_latency_s=5.0,
+                    count=len(unbridged), max_latency_s=HANDOVER_BUDGET_S,
                     min_fidelity=self.defaults.f_min,
                 )
                 session_result = yield from self.entanglement_session(request)
                 migrated.extend(session_result.delivered)
-            downtime = self.sim.now - t_gap0 if (stored_ids and was_entangled) else 0.0
+            if unbridged and was_entangled:
+                downtime += self.sim.now - t_gap0
 
         self.sim.trace.emit(self.sim.now, ue_id, "handover",
                             frm=bs_old, to=bs_new, mode=mode.value,
@@ -1141,6 +1219,15 @@ class Stack:
             mode_requested=requested, mode_used=mode, fell_back=requested != mode,
             downtime_s=downtime, migrated=tuple(migrated), session=session_result,
         )
+
+    def _bridge(self, bs_old: str, bs_new: str, link: QuantumLinkSpec, deadline: float):
+        """Generator: herald one bs_old-bs_new bridge pair by deadline; None if none."""
+        while self.sim.now + link.attempt_period_s <= deadline:
+            yield (link.attempt_period_s, EventKind.ENTANGLEMENT_ATTEMPT)
+            w = self._herald(bs_old, (link,), (bs_old, bs_new))
+            if w is not None:
+                return self._register_pair((bs_old, bs_new), w, "bridge")
+        return None
 
     # ------------------------------------------------------------------
     # Distribution policies

@@ -1,10 +1,12 @@
 """Unit tests for the event kernel, RNG streams, trace/metrics, eval_timing."""
 
+import enum
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from oneq.engine import EventKind, Metrics, Simulator, Trace, eval_timing
@@ -161,6 +163,68 @@ class TestTraceAndMetrics:
         assert by_name["lat.max"] == 4.0
         names = [row[2] for row in rows]
         assert names == sorted(names)
+
+
+class _Float(float):
+    def __repr__(self):
+        return "float-subclass"
+
+
+class _Int(int):
+    def __repr__(self):
+        return "int-subclass"
+
+
+class _Mode(str, enum.Enum):
+    SOFT = "soft"
+
+
+_STRINGS = st.text(st.characters(exclude_categories=()), max_size=12)
+_FLOATS = (st.floats(allow_nan=False, allow_infinity=False)
+           | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308]))
+_INTS = st.integers() | st.sampled_from([2**63, -(2**64), 10**400])
+_SCALARS = st.one_of(
+    _STRINGS, st.booleans(), _INTS, _FLOATS, st.none(),
+    _FLOATS.map(_Float), _INTS.map(_Int), _FLOATS.map(np.float64),
+    st.integers(-5, 5).map(np.int64), st.just(_Mode.SOFT),
+)
+_VALUES = st.recursive(_SCALARS, lambda inner: st.lists(inner, max_size=4), max_leaves=8)
+_DETAILS = st.dictionaries(_STRINGS.filter(lambda k: k not in ("t", "node", "kind")),
+                           _VALUES, max_size=5)
+
+
+def _old_line(t, node, kind, details):
+    record = {"t": t, "node": node, "kind": kind,
+              "details": {k: details[k] for k in sorted(details)}}
+    return json.dumps(record, separators=(",", ":"), allow_nan=False)
+
+
+class TestTraceEncoding:
+    """emit writes each line itself; it must equal the json.dumps line."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_VALUES, _VALUES, _VALUES, _DETAILS)
+    def test_emit_matches_json_dumps(self, t, node, kind, details):
+        trace = Trace()
+        try:
+            want = _old_line(t, node, kind, details)
+        except (TypeError, ValueError) as err:
+            with pytest.raises(type(err)):
+                trace.emit(t, node, kind, **details)
+            assert len(trace) == 0
+            return
+        trace.emit(t, node, kind, **details)
+        assert trace.lines == [want]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
+                                     _Float(math.nan), np.float64(-math.inf)])
+    def test_non_finite_floats_raise(self, bad):
+        trace = Trace()
+        for args, details in (((bad, "n", "k"), {}), ((0.0, "n", "k"), {"x": bad}),
+                              ((0.0, "n", "k"), {"x": [1, bad]})):
+            with pytest.raises(ValueError):
+                trace.emit(*args, **details)
+        assert len(trace) == 0
 
 
 class TestEvalTiming:

@@ -717,3 +717,195 @@ class TestAcquireAndPolicy:
         sim.run_until(0.5)
         assert stack.ue("QUE1").stored == set()
         assert stack.ue("QUE1").state == QueState.IDLE
+
+
+def _bs_line(n, p_err_c=0.3, orbit=(), ues=()):
+    """n stations QBS0..QBS<n-1> in a line, hop i with its own rate and delay.
+
+    Stations whose index is in orbit are always-visible satellites; each
+    entry (ue, i) of ues puts a QUE in the cell of station i.
+    """
+    from oneq.netmodel import (
+        CellSpec, ClassicalLinkSpec, Mobility, NodeSpec, Topology,
+    )
+    always = Mobility(kind="orbit", pass_start=0.0, pass_duration=1.0, period=1.0)
+    nodes, cells, clinks = [], [], []
+    for i in range(n):
+        nodes.append(NodeSpec(
+            id=f"QBS{i}", kind="SAT_QBS" if i in orbit else "QBS",
+            position=(3000.0 * i, 0.0, 10.0), memory_slots=4,
+            mobility=always if i in orbit else Mobility()))
+        cells.append(CellSpec(bs_id=f"QBS{i}", classical_radius=2000.0,
+                              quantum_radius=1500.0))
+        if i + 1 < n:
+            p = p_err_c[i] if isinstance(p_err_c, (list, tuple)) else p_err_c
+            clinks.append(ClassicalLinkSpec(
+                a=f"QBS{i}", b=f"QBS{i + 1}", rate_bps=1e6 * (i + 1),
+                prop_delay_s=1e-5 * (i + 2), p_err_c=p))
+    for ue, i in ues:
+        nodes.append(NodeSpec(id=ue, kind="QUE", position=(3000.0 * i + 300.0, 0.0, 0.0),
+                              memory_slots=4))
+        clinks.append(ClassicalLinkSpec(a=f"QBS{i}", b=ue, rate_bps=1e8,
+                                        prop_delay_s=1e-5, p_err_c=0.0))
+    return Topology(nodes=nodes, cells=cells, classical_links=clinks)
+
+
+def _replay_stretch(topo, seed, hops, bits, retry_cap):
+    """Per-hop reference: (delivered, tx, failed_at, hop-by-hop arrival time)."""
+    from oneq.engine import Simulator
+    sim = Simulator(seed=seed)
+    t, tx = 0.0, 0
+    for a, b in zip(hops, hops[1:]):
+        link = topo.classical_link(a, b)
+        rng = sim.rng_stream(a, "classical")
+        for _ in range(retry_cap):
+            tx += 1
+            t += bits / link.rate_bps + link.prop_delay_s
+            if rng.random() >= link.p_err_c:
+                break
+        else:
+            return False, tx, a, t
+    return True, tx, None, t
+
+
+class TestFixedStretch:
+    HOPS = ["QBS0", "QBS1", "QBS2", "QBS3", "QBS4"]
+
+    def _routed(self, make_stack, topo, seed, src, dst, retry_cap=3):
+        sim, stack = make_stack(topo, seed=seed, defaults=Defaults(
+            inactivity_timeout_s=1e9, retry_cap=retry_cap))
+        ok = drive(sim, stack.send_routed(src, dst, "correction"))
+        return sim, ok
+
+    def test_one_record_matches_per_hop_reference(self, make_stack):
+        outcomes = set()
+        for seed in range(40):
+            topo = _bs_line(5, p_err_c=0.45)
+            sim, ok = self._routed(make_stack, topo, seed, "QBS0", "QBS4", retry_cap=2)
+            delivered, tx, failed_at, t_ref = _replay_stretch(
+                topo, seed, self.HOPS, 64.0, retry_cap=2)
+            (record,) = list(sim.trace)
+            assert record["kind"] == "msg-route"
+            assert record["node"] == "QBS0"
+            details = record["details"]
+            assert details["route"] == "+".join(self.HOPS)
+            assert details["msg"] == "correction"
+            assert ok is details["delivered"] is delivered
+            assert details["tx"] == tx
+            assert details.get("failed_at") == failed_at
+            assert abs(sim.now - t_ref) <= 1e-12
+            assert sim.events_processed == 2  # the process start and one delivery
+            outcomes.add(delivered)
+        assert outcomes == {True, False}
+
+    def test_failing_hop_fails_at_its_time(self, make_stack):
+        topo = _bs_line(5, p_err_c=[0.0, 0.0, 1.0, 0.0])
+        sim, ok = self._routed(make_stack, topo, 3, "QBS0", "QBS4", retry_cap=3)
+        assert ok is False
+        (record,) = list(sim.trace)
+        assert record["details"]["failed_at"] == "QBS2"
+        assert record["details"]["tx"] == 1 + 1 + 3
+        t_fail = (64.0 / 1e6 + 2e-5) + (64.0 / 2e6 + 3e-5) + 3 * (64.0 / 3e6 + 4e-5)
+        assert abs(sim.now - t_fail) <= 1e-12
+
+    def test_orbit_station_splits_the_stretch(self, make_stack):
+        topo = _bs_line(6, p_err_c=0.0, orbit=(3,))
+        sim, ok = self._routed(make_stack, topo, 0, "QBS0", "QBS5")
+        assert ok is True
+        assert [(r["kind"], r["node"]) for r in sim.trace] == [
+            ("msg-route", "QBS0"), ("msg", "QBS2"), ("msg", "QBS3"), ("msg", "QBS4")]
+        assert next(iter(sim.trace))["details"]["route"] == "QBS0+QBS1+QBS2"
+
+    def test_ue_hops_and_single_backbone_hop_stay_per_hop(self, make_stack):
+        topo = _bs_line(5, p_err_c=0.0, ues=(("QUEA", 0), ("QUEB", 4)))
+        sim, stack = make_stack(topo)
+        assert drive(sim, stack.register("QUEA", "QBS0"))
+        assert drive(sim, stack.register("QUEB", "QBS4"))
+        n0 = len(sim.trace)
+        assert drive(sim, stack.send_routed("QUEA", "QUEB", "basis"))
+        assert [(r["kind"], r["node"]) for r in list(sim.trace)[n0:]] == [
+            ("msg", "QUEA"), ("msg-route", "QBS0"), ("msg", "QBS4")]
+        n1 = len(sim.trace)
+        assert drive(sim, stack.send_routed("QBS1", "QBS2", "basis"))
+        assert [(r["kind"], r["details"]["dst"]) for r in list(sim.trace)[n1:]] == [
+            ("msg", "QBS2")]
+
+
+def _bridge_topology(q_bridge, satellite=False):
+    """QUE1 between QBS1 and a second station, bridge link at q_bridge.
+
+    The second station is QBS2 at x=1500, or with satellite=True SAT1 overhead,
+    visible 0-0.05 s of every second.
+    """
+    from oneq.netmodel import (
+        CellSpec, ClassicalLinkSpec, Mobility, NodeSpec, QuantumLinkSpec, Topology,
+    )
+    if satellite:
+        other = NodeSpec(id="SAT1", kind="SAT_QBS", position=(0.0, 0.0, 1000.0),
+                         memory_slots=8, t_coh_s=10.0,
+                         mobility=Mobility(kind="orbit", pass_start=0.0,
+                                           pass_duration=0.05, period=1.0))
+        cell = CellSpec(bs_id="SAT1", classical_radius=5000.0, quantum_radius=5000.0)
+        ue_x = 300.0
+    else:
+        other = NodeSpec(id="QBS2", kind="QBS", position=(1500.0, 0.0, 10.0),
+                         memory_slots=8, t_coh_s=10.0)
+        cell = CellSpec(bs_id="QBS2", classical_radius=2000.0, quantum_radius=1500.0)
+        ue_x = 750.0
+    nodes = [NodeSpec(id="QBS1", kind="QBS", position=(0.0, 0.0, 10.0),
+                      memory_slots=8, t_coh_s=10.0),
+             other,
+             NodeSpec(id="QUE1", kind="QUE", position=(ue_x, 0.0, 0.0),
+                      memory_slots=8, t_coh_s=10.0)]
+    clinks = [ClassicalLinkSpec(a=a, b=b, rate_bps=1e9, prop_delay_s=1e-6, p_err_c=0.0)
+              for a, b in (("QBS1", "QUE1"), (other.id, "QUE1"), ("QBS1", other.id))]
+    qlinks = [QuantumLinkSpec(a=a, b="QUE1", q_attempt=0.9, attempt_period_s=1e-4, w0=0.96)
+              for a in ("QBS1", other.id)]
+    qlinks.append(QuantumLinkSpec(a="QBS1", b=other.id, q_attempt=q_bridge,
+                                  attempt_period_s=1e-3, w0=0.94))
+    return Topology(nodes=nodes,
+                    cells=[CellSpec(bs_id="QBS1", classical_radius=2000.0,
+                                    quantum_radius=1500.0), cell],
+                    classical_links=clinks, quantum_links=qlinks,
+                    repeater_edges=[("QBS1", other.id)])
+
+
+class TestBridgeBound:
+    def _handover(self, make_stack, topo, bs_old, bs_new):
+        sim, stack = make_stack(topo)
+        assert drive(sim, stack.register("QUE1", bs_old))
+        res = drive(sim, stack.entanglement_session(
+            _request(peer=bs_old, count=1, max_latency_s=0.02)))
+        (old_pair,) = res.delivered
+        t0 = sim.now
+        ho = drive(sim, stack.handover("QUE1", bs_new, HandoverMode.SOFT), until=30.0)
+        warns = [r["details"] for r in sim.trace if r["kind"] == "warn"]
+        return sim, stack, ho, old_pair, t0, warns
+
+    def _assert_fell_back_hard(self, stack, ho, old_pair, bs_new):
+        assert ho.mode_requested == HandoverMode.SOFT
+        assert ho.mode_used == HandoverMode.HARD and ho.fell_back is True
+        assert stack.ledger.state[old_pair] == "discarded"
+        assert stack.ledger.reason[old_pair] == "handover-released"
+        assert stack.ue("QUE1").serving_bs == bs_new
+        assert ho.session is not None and ho.migrated == ho.session.delivered
+        for pid in ho.migrated:
+            assert set(stack.ledger.live(pid).holders) == {"QUE1", bs_new}
+
+    def test_bridge_that_never_heralds_times_out(self, make_stack):
+        sim, stack, ho, old_pair, t0, warns = self._handover(
+            make_stack, _bridge_topology(q_bridge=0.0), "QBS1", "QBS2")
+        self._assert_fell_back_hard(stack, ho, old_pair, "QBS2")
+        assert [w["msg"] for w in warns] == ["soft-handover-bridge-failed-falling-back-hard"]
+        assert warns[0]["pairs"] == 1
+        assert "within 5.0 s" in warns[0]["detail"]
+        # the last bridge slot ends by the 5 s budget, then the hard session runs
+        assert 4.99 <= sim.now - t0 < 5.5
+
+    def test_satellite_window_closing_mid_bridge_falls_back(self, make_stack):
+        sim, stack, ho, old_pair, t0, warns = self._handover(
+            make_stack, _bridge_topology(q_bridge=0.0, satellite=True), "SAT1", "QBS1")
+        self._assert_fell_back_hard(stack, ho, old_pair, "QBS1")
+        assert [w["msg"] for w in warns] == ["soft-handover-bridge-failed-falling-back-hard"]
+        assert warns[0]["detail"].startswith("no quantum coverage between")
+        assert sim.now < 1.0
