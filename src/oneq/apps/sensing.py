@@ -22,8 +22,12 @@ spread over shot chunks is included as a cross-check.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from itertools import compress
 from typing import Optional
+
+import numpy as np
 
 from ..errors import ConfigurationError
 from ..netmodel import classical_send
@@ -38,6 +42,10 @@ __all__ = [
     "estimate_phase",
     "delta_method_se",
 ]
+
+# Shots whose draws a separable run makes at once.  Bounds its arrays at
+# two floats per sensor per block shot, however many shots it runs.
+_BLOCK_SHOTS = 256
 
 
 def probe_probability(phi: float, contrast: float) -> float:
@@ -94,8 +102,17 @@ class SensingConfig:
             raise ValueError("ghz mode needs at least two sensors")
         if self.shots < 1:
             raise ValueError(f"shots must be positive, got {self.shots}")
+        for name in ("phi_true", "tau_interrogate_s", "t2_s", "reinit_delay_s",
+                     "max_latency_s"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.tau_interrogate_s <= 0.0 or self.t2_s <= 0.0:
             raise ValueError("tau_interrogate_s and t2_s must be positive")
+        if self.reinit_delay_s < 0.0:
+            raise ValueError(
+                f"reinit_delay_s must be nonnegative, got {self.reinit_delay_s}")
+        if self.max_latency_s <= 0.0:
+            raise ValueError(f"max_latency_s must be positive, got {self.max_latency_s}")
 
 
 @dataclass
@@ -141,67 +158,71 @@ class SensingApp:
     # -- separable --------------------------------------------------------
 
     def _run_separable(self, stack: Stack):
+        """Samples the whole run from the app's own stream, then yields once.
+
+        A shot reads only classical coverage, a pure function of time, and
+        the app's stream, so nothing else in the run can observe the shots
+        one by one.  The loop keeps its own clock with the engine's float
+        arithmetic; with ``trace_reports`` it steps the engine along with it
+        so that report records keep their place in the trace.
+        """
         cfg = self.config
         sim = stack.sim
         topo = stack.topo
-        rng = sim.rng_stream(cfg.fusion, "sensing")
+        rng = sim.rng_stream(cfg.fusion, f"sensing/{cfg.app_id}")
         p0 = probe_probability(cfg.phi_true, self.contrast)
-        links = {s: topo.classical_link(s, cfg.fusion) for s in cfg.sensors}
-        link_rngs = {s: sim.rng_stream(s, "classical") for s in cfg.sensors}
+        links = [topo.classical_link(s, cfg.fusion) for s in cfg.sensors]
+        bits_report = stack._bits("report")
+        latencies = [link.latency(bits_report) for link in links]
+        step = cfg.reinit_delay_s + cfg.tau_interrogate_s
+
+        def coverage(t: float) -> list[bool]:
+            return [topo.in_classical_coverage(s, cfg.fusion, t) for s in cfg.sensors]
+
         static = all(topo.nodes[n].mobility.kind == "static"
                      for n in (cfg.fusion,) + cfg.sensors)
-        static_cover = {
-            s: topo.in_classical_coverage(s, cfg.fusion, sim.now) for s in cfg.sensors
-        } if static else {}
+        fixed_cover = coverage(sim.now) if static else None
 
-        zeros = 0
-        used = 0
-        discarded = 0
-        per_shot_zeros: list[tuple[int, int]] = []
-        bits_report = stack._bits("report")
-        for _ in range(cfg.shots):
-            yield cfg.reinit_delay_s + cfg.tau_interrogate_s
-            draws = rng.random(len(cfg.sensors))
-            shot_zeros = 0
-            shot_used = 0
-            max_latency = 0.0
-            for i, s in enumerate(cfg.sensors):
-                covered = static_cover[s] if static \
-                    else topo.in_classical_coverage(s, cfg.fusion, sim.now)
-                if not covered:
-                    discarded += 1
-                    if cfg.trace_reports:
-                        sim.trace.emit(sim.now, s, "sensing-report", app=cfg.app_id,
-                                       delivered=False, reason="no-coverage")
-                    continue
-                delivered, latency = classical_send(links[s], bits_report,
-                                                    link_rngs[s])
+        per_shot: list[tuple[int, int]] = []
+        t = sim.now
+        for first in range(0, cfg.shots, _BLOCK_SHOTS):
+            size = min(_BLOCK_SHOTS, cfg.shots - first)
+            zero = rng.random((size, len(links))) < p0
+            loss = rng.random((len(links), size))
+            arrived = np.array([link.delivered(draws)
+                                for link, draws in zip(links, loss)]).T.tolist()
+            got_rows = []
+            for arrived_row in arrived:
+                t += step
+                cover = fixed_cover if static else coverage(t)
+                got = list(map(operator.and_, cover, arrived_row))
+                latency = max(compress(latencies, got), default=0.0)
                 if cfg.trace_reports:
-                    sim.trace.emit(sim.now, s, "sensing-report", app=cfg.app_id,
-                                   delivered=delivered)
-                if not delivered:
-                    discarded += 1
-                    continue
-                max_latency = max(max_latency, latency)
-                shot_used += 1
-                if draws[i] < p0:
-                    shot_zeros += 1
-            if max_latency > 0.0:
-                yield max_latency
-            zeros += shot_zeros
-            used += shot_used
-            per_shot_zeros.append((shot_zeros, shot_used))
+                    yield step
+                    for s, c, g in zip(cfg.sensors, cover, got):
+                        self._trace_report(sim, s, c, g)
+                    if latency > 0.0:
+                        yield latency
+                t += latency
+                got_rows.append(got)
+            got_block = np.array(got_rows, dtype=bool)
+            per_shot.extend(zip((got_block & zero).sum(axis=1).tolist(),
+                                got_block.sum(axis=1).tolist()))
+        if not cfg.trace_reports:
+            yield t - sim.now
 
+        used = sum(u for _, u in per_shot)
+        discarded = cfg.shots * len(links) - used
         if used == 0:
             return SensingResult(cfg.app_id, "no-data", mode=cfg.mode,
                                  shots_done=cfg.shots, discarded=discarded)
-        p_hat = zeros / used
+        p_hat = sum(z for z, _ in per_shot) / used
         phi = estimate_phase(p_hat, self.contrast)
         return SensingResult(
             cfg.app_id, "done", mode=cfg.mode, shots_done=cfg.shots,
             bits_used=used, discarded=discarded, p_hat=p_hat, phi_est=phi,
             phi_std=delta_method_se(p_hat, used, self.contrast, phi),
-            phi_std_batch=self._batch_se(per_shot_zeros, self.contrast, 1),
+            phi_std_batch=self._batch_se(per_shot, self.contrast, 1),
             visibility=self.contrast,
         )
 
@@ -244,14 +265,12 @@ class SensingApp:
                 if not topo.in_classical_coverage(s, cfg.fusion, sim.now):
                     reported = False
                     if cfg.trace_reports:
-                        sim.trace.emit(sim.now, s, "sensing-report", app=cfg.app_id,
-                                       delivered=False, reason="no-coverage")
+                        self._trace_report(sim, s, False, False)
                     break
                 delivered, latency = classical_send(links[s], bits_report,
                                                     link_rngs[s])
                 if cfg.trace_reports:
-                    sim.trace.emit(sim.now, s, "sensing-report", app=cfg.app_id,
-                                   delivered=delivered)
+                    self._trace_report(sim, s, True, delivered)
                 if not delivered:
                     reported = False
                     break
@@ -284,6 +303,14 @@ class SensingApp:
         )
 
     # -- shared ------------------------------------------------------------
+
+    def _trace_report(self, sim, sensor: str, covered: bool, delivered: bool) -> None:
+        if covered:
+            sim.trace.emit(sim.now, sensor, "sensing-report", app=self.config.app_id,
+                           delivered=delivered)
+        else:
+            sim.trace.emit(sim.now, sensor, "sensing-report", app=self.config.app_id,
+                           delivered=False, reason="no-coverage")
 
     @staticmethod
     def _batch_se(per_shot: list[tuple[int, int]], visibility: float,

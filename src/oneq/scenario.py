@@ -51,6 +51,12 @@ _APP_CONFIGS = {"qkd": QkdConfig, "ubqc": UbqcConfig, "sensing": SensingConfig}
 _APP_FIELDS = {kind: {f.name for f in fields(cls)} - {"app_id"}
                for kind, cls in _APP_CONFIGS.items()}
 _OP_KEYS = {"op", "at_s", "ue", "to", "mode"}
+# JSON type of each sensing-block field but "sensors", a list of node ids.
+# Ranges and finiteness are SensingConfig's own checks.
+_SENSING_TYPES = {"fusion": str, "phi_true": float, "shots": int, "mode": str,
+                  "tau_interrogate_s": float, "t2_s": float,
+                  "reinit_delay_s": float, "max_latency_s": float,
+                  "trace_reports": bool}
 
 
 @dataclass(frozen=True)
@@ -189,6 +195,19 @@ def _parse_nodes(data: dict, check: _Check) -> list[NodeSpec]:
     return nodes
 
 
+def _sensing_types_ok(block: dict, path: str, check: _Check) -> bool:
+    """Check the JSON type of every field a sensing block sets."""
+    ok = True
+    for key, value in block.items():
+        if key == "sensors":
+            if not (isinstance(value, list) and all(isinstance(s, str) for s in value)):
+                check.fail(f"{path}.sensors", "must be a list of node ids")
+                ok = False
+        elif check.typed(block, key, _SENSING_TYPES[key], path) is None:
+            ok = False
+    return ok
+
+
 def _parse_apps(data: dict, check: _Check) -> list[AppSpec]:
     specs: list[AppSpec] = []
     raw = check.typed(data, "apps", list, "$", required=False, default=[])
@@ -210,6 +229,8 @@ def _parse_apps(data: dict, check: _Check) -> list[AppSpec]:
         start_s = check.typed(item, "start_s", float, path, required=False,
                               default=0.0)
         kwargs = {k: v for k, v in item.items() if k in _APP_FIELDS[kind]}
+        if kind == "sensing" and not _sensing_types_ok(kwargs, path, check):
+            continue
         try:
             if kind == "ubqc":
                 kwargs["phi_eighths"] = tuple(kwargs.get("phi_eighths", ()))

@@ -51,6 +51,21 @@ class TestLoadScenario:
         assert len(err.value.violations) == 1
         assert err.value.violations[0].startswith("$")
 
+    @pytest.mark.parametrize("stem,violation", [
+        ("sensing_shots_fractional", "$.apps[0].shots: expected int, got float"),
+        ("sensing_shots_bool", "$.apps[0].shots: expected int, got bool"),
+        ("sensing_sensors_string", "$.apps[0].sensors: must be a list of node ids"),
+        ("sensing_reinit_negative",
+         "$.apps[0]: reinit_delay_s must be nonnegative, got -0.01"),
+        ("sensing_phi_nan", "$.apps[0]: phi_true must be finite, got nan"),
+        ("sensing_t2_nan", "$.apps[0]: t2_s must be finite, got nan"),
+        ("sensing_tau_infinite", "$.apps[0]: tau_interrogate_s must be finite, got inf"),
+    ])
+    def test_bad_sensing_blocks_name_their_field(self, stem, violation):
+        with pytest.raises(SchemaError) as err:
+            load_scenario_file(str(REPO / "tests" / "data" / "malformed" / f"{stem}.json"))
+        assert err.value.violations == [violation]
+
     def test_unknown_key_warns_then_fails_strict(self):
         doc = _baseline_doc()
         doc["frobnicate"] = True

@@ -1,5 +1,6 @@
 """Distributed phase estimation: probe models, estimator, app runs."""
 
+import copy
 import json
 import math
 from pathlib import Path
@@ -17,10 +18,13 @@ from oneq.apps.sensing import (
     probe_probability,
 )
 from oneq.errors import ConfigurationError
+from oneq.protocol import Defaults
 from oneq.runner import run_scenario
 from oneq.scenario import load_scenario
 
-SENSING_SQL = Path(__file__).resolve().parent.parent / "scenarios" / "sensing_sql.json"
+REPO = Path(__file__).resolve().parent.parent
+SENSING_SQL = REPO / "scenarios" / "sensing_sql.json"
+METRO = REPO / "scenarios" / "metro_with_satellite.json"
 
 
 class TestProbeModels:
@@ -95,6 +99,12 @@ class TestEstimator:
             SensingConfig("s", "QBS1", ("A",), 1.0, 0)
         with pytest.raises(ValueError):
             SensingConfig("s", "QBS1", ("A",), 1.0, 10, t2_s=0.0)
+        for bad in ({"phi_true": math.nan}, {"t2_s": math.nan},
+                    {"tau_interrogate_s": math.inf}, {"reinit_delay_s": -0.01},
+                    {"max_latency_s": 0.0}):
+            with pytest.raises(ValueError):
+                SensingConfig(**{"app_id": "s", "fusion": "QBS1", "sensors": ("A",),
+                                 "phi_true": 1.0, "shots": 10, **bad})
 
 
 def _run_app(make_stack, topo, config, seed=1):
@@ -219,3 +229,153 @@ class TestGhzOnEngine:
         gauges = {name: value for _, _, name, value, _ in artifacts.metrics_rows}
         assert gauges["app.ghz2.discarded"] == len(lost)
         assert gauges["app.ghz2.bits_used"] + len(lost) == 1000
+
+
+def _run_doc(doc, seed=None):
+    scenario, _ = load_scenario(doc, strict=True)
+    return scenario, run_scenario(scenario, seed=seed)
+
+
+def _without_app(doc, app_id):
+    cut = copy.deepcopy(doc)
+    cut["apps"] = [a for a in doc["apps"] if a["id"] != app_id]
+    return cut
+
+
+def _not_about(app_id, artifacts):
+    """Trace lines and metric rows of a run that do not concern one app."""
+    tag = f'"app":"{app_id}"'
+    lines = [line for line in artifacts.trace_jsonl.splitlines() if tag not in line]
+    rows = [row for row in artifacts.metrics_rows
+            if not row[2].startswith(f"app.{app_id}.")]
+    return lines, rows
+
+
+def _walking_doc(trace_reports=False, p_err_c=0.0, shots=1000, start_s=0.05):
+    """sensing_sql.json with one app on S1-S3; S1 walks out of the classical
+    disk (radius 2000 m) at about t = 0.65 s.  Each link has its own latency."""
+    doc = json.loads(SENSING_SQL.read_text(encoding="utf-8"))
+    doc["nodes"][1]["mobility"] = {
+        "kind": "waypoint", "waypoints": [[0.0, [100, 0, 0]], [1.0, [3000, 0, 0]]]}
+    for i, link in enumerate(doc["classical_links"]):
+        link["prop_delay_s"] = (i + 1) * 1e-6
+        link["p_err_c"] = p_err_c
+    doc["apps"] = [{"type": "sensing", "id": "walk", "fusion": "QBS1",
+                    "sensors": ["S1", "S2", "S3"], "phi_true": 1.0, "shots": shots,
+                    "start_s": start_s, "trace_reports": trace_reports}]
+    return doc
+
+
+def _replay(scenario):
+    """The per-shot timeline at p_err_c 0: (shot times, covered flags, end)."""
+    cfg = scenario.apps[0].config
+    topo = scenario.topology
+    bits = Defaults().message_bits["report"]
+    t = scenario.apps[0].start_s
+    times, covered = [], []
+    for _ in range(cfg.shots):
+        t += cfg.reinit_delay_s + cfg.tau_interrogate_s
+        cover = [topo.in_classical_coverage(s, cfg.fusion, t) for s in cfg.sensors]
+        times.append(t)
+        covered.append(cover)
+        latency = max((topo.classical_link(s, cfg.fusion).latency(bits)
+                       for s, c in zip(cfg.sensors, cover) if c), default=0.0)
+        if latency > 0.0:
+            t += latency
+    return times, covered, t
+
+
+class TestStreamOwnership:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_removing_sense0_leaves_the_other_apps_alone(self, seed):
+        doc = json.loads(METRO.read_text(encoding="utf-8"))
+        _, full = _run_doc(doc, seed)
+        _, cut = _run_doc(_without_app(doc, "sense0"), seed)
+        assert [r for r in full.app_rows if r[1] != "sense0"] == cut.app_rows
+        assert _not_about("sense0", full) == _not_about("sense0", cut)
+
+    @pytest.mark.parametrize("seed", [41, 0, 1])
+    @pytest.mark.parametrize("kept,removed", [("pooled9", "solo1"), ("solo1", "pooled9")])
+    def test_apps_sharing_a_fusion_and_a_sensor_ignore_each_other(self, kept, removed,
+                                                                   seed):
+        doc = json.loads(SENSING_SQL.read_text(encoding="utf-8"))
+        _, full = _run_doc(doc, seed)
+        _, cut = _run_doc(_without_app(doc, removed), seed)
+        assert [r for r in full.app_rows if r[1] == kept] == cut.app_rows
+        assert _not_about(removed, full) == _not_about(removed, cut)
+
+
+class TestSeparableTimeline:
+    def test_static_elapsed_matches_the_per_shot_sum(self):
+        doc = _walking_doc()
+        doc["nodes"][1].pop("mobility")
+        scenario, art = _run_doc(doc)
+        times, covered, t_end = _replay(scenario)
+        assert all(all(c) for c in covered)
+        (row,) = art.app_rows
+        assert row[3] == "done"
+        assert row[5] == pytest.approx(t_end - 0.05, abs=1e-12)
+        assert row[6] == 3 * 1000
+
+    def test_reports_outside_coverage_are_exactly_the_discards(self):
+        scenario, art = _run_doc(_walking_doc())
+        times, covered, t_end = _replay(scenario)
+        outside = [t for t, c in zip(times, covered) if not c[0]]
+        assert 0 < len(outside) < len(times)
+        assert not any(not c for cover in covered for c in cover[1:])
+        gauges = {name: value for _, _, name, value, _ in art.metrics_rows}
+        assert gauges["app.walk.discarded"] == len(outside)
+        assert gauges["app.walk.bits_used"] == 3 * 1000 - len(outside)
+        assert gauges["app.walk.elapsed_s"] == pytest.approx(t_end - 0.05, abs=1e-12)
+
+        # stepping the engine for report records changes no result
+        _, traced = _run_doc(_walking_doc(trace_reports=True))
+        assert traced.app_rows == art.app_rows
+        reports = [json.loads(line) for line in traced.trace_jsonl.splitlines()
+                   if '"sensing-report"' in line]
+        assert len(reports) == 3 * 1000
+        assert [r["t"] for r in reports if r["details"].get("reason") == "no-coverage"] \
+            == outside
+        assert all(r["node"] == "S1" for r in reports
+                   if r["details"].get("reason") == "no-coverage")
+        assert [r["t"] for r in reports[::3]] == times
+
+    @pytest.mark.parametrize("trace_reports", [False, True])
+    def test_lossy_mobile_reports_are_all_accounted_for(self, trace_reports):
+        _, art = _run_doc(_walking_doc(trace_reports=trace_reports, p_err_c=0.3))
+        gauges = {name: value for _, _, name, value, _ in art.metrics_rows}
+        assert gauges["app.walk.discarded"] > 0
+        assert gauges["app.walk.bits_used"] + gauges["app.walk.discarded"] == 3 * 1000
+
+    @pytest.mark.parametrize("trace_reports", [False, True])
+    def test_shots_past_the_horizon_leave_the_app_unfinished(self, trace_reports):
+        # 4000 shots of 1.1 ms each end after the 4 s horizon
+        _, art = _run_doc(_walking_doc(trace_reports=trace_reports, shots=4000))
+        assert art.summary["apps"]["walk"]["outcome"] == "unfinished"
+        assert not any('"app-end"' in line for line in art.trace_jsonl.splitlines())
+
+
+class TestChronologicalTraces:
+    @pytest.mark.parametrize("path", sorted((REPO / "scenarios").glob("*.json")),
+                             ids=lambda p: p.stem)
+    def test_shipped_scenario_traces_never_step_back(self, path):
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        for seed in range(3):
+            _, art = _run_doc(doc, seed)
+            times = [json.loads(line)["t"] for line in art.trace_jsonl.splitlines()]
+            assert all(a <= b for a, b in zip(times, times[1:])), f"seed {seed}"
+
+    def test_report_records_of_a_mobile_sensor_stay_in_order(self):
+        doc = _walking_doc(trace_reports=True, p_err_c=0.2)
+        doc["apps"].append({"type": "sensing", "id": "ghz", "fusion": "QBS1",
+                            "sensors": ["S4", "S5"], "phi_true": 0.5, "shots": 200,
+                            "mode": "ghz", "start_s": 0.1, "trace_reports": True})
+        doc["quantum_links"] = [
+            {"a": "QBS1", "b": s, "q_attempt": 0.9, "attempt_period_s": 1e-4,
+             "w0": 0.97} for s in ("S4", "S5")]
+        _, art = _run_doc(doc)
+        records = [json.loads(line) for line in art.trace_jsonl.splitlines()]
+        kinds = {r["details"].get("app") for r in records if r["kind"] == "sensing-report"}
+        assert kinds == {"walk", "ghz"}
+        times = [r["t"] for r in records]
+        assert all(a <= b for a, b in zip(times, times[1:]))
