@@ -158,12 +158,13 @@ class SensingApp:
     # -- separable --------------------------------------------------------
 
     def _run_separable(self, stack: Stack):
-        """Samples the whole run from the app's own stream, then yields once.
+        """Samples every shot of the run from the app's own stream in one loop.
 
         A shot reads only classical coverage, a pure function of time, and
         the app's stream, so nothing else in the run can observe the shots
         one by one.  The loop keeps its own clock with the engine's float
-        arithmetic; with ``trace_reports`` it steps the engine along with it
+        arithmetic and the app yields once at the end; with
+        ``trace_reports`` it steps the engine along with the loop instead,
         so that report records keep their place in the trace.
         """
         cfg = self.config

@@ -343,11 +343,11 @@ def _parse_defaults(data: dict, check: _Check) -> Defaults:
     )
 
 
-def _cross_reference(scenario_nodes: dict, apps: list[AppSpec],
+def _cross_reference(topology: Topology, apps: list[AppSpec],
                      attachments: list[tuple[str, str]], policy: PolicySpec,
                      ops: list[OpSpec], check: _Check) -> None:
     def known(node_id: str, path: str) -> None:
-        if node_id not in scenario_nodes:
+        if node_id not in topology.nodes:
             check.fail(path, f"unknown node id {node_id!r}")
 
     for i, (ue, bs) in enumerate(attachments):
@@ -371,6 +371,12 @@ def _cross_reference(scenario_nodes: dict, apps: list[AppSpec],
                 (f"sensors[{j}]", s) for j, s in enumerate(cfg.sensors)]
         for label, node_id in refs:
             known(node_id, f"{path}.{label}")
+        if spec.kind == "sensing":
+            for j, s in enumerate(cfg.sensors):
+                if s in topology.nodes and cfg.fusion in topology.nodes \
+                        and topology.classical_link(s, cfg.fusion) is None:
+                    check.fail(f"{path}.sensors[{j}]",
+                               f"no classical link to the fusion node {cfg.fusion!r}")
 
 
 def load_scenario(data: Any, strict: bool = False) -> tuple[Scenario, list[str]]:
@@ -501,7 +507,7 @@ def load_scenario(data: Any, strict: bool = False) -> tuple[Scenario, list[str]]
     except ConfigurationError as err:
         raise SchemaError([f"$: {err}"]) from err
 
-    _cross_reference(topology.nodes, apps, attachments, policy, ops, check)
+    _cross_reference(topology, apps, attachments, policy, ops, check)
     if check.violations:
         raise SchemaError(sorted(check.violations))
 

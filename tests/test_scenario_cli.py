@@ -60,6 +60,8 @@ class TestLoadScenario:
         ("sensing_phi_nan", "$.apps[0]: phi_true must be finite, got nan"),
         ("sensing_t2_nan", "$.apps[0]: t2_s must be finite, got nan"),
         ("sensing_tau_infinite", "$.apps[0]: tau_interrogate_s must be finite, got inf"),
+        ("sensing_sensor_unlinked",
+         "$.apps[0].sensors[0]: no classical link to the fusion node 'QBS1'"),
     ])
     def test_bad_sensing_blocks_name_their_field(self, stem, violation):
         with pytest.raises(SchemaError) as err:
