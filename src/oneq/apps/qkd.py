@@ -21,6 +21,7 @@ from ..protocol import (
     EntanglementRequest,
     SessionOutcome,
     Stack,
+    check_request_bounds,
 )
 
 __all__ = [
@@ -102,7 +103,7 @@ def simulate_match_rate(n_pairs: int, k_target: int, p_deliver: float,
 
 @dataclass(frozen=True)
 class QkdConfig:
-    app_id: str
+    app_id: str = field(metadata={"key": "id"})
     alice: str
     bob: str
     n_pairs: int = 32
@@ -124,6 +125,7 @@ class QkdConfig:
             raise ValueError(f"sample_fraction out of range: {self.sample_fraction}")
         if self.retry_until_key and self.k_target < 1:
             raise ValueError("retry_until_key needs k_target >= 1")
+        check_request_bounds(self.max_latency_s, self.min_fidelity)
 
 
 @dataclass

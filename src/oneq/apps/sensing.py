@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import compress
 from typing import Optional
 
@@ -79,7 +79,7 @@ def delta_method_se(p_hat: float, n_bits: int, visibility: float,
 
 @dataclass(frozen=True)
 class SensingConfig:
-    app_id: str
+    app_id: str = field(metadata={"key": "id"})
     fusion: str
     sensors: tuple[str, ...]
     phi_true: float

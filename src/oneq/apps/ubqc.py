@@ -37,7 +37,7 @@ from typing import Optional
 import numpy as np
 
 from .. import qcore
-from ..protocol import Stack
+from ..protocol import Stack, check_request_bounds
 
 __all__ = [
     "UbqcConfig",
@@ -110,7 +110,7 @@ def pattern_distinguishability_pvalue(deltas_a, deltas_b) -> float:
 
 @dataclass(frozen=True)
 class UbqcConfig:
-    app_id: str
+    app_id: str = field(metadata={"key": "id"})
     client: str
     server: str
     phi_eighths: tuple[int, ...]
@@ -129,6 +129,7 @@ class UbqcConfig:
             raise ValueError(f"shots must be positive, got {self.shots}")
         if self.blinding not in ("uniform", "none"):
             raise ValueError(f"unknown blinding mode {self.blinding!r}")
+        check_request_bounds(self.max_latency_s, self.min_fidelity)
 
 
 @dataclass

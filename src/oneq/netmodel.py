@@ -79,6 +79,11 @@ class Mobility:
                 raise ConfigurationError("pass_duration must lie in (0, period]")
             if self.pass_start < 0.0:
                 raise ConfigurationError("pass_start must be nonnegative")
+        if self.kind != "waypoint" and self.waypoints:
+            raise ConfigurationError(f"{self.kind} mobility takes no waypoints")
+        if self.kind != "orbit" and (self.pass_start or self.pass_duration or self.period):
+            raise ConfigurationError(
+                f"{self.kind} mobility takes no pass_start, pass_duration or period")
 
 
 STATIC = Mobility()
@@ -102,7 +107,6 @@ class NodeSpec:
     id: str
     kind: NodeKind
     position: tuple[float, float, float]
-    device_class: str = "default"
     t_coh_s: float = 1.0
     memory_slots: int = 0
     mobility: Mobility = STATIC
@@ -147,9 +151,9 @@ class NodeSpec:
 
 @dataclass(frozen=True)
 class CellSpec:
-    bs_id: str
+    bs_id: str = field(metadata={"key": "bs"})
     classical_radius: float
-    quantum_radius: float
+    quantum_radius: float = 0.0
 
     def __post_init__(self) -> None:
         if self.classical_radius <= 0.0:
@@ -168,8 +172,8 @@ class ClassicalLinkSpec:
     a: str
     b: str
     rate_bps: float
-    prop_delay_s: float
-    p_err_c: float
+    prop_delay_s: float = 0.0
+    p_err_c: float = 0.0
 
     def __post_init__(self) -> None:
         if self.a == self.b:
@@ -199,7 +203,6 @@ class QuantumLinkSpec:
     q_attempt: float
     attempt_period_s: float
     w0: float
-    requires_los: bool = False
 
     def __post_init__(self) -> None:
         if self.a == self.b:

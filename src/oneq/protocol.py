@@ -41,6 +41,8 @@ __all__ = [
     "HandoverMode",
     "PolicyMode",
     "EntanglementRequest",
+    "check_fidelity",
+    "check_request_bounds",
     "SessionResult",
     "HandoverResult",
     "TeleportResult",
@@ -85,6 +87,19 @@ class PolicyMode(str, Enum):
     PROACTIVE = "proactive"
 
 
+def check_fidelity(name: str, value: float) -> None:
+    """Raise ValueError unless value is a fidelity a request may ask for."""
+    if not 0.25 <= value <= 1.0:
+        raise ValueError(f"{name} must lie in [0.25, 1], got {value}")
+
+
+def check_request_bounds(max_latency_s: float, min_fidelity: float) -> None:
+    """The bounds every EntanglementRequest checks; app configs check them at load."""
+    if max_latency_s <= 0.0:
+        raise ValueError(f"max_latency_s must be positive, got {max_latency_s}")
+    check_fidelity("min_fidelity", min_fidelity)
+
+
 @dataclass(frozen=True)
 class EntanglementRequest:
     requester: str
@@ -96,10 +111,7 @@ class EntanglementRequest:
     def __post_init__(self) -> None:
         if self.count < 1:
             raise ValueError(f"count must be positive, got {self.count}")
-        if self.max_latency_s <= 0.0:
-            raise ValueError(f"max_latency_s must be positive, got {self.max_latency_s}")
-        if not 0.25 <= self.min_fidelity <= 1.0:
-            raise ValueError(f"min_fidelity must lie in [0.25, 1], got {self.min_fidelity}")
+        check_request_bounds(self.max_latency_s, self.min_fidelity)
         if len(self.peers) != 1:
             raise ValueError("exactly one peer is supported per session")
 
@@ -143,6 +155,21 @@ class QubitToken:
     destroyed: bool = False
 
 
+MESSAGE_BITS = {
+    "request": 512.0,
+    "ack": 128.0,
+    "correction": 64.0,
+    "registration": 1024.0,
+    "resume": 256.0,
+    "release": 128.0,
+    "angle": 64.0,
+    "outcome": 64.0,
+    "basis": 1.0,
+    "report": 128.0,
+    "handover": 256.0,
+}
+
+
 @dataclass(frozen=True)
 class Defaults:
     """Protocol constants; scenarios may override any of them."""
@@ -151,19 +178,17 @@ class Defaults:
     inactivity_timeout_s: float = 5.0
     retry_cap: int = 10
     registration_messages: int = 4
-    message_bits: dict = field(default_factory=lambda: {
-        "request": 512.0,
-        "ack": 128.0,
-        "correction": 64.0,
-        "registration": 1024.0,
-        "resume": 256.0,
-        "release": 128.0,
-        "angle": 64.0,
-        "outcome": 64.0,
-        "basis": 1.0,
-        "report": 128.0,
-        "handover": 256.0,
-    })
+    # Bits per message kind; a scenario's entries override these one by one.
+    message_bits: dict[str, float] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        check_fidelity("f_min", self.f_min)
+        if self.inactivity_timeout_s < 0.0:
+            raise ValueError(
+                f"inactivity_timeout_s must be nonnegative, got {self.inactivity_timeout_s}")
+        if self.retry_cap < 1:
+            raise ValueError(f"retry_cap must be at least 1, got {self.retry_cap}")
+        object.__setattr__(self, "message_bits", {**MESSAGE_BITS, **self.message_bits})
 
 
 _TERMINAL_STATES = ("consumed", "discarded", "expired")
@@ -1271,7 +1296,7 @@ class Stack:
         return taken, result
 
     def start_policy(self, mode: PolicyMode, targets: Sequence[tuple[str, str]] = (),
-                     buffer_target: int = 0, check_period_s: float = 0.5,
+                     buffer_target: int = 1, check_period_s: float = 0.5,
                      min_fidelity: Optional[float] = None) -> None:
         """Launch the distribution policy.
 
@@ -1282,8 +1307,6 @@ class Stack:
         """
         if mode == PolicyMode.REACTIVE:
             return
-        if buffer_target < 1:
-            raise ValueError("proactive policy needs buffer_target >= 1")
         f_min = self.defaults.f_min if min_fidelity is None else min_fidelity
         for bs_id, ue_id in targets:
             self.sim.spawn(self._provisioner(bs_id, ue_id, buffer_target,

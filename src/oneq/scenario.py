@@ -1,15 +1,26 @@
 """Scenario files: JSON schema, validation, and object construction.
 
 A scenario is a single JSON document with a mandatory schema_version.
-Validation collects every problem it can find as a "path: message" string
-before raising, so a broken file reports all of its faults at once.
-Unknown keys are warnings by default and errors under strict mode.
+Each block of the document is built by one routine from the dataclass it
+becomes: the block's keys are the class's fields (a field's metadata "key"
+renames it), a key is required exactly when its field has no default, and
+each value must have its field's type. The class's own checks then run, and
+their errors are reported under the block's path. Validation collects every
+problem it can find as a "path: message" string before raising, so a broken
+file reports all of its faults at once. Unknown keys are warnings by default
+and errors under strict mode.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
-from dataclasses import dataclass, field, fields
+import math
+import types
+import typing
+from dataclasses import dataclass, field
+from enum import Enum
 from typing import Any, Optional
 
 from .apps import QkdConfig, SensingConfig, UbqcConfig
@@ -17,53 +28,25 @@ from .errors import ConfigurationError, SchemaError
 from .netmodel import (
     CellSpec,
     ClassicalLinkSpec,
-    Mobility,
-    NodeKind,
     NodeSpec,
     QuantumLinkSpec,
     Topology,
 )
-from .protocol import Defaults, HandoverMode, PolicyMode
+from .protocol import Defaults, HandoverMode, PolicyMode, check_fidelity
 
 __all__ = ["AppSpec", "OpSpec", "PolicySpec", "Scenario", "load_scenario",
            "load_scenario_file", "SCHEMA_VERSION"]
 
 SCHEMA_VERSION = 1
 
-_TOP_KEYS = {
-    "schema_version", "name", "seed", "duration_s", "defaults", "nodes",
-    "cells", "classical_links", "quantum_links", "repeater_edges",
-    "attachments", "policy", "apps", "ops",
-}
-_NODE_KEYS = {"id", "kind", "position", "device_class", "t_coh_s",
-              "memory_slots", "mobility"}
-_MOBILITY_KEYS = {"kind", "waypoints", "pass_start", "pass_duration", "period"}
-_CELL_KEYS = {"bs", "classical_radius", "quantum_radius"}
-_CLINK_KEYS = {"a", "b", "rate_bps", "prop_delay_s", "p_err_c"}
-_QLINK_KEYS = {"a", "b", "q_attempt", "attempt_period_s", "w0", "requires_los"}
-_ATTACH_KEYS = {"ue", "bs"}
-_POLICY_KEYS = {"mode", "targets", "buffer_target", "check_period_s", "min_fidelity"}
-_DEFAULT_KEYS = {"f_min", "inactivity_timeout_s", "retry_cap",
-                 "registration_messages", "message_bits"}
-_APP_COMMON = {"type", "id", "start_s"}
 _APP_CONFIGS = {"qkd": QkdConfig, "ubqc": UbqcConfig, "sensing": SensingConfig}
-# An app block sets its config's fields (all but app_id, which is "id").
-_APP_FIELDS = {kind: {f.name for f in fields(cls)} - {"app_id"}
-               for kind, cls in _APP_CONFIGS.items()}
-_OP_KEYS = {"op", "at_s", "ue", "to", "mode"}
-# JSON type of each sensing-block field but "sensors", a list of node ids.
-# Ranges and finiteness are SensingConfig's own checks.
-_SENSING_TYPES = {"fusion": str, "phi_true": float, "shots": int, "mode": str,
-                  "tau_interrogate_s": float, "t2_s": float,
-                  "reinit_delay_s": float, "max_latency_s": float,
-                  "trace_reports": bool}
 
 
 @dataclass(frozen=True)
 class AppSpec:
-    kind: str
-    start_s: float
-    config: Any  # QkdConfig | UbqcConfig | SensingConfig
+    kind: str = field(metadata={"key": "type"})
+    config: Any  # QkdConfig | UbqcConfig | SensingConfig, built from the same block
+    start_s: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -74,6 +57,10 @@ class OpSpec:
     to: str
     mode: HandoverMode
 
+    def __post_init__(self) -> None:
+        if self.op != "handover":
+            raise ValueError(f"unknown op {self.op!r}")
+
 
 @dataclass(frozen=True)
 class PolicySpec:
@@ -82,6 +69,20 @@ class PolicySpec:
     buffer_target: int = 1
     check_period_s: float = 0.5
     min_fidelity: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        if self.check_period_s <= 0.0:
+            raise ValueError(f"check_period_s must be positive, got {self.check_period_s}")
+        if self.min_fidelity is not None:
+            check_fidelity("min_fidelity", self.min_fidelity)
+        if self.mode == PolicyMode.PROACTIVE:
+            if not self.targets:
+                raise ValueError("a proactive policy needs at least one target")
+            if self.buffer_target < 1:
+                raise ValueError(
+                    f"a proactive policy needs buffer_target >= 1, got {self.buffer_target}")
+        elif self.targets:
+            raise ValueError("a reactive policy takes no targets")
 
 
 @dataclass
@@ -94,6 +95,32 @@ class Scenario:
     attachments: tuple[tuple[str, str], ...] = ()
     policy: PolicySpec = field(default_factory=PolicySpec)
     apps: tuple[AppSpec, ...] = ()
+    ops: tuple[OpSpec, ...] = ()
+
+
+@dataclass(frozen=True)
+class _Attachment:
+    ue: str
+    bs: str
+
+
+@dataclass(frozen=True)
+class _Document:
+    """The top level of a scenario file; load_scenario checks its ranges."""
+
+    schema_version: int
+    name: str
+    seed: int
+    duration_s: float
+    nodes: tuple[NodeSpec, ...]
+    defaults: Defaults = field(default_factory=Defaults)
+    cells: tuple[CellSpec, ...] = ()
+    classical_links: tuple[ClassicalLinkSpec, ...] = ()
+    quantum_links: tuple[QuantumLinkSpec, ...] = ()
+    repeater_edges: tuple[tuple[str, str], ...] = ()
+    attachments: tuple[_Attachment, ...] = ()
+    policy: PolicySpec = field(default_factory=PolicySpec)
+    apps: tuple[dict, ...] = ()  # each built by _build_app from its "type"
     ops: tuple[OpSpec, ...] = ()
 
 
@@ -111,241 +138,134 @@ class _Check:
         for key in sorted(set(data) - allowed):
             self.warnings.append(f"{path}.{key}: unknown key")
 
-    def typed(self, data: dict, key: str, types, path: str,
-              required: bool = True, default: Any = None) -> Any:
-        if key not in data:
-            if required:
-                self.fail(f"{path}.{key}", "missing required field")
-            return default
-        value = data[key]
-        if types is float and isinstance(value, int) and not isinstance(value, bool):
-            value = float(value)
-        if not isinstance(value, types) or isinstance(value, bool) and types is not bool:
-            names = getattr(types, "__name__", None) or "/".join(
-                t.__name__ for t in types)
-            self.fail(f"{path}.{key}", f"expected {names}, got {type(value).__name__}")
-            return default
-        return value
+
+_BAD = object()  # a value that failed its check, already reported
+_JSON_NAMES = {dict: "object", type(None): "null"}
 
 
-def _parse_mobility(data: Any, path: str, check: _Check) -> Mobility:
-    if data is None:
-        return Mobility()
-    if not isinstance(data, dict):
-        check.fail(path, "mobility must be an object")
-        return Mobility()
-    check.unknown_keys(path, data, _MOBILITY_KEYS)
-    kind = check.typed(data, "kind", str, path, default="static")
-    try:
-        if kind == "waypoint":
-            raw = check.typed(data, "waypoints", list, path, default=[])
-            waypoints = tuple(
-                (float(t), (float(p[0]), float(p[1]), float(p[2])))
-                for t, p in raw
-            )
-            return Mobility(kind="waypoint", waypoints=waypoints)
-        if kind == "orbit":
-            return Mobility(
-                kind="orbit",
-                pass_start=check.typed(data, "pass_start", float, path, default=0.0),
-                pass_duration=check.typed(data, "pass_duration", float, path,
-                                          default=0.0),
-                period=check.typed(data, "period", float, path, default=0.0),
-            )
-        return Mobility(kind=kind)
-    except (ConfigurationError, TypeError, ValueError, IndexError) as err:
-        check.fail(path, str(err))
-        return Mobility()
+def _json_name(value: Any) -> str:
+    return _JSON_NAMES.get(type(value), type(value).__name__)
 
 
-def _parse_nodes(data: dict, check: _Check) -> list[NodeSpec]:
-    nodes: list[NodeSpec] = []
-    raw = check.typed(data, "nodes", list, "$", default=[])
-    if raw is not None and not raw:
-        check.fail("$.nodes", "at least one node is required")
-    for i, item in enumerate(raw or []):
-        path = f"$.nodes[{i}]"
-        if not isinstance(item, dict):
-            check.fail(path, "node must be an object")
-            continue
-        check.unknown_keys(path, item, _NODE_KEYS)
-        node_id = check.typed(item, "id", str, path, default="")
-        kind_str = check.typed(item, "kind", str, path, default="")
-        pos = check.typed(item, "position", list, path, default=[0, 0, 0])
-        try:
-            kind = NodeKind(kind_str)
-        except ValueError:
-            check.fail(f"{path}.kind", f"unknown node kind {kind_str!r}")
-            continue
-        mobility = _parse_mobility(item.get("mobility"), f"{path}.mobility", check)
-        try:
-            nodes.append(NodeSpec(
-                id=node_id, kind=kind,
-                position=tuple(float(x) for x in pos),
-                device_class=check.typed(item, "device_class", str, path,
-                                         required=False, default="default"),
-                t_coh_s=check.typed(item, "t_coh_s", float, path,
-                                    required=False, default=1.0),
-                memory_slots=check.typed(item, "memory_slots", int, path,
-                                         required=False, default=0),
-                mobility=mobility,
-            ))
-        except (ConfigurationError, TypeError, ValueError) as err:
-            check.fail(path, str(err))
-    return nodes
+@functools.cache
+def _schema(cls: type) -> tuple[tuple[str, dataclasses.Field, Any], ...]:
+    """(JSON key, field, resolved type) of each field of a dataclass."""
+    hints = typing.get_type_hints(cls)
+    return tuple((f.metadata.get("key", f.name), f, hints[f.name])
+                 for f in dataclasses.fields(cls))
 
 
-def _sensing_types_ok(block: dict, path: str, check: _Check) -> bool:
-    """Check the JSON type of every field a sensing block sets."""
-    ok = True
-    for key, value in block.items():
-        if key == "sensors":
-            if not (isinstance(value, list) and all(isinstance(s, str) for s in value)):
-                check.fail(f"{path}.sensors", "must be a list of node ids")
-                ok = False
-        elif check.typed(block, key, _SENSING_TYPES[key], path) is None:
-            ok = False
-    return ok
-
-
-def _parse_apps(data: dict, check: _Check) -> list[AppSpec]:
-    specs: list[AppSpec] = []
-    raw = check.typed(data, "apps", list, "$", required=False, default=[])
-    seen_ids: set[str] = set()
-    for i, item in enumerate(raw or []):
-        path = f"$.apps[{i}]"
-        if not isinstance(item, dict):
-            check.fail(path, "app must be an object")
-            continue
-        kind = check.typed(item, "type", str, path, default="")
-        if kind not in _APP_CONFIGS:
-            check.fail(f"{path}.type", f"unknown app type {kind!r}")
-            continue
-        check.unknown_keys(path, item, _APP_COMMON | _APP_FIELDS[kind])
-        app_id = check.typed(item, "id", str, path, default=f"app{i}")
-        if app_id in seen_ids:
-            check.fail(f"{path}.id", f"duplicate app id {app_id!r}")
-        seen_ids.add(app_id)
-        start_s = check.typed(item, "start_s", float, path, required=False,
-                              default=0.0)
-        kwargs = {k: v for k, v in item.items() if k in _APP_FIELDS[kind]}
-        if kind == "sensing" and not _sensing_types_ok(kwargs, path, check):
-            continue
-        try:
-            if kind == "ubqc":
-                kwargs["phi_eighths"] = tuple(kwargs.get("phi_eighths", ()))
-            elif kind == "sensing":
-                kwargs["sensors"] = tuple(kwargs.get("sensors", ()))
-            config = _APP_CONFIGS[kind](app_id=app_id, **kwargs)
-        except (TypeError, ValueError) as err:
-            check.fail(path, str(err))
-            continue
-        specs.append(AppSpec(kind=kind, start_s=start_s, config=config))
-    return specs
-
-
-def _parse_policy(data: dict, check: _Check) -> PolicySpec:
-    raw = data.get("policy")
-    if raw is None:
-        return PolicySpec()
-    path = "$.policy"
-    if not isinstance(raw, dict):
-        check.fail(path, "policy must be an object")
-        return PolicySpec()
-    check.unknown_keys(path, raw, _POLICY_KEYS)
-    mode_str = check.typed(raw, "mode", str, path, default="reactive")
-    try:
-        mode = PolicyMode(mode_str)
-    except ValueError:
-        check.fail(f"{path}.mode", f"unknown policy mode {mode_str!r}")
-        return PolicySpec()
-    targets_raw = check.typed(raw, "targets", list, path,
-                              required=(mode == PolicyMode.PROACTIVE), default=[])
-    targets: list[tuple[str, str]] = []
-    for i, pair in enumerate(targets_raw or []):
-        if not (isinstance(pair, (list, tuple)) and len(pair) == 2
-                and all(isinstance(x, str) for x in pair)):
-            check.fail(f"{path}.targets[{i}]", "expected a [bs, ue] pair")
-            continue
-        targets.append((pair[0], pair[1]))
-    return PolicySpec(
-        mode=mode, targets=tuple(targets),
-        buffer_target=check.typed(raw, "buffer_target", int, path,
-                                  required=False, default=1),
-        check_period_s=check.typed(raw, "check_period_s", float, path,
-                                   required=False, default=0.5),
-        min_fidelity=raw.get("min_fidelity"),
-    )
-
-
-def _parse_ops(data: dict, check: _Check) -> list[OpSpec]:
-    ops: list[OpSpec] = []
-    raw = check.typed(data, "ops", list, "$", required=False, default=[])
-    for i, item in enumerate(raw or []):
-        path = f"$.ops[{i}]"
-        if not isinstance(item, dict):
-            check.fail(path, "op must be an object")
-            continue
-        check.unknown_keys(path, item, _OP_KEYS)
-        op = check.typed(item, "op", str, path, default="")
-        if op != "handover":
-            check.fail(f"{path}.op", f"unknown op {op!r}")
-            continue
-        mode_str = check.typed(item, "mode", str, path, default="soft")
-        try:
-            mode = HandoverMode(mode_str)
-        except ValueError:
-            check.fail(f"{path}.mode", f"unknown handover mode {mode_str!r}")
-            continue
-        ops.append(OpSpec(
-            op=op,
-            at_s=check.typed(item, "at_s", float, path, default=0.0),
-            ue=check.typed(item, "ue", str, path, default=""),
-            to=check.typed(item, "to", str, path, default=""),
-            mode=mode,
-        ))
-    return ops
-
-
-def _parse_defaults(data: dict, check: _Check) -> Defaults:
-    raw = data.get("defaults")
-    if raw is None:
-        return Defaults()
-    path = "$.defaults"
-    if not isinstance(raw, dict):
-        check.fail(path, "defaults must be an object")
-        return Defaults()
-    check.unknown_keys(path, raw, _DEFAULT_KEYS)
-    base = Defaults()
-    bits = dict(base.message_bits)
-    extra = raw.get("message_bits")
-    if extra is not None:
-        if isinstance(extra, dict):
-            for k, v in extra.items():
-                if not isinstance(v, (int, float)) or isinstance(v, bool):
-                    check.fail(f"{path}.message_bits.{k}", "expected a number")
-                else:
-                    bits[k] = float(v)
+def _convert(hint: Any, value: Any, path: str, check: _Check) -> Any:
+    """The JSON value as a field of type hint, or _BAD once reported."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    expected = None
+    if origin in (typing.Union, types.UnionType):  # Optional[X]
+        if value is None:
+            return None
+        hint = next(a for a in args if a is not type(None))
+        return _convert(hint, value, path, check)
+    if origin is tuple:
+        if not isinstance(value, list):
+            expected = "list"
+        elif args[-1] is not Ellipsis and len(value) != len(args):
+            check.fail(path, f"expected {len(args)} elements, got {len(value)}")
+            return _BAD
         else:
-            check.fail(f"{path}.message_bits", "expected an object")
-    return Defaults(
-        f_min=check.typed(raw, "f_min", float, path, required=False,
-                          default=base.f_min),
-        inactivity_timeout_s=check.typed(raw, "inactivity_timeout_s", float, path,
-                                         required=False,
-                                         default=base.inactivity_timeout_s),
-        retry_cap=check.typed(raw, "retry_cap", int, path, required=False,
-                              default=base.retry_cap),
-        registration_messages=check.typed(raw, "registration_messages", int, path,
-                                          required=False,
-                                          default=base.registration_messages),
-        message_bits=bits,
-    )
+            hints = [args[0]] * len(value) if args[-1] is Ellipsis else args
+            items = tuple(_convert(h, v, f"{path}[{i}]", check)
+                          for i, (h, v) in enumerate(zip(hints, value)))
+            return _BAD if _BAD in items else items
+    elif hint is dict or origin is dict:
+        if not isinstance(value, dict):
+            expected = "object"
+        elif not args:
+            return dict(value)
+        else:
+            items = {k: _convert(args[1], v, f"{path}.{k}", check)
+                     for k, v in value.items()}
+            return _BAD if _BAD in items.values() else items
+    elif dataclasses.is_dataclass(hint):
+        return _build(hint, value, path, check)
+    elif isinstance(hint, type) and issubclass(hint, Enum):
+        if isinstance(value, str) and value in {m.value for m in hint}:
+            return hint(value)
+        names = ", ".join(repr(m.value) for m in hint)
+        check.fail(path, f"expected one of {names}, got {value!r}")
+        return _BAD
+    elif hint is float:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            expected = "float"
+        elif not math.isfinite(value):
+            check.fail(path, f"expected a finite number, got {value}")
+            return _BAD
+        else:
+            return float(value)
+    elif isinstance(value, hint) and (hint is bool or not isinstance(value, bool)):
+        return value
+    else:
+        expected = hint.__name__
+    check.fail(path, f"expected {expected}, got {_json_name(value)}")
+    return _BAD
 
 
-def _cross_reference(topology: Topology, apps: list[AppSpec],
-                     attachments: list[tuple[str, str]], policy: PolicySpec,
-                     ops: list[OpSpec], check: _Check) -> None:
+def _values(cls: type, data: Any, path: str, check: _Check,
+            given: dict) -> tuple[dict, bool]:
+    """Convert a JSON object's keys to the fields of cls not in given.
+
+    Returns the values that passed, and whether every key did.
+    """
+    if not isinstance(data, dict):
+        check.fail(path, f"expected object, got {_json_name(data)}")
+        return {}, False
+    values: dict[str, Any] = {}
+    ok = True
+    keys: set[str] = set()
+    for key, f, hint in _schema(cls):
+        if f.name in given:
+            continue
+        keys.add(key)
+        if key in data:
+            value = _convert(hint, data[key], f"{path}.{key}", check)
+            if value is _BAD:
+                ok = False
+            else:
+                values[f.name] = value
+        elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+            check.fail(f"{path}.{key}", "missing required field")
+            ok = False
+    check.unknown_keys(path, data, keys)
+    return values, ok
+
+
+def _build(cls: type, data: Any, path: str, check: _Check, **given: Any) -> Any:
+    """Build cls from a JSON object, reporting its faults under path."""
+    values, ok = _values(cls, data, path, check, given)
+    if not ok or _BAD in given.values():
+        return _BAD
+    try:
+        return cls(**values, **given)
+    except (ConfigurationError, ValueError) as err:
+        check.fail(path, str(err))
+        return _BAD
+
+
+def _build_app(item: dict, path: str, check: _Check) -> Any:
+    """Build an app block: its "type" picks the config class for its other keys."""
+    kind = item.get("type")
+    if kind not in tuple(_APP_CONFIGS):  # a tuple, since kind may be unhashable
+        check.fail(f"{path}.type", "missing required field" if "type" not in item
+                   else f"unknown app type {kind!r}")
+        return _BAD
+    cls = _APP_CONFIGS[kind]
+    own = {key for key, _, _ in _schema(cls)}
+    config = _build(cls, {k: v for k, v in item.items() if k in own}, path, check)
+    return _build(AppSpec, {k: v for k, v in item.items() if k not in own},
+                  path, check, config=config)
+
+
+def _cross_reference(topology: Topology, apps: tuple[AppSpec, ...],
+                     attachments: tuple[tuple[str, str], ...], policy: PolicySpec,
+                     ops: tuple[OpSpec, ...], check: _Check) -> None:
     def known(node_id: str, path: str) -> None:
         if node_id not in topology.nodes:
             check.fail(path, f"unknown node id {node_id!r}")
@@ -359,9 +279,13 @@ def _cross_reference(topology: Topology, apps: list[AppSpec],
     for i, op in enumerate(ops):
         known(op.ue, f"$.ops[{i}].ue")
         known(op.to, f"$.ops[{i}].to")
+    seen_ids: set[str] = set()
     for i, spec in enumerate(apps):
         path = f"$.apps[{i}]"
         cfg = spec.config
+        if cfg.app_id in seen_ids:
+            check.fail(f"{path}.id", f"duplicate app id {cfg.app_id!r}")
+        seen_ids.add(cfg.app_id)
         if spec.kind == "qkd":
             refs = [("alice", cfg.alice), ("bob", cfg.bob)]
         elif spec.kind == "ubqc":
@@ -389,111 +313,19 @@ def load_scenario(data: Any, strict: bool = False) -> tuple[Scenario, list[str]]
     check = _Check()
     if not isinstance(data, dict):
         raise SchemaError(["$: scenario must be a JSON object"])
-    version = data.get("schema_version")
-    if version is None:
-        check.fail("$.schema_version", "missing required field")
-    elif isinstance(version, bool) or version != SCHEMA_VERSION:
+    values, _ = _values(_Document, data, "$", check, {})
+    version = values.get("schema_version", SCHEMA_VERSION)
+    if version != SCHEMA_VERSION:
         check.fail("$.schema_version",
                    f"unsupported version {version!r}, expected {SCHEMA_VERSION}")
-    check.unknown_keys("$", data, _TOP_KEYS)
-
-    name = check.typed(data, "name", str, "$", default="scenario")
-    seed = check.typed(data, "seed", int, "$", default=0)
-    duration = check.typed(data, "duration_s", float, "$", default=1.0)
-    if duration is not None and duration <= 0.0:
-        check.fail("$.duration_s", f"must be positive, got {duration}")
-    if seed is not None and seed < 0:
-        check.fail("$.seed", f"must be nonnegative, got {seed}")
-
-    nodes = _parse_nodes(data, check)
-    defaults = _parse_defaults(data, check)
-    apps = _parse_apps(data, check)
-    policy = _parse_policy(data, check)
-    ops = _parse_ops(data, check)
-
-    cells: list[CellSpec] = []
-    for i, item in enumerate(check.typed(data, "cells", list, "$",
-                                         required=False, default=[]) or []):
-        path = f"$.cells[{i}]"
-        if not isinstance(item, dict):
-            check.fail(path, "cell must be an object")
-            continue
-        check.unknown_keys(path, item, _CELL_KEYS)
-        try:
-            cells.append(CellSpec(
-                bs_id=check.typed(item, "bs", str, path, default=""),
-                classical_radius=check.typed(item, "classical_radius", float,
-                                             path, default=1.0),
-                quantum_radius=check.typed(item, "quantum_radius", float, path,
-                                           required=False, default=0.0),
-            ))
-        except ConfigurationError as err:
-            check.fail(path, str(err))
-
-    clinks: list[ClassicalLinkSpec] = []
-    for i, item in enumerate(check.typed(data, "classical_links", list, "$",
-                                         required=False, default=[]) or []):
-        path = f"$.classical_links[{i}]"
-        if not isinstance(item, dict):
-            check.fail(path, "link must be an object")
-            continue
-        check.unknown_keys(path, item, _CLINK_KEYS)
-        try:
-            clinks.append(ClassicalLinkSpec(
-                a=check.typed(item, "a", str, path, default=""),
-                b=check.typed(item, "b", str, path, default="?"),
-                rate_bps=check.typed(item, "rate_bps", float, path, default=1.0),
-                prop_delay_s=check.typed(item, "prop_delay_s", float, path,
-                                         required=False, default=0.0),
-                p_err_c=check.typed(item, "p_err_c", float, path,
-                                    required=False, default=0.0),
-            ))
-        except ConfigurationError as err:
-            check.fail(path, str(err))
-
-    qlinks: list[QuantumLinkSpec] = []
-    for i, item in enumerate(check.typed(data, "quantum_links", list, "$",
-                                         required=False, default=[]) or []):
-        path = f"$.quantum_links[{i}]"
-        if not isinstance(item, dict):
-            check.fail(path, "link must be an object")
-            continue
-        check.unknown_keys(path, item, _QLINK_KEYS)
-        try:
-            qlinks.append(QuantumLinkSpec(
-                a=check.typed(item, "a", str, path, default=""),
-                b=check.typed(item, "b", str, path, default="?"),
-                q_attempt=check.typed(item, "q_attempt", float, path, default=0.0),
-                attempt_period_s=check.typed(item, "attempt_period_s", float,
-                                             path, default=1.0),
-                w0=check.typed(item, "w0", float, path, default=1.0),
-                requires_los=check.typed(item, "requires_los", bool, path,
-                                         required=False, default=False),
-            ))
-        except ConfigurationError as err:
-            check.fail(path, str(err))
-
-    edges: list[tuple[str, str]] = []
-    for i, pair in enumerate(check.typed(data, "repeater_edges", list, "$",
-                                         required=False, default=[]) or []):
-        if not (isinstance(pair, (list, tuple)) and len(pair) == 2
-                and all(isinstance(x, str) for x in pair)):
-            check.fail(f"$.repeater_edges[{i}]", "expected an [a, b] pair")
-            continue
-        edges.append((pair[0], pair[1]))
-
-    attachments: list[tuple[str, str]] = []
-    for i, item in enumerate(check.typed(data, "attachments", list, "$",
-                                         required=False, default=[]) or []):
-        path = f"$.attachments[{i}]"
-        if not isinstance(item, dict):
-            check.fail(path, "attachment must be an object")
-            continue
-        check.unknown_keys(path, item, _ATTACH_KEYS)
-        attachments.append((
-            check.typed(item, "ue", str, path, default=""),
-            check.typed(item, "bs", str, path, default=""),
-        ))
+    if values.get("duration_s", 1.0) <= 0.0:
+        check.fail("$.duration_s", f"must be positive, got {values['duration_s']}")
+    if values.get("seed", 0) < 0:
+        check.fail("$.seed", f"must be nonnegative, got {values['seed']}")
+    if values.get("nodes") == ():
+        check.fail("$.nodes", "at least one node is required")
+    apps = tuple(_build_app(item, f"$.apps[{i}]", check)
+                 for i, item in enumerate(values.get("apps", ())))
 
     if strict and check.warnings:
         check.violations.extend(check.warnings)
@@ -501,20 +333,24 @@ def load_scenario(data: Any, strict: bool = False) -> tuple[Scenario, list[str]]
     if check.violations:
         raise SchemaError(sorted(check.violations))
 
+    doc = _Document(**values)
     try:
-        topology = Topology(nodes=nodes, cells=cells, classical_links=clinks,
-                            quantum_links=qlinks, repeater_edges=edges)
+        topology = Topology(nodes=doc.nodes, cells=doc.cells,
+                            classical_links=doc.classical_links,
+                            quantum_links=doc.quantum_links,
+                            repeater_edges=doc.repeater_edges)
     except ConfigurationError as err:
         raise SchemaError([f"$: {err}"]) from err
 
-    _cross_reference(topology, apps, attachments, policy, ops, check)
+    attachments = tuple((a.ue, a.bs) for a in doc.attachments)
+    _cross_reference(topology, apps, attachments, doc.policy, doc.ops, check)
     if check.violations:
         raise SchemaError(sorted(check.violations))
 
     scenario = Scenario(
-        name=name, seed=seed, duration_s=duration, topology=topology,
-        defaults=defaults, attachments=tuple(attachments), policy=policy,
-        apps=tuple(apps), ops=tuple(ops),
+        name=doc.name, seed=doc.seed, duration_s=doc.duration_s, topology=topology,
+        defaults=doc.defaults, attachments=attachments, policy=doc.policy,
+        apps=apps, ops=doc.ops,
     )
     return scenario, check.warnings
 

@@ -12,6 +12,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from oneq.cli import main
 from oneq.errors import OneQError, SchemaError
@@ -31,9 +33,77 @@ SCENARIOS = sorted((REPO / "scenarios").glob("*.json"))
 MALFORMED = sorted((REPO / "tests" / "data" / "malformed").glob("*.json"))
 BASELINE = REPO / "scenarios" / "qkd_baseline.json"
 
+# Malformed files of every other block, each with the one message it must give.
+BAD_BLOCKS = [
+    ("qkd_alice_list", "$.apps[0].alice: expected str, got list"),
+    ("qkd_min_fidelity_string", "$.apps[0].min_fidelity: expected float, got str"),
+    ("qkd_min_fidelity_above_one",
+     "$.apps[0]: min_fidelity must lie in [0.25, 1], got 2.0"),
+    ("qkd_latency_negative", "$.apps[0]: max_latency_s must be positive, got -1.0"),
+    ("qkd_n_pairs_fractional", "$.apps[0].n_pairs: expected int, got float"),
+    ("ubqc_exact_int", "$.apps[0].exact: expected bool, got int"),
+    ("ubqc_min_fidelity_low", "$.apps[0]: min_fidelity must lie in [0.25, 1], got 0.1"),
+    ("ubqc_latency_zero", "$.apps[0]: max_latency_s must be positive, got 0.0"),
+    ("defaults_retry_cap_zero", "$.defaults: retry_cap must be at least 1, got 0"),
+    ("defaults_timeout_negative",
+     "$.defaults: inactivity_timeout_s must be nonnegative, got -1.0"),
+    ("defaults_f_min_above_one", "$.defaults: f_min must lie in [0.25, 1], got 1.5"),
+    ("policy_check_period_zero", "$.policy: check_period_s must be positive, got 0.0"),
+    ("policy_buffer_target_zero",
+     "$.policy: a proactive policy needs buffer_target >= 1, got 0"),
+    ("policy_proactive_without_targets",
+     "$.policy: a proactive policy needs at least one target"),
+    ("policy_reactive_with_targets", "$.policy: a reactive policy takes no targets"),
+    ("policy_min_fidelity_low", "$.policy: min_fidelity must lie in [0.25, 1], got 0.2"),
+    ("op_unknown", "$.ops[0]: unknown op 'teleport'"),
+    ("mobility_static_with_waypoints",
+     "$.nodes[1].mobility: static mobility takes no waypoints"),
+    ("mobility_waypoint_with_period",
+     "$.nodes[1].mobility: waypoint mobility takes no pass_start, pass_duration "
+     "or period"),
+    ("mobility_waypoint_object",
+     "$.nodes[1].mobility.waypoints[0][1]: expected list, got object"),
+]
+
 
 def _baseline_doc():
     return json.loads(BASELINE.read_text(encoding="utf-8"))
+
+
+# A fixed pool of bad values: arbitrary floats are valid input but can make a
+# run take forever (attempt_period_s: 1e-300).
+_POOL = ["x", True, None, [], {}, 0, -1, 2.5, math.nan, math.inf, -math.inf]
+_DELETE = "<delete>"
+_SHIPPED = {p.stem: json.loads(p.read_text(encoding="utf-8")) for p in SCENARIOS}
+
+
+def _json_paths(node, path=()):
+    """The path of every value under node: each key and each list element."""
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield path + (key,)
+        yield from _json_paths(value, path + (key,))
+
+
+_PATHS = {stem: list(_json_paths(doc)) for stem, doc in _SHIPPED.items()}
+
+
+@st.composite
+def _mutants(draw):
+    """A shipped scenario with one value replaced from the pool, or deleted."""
+    stem = draw(st.sampled_from(sorted(_SHIPPED)))
+    path = draw(st.sampled_from(_PATHS[stem]))
+    value = draw(st.sampled_from(_POOL + [_DELETE]))
+    doc = copy.deepcopy(_SHIPPED[stem])
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value == _DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = copy.deepcopy(value)
+    return doc
 
 
 class TestLoadScenario:
@@ -54,12 +124,13 @@ class TestLoadScenario:
     @pytest.mark.parametrize("stem,violation", [
         ("sensing_shots_fractional", "$.apps[0].shots: expected int, got float"),
         ("sensing_shots_bool", "$.apps[0].shots: expected int, got bool"),
-        ("sensing_sensors_string", "$.apps[0].sensors: must be a list of node ids"),
+        ("sensing_sensors_string", "$.apps[0].sensors: expected list, got str"),
         ("sensing_reinit_negative",
          "$.apps[0]: reinit_delay_s must be nonnegative, got -0.01"),
-        ("sensing_phi_nan", "$.apps[0]: phi_true must be finite, got nan"),
-        ("sensing_t2_nan", "$.apps[0]: t2_s must be finite, got nan"),
-        ("sensing_tau_infinite", "$.apps[0]: tau_interrogate_s must be finite, got inf"),
+        ("sensing_phi_nan", "$.apps[0].phi_true: expected a finite number, got nan"),
+        ("sensing_t2_nan", "$.apps[0].t2_s: expected a finite number, got nan"),
+        ("sensing_tau_infinite",
+         "$.apps[0].tau_interrogate_s: expected a finite number, got inf"),
         ("sensing_sensor_unlinked",
          "$.apps[0].sensors[0]: no classical link to the fusion node 'QBS1'"),
     ])
@@ -68,13 +139,26 @@ class TestLoadScenario:
             load_scenario_file(str(REPO / "tests" / "data" / "malformed" / f"{stem}.json"))
         assert err.value.violations == [violation]
 
+    @pytest.mark.parametrize("stem,violation", BAD_BLOCKS, ids=[c[0] for c in BAD_BLOCKS])
+    def test_bad_blocks_name_their_field(self, stem, violation):
+        with pytest.raises(SchemaError) as err:
+            load_scenario_file(str(REPO / "tests" / "data" / "malformed" / f"{stem}.json"))
+        assert err.value.violations == [violation]
+
     def test_unknown_key_warns_then_fails_strict(self):
         doc = _baseline_doc()
         doc["frobnicate"] = True
-        _, warnings = load_scenario(doc)
+        # Deleted schema fields: old files still load, with a warning.
+        doc["nodes"][0]["device_class"] = "handset"
+        doc["quantum_links"][0]["requires_los"] = True
+        scenario, warnings = load_scenario(doc)
         assert any("frobnicate" in w for w in warnings)
-        with pytest.raises(SchemaError):
+        assert "$.nodes[0].device_class: unknown key" in warnings
+        assert "$.quantum_links[0].requires_los: unknown key" in warnings
+        assert scenario.topology.nodes == load_scenario(_baseline_doc())[0].topology.nodes
+        with pytest.raises(SchemaError) as err:
             load_scenario(doc, strict=True)
+        assert len(err.value.violations) == 3
 
     def test_unknown_app_key_warns_then_fails_strict(self):
         doc = _baseline_doc()
@@ -108,6 +192,23 @@ class TestLoadScenario:
             load_scenario(doc)
         joined = "\n".join(err.value.violations)
         assert "$.duration_s" in joined and "$.seed" in joined
+
+
+class TestSingleGate:
+    """load_scenario is the one gate: what it accepts runs without a bare error."""
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(_mutants())
+    def test_bad_value_is_rejected_or_runs(self, doc):
+        try:
+            scenario, _ = load_scenario(doc)
+        except SchemaError:
+            return
+        try:
+            run_scenario(scenario, until=min(scenario.duration_s, 0.3))
+        except OneQError:
+            pass
 
 
 class TestRunner:
