@@ -30,7 +30,6 @@ from typing import Optional
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..netmodel import classical_send
 from ..protocol import Stack
 
 __all__ = [
@@ -173,7 +172,7 @@ class SensingApp:
         rng = sim.rng_stream(cfg.fusion, f"sensing/{cfg.app_id}")
         p0 = probe_probability(cfg.phi_true, self.contrast)
         links = [topo.classical_link(s, cfg.fusion) for s in cfg.sensors]
-        bits_report = stack._bits("report")
+        bits_report = stack.bits("report")
         latencies = [link.latency(bits_report) for link in links]
         step = cfg.reinit_delay_s + cfg.tau_interrogate_s
 
@@ -235,8 +234,6 @@ class SensingApp:
         topo = stack.topo
         n = len(cfg.sensors)
         rng = sim.rng_stream(cfg.fusion, "sensing")
-        link_rngs = {s: sim.rng_stream(s, "classical") for s in cfg.sensors}
-        links = {s: topo.classical_link(s, cfg.fusion) for s in cfg.sensors}
         for s in cfg.sensors:
             ok = yield from stack.ensure_connected(s, cfg.fusion)
             if not ok:
@@ -247,7 +244,6 @@ class SensingApp:
         discarded = 0
         w_sum = 0.0
         per_shot: list[tuple[int, int]] = []
-        bits_report = stack._bits("report")
         for _ in range(cfg.shots):
             yield cfg.reinit_delay_s
             ghz_id = yield from stack.ghz_session(cfg.fusion, cfg.sensors,
@@ -268,8 +264,7 @@ class SensingApp:
                     if cfg.trace_reports:
                         self._trace_report(sim, s, False, False)
                     break
-                delivered, latency = classical_send(links[s], bits_report,
-                                                    link_rngs[s])
+                delivered, latency = stack.transmit(s, cfg.fusion, "report")
                 if cfg.trace_reports:
                     self._trace_report(sim, s, True, delivered)
                 if not delivered:

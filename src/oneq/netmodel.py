@@ -368,17 +368,25 @@ class Topology:
     def quantum_link(self, a: str, b: str) -> Optional[QuantumLinkSpec]:
         return self.quantum_links.get(frozenset((a, b)))
 
+    def _reachable(self, a: str, b: str, t: float, covered) -> bool:
+        """Whether the a-b link is usable at t; a UE end must pass covered(ue, bs, t).
+
+        Engineered BS-to-BS links are range-validated at deployment, not per use.
+        """
+        na, nb = self._require(a), self._require(b)
+        if na.kind in UE_KINDS and nb.kind in BS_KINDS:
+            return covered(a, b, t)
+        if nb.kind in UE_KINDS and na.kind in BS_KINDS:
+            return covered(b, a, t)
+        return na.available_at(t) and nb.available_at(t)
+
+    def classical_reachable(self, a: str, b: str, t: float) -> bool:
+        """True when a and b can exchange a message over their link at time t."""
+        return self._reachable(a, b, t, self.in_classical_coverage)
+
     def quantum_reachable(self, a: str, b: str, t: float) -> bool:
         """True when a and b can herald over their quantum link at time t."""
-        na, nb = self._require(a), self._require(b)
-        # UE endpoints must sit inside the BS quantum disk (which checks that
-        # both are available).  Engineered BS-to-BS links are range-validated
-        # at deployment, not per attempt.
-        if na.kind in UE_KINDS and nb.kind in BS_KINDS:
-            return self.in_quantum_coverage(a, b, t)
-        if nb.kind in UE_KINDS and na.kind in BS_KINDS:
-            return self.in_quantum_coverage(b, a, t)
-        return na.available_at(t) and nb.available_at(t)
+        return self._reachable(a, b, t, self.in_quantum_coverage)
 
     def _path(self, graph: str, a: str, b: str) -> Optional[list[str]]:
         key = (graph, a, b)

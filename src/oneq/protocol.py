@@ -7,10 +7,10 @@ created resource ends in exactly one terminal state (consumed, discarded,
 or expired at run end); the ledger enforces both.
 
 All protocol steps are generator processes driven by the event engine.  A
-yielded float is the simulated delay until the step resumes.  Classical
-messages always go through the lossy channel model with a bounded retry
-budget, one attempt per yield, except that a routed message crosses a
-fixed backbone stretch in one yield.
+yielded float is the simulated delay until the step resumes.  Every
+classical transmission is one Stack.transmit over the lossy channel model;
+messages retry within a bounded budget, one attempt per yield, except that
+a routed message crosses a fixed backbone stretch in one yield.
 """
 
 from __future__ import annotations
@@ -356,34 +356,38 @@ class Stack:
     # Classical messaging
     # ------------------------------------------------------------------
 
-    def _bits(self, msg_kind: str) -> float:
+    def bits(self, msg_kind: str) -> float:
+        """Size of a message of this kind, from the scenario's defaults."""
         return float(self.defaults.message_bits.get(msg_kind, 256.0))
 
-    def _hop_usable(self, src: str, dst: str, t: float) -> bool:
-        a, b = self.topo.nodes[src], self.topo.nodes[dst]
-        if a.kind in UE_KINDS and b.kind in BS_KINDS:
-            return self.topo.in_classical_coverage(src, dst, t)
-        if b.kind in UE_KINDS and a.kind in BS_KINDS:
-            return self.topo.in_classical_coverage(dst, src, t)
-        return a.available_at(t) and b.available_at(t)
+    def transmit(self, src: str, dst: str, msg_kind: str,
+                 bits: Optional[float] = None) -> tuple[bool, float]:
+        """One transmission over the direct src-dst link: (delivered, latency).
+
+        Makes the one loss draw from src's classical stream.  No retry, no
+        event and no trace record: the caller decides what a loss means and
+        when the latency elapses.
+        """
+        link = self.topo.classical_link(src, dst)
+        if link is None:
+            raise ProtocolError(f"no classical link {src}-{dst}")
+        if bits is None:
+            bits = self.bits(msg_kind)
+        return classical_send(link, bits, self.sim.rng_stream(src, "classical"))
 
     def send_message(self, src: str, dst: str, msg_kind: str,
                      bits: Optional[float] = None):
         """Generator: one classical hop with retries.  Returns delivered bool."""
-        link = self.topo.classical_link(src, dst)
-        if link is None:
+        if self.topo.classical_link(src, dst) is None:
             self.sim.trace.emit(self.sim.now, src, "msg-no-link", dst=dst, msg=msg_kind)
             return False
-        if bits is None:
-            bits = self._bits(msg_kind)
-        rng = self.sim.rng_stream(src, "classical")
         for attempt in range(1, self.defaults.retry_cap + 1):
-            if not self._hop_usable(src, dst, self.sim.now):
+            if not self.topo.classical_reachable(src, dst, self.sim.now):
                 self.sim.trace.emit(
                     self.sim.now, src, "msg-no-coverage", dst=dst, msg=msg_kind,
                 )
                 return False
-            delivered, latency = classical_send(link, bits, rng)
+            delivered, latency = self.transmit(src, dst, msg_kind, bits)
             yield (latency, EventKind.MESSAGE_DELIVERY)
             self.sim.trace.emit(
                 self.sim.now, src, "msg", dst=dst, msg=msg_kind,
@@ -395,31 +399,19 @@ class Stack:
         return False
 
     def classical_route(self, src: str, dst: str) -> Optional[list[str]]:
-        """Hop list src..dst: direct link if present, else via serving BSs."""
+        """Hop list src..dst: the direct link if present, else over the backbone.
+
+        The backbone part runs between the ends' anchor stations: a base
+        station is its own anchor, a UE's is its serving station.
+        """
         if self.topo.classical_link(src, dst) is not None:
             return [src, dst]
-        hops: list[str] = [src]
-        left = src
-        if self.topo.nodes[src].kind in UE_KINDS:
-            bs = self.ue(src).serving_bs
-            if bs is None:
-                return None
-            hops.append(bs)
-            left = bs
-        right = dst
-        tail: list[str] = [dst]
-        if self.topo.nodes[dst].kind in UE_KINDS:
-            bs = self.ue(dst).serving_bs
-            if bs is None:
-                return None
-            tail.insert(0, bs)
-            right = bs
-        if left != right:
-            mid = self.topo.bs_route(left, right)
-            if mid is None:
-                return None
-            hops.extend(mid[1:])
-        return hops + (tail if hops[-1] != tail[0] else tail[1:])
+        left, right = (self.ue(n).serving_bs if self.topo.nodes[n].kind in UE_KINDS else n
+                       for n in (src, dst))
+        route = None if left is None or right is None else self.topo.bs_route(left, right)
+        if route is None:
+            return None
+        return [src] * (left != src) + route + [dst] * (right != dst)
 
     def _fixed_hop(self, src: str, dst: str) -> bool:
         """True for a linked hop between two base stations with no orbit window.
@@ -434,16 +426,20 @@ class Stack:
 
     def send_routed(self, src: str, dst: str, msg_kind: str,
                     bits: Optional[float] = None):
-        """Generator: deliver over the hop route; False when any hop fails.
+        """Generator: deliver src to dst over classical_route; see send_over."""
+        route = self.classical_route(src, dst)
+        if route is None:
+            self.sim.trace.emit(self.sim.now, src, "msg-no-route", dst=dst, msg=msg_kind)
+            return False
+        return (yield from self.send_over(route, msg_kind, bits))
+
+    def send_over(self, route: Sequence[str], msg_kind: str, bits: Optional[float] = None):
+        """Generator: relay along a hop list; False when any hop fails.
 
         A fixed stretch (two or more consecutive fixed hops, see _fixed_hop)
         is crossed in one event by _send_stretch; every other hop goes
         through send_message.
         """
-        route = self.classical_route(src, dst)
-        if route is None:
-            self.sim.trace.emit(self.sim.now, src, "msg-no-route", dst=dst, msg=msg_kind)
-            return False
         i = 0
         while i < len(route) - 1:
             j = i
@@ -459,24 +455,20 @@ class Stack:
                 return False
         return True
 
-    def _send_stretch(self, hops: list[str], msg_kind: str, bits: Optional[float]):
+    def _send_stretch(self, hops: Sequence[str], msg_kind: str, bits: Optional[float]):
         """Generator: relay over a fixed stretch in one event; returns delivered bool.
 
-        Each hop in turn draws up to retry_cap transmissions from its source's
-        classical stream, as send_message would; the summed latency is
-        yielded once, and a hop that uses up its retries fails the message
-        at that hop's time.  One msg-route record stands for the stretch.
+        Each hop in turn makes up to retry_cap transmissions, as
+        send_message would; the summed latency is yielded once, and a hop
+        that uses up its retries fails the message at that hop's time.  One
+        msg-route record stands for the stretch.
         """
-        if bits is None:
-            bits = self._bits(msg_kind)
         latency = 0.0
         tx = 0
         failed_at: Optional[str] = None
         for hop_src, hop_dst in zip(hops, hops[1:]):
-            link = self.topo.classical_link(hop_src, hop_dst)
-            rng = self.sim.rng_stream(hop_src, "classical")
             for _ in range(self.defaults.retry_cap):
-                delivered, hop_latency = classical_send(link, bits, rng)
+                delivered, hop_latency = self.transmit(hop_src, hop_dst, msg_kind, bits)
                 latency += hop_latency
                 tx += 1
                 if delivered:
@@ -891,11 +883,10 @@ class Stack:
         ok = yield from self.send_message(requester, bs_a, "request")
         if not ok:
             return reject("request-undeliverable")
-        bs_seq = [n for n in chain if self.topo.nodes[n].kind in BS_KINDS]
-        for left_bs, right_bs in zip(bs_seq, bs_seq[1:]):
-            ok = yield from self.send_message(left_bs, right_bs, "request")
-            if not ok:
-                return reject("setup-undeliverable")
+        ok = yield from self.send_over(
+            [n for n in chain if self.topo.nodes[n].kind in BS_KINDS], "request")
+        if not ok:
+            return reject("setup-undeliverable")
 
         period = max(link.attempt_period_s for seg in plan for link in seg.legs)
         deadline = t_start + request.max_latency_s
