@@ -17,7 +17,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, SchemaError
 
 __all__ = [
     "NodeKind",
@@ -262,7 +262,11 @@ def _bfs_path(adjacency: dict, a: str, b: str) -> Optional[tuple[str, ...]]:
 
 
 class Topology:
-    """Immutable scenario topology with geometry and link lookups."""
+    """Immutable scenario topology with geometry and link lookups.
+
+    Construction checks every cross-reference and raises one SchemaError
+    listing each fault as "<collection>[i].<field>: message".
+    """
 
     def __init__(
         self,
@@ -272,51 +276,56 @@ class Topology:
         quantum_links: Iterable[QuantumLinkSpec] = (),
         repeater_edges: Iterable[tuple[str, str]] = (),
     ):
+        faults: list[str] = []
         self.nodes: dict[str, NodeSpec] = {}
-        for node in nodes:
+        for i, node in enumerate(nodes):
             if node.id in self.nodes:
-                raise ConfigurationError(f"duplicate node id {node.id}")
-            self.nodes[node.id] = node
+                faults.append(f"nodes[{i}].id: duplicate node id {node.id!r}")
+            self.nodes.setdefault(node.id, node)
+
+        def ends(path: str, ids: dict[str, str], kinds=None, what: str = "") -> None:
+            """Report each id at path + key that is unknown or not of kinds."""
+            for key, node_id in ids.items():
+                node = self.nodes.get(node_id)
+                if node is None:
+                    faults.append(f"{path}{key}: unknown node id {node_id!r}")
+                elif kinds is not None and node.kind not in kinds:
+                    faults.append(f"{path}{key}: {node_id!r} {what}")
+
+        def add(table: dict, key, path: str, label: str, item) -> None:
+            if key in table:
+                faults.append(f"{path}: duplicate {label}")
+            table[key] = item
+
         self.cells: dict[str, CellSpec] = {}
-        for cell in cells:
-            self._require(cell.bs_id)
-            if self.nodes[cell.bs_id].kind not in BS_KINDS:
-                raise ConfigurationError(f"cell {cell.bs_id}: not a base station")
-            if cell.bs_id in self.cells:
-                raise ConfigurationError(f"duplicate cell for {cell.bs_id}")
-            if cell.quantum_radius > 0 and self.nodes[cell.bs_id].kind == NodeKind.CBS:
-                raise ConfigurationError(f"cell {cell.bs_id}: a CBS cannot offer quantum coverage")
-            self.cells[cell.bs_id] = cell
+        for i, cell in enumerate(cells):
+            path = f"cells[{i}]"
+            ends(path, {".bs": cell.bs_id}, BS_KINDS, "is not a base station")
+            node = self.nodes.get(cell.bs_id)
+            if node is not None and node.kind == NodeKind.CBS and cell.quantum_radius > 0:
+                faults.append(f"{path}.quantum_radius: a CBS cannot offer quantum coverage")
+            add(self.cells, cell.bs_id, f"{path}.bs", f"cell for {cell.bs_id!r}", cell)
         self.classical_links: dict[frozenset, ClassicalLinkSpec] = {}
-        for link in classical_links:
-            self._require(link.a)
-            self._require(link.b)
-            key = frozenset((link.a, link.b))
-            if key in self.classical_links:
-                raise ConfigurationError(f"duplicate classical link {link.a}-{link.b}")
-            self.classical_links[key] = link
+        for i, link in enumerate(classical_links):
+            path = f"classical_links[{i}]"
+            ends(path, {".a": link.a, ".b": link.b})
+            add(self.classical_links, frozenset((link.a, link.b)), path,
+                f"classical link {link.a}-{link.b}", link)
         self.quantum_links: dict[frozenset, QuantumLinkSpec] = {}
-        for link in quantum_links:
-            self._require(link.a)
-            self._require(link.b)
-            for end in (link.a, link.b):
-                if self.nodes[end].kind not in QUANTUM_KINDS:
-                    raise ConfigurationError(f"quantum link endpoint {end} has no quantum hardware")
-            key = frozenset((link.a, link.b))
-            if key in self.quantum_links:
-                raise ConfigurationError(f"duplicate quantum link {link.a}-{link.b}")
-            self.quantum_links[key] = link
+        for i, link in enumerate(quantum_links):
+            path = f"quantum_links[{i}]"
+            ends(path, {".a": link.a, ".b": link.b}, QUANTUM_KINDS, "has no quantum hardware")
+            add(self.quantum_links, frozenset((link.a, link.b)), path,
+                f"quantum link {link.a}-{link.b}", link)
         self.repeater_edges: set[frozenset] = set()
-        for a, b in repeater_edges:
-            self._require(a)
-            self._require(b)
-            for end in (a, b):
-                if self.nodes[end].kind not in (NodeKind.QBS, NodeKind.SAT_QBS):
-                    raise ConfigurationError(f"repeater edge endpoint {end} is not a QBS")
-            key = frozenset((a, b))
-            if key not in self.quantum_links:
-                raise ConfigurationError(f"repeater edge {a}-{b} has no quantum link")
-            self.repeater_edges.add(key)
+        for i, (a, b) in enumerate(repeater_edges):
+            path = f"repeater_edges[{i}]"
+            ends(path, {"[0]": a, "[1]": b}, (NodeKind.QBS, NodeKind.SAT_QBS), "is not a QBS")
+            if frozenset((a, b)) not in self.quantum_links:
+                faults.append(f"{path}: repeater edge {a}-{b} has no quantum link")
+            self.repeater_edges.add(frozenset((a, b)))
+        if faults:
+            raise SchemaError(faults)
         # The topology never changes after load, so both routing graphs are
         # built here and every path found in them is kept.
         self._graphs = {

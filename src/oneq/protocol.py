@@ -183,9 +183,9 @@ class Defaults:
 
     def __post_init__(self) -> None:
         check_fidelity("f_min", self.f_min)
-        if self.inactivity_timeout_s < 0.0:
+        if self.inactivity_timeout_s <= 0.0:
             raise ValueError(
-                f"inactivity_timeout_s must be nonnegative, got {self.inactivity_timeout_s}")
+                f"inactivity_timeout_s must be positive, got {self.inactivity_timeout_s}")
         if self.retry_cap < 1:
             raise ValueError(f"retry_cap must be at least 1, got {self.retry_cap}")
         object.__setattr__(self, "message_bits", {**MESSAGE_BITS, **self.message_bits})
@@ -569,9 +569,6 @@ class Stack:
     def age_pair(self, pair: WernerPair) -> float:
         return qcore.touch(pair, self.sim.now, self.effective_t_coh(pair.holders))
 
-    def pair_fidelity_now(self, pair: WernerPair) -> float:
-        return fidelity_of(self.age_pair(pair))
-
     # ------------------------------------------------------------------
     # Resource creation and consumption
     # ------------------------------------------------------------------
@@ -820,10 +817,12 @@ class Stack:
                       delivered: list[WernerPair]):
         """Generator: one attempt slot of a session; end-to-end pairs go to delivered.
 
-        Every missing segment gets one heralding attempt.  Once all are held
-        they are swapped left to right into one pair.  A lost correction
-        ends the slot; the segments right of it stay held for the next one.
+        The slot counts as activity for every UE the session serves.  Every
+        missing segment gets one heralding attempt.  Once all are held they
+        are swapped left to right into one pair.  A lost correction ends the
+        slot; the segments right of it stay held for the next one.
         """
+        self._touch_activity(*(h for seg in plan for h in seg.holders))
         for i, seg in enumerate(plan):
             if i not in segments:
                 w = self._herald(seg.source, seg.legs, seg.holders)
@@ -985,8 +984,9 @@ class Stack:
         """Generator: distribute one GHZ resource from bs_id to the holders.
 
         Each attempt slot is one joint heralding over every leg (see
-        _herald).  Returns the resource id, or None when the latency budget
-        runs out or a holder leaves quantum coverage.
+        _herald) and counts as activity for every holder.  Returns the
+        resource id, or None when the latency budget runs out or a holder
+        leaves quantum coverage.
         """
         legs = []
         for h in holders:
@@ -1001,6 +1001,7 @@ class Stack:
         deadline = self.sim.now + max_latency_s
         while self.sim.now < deadline:
             yield (period, EventKind.ENTANGLEMENT_ATTEMPT)
+            self._touch_activity(*parties)
             try:
                 w = self._herald(bs_id, legs, parties)
             except CoverageError as err:
@@ -1114,7 +1115,10 @@ class Stack:
                               elapsed_s=elapsed, pair_id=pair_id)
 
     def direct_transfer(self, payload: QubitToken, src: str, dst: str):
-        """Generator: one FSO shot; failure destroys the payload for good."""
+        """Generator: one FSO shot; failure destroys the payload for good.
+
+        The shot is one heralding slot (see _herald) with no memory to fill.
+        """
         if payload.destroyed:
             raise PermanentLossError(f"payload {payload.id} was already destroyed")
         if payload.location != src:
@@ -1122,11 +1126,8 @@ class Stack:
         link = self.topo.quantum_link(src, dst)
         if link is None:
             raise ProtocolError(f"no quantum link {src}-{dst}")
-        if not self.topo.quantum_reachable(src, dst, self.sim.now):
-            raise CoverageError(f"no quantum coverage between {src} and {dst}")
         yield (link.attempt_period_s, EventKind.ENTANGLEMENT_ATTEMPT)
-        rng = self.sim.rng_stream(src, "entanglement")
-        success = rng.random() < link.q_attempt
+        success = self._herald(src, (link,), ()) is not None
         if success:
             payload.location = dst
         else:

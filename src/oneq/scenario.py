@@ -339,8 +339,8 @@ def load_scenario(data: Any, strict: bool = False) -> tuple[Scenario, list[str]]
                             classical_links=doc.classical_links,
                             quantum_links=doc.quantum_links,
                             repeater_edges=doc.repeater_edges)
-    except ConfigurationError as err:
-        raise SchemaError([f"$: {err}"]) from err
+    except SchemaError as err:
+        raise SchemaError(sorted(f"$.{fault}" for fault in err.violations)) from err
 
     attachments = tuple((a.ue, a.bs) for a in doc.attachments)
     _cross_reference(topology, apps, attachments, doc.policy, doc.ops, check)

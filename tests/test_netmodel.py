@@ -8,7 +8,7 @@ import pytest
 
 from conftest import QUIET
 from oneq.engine import Simulator
-from oneq.errors import ConfigurationError, CoverageError
+from oneq.errors import ConfigurationError, CoverageError, SchemaError
 from oneq.netmodel import (
     CellSpec,
     ClassicalLinkSpec,
@@ -75,6 +75,22 @@ class TestSpecValidation:
             Topology(nodes=[a, b], classical_links=[
                 ClassicalLinkSpec(a="a", b="ghost", rate_bps=1e6,
                                   prop_delay_s=0, p_err_c=0)])
+
+    def test_topology_reports_every_fault_under_its_path(self):
+        a, b, c = _node("a", "QBS"), _node("b", "QUE"), _node("c", "CBS")
+        ghost = ClassicalLinkSpec(a="ghost", b="a", rate_bps=1e6, prop_delay_s=0, p_err_c=0)
+        with pytest.raises(SchemaError) as err:
+            Topology(nodes=[a, b, c, b],
+                     cells=[CellSpec("b", 100.0, 50.0), CellSpec("c", 100.0, 50.0)],
+                     classical_links=[ghost, ghost])
+        assert err.value.violations == [
+            "nodes[3].id: duplicate node id 'b'",
+            "cells[0].bs: 'b' is not a base station",
+            "cells[1].quantum_radius: a CBS cannot offer quantum coverage",
+            "classical_links[0].a: unknown node id 'ghost'",
+            "classical_links[1].a: unknown node id 'ghost'",
+            "classical_links[1]: duplicate classical link ghost-a",
+        ]
 
     def test_cell_must_sit_on_a_base_station(self):
         ue = _node("u", "QUE")

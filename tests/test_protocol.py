@@ -1,11 +1,13 @@
 """Unit tests for the control plane: RRC states, sessions, swaps, handover."""
 
+import json
 import math
+from pathlib import Path
 
 import pytest
 
 from conftest import QUIET, drive, one_cell_topology, two_cell_topology
-from oneq.errors import PermanentLossError, ProtocolError, ResourceError
+from oneq.errors import CoverageError, PermanentLossError, ProtocolError, ResourceError
 from oneq.protocol import (
     Defaults,
     EntanglementRequest,
@@ -15,6 +17,8 @@ from oneq.protocol import (
     SessionOutcome,
     Stack,
 )
+from oneq.runner import run_scenario
+from oneq.scenario import load_scenario
 from oneq.qcore import (
     WernerPair,
     X_BASIS,
@@ -23,6 +27,8 @@ from oneq.qcore import (
     fidelity_of,
     state_fidelity,
 )
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def _request(peer="QUE2", requester="QUE1", count=2, max_latency_s=1.0,
@@ -93,6 +99,39 @@ class TestStateMachine:
         assert stack.ue("QUE1").state == QueState.CONNECTED
         sim.run_until(sim.now + 1.0)
         assert stack.ue("QUE1").state == QueState.INACTIVE
+
+    def test_session_outlasting_the_timeout_keeps_its_ues_connected(self):
+        # qkd_baseline with a slow QUE2 leg: one session runs up to 8 s
+        # against the 5 s default timeout
+        doc = json.loads((REPO / "scenarios" / "qkd_baseline.json").read_text("utf-8"))
+        doc["duration_s"] = 30
+        doc["quantum_links"][1]["q_attempt"] = 0.001
+        doc["apps"][0].update(max_latency_s=8, rounds=1)
+        scenario, _ = load_scenario(doc, strict=True)
+        art = run_scenario(scenario, seed=0)
+        records = [json.loads(line) for line in art.trace_jsonl.splitlines()]
+        (end,) = [r for r in records if r["kind"] == "session-end"]
+        assert end["t"] > 5.0 and end["details"]["delivered"] > 0
+        assert art.app_rows[0][3] != "unfinished"
+        assert not any(r["details"].get("reason") == "inactivity-timeout"
+                       for r in records if r["t"] <= end["t"])
+
+    def test_multi_hop_session_keeps_early_segment_holders_connected(self, make_stack):
+        # the UE segments herald in the first slot; the backbone takes longer
+        # than the timeout
+        topo = _bs_line(4, p_err_c=0.0, ues=(("QUEA", 0), ("QUEB", 3)), q_attempt=0.002)
+        sim, stack = make_stack(topo, seed=5, defaults=Defaults(inactivity_timeout_s=0.05))
+        _attach(stack, "QUEA", "QBS0")
+        _attach(stack, "QUEB", "QBS3")
+        res = drive(sim, stack.entanglement_session(_request(
+            peer="QUEB", requester="QUEA", count=1, max_latency_s=5.0,
+            min_fidelity=0.25)))
+        assert res.outcome == SessionOutcome.FULFILLED
+        t_ue = [r["t"] for r in sim.trace if r["kind"] == "pair-created"
+                and "QUE" in r["details"]["holders"]]
+        assert len(t_ue) == 2 and max(t_ue) + 0.05 < sim.now
+        assert stack.ue("QUEA").state == stack.ue("QUEB").state == QueState.ENTANGLED
+        stack.consume_pair(res.delivered[0], "test")
 
     def test_release_returns_to_idle(self, make_stack):
         sim, stack = make_stack(one_cell_topology())
@@ -575,6 +614,25 @@ class TestDirectTransfer:
         with pytest.raises(PermanentLossError):
             drive(sim, stack.direct_transfer(payload, "QUE1", "QBS1"))
 
+    def test_reach_is_judged_when_the_shot_lands(self, make_stack):
+        from oneq.netmodel import CellSpec, Mobility, NodeSpec, QuantumLinkSpec, Topology
+        walk = Mobility(kind="waypoint", waypoints=((0.0, (100.0, 0.0, 0.0)),
+                                                    (1e-4, (1800.0, 0.0, 0.0))))
+        topo = Topology(
+            nodes=[NodeSpec(id="QBS1", kind="QBS", position=(0.0, 0.0, 10.0),
+                            memory_slots=4),
+                   NodeSpec(id="QUE1", kind="QUE", position=(100.0, 0.0, 0.0),
+                            memory_slots=4, mobility=walk)],
+            cells=[CellSpec(bs_id="QBS1", classical_radius=2000.0, quantum_radius=1500.0)],
+            quantum_links=[QuantumLinkSpec(a="QBS1", b="QUE1", q_attempt=1.0,
+                                           attempt_period_s=2e-4, w0=0.97)])
+        sim, stack = make_stack(topo)
+        payload = stack.new_payload("QUE1")
+        with pytest.raises(CoverageError):
+            drive(sim, stack.direct_transfer(payload, "QUE1", "QBS1"))
+        assert sim.now == pytest.approx(2e-4)
+        assert payload.location == "QUE1" and not payload.destroyed
+
 
 def _handover_topology():
     """Two overlapping cells with the UE in both quantum disks."""
@@ -719,17 +777,24 @@ class TestAcquireAndPolicy:
         assert stack.ue("QUE1").state == QueState.IDLE
 
 
-def _bs_line(n, p_err_c=0.3, orbit=(), ues=()):
+def _bs_line(n, p_err_c=0.3, orbit=(), ues=(), q_attempt=None):
     """n stations QBS0..QBS<n-1> in a line, hop i with its own rate and delay.
 
     Stations whose index is in orbit are always-visible satellites; each
-    entry (ue, i) of ues puts a QUE in the cell of station i.
+    entry (ue, i) of ues puts a QUE in the cell of station i.  With
+    q_attempt set, each hop also gets a quantum link at that q_attempt and
+    a repeater edge, and each UE a quantum link at q_attempt 1.
     """
     from oneq.netmodel import (
-        CellSpec, ClassicalLinkSpec, Mobility, NodeSpec, Topology,
+        CellSpec, ClassicalLinkSpec, Mobility, NodeSpec, QuantumLinkSpec, Topology,
     )
     always = Mobility(kind="orbit", pass_start=0.0, pass_duration=1.0, period=1.0)
-    nodes, cells, clinks = [], [], []
+    nodes, cells, clinks, qlinks = [], [], [], []
+
+    def qlink(a, b, q):
+        if q_attempt is not None:
+            qlinks.append(QuantumLinkSpec(a=a, b=b, q_attempt=q, attempt_period_s=1e-4,
+                                          w0=0.99))
     for i in range(n):
         nodes.append(NodeSpec(
             id=f"QBS{i}", kind="SAT_QBS" if i in orbit else "QBS",
@@ -742,12 +807,23 @@ def _bs_line(n, p_err_c=0.3, orbit=(), ues=()):
             clinks.append(ClassicalLinkSpec(
                 a=f"QBS{i}", b=f"QBS{i + 1}", rate_bps=1e6 * (i + 1),
                 prop_delay_s=1e-5 * (i + 2), p_err_c=p))
+            qlink(f"QBS{i}", f"QBS{i + 1}", q_attempt)
+    edges = [(link.a, link.b) for link in qlinks]
     for ue, i in ues:
         nodes.append(NodeSpec(id=ue, kind="QUE", position=(3000.0 * i + 300.0, 0.0, 0.0),
                               memory_slots=4))
         clinks.append(ClassicalLinkSpec(a=f"QBS{i}", b=ue, rate_bps=1e8,
                                         prop_delay_s=1e-5, p_err_c=0.0))
-    return Topology(nodes=nodes, cells=cells, classical_links=clinks)
+        qlink(f"QBS{i}", ue, 1.0)
+    return Topology(nodes=nodes, cells=cells, classical_links=clinks,
+                    quantum_links=qlinks, repeater_edges=edges)
+
+
+def _attach(stack, ue, bs):
+    """Serve ue from bs without the registration exchange and its draws."""
+    ctx = stack.ue(ue)
+    ctx.serving_bs = bs
+    stack._set_state(ctx, QueState.CONNECTED, "attached")
 
 
 def _replay_stretch(topo, seed, hops, bits, retry_cap):
@@ -829,6 +905,66 @@ class TestFixedStretch:
         assert drive(sim, stack.send_routed("QBS1", "QBS2", "basis"))
         assert [(r["kind"], r["details"]["dst"]) for r in list(sim.trace)[n1:]] == [
             ("msg", "QBS2")]
+
+
+class TestSessionSetup:
+    """The set-up request walks the station chain as routed messages do."""
+
+    HOPS = ["QBS0", "QBS1", "QBS2", "QBS3", "QBS4"]
+
+    def _session(self, make_stack, topo, seed=0, retry_cap=3):
+        sim, stack = make_stack(topo, seed=seed, defaults=Defaults(
+            inactivity_timeout_s=1e9, retry_cap=retry_cap))
+        _attach(stack, "QUEA", "QBS0")
+        _attach(stack, "QUEB", "QBS4")
+        res = drive(sim, stack.entanglement_session(_request(
+            peer="QUEB", requester="QUEA", count=1, max_latency_s=0.5,
+            min_fidelity=0.25)))
+        setup = [r for r in sim.trace if r["details"].get("msg") == "request"]
+        return sim, res, setup
+
+    @staticmethod
+    def _line(p_err_c):
+        return _bs_line(5, p_err_c=p_err_c, ues=(("QUEA", 0), ("QUEB", 4)), q_attempt=1.0)
+
+    def test_setup_crosses_the_backbone_in_one_record(self, make_stack):
+        sim, res, setup = self._session(make_stack, self._line(0.0))
+        assert res.outcome == SessionOutcome.FULFILLED
+        assert [(r["kind"], r["node"]) for r in setup] == [
+            ("msg", "QUEA"), ("msg-route", "QBS0")]
+        assert setup[1]["details"]["route"] == "+".join(self.HOPS)
+        assert setup[1]["details"]["delivered"] is True
+
+    def test_lost_setup_request_rejects_at_the_failing_hop(self, make_stack):
+        sim, res, setup = self._session(make_stack, self._line([0.0, 0.0, 1.0, 0.0]))
+        assert res.outcome == SessionOutcome.REJECTED
+        assert res.reason == "setup-undeliverable"
+        assert setup[1]["details"]["failed_at"] == "QBS2"
+        t_fail = (512.0 / 1e8 + 1e-5) + (512.0 / 1e6 + 2e-5) + (512.0 / 2e6 + 3e-5) \
+            + 3 * (512.0 / 3e6 + 4e-5)
+        (rejected,) = [r for r in sim.trace if r["kind"] == "session-rejected"]
+        assert rejected["details"]["reason"] == "setup-undeliverable"
+        assert abs(rejected["t"] - t_fail) <= 1e-12
+        assert not any(r["kind"] == "pair-created" for r in sim.trace)
+
+    def test_setup_matches_per_hop_reference(self, make_stack):
+        outcomes = set()
+        for seed in range(40):
+            topo = self._line(0.45)
+            sim, res, setup = self._session(make_stack, topo, seed=seed, retry_cap=2)
+            delivered, tx, failed_at, t_ref = _replay_stretch(
+                topo, seed, self.HOPS, 512.0, retry_cap=2)
+            first, route = setup[:2]
+            assert first["kind"] == "msg" and first["details"]["delivered"] is True
+            assert route["kind"] == "msg-route" and route["node"] == "QBS0"
+            details = route["details"]
+            assert details["delivered"] is delivered
+            assert details["tx"] == tx
+            assert details.get("failed_at") == failed_at
+            assert abs(route["t"] - first["t"] - t_ref) <= 1e-12
+            assert (res.reason == "setup-undeliverable") is not delivered
+            outcomes.add(delivered)
+        assert outcomes == {True, False}
 
 
 def _bridge_topology(q_bridge, satellite=False):

@@ -46,7 +46,8 @@ BAD_BLOCKS = [
     ("ubqc_latency_zero", "$.apps[0]: max_latency_s must be positive, got 0.0"),
     ("defaults_retry_cap_zero", "$.defaults: retry_cap must be at least 1, got 0"),
     ("defaults_timeout_negative",
-     "$.defaults: inactivity_timeout_s must be nonnegative, got -1.0"),
+     "$.defaults: inactivity_timeout_s must be positive, got -1.0"),
+    ("defaults_timeout_zero", "$.defaults: inactivity_timeout_s must be positive, got 0.0"),
     ("defaults_f_min_above_one", "$.defaults: f_min must lie in [0.25, 1], got 1.5"),
     ("policy_check_period_zero", "$.policy: check_period_s must be positive, got 0.0"),
     ("policy_buffer_target_zero",
@@ -63,6 +64,10 @@ BAD_BLOCKS = [
      "or period"),
     ("mobility_waypoint_object",
      "$.nodes[1].mobility.waypoints[0][1]: expected list, got object"),
+    ("link_unknown_endpoint", "$.classical_links[0].b: unknown node id 'GHOST'"),
+    ("duplicate_node_id", "$.nodes[2].id: duplicate node id 'QUE1'"),
+    ("quantum_link_on_classical_ue",
+     "$.quantum_links[1].b: 'CUE9' has no quantum hardware"),
 ]
 
 
@@ -144,6 +149,19 @@ class TestLoadScenario:
         with pytest.raises(SchemaError) as err:
             load_scenario_file(str(REPO / "tests" / "data" / "malformed" / f"{stem}.json"))
         assert err.value.violations == [violation]
+
+    def test_every_topology_fault_is_reported(self):
+        doc = _baseline_doc()
+        doc["nodes"].append(dict(doc["nodes"][1]))
+        doc["classical_links"][1]["a"] = "GHOST"
+        doc["repeater_edges"] = [["QBS1", "QUE1"]]
+        with pytest.raises(SchemaError) as err:
+            load_scenario(doc)
+        assert err.value.violations == [
+            "$.classical_links[1].a: unknown node id 'GHOST'",
+            "$.nodes[3].id: duplicate node id 'QUE1'",
+            "$.repeater_edges[0][1]: 'QUE1' is not a QBS",
+        ]
 
     def test_unknown_key_warns_then_fails_strict(self):
         doc = _baseline_doc()
