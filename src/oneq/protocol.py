@@ -406,8 +406,8 @@ class Stack:
         """
         if self.topo.classical_link(src, dst) is not None:
             return [src, dst]
-        left, right = (self.ue(n).serving_bs if self.topo.nodes[n].kind in UE_KINDS else n
-                       for n in (src, dst))
+        left = self.ue(src).serving_bs if self.topo.nodes[src].kind in UE_KINDS else src
+        right = self.ue(dst).serving_bs if self.topo.nodes[dst].kind in UE_KINDS else dst
         route = None if left is None or right is None else self.topo.bs_route(left, right)
         if route is None:
             return None
@@ -817,12 +817,10 @@ class Stack:
                       delivered: list[WernerPair]):
         """Generator: one attempt slot of a session; end-to-end pairs go to delivered.
 
-        The slot counts as activity for every UE the session serves.  Every
-        missing segment gets one heralding attempt.  Once all are held they
-        are swapped left to right into one pair.  A lost correction ends the
-        slot; the segments right of it stay held for the next one.
+        Every missing segment gets one heralding attempt.  Once all are held
+        they are swapped left to right into one pair.  A lost correction
+        ends the slot; the segments right of it stay held for the next one.
         """
-        self._touch_activity(*(h for seg in plan for h in seg.holders))
         for i, seg in enumerate(plan):
             if i not in segments:
                 w = self._herald(seg.source, seg.legs, seg.holders)
@@ -889,6 +887,8 @@ class Stack:
 
         period = max(link.attempt_period_s for seg in plan for link in seg.legs)
         deadline = t_start + request.max_latency_s
+        # Every attempt slot counts as activity for every UE the session serves.
+        served = [h for seg in plan for h in seg.holders if h in self.ues]
 
         survivors: list[WernerPair] = []
         segments: dict[int, WernerPair] = {}
@@ -906,6 +906,7 @@ class Stack:
                 if self.sim.now >= deadline:
                     break
                 attempts += 1
+                self._touch_activity(*served)
                 try:
                     yield from self._attempt_slot(plan, segments, delivered)
                 except CoverageError as err:
