@@ -408,10 +408,12 @@ class Stack:
             return [src, dst]
         left = self.ue(src).serving_bs if self.topo.nodes[src].kind in UE_KINDS else src
         right = self.ue(dst).serving_bs if self.topo.nodes[dst].kind in UE_KINDS else dst
-        route = None if left is None or right is None else self.topo.bs_route(left, right)
+        if left is None or right is None:
+            return None
+        route = self.topo.bs_route(left, right)
         if route is None:
             return None
-        return [src] * (left != src) + route + [dst] * (right != dst)
+        return ([src] if left != src else []) + route + ([dst] if right != dst else [])
 
     def _fixed_hop(self, src: str, dst: str) -> bool:
         """True for a linked hop between two base stations with no orbit window.
