@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from . import qcore
 from .engine import EventKind, Simulator
@@ -242,7 +242,8 @@ class ResourceLedger:
 
     def _finish(self, resource_id: str, terminal: str, reason: str) -> None:
         res = self.live(resource_id)
-        res.consumed = True
+        if isinstance(res, WernerPair):
+            res.consumed = True
         self.state[resource_id] = terminal
         self.reason[resource_id] = reason
         for h in res.holders:
@@ -815,30 +816,41 @@ class Stack:
         return [_Segment(a if kind in BS_KINDS else b, (link,), (a, b), via)
                 for a, b, kind, link in zip(chain, chain[1:], kinds, links)]
 
-    def _attempt_slot(self, plan: list[_Segment], segments: dict[int, WernerPair],
-                      delivered: list[WernerPair]):
-        """Generator: one attempt slot of a session; end-to-end pairs go to delivered.
+    def _attempt_loop(self, period: float, deadline: float, holders: Sequence[str],
+                      attempt: Callable[[], object]):
+        """Generator: call attempt() once per slot; its first non-None result, or None.
 
-        Every missing segment gets one heralding attempt.  Once all are held
-        they are swapped left to right into one pair.  A lost correction
-        ends the slot; the segments right of it stay held for the next one.
+        A slot lasts min(period, deadline - now), so the last one ends at the
+        deadline, and no attempt is made once now >= deadline.  Every slot
+        counts as activity for the UEs among holders.  An exception from
+        attempt() ends the loop and reaches the caller.
         """
-        for i, seg in enumerate(plan):
-            if i not in segments:
-                w = self._herald(seg.source, seg.legs, seg.holders)
-                if w is not None:
-                    segments[i] = self._register_pair(seg.holders, w, seg.via)
-        if len(segments) < len(plan):
-            return
+        while self.sim.now < deadline:
+            yield (min(period, max(deadline - self.sim.now, 1e-12)),
+                   EventKind.ENTANGLEMENT_ATTEMPT)
+            if self.sim.now >= deadline:
+                break
+            self._touch_activity(*holders)
+            result = attempt()
+            if result is not None:
+                return result
+        return None
+
+    def _swap_segments(self, plan: list[_Segment], segments: dict[int, WernerPair]):
+        """Generator: swap the held segments left to right into one pair, or None.
+
+        A lost correction ends the chain; the segments right of it stay
+        held for the next slot.
+        """
         merged = segments.pop(0)
         for i in range(1, len(plan)):
             out_id = yield from self.swap_with_correction(
                 merged.id, segments.pop(i).id, plan[i].holders[0], plan[0].holders[0],
             )
             if out_id is None:
-                return
+                return None
             merged = self.ledger.resources[out_id]
-        delivered.append(merged)
+        return merged
 
     def entanglement_session(self, request: EntanglementRequest):
         """Generator returning a SessionResult.
@@ -864,6 +876,9 @@ class Stack:
 
         if ctx.state != QueState.CONNECTED:
             return reject(f"requester-state-{ctx.state.value}")
+        target_ctx = self.ues.get(target)
+        if target_ctx is not None and target_ctx.state == QueState.INACTIVE:
+            return reject("target-state-Inactive")
         bs_a = ctx.serving_bs
         if bs_a is None or self.topo.nodes[bs_a].kind not in (NodeKind.QBS, NodeKind.SAT_QBS):
             return reject("serving-bs-not-quantum")
@@ -898,24 +913,33 @@ class Stack:
         discarded_below = 0
         aborted = ""
 
+        def slot() -> Optional[bool]:
+            """One heralding attempt per missing segment; True once all are held."""
+            nonlocal attempts
+            attempts += 1
+            for i, seg in enumerate(plan):
+                if i not in segments:
+                    w = self._herald(seg.source, seg.legs, seg.holders)
+                    if w is not None:
+                        segments[i] = self._register_pair(seg.holders, w, seg.via)
+            return True if len(segments) == len(plan) else None
+
         # The first pass, then at most one regeneration round that keeps the
         # survivors of the first screen and generates against the same deadline.
         for _ in range(2):
             delivered = survivors
-            while self.sim.now < deadline and len(delivered) < request.count:
-                yield (min(period, max(deadline - self.sim.now, 1e-12)),
-                       EventKind.ENTANGLEMENT_ATTEMPT)
-                if self.sim.now >= deadline:
-                    break
-                attempts += 1
-                self._touch_activity(*served)
-                try:
-                    yield from self._attempt_slot(plan, segments, delivered)
-                except CoverageError as err:
-                    aborted = "coverage-lost"
-                    self.sim.trace.emit(self.sim.now, requester, "session-coverage-lost",
-                                        detail=str(err))
-                    break
+            try:
+                while len(delivered) < request.count:
+                    held = yield from self._attempt_loop(period, deadline, served, slot)
+                    if held is None:
+                        break
+                    pair = yield from self._swap_segments(plan, segments)
+                    if pair is not None:
+                        delivered.append(pair)
+            except CoverageError as err:
+                aborted = "coverage-lost"
+                self.sim.trace.emit(self.sim.now, requester, "session-coverage-lost",
+                                    detail=str(err))
 
             # Step 3: ACK, then the freshness screen at ACK time.
             yield from self.send_message(requester, bs_a, "ack")
@@ -979,83 +1003,47 @@ class Stack:
         return result
 
     # ------------------------------------------------------------------
-    # GHZ distribution and LOCC reduction
+    # GHZ distribution
     # ------------------------------------------------------------------
 
-    def ghz_session(self, bs_id: str, holders: Sequence[str], include_bs: bool = False,
-                    max_latency_s: float = 1.0):
+    def ghz_session(self, bs_id: str, holders: Sequence[str], max_latency_s: float = 1.0):
         """Generator: distribute one GHZ resource from bs_id to the holders.
 
-        Each attempt slot is one joint heralding over every leg (see
-        _herald) and counts as activity for every holder.  Returns the
-        resource id, or None when the latency budget runs out or a holder
-        leaves quantum coverage.
+        Each attempt slot of _attempt_loop is one joint heralding over every
+        leg (see _herald).  Returns the resource id, or None when the latency
+        budget runs out or a holder leaves quantum coverage.
         """
+        holders = tuple(holders)
+        if len(holders) < 2:
+            raise ProtocolError("a GHZ resource needs at least two parties")
         legs = []
         for h in holders:
             link = self.topo.quantum_link(bs_id, h)
             if link is None:
                 raise ProtocolError(f"no quantum link {bs_id}-{h}")
             legs.append(link)
-        parties = tuple(holders) + ((bs_id,) if include_bs else ())
-        if len(parties) < 2:
-            raise ProtocolError("a GHZ resource needs at least two parties")
         period = max(l.attempt_period_s for l in legs)
-        deadline = self.sim.now + max_latency_s
-        while self.sim.now < deadline:
-            yield (period, EventKind.ENTANGLEMENT_ATTEMPT)
-            self._touch_activity(*parties)
-            try:
-                w = self._herald(bs_id, legs, parties)
-            except CoverageError as err:
-                self.sim.trace.emit(self.sim.now, bs_id, "ghz-coverage-lost",
-                                    detail=str(err))
-                return None
-            if w is None:
-                continue
-            ghz = GhzResource(id=self.ledger.new_id(), holders=parties, w=w,
-                              created_at=self.sim.now)
-            self.ledger.register(ghz)
-            self._store_for_ues(ghz)
-            for h in parties:
-                self._enter_entangled(h)
-            self.sim.metrics.incr("ghz_created")
-            self.sim.trace.emit(self.sim.now, bs_id, "ghz-created",
-                                id=ghz.id, holders="+".join(parties), w=round(w, 9))
-            return ghz.id
-        return None
-
-    def ghz_reduce_deliver(self, ghz_id: str, measured_party: str):
-        """Generator: X-measure one party out of a GHZ resource (LOCC).
-
-        The measuring party broadcasts its one correction bit to a surviving
-        holder; the reduced resource keeps the same mixture parameter.
-        Returns the reduced resource id, or None when the correction is lost
-        (the reduced resource is then discarded).
-        """
-        ghz = self.ledger.live(ghz_id)
-        if not isinstance(ghz, GhzResource):
-            raise ResourceError(f"{ghz_id} is not a GHZ resource")
-        rng = self.sim.rng_stream(measured_party, "measurement")
-        correction, reduced = qcore.ghz_x_reduce(ghz, measured_party, rng,
-                                                 new_id=self.ledger.new_id())
-        self.ledger.mark_consumed(ghz_id, "locc-reduce")
-        self._unstore_for_ues(ghz)
-        self.ledger.register(reduced)
-        self._store_for_ues(reduced)
-        self.sim.trace.emit(self.sim.now, measured_party, "ghz-reduced",
-                            id=ghz_id, out=reduced.id, correction=correction)
-        receiver = reduced.holders[0]
-        ok = yield from self.send_routed(measured_party, receiver, "correction")
-        if not ok:
-            self.discard_pair(reduced.id, "correction-lost")
+        try:
+            w = yield from self._attempt_loop(period, self.sim.now + max_latency_s, holders,
+                                              partial(self._herald, bs_id, legs, holders))
+        except CoverageError as err:
+            self.sim.trace.emit(self.sim.now, bs_id, "ghz-coverage-lost", detail=str(err))
             return None
-        for h in ghz.holders:
-            self._maybe_exit_entangled(h)
-        return reduced.id
+        if w is None:
+            return None
+        ghz = GhzResource(id=self.ledger.new_id(), holders=holders, w=w,
+                          created_at=self.sim.now)
+        self.ledger.register(ghz)
+        self._store_for_ues(ghz)
+        for h in holders:
+            self._enter_entangled(h)
+        self.sim.metrics.incr("ghz_created")
+        self.sim.trace.emit(self.sim.now, bs_id, "ghz-created",
+                            id=ghz.id, holders="+".join(holders), w=round(w, 9))
+        return ghz.id
 
     # ------------------------------------------------------------------
-    # Teleportation and direct transfer
+    # Teleportation
     # ------------------------------------------------------------------
 
     def new_payload(self, location: str, state: Optional[PureState] = None) -> QubitToken:
@@ -1117,45 +1105,22 @@ class Stack:
         return TeleportResult(delivered=True, fidelity=fidelity,
                               elapsed_s=elapsed, pair_id=pair_id)
 
-    def direct_transfer(self, payload: QubitToken, src: str, dst: str):
-        """Generator: one FSO shot; failure destroys the payload for good.
-
-        The shot is one heralding slot (see _herald) with no memory to fill.
-        """
-        if payload.destroyed:
-            raise PermanentLossError(f"payload {payload.id} was already destroyed")
-        if payload.location != src:
-            raise ResourceError(f"payload {payload.id} is at {payload.location}, not {src}")
-        link = self.topo.quantum_link(src, dst)
-        if link is None:
-            raise ProtocolError(f"no quantum link {src}-{dst}")
-        yield (link.attempt_period_s, EventKind.ENTANGLEMENT_ATTEMPT)
-        success = self._herald(src, (link,), ()) is not None
-        if success:
-            payload.location = dst
-        else:
-            payload.destroyed = True
-            payload.state = None
-        self.sim.trace.emit(self.sim.now, src, "direct-transfer",
-                            payload=payload.id, dst=dst, success=success)
-        self.sim.metrics.incr("transfer_ok" if success else "transfer_lost")
-        return success
-
     # ------------------------------------------------------------------
     # Handover
     # ------------------------------------------------------------------
 
     def handover(self, ue_id: str, bs_new: str, mode: HandoverMode):
-        """Generator: move the UE to bs_new, migrating stored pairs.
+        """Generator: move the UE to bs_new, migrating its buffered pairs.
 
-        Soft mode bridges each stored pair over a bs_old-bs_new repeater
+        The pairs migrated are the UE's buffered pairs with bs_old (see
+        _buffered).  Soft mode bridges each over a bs_old-bs_new repeater
         link and swaps at bs_old, so end-to-end entanglement survives.
-        Hard mode discards the stored pairs and provisions replacements via
-        a fresh session.  Both get HANDOVER_BUDGET_S: the bridge must
-        herald within it, and the hard session's latency budget is it.
-        Soft falls back to hard, with a trace warning, when the bridge link
-        does not exist, and for the pairs not yet bridged when the budget
-        runs out or a bridge station leaves quantum reach.
+        Hard mode discards them and provisions replacements via a fresh
+        session.  Both get HANDOVER_BUDGET_S: every bridge must herald by
+        its end, and the hard session's latency budget is it.  Soft falls
+        back to hard, with a trace warning, when the bridge link does not
+        exist, and for the pairs not yet bridged when the budget runs out
+        or a bridge station leaves quantum reach.
         """
         ctx = self.ue(ue_id)
         bs_old = ctx.serving_bs
@@ -1175,9 +1140,7 @@ class Stack:
                                 bs_old=bs_old, bs_new=bs_new)
             mode = HandoverMode.HARD
 
-        stored_ids = [rid for rid in sorted(ctx.stored)
-                      if isinstance(self.ledger.resources.get(rid), WernerPair)
-                      and bs_old in self.ledger.resources[rid].holders]
+        stored_ids = [pair.id for pair in self._buffered(ue_id, bs_old)]
         yield from self.send_message(bs_old, ue_id, "handover")
         yield from self.send_message(ue_id, bs_new, "handover")
 
@@ -1241,17 +1204,30 @@ class Stack:
         )
 
     def _bridge(self, bs_old: str, bs_new: str, link: QuantumLinkSpec, deadline: float):
-        """Generator: herald one bs_old-bs_new bridge pair by deadline; None if none."""
-        while self.sim.now + link.attempt_period_s <= deadline:
-            yield (link.attempt_period_s, EventKind.ENTANGLEMENT_ATTEMPT)
-            w = self._herald(bs_old, (link,), (bs_old, bs_new))
-            if w is not None:
-                return self._register_pair((bs_old, bs_new), w, "bridge")
-        return None
+        """Generator: herald one bs_old-bs_new bridge pair by deadline; None if none.
+
+        The slots are those of _attempt_loop; the pair is held by two
+        stations, so they touch no UE's activity.  CoverageError reaches
+        the caller.
+        """
+        holders = (bs_old, bs_new)
+        w = yield from self._attempt_loop(link.attempt_period_s, deadline, holders,
+                                          partial(self._herald, bs_old, (link,), holders))
+        return None if w is None else self._register_pair(holders, w, "bridge")
 
     # ------------------------------------------------------------------
     # Distribution policies
     # ------------------------------------------------------------------
+
+    def _buffered(self, ue_id: str, bs_id: str) -> list[WernerPair]:
+        """The UE's stored live pairs held by exactly ue_id and bs_id, by id."""
+        pairs = []
+        for rid in sorted(self.ue(ue_id).stored):
+            res = self.ledger.resources.get(rid)
+            if (isinstance(res, WernerPair) and self.ledger.state[rid] == "live"
+                    and set(res.holders) == {ue_id, bs_id}):
+                pairs.append(res)
+        return pairs
 
     def acquire_pairs(self, ue_id: str, bs_id: str, count: int, min_fidelity: float,
                       max_latency_s: float):
@@ -1261,15 +1237,12 @@ class Stack:
         """
         ctx = self.ue(ue_id)
         taken: list[str] = []
-        for rid in sorted(ctx.stored):
+        for pair in self._buffered(ue_id, bs_id):
             if len(taken) >= count:
                 break
-            res = self.ledger.resources.get(rid)
-            if (isinstance(res, WernerPair) and self.ledger.state.get(rid) == "live"
-                    and set(res.holders) == {ue_id, bs_id}
-                    and self.sim.now + 1e-12 >= res.usable_at
-                    and fidelity_of(self.age_pair(res)) + 1e-12 >= min_fidelity):
-                taken.append(rid)
+            if (self.sim.now + 1e-12 >= pair.usable_at
+                    and fidelity_of(self.age_pair(pair)) + 1e-12 >= min_fidelity):
+                taken.append(pair.id)
         deficit = count - len(taken)
         result: Optional[SessionResult] = None
         if deficit > 0:
@@ -1319,17 +1292,10 @@ class Stack:
                                     ue=ue_id, pass_start=start)
                 yield (max(start - self.sim.now, 0.0), EventKind.TIMER)
             # Refresh: throw away buffered pairs that decohered below spec.
-            for rid in sorted(ctx.stored):
-                res = self.ledger.resources.get(rid)
-                if (isinstance(res, WernerPair)
-                        and self.ledger.state.get(rid) == "live"
-                        and set(res.holders) == {ue_id, bs_id}
-                        and fidelity_of(self.age_pair(res)) < f_min):
-                    self.discard_pair(rid, "below-threshold")
-            live = [rid for rid in ctx.stored
-                    if isinstance(self.ledger.resources.get(rid), WernerPair)
-                    and set(self.ledger.resources[rid].holders) == {ue_id, bs_id}]
-            deficit = buffer_target - len(live)
+            for pair in self._buffered(ue_id, bs_id):
+                if fidelity_of(self.age_pair(pair)) < f_min:
+                    self.discard_pair(pair.id, "below-threshold")
+            deficit = buffer_target - len(self._buffered(ue_id, bs_id))
             if deficit > 0 and ctx.state != QueState.ENTANGLED:
                 connected = yield from self.ensure_connected(ue_id, bs_id)
                 if connected and self.topo.in_quantum_coverage(ue_id, bs_id, self.sim.now):

@@ -41,7 +41,6 @@ __all__ = [
     "measure_pair",
     "werner_bell_weights",
     "sample_bell_label",
-    "ghz_x_reduce",
     "PureState",
     "oracle_apply",
     "apply_cz",
@@ -188,7 +187,6 @@ class GhzResource:
     holders: tuple[str, ...]
     w: float
     created_at: float
-    consumed: bool = False
 
     def __post_init__(self) -> None:
         if len(self.holders) < 2 or len(set(self.holders)) != len(self.holders):
@@ -259,37 +257,6 @@ def sample_bell_label(w: float, rng: np.random.Generator) -> tuple[int, int]:
         if u < acc:
             return label
     return (1, 1)
-
-
-def ghz_x_reduce(
-    ghz: GhzResource,
-    measured_party: str,
-    rng: np.random.Generator,
-    new_id: str | None = None,
-) -> tuple[int, "GhzResource | WernerPair"]:
-    """X-measure one party of a GHZ resource, shrinking it by one holder.
-
-    Returns (correction_bit, remaining resource).  The correction bit is the
-    X outcome; on 1 the survivors must apply Z on any one qubit to restore
-    the standard GHZ (or |phi+> when two holders remain).  The mixture
-    parameter w carries over unchanged.
-    """
-    if ghz.consumed:
-        raise ResourceError(f"GHZ resource {ghz.id} was already consumed")
-    if measured_party not in ghz.holders:
-        raise ResourceError(f"{measured_party} does not hold a share of {ghz.id}")
-    ghz.consumed = True
-    correction = int(rng.random() < 0.5)
-    rest = tuple(h for h in ghz.holders if h != measured_party)
-    rid = new_id if new_id is not None else f"{ghz.id}/x"
-    if len(rest) == 2:
-        reduced: GhzResource | WernerPair = WernerPair(
-            id=rid, holders=(rest[0], rest[1]), w=ghz.w,
-            created_at=ghz.created_at, last_touched=ghz.created_at,
-        )
-    else:
-        reduced = GhzResource(id=rid, holders=rest, w=ghz.w, created_at=ghz.created_at)
-    return correction, reduced
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from conftest import QUIET, drive, one_cell_topology, two_cell_topology
-from oneq.errors import CoverageError, PermanentLossError, ProtocolError, ResourceError
+from oneq.errors import PermanentLossError, ProtocolError, ResourceError
 from oneq.protocol import (
     Defaults,
     EntanglementRequest,
@@ -132,6 +132,29 @@ class TestStateMachine:
         assert len(t_ue) == 2 and max(t_ue) + 0.05 < sim.now
         assert stack.ue("QUEA").state == stack.ue("QUEB").state == QueState.ENTANGLED
         stack.consume_pair(res.delivered[0], "test")
+
+    def test_session_toward_an_inactive_target_is_rejected(self, make_stack):
+        sim, stack = make_stack(one_cell_topology(q_attempt=0.9),
+                                defaults=Defaults(inactivity_timeout_s=0.5))
+        drive(sim, stack.register("QUE1", "QBS1"))
+        drive(sim, stack.register("QUE2", "QBS1"))
+
+        def ack_then_session():
+            yield 0.4 - sim.now
+            assert (yield from stack.send_message("QUE1", "QBS1", "ack"))
+            yield 0.7 - sim.now
+            return (yield from stack.entanglement_session(_request(count=1)))
+
+        res = drive(sim, ack_then_session())
+        assert stack.ue("QUE1").state == QueState.CONNECTED
+        assert stack.ue("QUE2").state == QueState.INACTIVE
+        assert res.outcome == SessionOutcome.REJECTED
+        assert res.reason == "target-state-Inactive"
+        assert sim.now == pytest.approx(0.7)
+        # rejected before the request message and before any draw
+        assert not any(r["kind"] == "pair-created" or r["details"].get("msg") == "request"
+                       for r in sim.trace)
+        assert ("QBS1", "entanglement") not in sim._streams
 
     def test_release_returns_to_idle(self, make_stack):
         sim, stack = make_stack(one_cell_topology())
@@ -573,13 +596,20 @@ class TestTeleport:
             stack.ledger.live(pair.id)
 
     def test_destroyed_payload_cannot_be_teleported_again(self, make_stack):
-        sim, stack = make_stack(one_cell_topology(q_attempt=0.0, t_coh_s=1e9))
+        # every classical transmission is lost, so the first teleport's
+        # correction never arrives and the payload is gone for good
+        sim, stack = make_stack(one_cell_topology(t_coh_s=1e9, p_err_c=1.0))
+        pairs = [_register_pair(stack, "QUE1", "QUE2", 1.0) for _ in range(2)]
+        for ue in ("QUE1", "QUE2"):
+            _attach(stack, ue, "QBS1")
+            stack.ue(ue).stored.update(pair.id for pair in pairs)
+            stack._set_state(stack.ue(ue), QueState.ENTANGLED, "test")
         payload = stack.new_payload("QUE1", equatorial_state(0.2))
-        ok = drive(sim, stack.direct_transfer(payload, "QUE1", "QBS1"))
-        assert ok is False and payload.destroyed
-        pair = self._entangled_pair(sim, stack, w=1.0)
+        res = drive(sim, stack.teleport(payload, pairs[0].id))
+        assert res.delivered is False and payload.destroyed and payload.state is None
         with pytest.raises(PermanentLossError):
-            drive(sim, stack.teleport(payload, pair.id))
+            drive(sim, stack.teleport(payload, pairs[1].id))
+        assert stack.ledger.live(pairs[1].id) is pairs[1]
 
     def test_pair_must_touch_payload_location(self, make_stack):
         sim, stack = make_stack(one_cell_topology(t_coh_s=1e9))
@@ -594,44 +624,6 @@ class TestTeleport:
         res = drive(sim, stack.teleport(payload, pair.id))
         assert res.delivered is True
         assert res.fidelity == pytest.approx(fidelity_of(0.8))
-
-
-class TestDirectTransfer:
-    def test_success_moves_payload(self, make_stack):
-        sim, stack = make_stack(one_cell_topology(q_attempt=1.0))
-        payload = stack.new_payload("QUE1", equatorial_state(0.5))
-        ok = drive(sim, stack.direct_transfer(payload, "QUE1", "QBS1"))
-        assert ok is True
-        assert payload.location == "QBS1"
-        assert not payload.destroyed
-
-    def test_failure_is_permanent(self, make_stack):
-        sim, stack = make_stack(one_cell_topology(q_attempt=0.0))
-        payload = stack.new_payload("QUE1", equatorial_state(0.5))
-        ok = drive(sim, stack.direct_transfer(payload, "QUE1", "QBS1"))
-        assert ok is False
-        assert payload.destroyed
-        with pytest.raises(PermanentLossError):
-            drive(sim, stack.direct_transfer(payload, "QUE1", "QBS1"))
-
-    def test_reach_is_judged_when_the_shot_lands(self, make_stack):
-        from oneq.netmodel import CellSpec, Mobility, NodeSpec, QuantumLinkSpec, Topology
-        walk = Mobility(kind="waypoint", waypoints=((0.0, (100.0, 0.0, 0.0)),
-                                                    (1e-4, (1800.0, 0.0, 0.0))))
-        topo = Topology(
-            nodes=[NodeSpec(id="QBS1", kind="QBS", position=(0.0, 0.0, 10.0),
-                            memory_slots=4),
-                   NodeSpec(id="QUE1", kind="QUE", position=(100.0, 0.0, 0.0),
-                            memory_slots=4, mobility=walk)],
-            cells=[CellSpec(bs_id="QBS1", classical_radius=2000.0, quantum_radius=1500.0)],
-            quantum_links=[QuantumLinkSpec(a="QBS1", b="QUE1", q_attempt=1.0,
-                                           attempt_period_s=2e-4, w0=0.97)])
-        sim, stack = make_stack(topo)
-        payload = stack.new_payload("QUE1")
-        with pytest.raises(CoverageError):
-            drive(sim, stack.direct_transfer(payload, "QUE1", "QBS1"))
-        assert sim.now == pytest.approx(2e-4)
-        assert payload.location == "QUE1" and not payload.destroyed
 
 
 def _handover_topology():
@@ -727,7 +719,7 @@ class TestHandover:
 
 
 class TestGhz:
-    def test_ghz_session_and_reduction(self, make_stack):
+    def test_ghz_session_delivers_one_resource(self, make_stack):
         sim, stack = make_stack(one_cell_topology(n_ues=3, q_attempt=0.8,
                                                   t_coh_s=1e9))
         for ue in ("QUE1", "QUE2", "QUE3"):
@@ -738,10 +730,76 @@ class TestGhz:
         ghz = stack.ledger.live(ghz_id)
         assert set(ghz.holders) == {"QUE1", "QUE2", "QUE3"}
         assert ghz.w == pytest.approx(0.97 ** 3)
-        pair_id = drive(sim, stack.ghz_reduce_deliver(ghz_id, "QUE3"))
-        pair = stack.ledger.live(pair_id)
-        assert set(pair.holders) == {"QUE1", "QUE2"}
-        assert pair.w == pytest.approx(0.97 ** 3)
+        assert all(stack.ue(ue).state == QueState.ENTANGLED
+                   for ue in ("QUE1", "QUE2", "QUE3"))
+
+    def test_ghz_needs_two_parties(self, make_stack):
+        sim, stack = make_stack(one_cell_topology())
+        with pytest.raises(ProtocolError):
+            drive(sim, stack.ghz_session("QBS1", ("QUE1",)))
+
+    def test_reach_is_judged_when_the_shot_lands(self, make_stack):
+        # QUE1 leaves the 1500 m quantum disk half-way through the first slot
+        from oneq.netmodel import CellSpec, Mobility, NodeSpec, QuantumLinkSpec, Topology
+        walk = Mobility(kind="waypoint", waypoints=((0.0, (100.0, 0.0, 0.0)),
+                                                    (1e-4, (1800.0, 0.0, 0.0))))
+        topo = Topology(
+            nodes=[NodeSpec(id="QBS1", kind="QBS", position=(0.0, 0.0, 10.0),
+                            memory_slots=4),
+                   NodeSpec(id="QUE1", kind="QUE", position=(100.0, 0.0, 0.0),
+                            memory_slots=4, mobility=walk),
+                   NodeSpec(id="QUE2", kind="QUE", position=(0.0, 100.0, 0.0),
+                            memory_slots=4)],
+            cells=[CellSpec(bs_id="QBS1", classical_radius=2000.0, quantum_radius=1500.0)],
+            quantum_links=[QuantumLinkSpec(a="QBS1", b=ue, q_attempt=1.0,
+                                           attempt_period_s=2e-4, w0=0.97)
+                           for ue in ("QUE1", "QUE2")])
+        sim, stack = make_stack(topo)
+        assert drive(sim, stack.ghz_session("QBS1", ("QUE1", "QUE2"))) is None
+        assert sim.now == pytest.approx(2e-4)
+        (lost,) = [r for r in sim.trace if r["kind"] == "ghz-coverage-lost"]
+        assert lost["t"] == pytest.approx(2e-4) and "QUE1" in lost["details"]["detail"]
+        assert stack.ledger.live_ids() == []
+
+
+def _deadline_session(stack, budget):
+    for ue, bs in (("QUE1", "QBS1"), ("QUE2", "QBS2")):
+        _attach(stack, ue, bs)
+    return stack.entanglement_session(_request(count=1, max_latency_s=budget))
+
+
+def _deadline_ghz(stack, budget):
+    return stack.ghz_session("QBS1", ("QUE1", "QUE2"), max_latency_s=budget)
+
+
+def _deadline_bridge(stack, budget):
+    link = stack.topo.quantum_link("QBS1", "QBS2")
+    return stack._bridge("QBS1", "QBS2", link, stack.sim.now + budget)
+
+
+class TestAttemptDeadline:
+    """Every attempt loop makes its last draw before its deadline."""
+
+    PERIOD, BUDGET = 0.3, 1.0  # the budget is not a multiple of the period
+
+    @pytest.mark.parametrize("topology, process", [
+        (two_cell_topology, _deadline_session),
+        (one_cell_topology, _deadline_ghz),
+        (two_cell_topology, _deadline_bridge),
+    ], ids=["session", "ghz", "bridge"])
+    def test_no_herald_at_or_after_the_deadline(self, make_stack, topology, process):
+        sim, stack = make_stack(topology(q_attempt=0.0, attempt_period_s=self.PERIOD))
+        herald, draws = stack._herald, []
+
+        def spy(*args):
+            draws.append(sim.now)
+            return herald(*args)
+
+        stack._herald = spy
+        deadline = sim.now + self.BUDGET
+        drive(sim, process(stack, self.BUDGET))
+        assert draws and max(draws) < deadline
+        assert max(draws) > deadline - self.PERIOD  # the slots ran up to the deadline
 
 
 class TestAcquireAndPolicy:

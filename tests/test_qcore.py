@@ -9,7 +9,6 @@ import oracles
 from oneq.errors import ResourceError
 from oneq.qcore import (
     MAX_QUBITS,
-    GhzResource,
     MeasurementBasis,
     PureState,
     WernerPair,
@@ -21,7 +20,6 @@ from oneq.qcore import (
     equatorial_state,
     fidelity_of,
     ghz_state,
-    ghz_x_reduce,
     measure_pair,
     oracle_apply,
     oracle_measure,
@@ -237,23 +235,6 @@ class TestGhz:
             assert state_fidelity(rest, target) == pytest.approx(1.0)
             seen.add(outcome)
         assert seen == {0, 1}
-
-    def test_x_reduce_resource_bookkeeping(self):
-        rng = np.random.default_rng(18)
-        ghz = GhzResource(id="g", holders=("a", "b", "c"), w=0.85, created_at=2.0)
-        bit, pair = ghz_x_reduce(ghz, "b", rng)
-        assert bit in (0, 1)
-        assert isinstance(pair, WernerPair)
-        assert pair.holders == ("a", "c") and pair.w == 0.85
-        assert ghz.consumed
-        with pytest.raises(ResourceError):
-            ghz_x_reduce(ghz, "a", rng)
-
-    def test_x_reduce_unknown_party(self):
-        rng = np.random.default_rng(19)
-        ghz = GhzResource(id="g", holders=("a", "b", "c"), w=0.85, created_at=0.0)
-        with pytest.raises(ResourceError):
-            ghz_x_reduce(ghz, "z", rng)
 
 
 # ---------------------------------------------------------------------------
