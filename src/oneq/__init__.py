@@ -8,6 +8,7 @@ __version__ = "0.1.0"
 from .errors import (
     ConfigurationError,
     CoverageError,
+    InternalError,
     OneQError,
     PermanentLossError,
     ProtocolError,
@@ -24,4 +25,5 @@ __all__ = [
     "CoverageError",
     "ProtocolError",
     "PermanentLossError",
+    "InternalError",
 ]

@@ -34,3 +34,7 @@ class ProtocolError(OneQError):
 
 class PermanentLossError(ResourceError):
     """A payload qubit was destroyed and cannot be retried (no-cloning)."""
+
+
+class InternalError(OneQError):
+    """A non-package exception escaped a run; names the run and the simulated time."""

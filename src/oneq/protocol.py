@@ -859,7 +859,9 @@ class Stack:
         every attempt period, step 3 is the classical ACK.  Pairs must meet
         request.min_fidelity at ACK time or they are discarded.  When too
         few survive and the latency budget is not spent, one regeneration
-        round repeats steps 2 and 3 with the survivors kept.
+        round repeats steps 2 and 3 with the survivors kept.  A session whose
+        chain cannot reach request.min_fidelity even with no storage time is
+        rejected before step 1, with no message and no draw.
         """
         t_start = self.sim.now
         requester = request.requester
@@ -890,6 +892,12 @@ class Stack:
             return reject("missing-quantum-link")
         if not self.topo.in_quantum_coverage(requester, bs_a, self.sim.now):
             return reject("requester-outside-quantum-cell")
+        # A herald delivers the product of its legs' w0, a swap multiplies
+        # its inputs' w and storage only lowers it: no pair of this chain
+        # can beat the product over every leg.
+        w_max = math.prod(link.w0 for seg in plan for link in seg.legs)
+        if fidelity_of(w_max) + 1e-12 < request.min_fidelity:
+            return reject("fidelity-unreachable")
 
         self.sim.trace.emit(self.sim.now, requester, "session-start",
                             target=target, count=request.count,

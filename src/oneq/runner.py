@@ -28,7 +28,7 @@ from typing import Any, Optional
 
 from .apps import QkdApp, SensingApp, UbqcApp
 from .engine import EventKind, Simulator
-from .errors import OneQError
+from .errors import InternalError, OneQError
 from .protocol import Stack
 from .scenario import Scenario, load_scenario
 
@@ -103,7 +103,16 @@ def run_scenario(scenario: Scenario, seed: Optional[int] = None,
                       kind=EventKind.TIMER)
 
     sim.spawn(startup(), on_done=launch)
-    sim.run_until(horizon)
+    try:
+        sim.run_until(horizon)
+    except Exception as err:
+        # A fault inside an event is the simulator's own; one raised before
+        # any event ran (a caller stopping the loop) passes through as is.
+        if isinstance(err, OneQError) or not sim.events_processed:
+            raise
+        raise InternalError(
+            f"run {run_id}: internal error at t={sim.now!r} s: "
+            f"{type(err).__name__}: {err}") from err
     stack.finalize()
     sim.drop_pending()
 

@@ -2,11 +2,14 @@
 
 import json
 import math
+from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import QUIET, drive, one_cell_topology, two_cell_topology
+from oneq.engine import Simulator
 from oneq.errors import PermanentLossError, ProtocolError, ResourceError
 from oneq.protocol import (
     Defaults,
@@ -626,8 +629,11 @@ class TestTeleport:
         assert res.fidelity == pytest.approx(fidelity_of(0.8))
 
 
-def _handover_topology():
-    """Two overlapping cells with the UE in both quantum disks."""
+def _handover_topology(w0_new=0.96):
+    """Two overlapping cells with the UE in both quantum disks.
+
+    w0_new is the w0 of the QBS2-QUE1 link, the cell a handover moves to.
+    """
     from oneq.netmodel import (
         CellSpec, ClassicalLinkSpec, NodeSpec, QuantumLinkSpec, Topology,
     )
@@ -651,7 +657,7 @@ def _handover_topology():
         QuantumLinkSpec(a="QBS1", b="QUE1", q_attempt=0.9,
                         attempt_period_s=1e-4, w0=0.96),
         QuantumLinkSpec(a="QBS2", b="QUE1", q_attempt=0.9,
-                        attempt_period_s=1e-4, w0=0.96),
+                        attempt_period_s=1e-4, w0=w0_new),
         QuantumLinkSpec(a="QBS1", b="QBS2", q_attempt=0.9,
                         attempt_period_s=1e-4, w0=0.94),
     ]
@@ -1103,3 +1109,202 @@ class TestBridgeBound:
         assert [w["msg"] for w in warns] == ["soft-handover-bridge-failed-falling-back-hard"]
         assert warns[0]["detail"].startswith("no quantum coverage between")
         assert sim.now < 1.0
+
+
+def _rng_state(rng):
+    """A comparable snapshot of a stream's position (the state holds arrays)."""
+    return repr(rng.bit_generator.state)
+
+
+class TestFidelityAdmission:
+    """A session whose chain cannot reach min_fidelity is rejected at once."""
+
+    W0_UE, F_REQ = 0.96, 0.85
+    # the QBS1-QBS2 w0 at which the 3-link chain's best pair has F_REQ exactly
+    W0_BS = (4 * F_REQ - 1) / 3 / W0_UE ** 2
+    CHAIN = ("QUE1", "QBS1", "QBS2", "QUE2")
+
+    def _session(self, make_stack, w0_bs):
+        topo = two_cell_topology(w0_ue=self.W0_UE, w0_bs=w0_bs,
+                                 t_coh_ue=1e9, t_coh_bs=1e9)
+        sim, stack = make_stack(topo)
+        assert drive(sim, stack.register("QUE1", "QBS1"))
+        assert drive(sim, stack.register("QUE2", "QBS2"))
+        streams = [sim.rng_stream(node, purpose) for node in self.CHAIN
+                   for purpose in ("entanglement", "classical")]
+        before = [_rng_state(rng) for rng in streams]
+        n_records, t_start = len(sim.trace), sim.now
+        res = drive(sim, stack.entanglement_session(_request(
+            count=1, max_latency_s=0.5, min_fidelity=self.F_REQ)))
+        after = [_rng_state(rng) for rng in streams]
+        return sim, stack, res, list(sim.trace)[n_records:], t_start, before == after
+
+    def test_just_above_the_threshold_is_served(self, make_stack):
+        w0_bs = self.W0_BS * (1 + 1e-6)
+        assert fidelity_of(self.W0_UE ** 2 * w0_bs) > self.F_REQ
+        sim, stack, res, records, _, _ = self._session(make_stack, w0_bs)
+        assert res.outcome == SessionOutcome.FULFILLED
+        assert fidelity_of(stack.ledger.live(res.delivered[0]).w) >= self.F_REQ
+        assert any(r["kind"] == "swap" for r in records)
+
+    def test_just_below_the_threshold_is_rejected_without_a_draw(self, make_stack):
+        w0_bs = self.W0_BS * (1 - 1e-6)
+        assert fidelity_of(self.W0_UE ** 2 * w0_bs) + 1e-12 < self.F_REQ
+        sim, stack, res, records, t_start, streams_unchanged = self._session(
+            make_stack, w0_bs)
+        assert res.outcome == SessionOutcome.REJECTED
+        assert res.reason == "fidelity-unreachable"
+        assert res.delivered == () and res.elapsed_s == 0.0
+        assert sim.now == t_start
+        assert [(r["kind"], r["details"]) for r in records] == [
+            ("session-rejected", {"reason": "fidelity-unreachable"})]
+        assert streams_unchanged
+        assert stack.ledger.resources == {}
+
+    def test_infeasible_provisioner_target_asks_once_per_check_period(self, make_stack):
+        # one hop at w0 0.7 gives F 0.775 at best, under the 0.8 floor
+        sim, stack = make_stack(one_cell_topology(w0=0.7))
+        stack.start_policy(PolicyMode.PROACTIVE, targets=[("QBS1", "QUE1")],
+                           buffer_target=1, check_period_s=0.5, min_fidelity=0.8)
+        sim.run_until(2.0)
+        rejected = [r for r in sim.trace if r["kind"] == "session-rejected"]
+        assert {r["details"]["reason"] for r in rejected} == {"fidelity-unreachable"}
+        t_connected = next(r["t"] for r in sim.trace if r["kind"] == "state-transition"
+                           and r["details"]["to"] == "Connected")
+        assert 0.0 < t_connected < 0.01
+        assert [r["t"] for r in rejected] == pytest.approx(
+            [t_connected + 0.5 * k for k in range(4)], abs=1e-12)
+        assert not any(r["kind"] in ("session-start", "pair-created") for r in sim.trace)
+        assert ("QBS1", "entanglement") not in sim._streams
+
+    def test_hard_handover_onto_an_unreachable_cell_migrates_nothing(self, make_stack):
+        sim, stack = make_stack(_handover_topology(w0_new=0.7))
+        drive(sim, stack.register("QUE1", "QBS1"))
+        old = drive(sim, stack.entanglement_session(
+            _request(peer="QBS1", count=1, max_latency_s=0.5)))
+        assert old.outcome == SessionOutcome.FULFILLED
+
+        def entanglement_states():
+            return {key: _rng_state(rng) for key, rng in sim._streams.items()
+                    if key[1] == "entanglement"}
+
+        before = entanglement_states()
+        attempt_loop, loops = stack._attempt_loop, []
+
+        def spy(*args):
+            loops.append(sim.now)
+            return attempt_loop(*args)
+
+        stack._attempt_loop = spy
+        res = drive(sim, stack.handover("QUE1", "QBS2", HandoverMode.HARD))
+        assert res.mode_used == HandoverMode.HARD
+        assert res.migrated == ()
+        assert res.session.outcome == SessionOutcome.REJECTED
+        assert res.session.reason == "fidelity-unreachable"
+        assert loops == []
+        assert entanglement_states() == before
+        assert stack.ue("QUE1").serving_bs == "QBS2"
+        assert stack.ledger.state[old.delivered[0]] == "discarded"
+
+
+def _chain_topology(w0s, q_attempts, t_cohs):
+    """A UE-BS...BS-UE line with one quantum link per entry of w0s.
+
+    One link is QUEA-QBS0; two are QUEA-QBS0-QUEB in one cell; more put a
+    station per inner node, QUEB in the last cell.  Classical links are
+    lossless; t_cohs gives each node of the chain its coherence time.
+    """
+    from oneq.netmodel import (
+        CellSpec, ClassicalLinkSpec, NodeSpec, QuantumLinkSpec, Topology,
+    )
+    n_bs = max(len(w0s) - 1, 1)
+    stations = [f"QBS{i}" for i in range(n_bs)]
+    chain = ["QUEA"] + stations + (["QUEB"] if len(w0s) > 1 else [])
+    nodes, cells = [], []
+    for i, bs in enumerate(stations):
+        nodes.append(NodeSpec(id=bs, kind="QBS", position=(3000.0 * i, 0.0, 10.0),
+                              t_coh_s=t_cohs[chain.index(bs)], memory_slots=8))
+        cells.append(CellSpec(bs_id=bs, classical_radius=2000.0, quantum_radius=1500.0))
+    for ue, dx in (("QUEA", -300.0), ("QUEB", 300.0)):
+        if ue in chain:
+            x = 3000.0 * (0 if ue == "QUEA" else n_bs - 1) + dx
+            nodes.append(NodeSpec(id=ue, kind="QUE", position=(x, 0.0, 0.0),
+                                  t_coh_s=t_cohs[chain.index(ue)], memory_slots=4))
+    hops = list(zip(chain, chain[1:]))
+    clinks = [ClassicalLinkSpec(a=a, b=b, rate_bps=1e8, prop_delay_s=1e-5, p_err_c=0.0)
+              for a, b in hops]
+    qlinks = [QuantumLinkSpec(a=a, b=b, q_attempt=q, attempt_period_s=1e-4, w0=w0)
+              for (a, b), q, w0 in zip(hops, q_attempts, w0s)]
+    edges = [(a, b) for a, b in zip(stations, stations[1:])]
+    topo = Topology(nodes=nodes, cells=cells, classical_links=clinks,
+                    quantum_links=qlinks, repeater_edges=edges)
+    return topo, chain
+
+
+@st.composite
+def _chains(draw):
+    n = draw(st.integers(1, 4))
+    w0s = draw(st.lists(st.floats(0.5, 1.0), min_size=n, max_size=n))
+    q_attempts = draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n))
+    t_cohs = draw(st.lists(st.floats(1e-3, 10.0), min_size=n + 1, max_size=n + 1))
+    # near the chain's best fidelity half the time, so both sides of the
+    # admission threshold are drawn
+    f_best = fidelity_of(math.prod(w0s))
+    if draw(st.booleans()):
+        min_fidelity = f_best + draw(st.floats(-1e-3, 1e-3))
+    else:
+        min_fidelity = draw(st.floats(0.25, 1.0))
+    return dict(w0s=w0s, q_attempts=q_attempts, t_cohs=t_cohs,
+                min_fidelity=min(max(min_fidelity, 0.25), 1.0),
+                count=draw(st.integers(1, 3)),
+                max_latency_s=draw(st.floats(1e-3, 2e-2)),
+                seed=draw(st.integers(0, 2 ** 32 - 1)))
+
+
+class TestChainProperties:
+    """Random line chains: admission, the w bound it rests on, terminal states."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_chains())
+    def test_admission_bound_and_terminal_states(self, case):
+        topo, chain = _chain_topology(case["w0s"], case["q_attempts"], case["t_cohs"])
+        sim = Simulator(seed=case["seed"])
+        stack = Stack(sim, topo, QUIET)
+        for ue in chain:
+            if ue.startswith("QUE"):
+                _attach(stack, ue, "QBS0" if ue == "QUEA" else chain[-2])
+        res = drive(sim, stack.entanglement_session(_request(
+            peer=chain[-1], requester="QUEA", count=case["count"],
+            max_latency_s=case["max_latency_s"], min_fidelity=case["min_fidelity"])))
+        stack.finalize()
+
+        unreachable = (fidelity_of(math.prod(case["w0s"])) + 1e-12
+                       < case["min_fidelity"])
+        assert (res.outcome == SessionOutcome.REJECTED) == unreachable
+        if unreachable:
+            assert res.reason == "fidelity-unreachable"
+            assert stack.ledger.resources == {}
+
+        # every pair a herald or a swap makes stays under the product of the
+        # w0 of the links it spans: the premise of the admission bound
+        records = list(sim.trace)
+        made = [(r["details"]["holders"].split("+"), r["details"]["w"])
+                for r in records if r["kind"] == "pair-created"]
+        made += [(stack.ledger.resources[r["details"]["out"]].holders, r["details"]["w_out"])
+                 for r in records if r["kind"] == "swap"]
+        for holders, w in made:
+            i, j = sorted(chain.index(h) for h in holders)
+            assert w <= math.prod(case["w0s"][i:j]) + 1e-9
+
+        # exactly one terminal record per resource, matching the ledger
+        ended = Counter()
+        for r in records:
+            if r["kind"] in ("pair-consumed", "pair-discarded", "pair-expired"):
+                ended[r["details"]["id"]] += 1
+            elif r["kind"] == "swap":
+                ended.update((r["details"]["in_a"], r["details"]["in_b"]))
+        assert ended == Counter(stack.ledger.resources.keys())
+        assert all(state in ("consumed", "discarded", "expired")
+                   for state in stack.ledger.state.values())
+        assert all(stack.ledger.slots_free(n.id) == n.memory_slots
+                   for n in topo.nodes.values())

@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from oneq.cli import main
-from oneq.errors import OneQError, SchemaError
+from oneq.errors import InternalError, OneQError, SchemaError
 from oneq.runner import (
     derive_seed,
     raise_if_unfinished,
@@ -212,6 +212,26 @@ class TestLoadScenario:
         assert "$.duration_s" in joined and "$.seed" in joined
 
 
+def _fail_qkd_midway(monkeypatch):
+    """Make every QKD app raise TypeError a quarter second into its run.
+
+    Returns the list the simulated fault times are appended to.
+    """
+    faults = []
+
+    class FaultyQkd:
+        def __init__(self, config):
+            pass
+
+        def run(self, stack):
+            yield 0.25
+            faults.append(stack.sim.now)
+            raise TypeError("unsupported operand in the key tally")
+
+    monkeypatch.setattr("oneq.runner.QkdApp", FaultyQkd)
+    return faults
+
+
 class TestSingleGate:
     """load_scenario is the one gate: what it accepts runs without a bare error."""
 
@@ -225,6 +245,8 @@ class TestSingleGate:
             return
         try:
             run_scenario(scenario, until=min(scenario.duration_s, 0.3))
+        except InternalError:
+            raise
         except OneQError:
             pass
 
@@ -290,6 +312,18 @@ class TestRunner:
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+    def test_fault_inside_a_run_names_the_run_and_the_time(self, monkeypatch):
+        faults = _fail_qkd_midway(monkeypatch)
+        scenario, _ = load_scenario_file(str(BASELINE))
+        with pytest.raises(InternalError) as info:
+            run_scenario(scenario)
+        t_fault = faults[0]
+        assert t_fault > 0.0
+        assert str(info.value) == (
+            f"run {scenario.name}-s{scenario.seed}: internal error at t={t_fault!r} s: "
+            "TypeError: unsupported operand in the key tally")
+        assert isinstance(info.value.__cause__, TypeError)
 
     def test_write_artifacts_layout(self, tmp_path):
         scenario, _ = load_scenario_file(str(BASELINE))
@@ -385,6 +419,14 @@ class TestCli:
         for name in ("metrics.csv", "trace.jsonl", "app_results.csv",
                      "summary.json"):
             assert (out_dir / name).exists(), name
+
+    def test_run_reports_an_internal_fault(self, monkeypatch, capsys):
+        _fail_qkd_midway(monkeypatch)
+        assert main(["run", str(BASELINE)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: run qkd_baseline-s")
+        assert "internal error at t=" in err
+        assert err.rstrip().endswith("TypeError: unsupported operand in the key tally")
 
     def test_run_missing_scenario(self, capsys):
         assert main(["run", "/nonexistent/scenario.json"]) == 2
