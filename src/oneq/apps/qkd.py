@@ -166,7 +166,8 @@ class QkdApp:
         sift_rng = sim.rng_stream(cfg.alice, "sift")
 
         if cfg.retry_until_key:
-            result = yield from self._run_first_key(stack, basis_rng_a, basis_rng_b)
+            result = yield from self._run_first_key(stack, basis_rng_a, basis_rng_b,
+                                                    sift_rng)
             return self._finish(stack, result, t0)
 
         alice_bits: list[int] = []
@@ -192,10 +193,7 @@ class QkdApp:
 
         result = self._distill(alice_bits, bob_bits, match_flags, sift_rng)
         result.sessions = sessions
-        sample_ok = yield from self._exchange_sample(stack, result.sampled_bits)
-        if not sample_ok:
-            result.outcome = "aborted-classical"
-            result.key_bits = 0
+        yield from self._exchange_sample(stack, result)
         return self._finish(stack, result, t0)
 
     # -- building blocks -------------------------------------------------
@@ -236,12 +234,15 @@ class QkdApp:
                                               "basis", bits=bits)
         return ok
 
-    def _exchange_sample(self, stack: Stack, sampled_bits: int):
-        if sampled_bits == 0:
-            return True
+    def _exchange_sample(self, stack: Stack, result: QkdResult):
+        """Generator: Bob reports his sampled bits; a lost report voids the key."""
+        if result.sampled_bits == 0:
+            return
         ok = yield from stack.send_routed(self.config.bob, self.config.alice,
-                                          "report", bits=float(sampled_bits))
-        return ok
+                                          "report", bits=float(result.sampled_bits))
+        if not ok:
+            result.outcome = "aborted-classical"
+            result.key_bits = 0
 
     def _distill(self, alice_bits, bob_bits, match_flags, sift_rng) -> QkdResult:
         cfg = self.config
@@ -281,12 +282,13 @@ class QkdApp:
             bob_key="".join(str(b) for b in keep_b[:k_bits]),
         )
 
-    def _run_first_key(self, stack: Stack, rng_a, rng_b):
+    def _run_first_key(self, stack: Stack, rng_a, rng_b, sift_rng):
         """Retry whole batches until one alone sifts k_target bits.
 
         Short batches are discarded, not accumulated: a key is only built
         from a single fresh batch, which is what makes the batch size a
-        real tuning knob.
+        real tuning knob.  The winning batch is distilled like any other,
+        sampled error estimate and abort threshold included.
         """
         cfg = self.config
         sessions = 0
@@ -303,19 +305,12 @@ class QkdApp:
             if not ok:
                 return QkdResult(cfg.app_id, "aborted-classical", sessions=sessions,
                                  pairs_measured=measured)
-            n_sift = sum(flags)
-            if n_sift >= cfg.k_target:
-                sifted_a = [x for x, m in zip(a, flags) if m]
-                sifted_b = [x for x, m in zip(b, flags) if m]
-                disagreements = sum(1 for x, y in zip(sifted_a, sifted_b) if x != y)
-                return QkdResult(
-                    cfg.app_id, "key", sessions=sessions, pairs_measured=measured,
-                    sifted_bits=n_sift,
-                    sift_discard_rate=1.0 - n_sift / len(flags) if flags else 0.0,
-                    disagreements=disagreements, key_bits=n_sift,
-                    alice_key="".join(str(x) for x in sifted_a),
-                    bob_key="".join(str(x) for x in sifted_b),
-                )
+            if sum(flags) >= cfg.k_target:
+                result = self._distill(a, b, flags, sift_rng)
+                result.sessions = sessions
+                result.pairs_measured = measured
+                yield from self._exchange_sample(stack, result)
+                return result
         return QkdResult(cfg.app_id, "exhausted", sessions=sessions,
                          pairs_measured=measured)
 

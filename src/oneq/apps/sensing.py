@@ -31,6 +31,7 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..protocol import Stack
+from ..qcore import decay
 
 __all__ = [
     "SensingConfig",
@@ -254,7 +255,7 @@ class SensingApp:
             yield cfg.tau_interrogate_s
             ghz = stack.ledger.live(ghz_id)
             dt = sim.now - ghz.created_at
-            w_used = ghz.w * math.exp(-dt / stack.effective_t_coh(ghz.holders))
+            w_used = decay(ghz.w, dt, stack.effective_t_coh(ghz.holders))
             stack.consume_pair(ghz_id, "sensing-parity")
             reported = True
             max_latency = 0.0

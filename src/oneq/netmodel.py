@@ -54,7 +54,7 @@ class Mobility:
 
     kind "orbit" keeps the node at its base position but makes it reachable
     only inside windows [pass_start + k*period, pass_start + k*period +
-    pass_duration] for k = 0, 1, ...
+    pass_duration) for k = 0, 1, ... (see orbit_next_window)
     """
 
     kind: str = "static"  # "static" | "waypoint" | "orbit"
@@ -90,16 +90,24 @@ STATIC = Mobility()
 
 
 def orbit_next_window(mobility: Mobility, t: float) -> tuple[float, float]:
-    """Earliest pass window (start, end) whose end lies strictly after t."""
+    """Earliest pass window (start, end) whose end lies strictly after t.
+
+    Window k starts at pass_start + k * period, computed as written, so
+    every caller sees the same float for the same window.  A node is in
+    view at t exactly when the window returned for t has started
+    (NodeSpec.available_at).
+    """
     if mobility.kind != "orbit":
         raise ValueError("orbit_next_window requires orbit mobility")
-    k = math.floor((t - mobility.pass_start - mobility.pass_duration) / mobility.period) + 1
-    if k < 0:
-        k = 0
-    start = mobility.pass_start + k * mobility.period
-    while start + mobility.pass_duration <= t:
-        start += mobility.period
-    return (start, start + mobility.pass_duration)
+    start0, duration, period = mobility.pass_start, mobility.pass_duration, mobility.period
+    k = max(math.floor((t - start0 - duration) / period) + 1, 0)
+    # The floor is an estimate; rounding can leave it one window off.
+    while start0 + k * period + duration <= t:
+        k += 1
+    while k > 0 and start0 + (k - 1) * period + duration > t:
+        k -= 1
+    start = start0 + k * period
+    return (start, start + duration)
 
 
 @dataclass
@@ -144,9 +152,7 @@ class NodeSpec:
         """False only while an orbit node is outside its pass window."""
         if self.mobility.kind != "orbit":
             return True
-        if t < self.mobility.pass_start:
-            return False
-        return ((t - self.mobility.pass_start) % self.mobility.period) < self.mobility.pass_duration
+        return orbit_next_window(self.mobility, t)[0] <= t
 
 
 @dataclass(frozen=True)
@@ -349,25 +355,27 @@ class Topology:
     def distance(self, a: str, b: str, t: float) -> float:
         return math.dist(self._coords(a, t), self._coords(b, t))
 
-    def in_classical_coverage(self, ue_id: str, bs_id: str, t: float) -> bool:
+    def _in_disk(self, ue_id: str, bs_id: str, t: float, quantum: bool) -> bool:
+        """Whether the UE lies in bs_id's classical or quantum disk at t.
+
+        Both ends must be in view; a station with no cell, or a zero radius,
+        covers nothing.
+        """
         bs = self._require(bs_id)
         ue = self._require(ue_id)
         cell = self.cells.get(bs_id)
         if cell is None:
             return False
-        if not bs.available_at(t) or not ue.available_at(t):
+        radius = cell.quantum_radius if quantum else cell.classical_radius
+        if radius <= 0.0 or not bs.available_at(t) or not ue.available_at(t):
             return False
-        return self.distance(ue_id, bs_id, t) <= cell.classical_radius
+        return self.distance(ue_id, bs_id, t) <= radius
+
+    def in_classical_coverage(self, ue_id: str, bs_id: str, t: float) -> bool:
+        return self._in_disk(ue_id, bs_id, t, quantum=False)
 
     def in_quantum_coverage(self, ue_id: str, bs_id: str, t: float) -> bool:
-        bs = self._require(bs_id)
-        ue = self._require(ue_id)
-        cell = self.cells.get(bs_id)
-        if cell is None or cell.quantum_radius <= 0.0:
-            return False
-        if not bs.available_at(t) or not ue.available_at(t):
-            return False
-        return self.distance(ue_id, bs_id, t) <= cell.quantum_radius
+        return self._in_disk(ue_id, bs_id, t, quantum=True)
 
     # -- link lookups ------------------------------------------------------
 

@@ -33,7 +33,7 @@ from .netmodel import (
     classical_send,
     orbit_next_window,
 )
-from .qcore import GhzResource, PureState, WernerPair, decay, fidelity_of
+from .qcore import GhzResource, PureState, WernerPair, fidelity_of
 
 __all__ = [
     "QueState",
@@ -91,6 +91,11 @@ def check_fidelity(name: str, value: float) -> None:
     """Raise ValueError unless value is a fidelity a request may ask for."""
     if not 0.25 <= value <= 1.0:
         raise ValueError(f"{name} must lie in [0.25, 1], got {value}")
+
+
+def _meets_fidelity(w: float, f: float) -> bool:
+    """Whether a Werner parameter w meets the fidelity floor f, within 1e-12."""
+    return fidelity_of(w) + 1e-12 >= f
 
 
 def check_request_bounds(max_latency_s: float, min_fidelity: float) -> None:
@@ -399,22 +404,28 @@ class Stack:
                 return True
         return False
 
-    def classical_route(self, src: str, dst: str) -> Optional[list[str]]:
-        """Hop list src..dst: the direct link if present, else over the backbone.
+    def _anchored(self, src: str, dst: str,
+                  join: Callable[[str, str], Optional[list[str]]]) -> Optional[list[str]]:
+        """Hop list src..dst through the ends' anchor stations, or None.
 
-        The backbone part runs between the ends' anchor stations: a base
-        station is its own anchor, a UE's is its serving station.
+        A base station is its own anchor and a UE's is its serving station;
+        join(left, right) gives the stations between two distinct anchors.
+        None when an end has no anchor or join finds no path.
         """
-        if self.topo.classical_link(src, dst) is not None:
-            return [src, dst]
         left = self.ue(src).serving_bs if self.topo.nodes[src].kind in UE_KINDS else src
         right = self.ue(dst).serving_bs if self.topo.nodes[dst].kind in UE_KINDS else dst
         if left is None or right is None:
             return None
-        route = self.topo.bs_route(left, right)
-        if route is None:
+        mid = [left] if left == right else join(left, right)
+        if mid is None:
             return None
-        return ([src] if left != src else []) + route + ([dst] if right != dst else [])
+        return ([src] if left != src else []) + mid + ([dst] if right != dst else [])
+
+    def classical_route(self, src: str, dst: str) -> Optional[list[str]]:
+        """Hop list src..dst: the direct link if present, else over the backbone."""
+        if self.topo.classical_link(src, dst) is not None:
+            return [src, dst]
+        return self._anchored(src, dst, self.topo.bs_route)
 
     def _fixed_hop(self, src: str, dst: str) -> bool:
         """True for a linked hop between two base stations with no orbit window.
@@ -641,8 +652,12 @@ class Stack:
         for h in res.holders:
             self._maybe_exit_entangled(h)
 
+    def _corrected(self, pair: WernerPair) -> bool:
+        """Whether the pair's correction has arrived, within 1e-12 s."""
+        return self.sim.now + 1e-12 >= pair.usable_at
+
     def _precheck_consumable(self, res: WernerPair | GhzResource) -> list[str]:
-        if isinstance(res, WernerPair) and self.sim.now + 1e-12 < res.usable_at:
+        if isinstance(res, WernerPair) and not self._corrected(res):
             raise ResourceError(
                 f"pair {res.id} is not usable before its correction arrives"
             )
@@ -725,7 +740,7 @@ class Stack:
                 f"repeater {repeater} does not hold both of {pair_ab_id}, {pair_bc_id}"
             )
         for p in (pair_ab, pair_bc):
-            if self.sim.now + 1e-12 < p.usable_at:
+            if not self._corrected(p):
                 raise ResourceError(f"pair {p.id} awaits its correction; cannot swap")
         (left,) = [h for h in pair_ab.holders if h != repeater]
         (right,) = [h for h in pair_bc.holders if h != repeater]
@@ -777,27 +792,8 @@ class Stack:
     # ------------------------------------------------------------------
 
     def _session_chain(self, requester: str, target: str) -> Optional[list[str]]:
-        """Delivery chain [requester, bs..., target]; None when unservable."""
-        ctx = self.ue(requester)
-        bs_a = ctx.serving_bs
-        if bs_a is None:
-            return None
-        if target == bs_a:
-            return [requester, bs_a]
-        target_node = self.topo.nodes[target]
-        if target_node.kind in UE_KINDS:
-            tctx = self.ue(target)
-            bs_b = tctx.serving_bs
-            if bs_b is None:
-                return None
-            if bs_b == bs_a:
-                return [requester, bs_a, target]
-            mid = self.topo.repeater_path(bs_a, bs_b)
-            if mid is None:
-                return None
-            return [requester] + mid + [target]
-        mid = self.topo.repeater_path(bs_a, target)
-        return None if mid is None else [requester] + mid
+        """Delivery chain [requester, bs..., target] over repeater edges; None when unservable."""
+        return self._anchored(requester, target, self.topo.repeater_path)
 
     def _session_plan(self, chain: list[str]) -> Optional[list[_Segment]]:
         """The segments a session heralds; None when a quantum link is missing.
@@ -896,7 +892,7 @@ class Stack:
         # its inputs' w and storage only lowers it: no pair of this chain
         # can beat the product over every leg.
         w_max = math.prod(link.w0 for seg in plan for link in seg.legs)
-        if fidelity_of(w_max) + 1e-12 < request.min_fidelity:
+        if not _meets_fidelity(w_max, request.min_fidelity):
             return reject("fidelity-unreachable")
 
         self.sim.trace.emit(self.sim.now, requester, "session-start",
@@ -955,7 +951,7 @@ class Stack:
             for pair in delivered:
                 if self.ledger.state.get(pair.id) != "live":
                     continue
-                if fidelity_of(self.age_pair(pair)) + 1e-12 >= request.min_fidelity:
+                if _meets_fidelity(self.age_pair(pair), request.min_fidelity):
                     survivors.append(pair)
                 else:
                     discarded_below += 1
@@ -1248,8 +1244,7 @@ class Stack:
         for pair in self._buffered(ue_id, bs_id):
             if len(taken) >= count:
                 break
-            if (self.sim.now + 1e-12 >= pair.usable_at
-                    and fidelity_of(self.age_pair(pair)) + 1e-12 >= min_fidelity):
+            if self._corrected(pair) and _meets_fidelity(self.age_pair(pair), min_fidelity):
                 taken.append(pair.id)
         deficit = count - len(taken)
         result: Optional[SessionResult] = None
@@ -1294,14 +1289,14 @@ class Stack:
         bs = self.topo.nodes[bs_id]
         ctx = self.ue(ue_id)
         while True:
-            if bs.mobility.kind == "orbit" and not bs.available_at(self.sim.now):
+            if not bs.available_at(self.sim.now):
                 start, _ = orbit_next_window(bs.mobility, self.sim.now)
                 self.sim.trace.emit(self.sim.now, bs_id, "provision-wait-pass",
                                     ue=ue_id, pass_start=start)
                 yield (max(start - self.sim.now, 0.0), EventKind.TIMER)
             # Refresh: throw away buffered pairs that decohered below spec.
             for pair in self._buffered(ue_id, bs_id):
-                if fidelity_of(self.age_pair(pair)) < f_min:
+                if not _meets_fidelity(self.age_pair(pair), f_min):
                     self.discard_pair(pair.id, "below-threshold")
             deficit = buffer_target - len(self._buffered(ue_id, bs_id))
             if deficit > 0 and ctx.state != QueState.ENTANGLED:

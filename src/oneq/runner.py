@@ -273,10 +273,3 @@ def sweep_csv(rows: list[dict]) -> str:
         writer.writerow(tuple(row[c] for c in columns))
     return buf.getvalue()
 
-
-def raise_if_unfinished(artifacts: RunArtifacts) -> None:
-    unfinished = [app_id for app_id, info in artifacts.summary["apps"].items()
-                  if info.get("outcome") == "unfinished"]
-    if unfinished:
-        raise OneQError(
-            f"applications did not finish before the horizon: {unfinished}")

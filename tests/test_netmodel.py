@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import QUIET
 from oneq.engine import Simulator
@@ -154,6 +155,36 @@ class TestGeometryAndMobility:
         assert orbit_next_window(mob, 0.85) == pytest.approx((1.5, 2.0))
         with pytest.raises(ValueError):
             orbit_next_window(Mobility(), 0.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(pass_start=st.floats(0.0, 100.0),
+           period=st.floats(1e-3, 100.0),
+           duty=st.floats(1e-3, 1.0),
+           t=st.floats(0.0, 1e4),
+           into=st.floats(0.0, 1.0))
+    def test_node_is_in_view_exactly_inside_the_windows_returned(
+            self, pass_start, period, duty, t, into):
+        mob = Mobility(kind="orbit", pass_start=pass_start,
+                       pass_duration=duty * period, period=period)
+        node = NodeSpec(id="s", kind="SAT_QBS", position=(0, 0, 5e5),
+                        memory_slots=1, mobility=mob)
+        start, end = orbit_next_window(mob, t)
+        assert start <= end and end > t
+        assert end == start + mob.pass_duration
+        # in view on [start, end), the window containing t if it has begun
+        assert node.available_at(start)
+        assert node.available_at(t) == (start <= t)
+        inside = start + into * (end - start)
+        if inside < end:
+            assert node.available_at(inside)
+        # out of view on [end, next start)
+        next_start, _ = orbit_next_window(mob, end)
+        assert next_start > start
+        if end < next_start:
+            assert not node.available_at(end)
+            gap = end + into * (next_start - end)
+            if gap < next_start:
+                assert not node.available_at(gap)
 
 
 def _coverage_topology():

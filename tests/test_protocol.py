@@ -29,6 +29,7 @@ from oneq.qcore import (
     equatorial_state,
     fidelity_of,
     state_fidelity,
+    w_for_fidelity,
 )
 
 REPO = Path(__file__).resolve().parent.parent
@@ -832,6 +833,38 @@ class TestAcquireAndPolicy:
         assert all(set(stack.ledger.live(r).holders) == {"QUE1", "QBS1"}
                    for r in stored)
         assert any(r["kind"] == "provision" for r in sim.trace)
+
+    def test_provisioner_and_acquire_share_the_fidelity_tolerance(self, make_stack):
+        # a pair 5e-13 under the floor meets it within the 1e-12 tolerance;
+        # memories that never decay keep its fidelity exactly where it is
+        sim, stack = make_stack(one_cell_topology(t_coh_s=1e300))
+        drive(sim, stack.register("QUE1", "QBS1"))
+        pair = _register_pair(stack, "QUE1", "QBS1", w_for_fidelity(0.8 - 5e-13))
+        assert 0.8 - 1e-12 <= fidelity_of(pair.w) < 0.8
+        stack._store_for_ues(pair)
+        stack._enter_entangled("QUE1")
+        stack.start_policy(PolicyMode.PROACTIVE, targets=[("QBS1", "QUE1")],
+                           buffer_target=1, check_period_s=0.05, min_fidelity=0.8)
+        sim.run_until(sim.now + 0.2)
+        assert stack.ledger.state[pair.id] == "live"
+        assert not any(r["kind"] == "pair-discarded" for r in sim.trace)
+        taken, session = drive(sim, stack.acquire_pairs(
+            "QUE1", "QBS1", count=1, min_fidelity=0.8, max_latency_s=1.0))
+        assert taken == [pair.id] and session is None
+
+    def test_provisioner_starts_its_session_at_the_pass_start(self):
+        # SAT1's pass k starts at 0.3 + 1.2 k; the provisioner sleeps until
+        # the predicted start, and the satellite must be in view when it wakes
+        doc = json.loads((REPO / "scenarios" / "metro_with_satellite.json")
+                         .read_text(encoding="utf-8"))
+        art = run_scenario(load_scenario(doc)[0], until=4.6)
+        records = [json.loads(line) for line in art.trace_jsonl.splitlines()]
+        wait = next(r for r in records if r["kind"] == "provision-wait-pass"
+                    and r["details"]["pass_start"] == pytest.approx(3.9))
+        first = next(r for r in records if r["kind"] == "session-start"
+                     and r["details"]["target"] == "SAT1" and r["t"] >= wait["t"])
+        # not one check period (0.05 s) late
+        assert first["t"] == wait["details"]["pass_start"] == pytest.approx(3.9, abs=1e-9)
 
     def test_reactive_policy_is_inert(self, make_stack):
         sim, stack = make_stack(one_cell_topology())

@@ -176,6 +176,23 @@ class TestAppOnEngine:
         assert res.sessions == 2
         assert res.key_bits == 0
 
+    def test_retry_until_key_samples_and_aborts_noisy_batches(self, make_stack):
+        # legs at w0 0.5 leave w = 0.25 end to end: 37.5% same-basis errors
+        topo = one_cell_topology(q_attempt=1.0, w0=0.5, t_coh_s=1e9)
+        cfg = QkdConfig("qkd0", "QUE1", "QUE2", n_pairs=40, min_fidelity=0.25,
+                        retry_until_key=True, k_target=24, max_rounds=50,
+                        sample_fraction=0.5)
+        sim, stack, res = _run_app(make_stack, topo, cfg, seed=5)
+        assert res.sessions > 1
+        assert res.pairs_measured == cfg.n_pairs * res.sessions
+        assert res.sifted_bits >= cfg.k_target
+        assert res.sampled_bits == round(0.5 * res.sifted_bits)
+        assert res.qber_estimate > cfg.qber_abort
+        assert res.outcome == "aborted-qber" and res.key_bits == 0
+        reports = [r for r in sim.trace if r["kind"] == "msg"
+                   and r["details"]["msg"] == "report"]
+        assert reports and reports[-1]["details"]["delivered"]
+
     def test_app_metrics_and_trace(self, make_stack):
         topo = one_cell_topology(q_attempt=0.9, w0=1.0, t_coh_s=1e9)
         cfg = QkdConfig("qkd0", "QUE1", "QUE2", n_pairs=8, rounds=1,

@@ -8,6 +8,7 @@ code with ``oneq`` and define the expected hop lists, tie-breaks included.
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -87,6 +88,25 @@ def ref_classical_route(topo, serving, src, dst):
     return [h for i, h in enumerate(hops) if i == 0 or h != hops[i - 1]]
 
 
+def ref_session_chain(topo, serving, requester, target):
+    """Delivery chain of a session, case by case as a session reads it."""
+    bs_a = serving[requester]
+    if bs_a is None:
+        return None
+    if target == bs_a:
+        return [requester, bs_a]
+    if target in serving:
+        bs_b = serving[target]
+        if bs_b is None:
+            return None
+        if bs_b == bs_a:
+            return [requester, bs_a, target]
+        mid = ref_repeater_path(topo, bs_a, bs_b)
+        return None if mid is None else [requester] + mid + [target]
+    mid = ref_repeater_path(topo, bs_a, target)
+    return None if mid is None else [requester] + mid
+
+
 def random_topology(seed: int):
     """Random BS graph with UE leaves; ids are shuffled against insertion order.
 
@@ -162,6 +182,41 @@ def test_classical_route_matches_reference(seed):
                 continue
             want = ref_classical_route(topo, serving, src, dst)
             assert stack.classical_route(src, dst) == want, (src, dst)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_session_chain_matches_reference(seed):
+    topo, serving = random_topology(seed)
+    stack = make_stack(topo, serving)
+    for requester in sorted(serving):
+        for target in sorted(topo.nodes):
+            want = ref_session_chain(topo, serving, requester, target)
+            assert stack._session_chain(requester, target) == want, (requester, target)
+
+
+def test_session_chains_cover_every_case():
+    """Same cell, serving station, other station, cross-cell UE, unserved target."""
+    cases = Counter()
+    for seed in SEEDS:
+        topo, serving = random_topology(seed)
+        stack = make_stack(topo, serving)
+        for requester, bs_a in serving.items():
+            if bs_a is None:
+                continue
+            for target in topo.nodes:
+                if target == requester:
+                    continue
+                chain = stack._session_chain(requester, target)
+                if target not in serving:
+                    kind = "serving" if target == bs_a else "other-bs"
+                elif serving[target] is None:
+                    kind = "unserved"
+                else:
+                    kind = "same-cell" if serving[target] == bs_a else "cross-cell"
+                cases[kind, chain is not None and len(chain) > 3] += 1
+    assert {kind for kind, _ in cases} == {
+        "serving", "other-bs", "unserved", "same-cell", "cross-cell"}
+    assert cases["other-bs", True] > 0 and cases["cross-cell", True] > 0
 
 
 def test_generated_topologies_cover_every_case():
