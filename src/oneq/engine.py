@@ -66,29 +66,68 @@ def _json_value(value: Any) -> str:
     return json.dumps(value, separators=(",", ":"), allow_nan=False)
 
 
+_BLOCK_LINES = 256
+
+
 class Trace:
     """Append-only run log; one record per domain happening.
 
     Each record is kept once, as its canonical JSON line: keys t, node,
     kind, details in that order, detail keys sorted, compact separators.
+    Lines are held as text, every _BLOCK_LINES of them joined into one
+    block, and to_jsonl joins the blocks once and keeps the result as the
+    only block, so the returned text and the trace share one copy.
     """
 
     def __init__(self) -> None:
-        self.lines: list[str] = []
+        self._blocks: list[str] = []
+        self._tail: list[str] = []
+        self._count = 0
 
     def emit(self, t: float, node: str, kind: str, **details: Any) -> None:
         body = ",".join([f"{_json_str(k)}:{_json_value(details[k])}" for k in sorted(details)])
-        self.lines.append(f'{{"t":{_json_value(t)},"node":{_json_value(node)},'
-                          f'"kind":{_json_value(kind)},"details":{{{body}}}}}')
+        tail = self._tail
+        tail.append(f'{{"t":{_json_value(t)},"node":{_json_value(node)},'
+                    f'"kind":{_json_value(kind)},"details":{{{body}}}}}\n')
+        self._count += 1
+        if len(tail) == _BLOCK_LINES:
+            self._blocks.append("".join(tail))
+            tail.clear()
 
     def __iter__(self):
-        return map(json.loads, self.lines)
+        for block in self._blocks + ["".join(self._tail)]:
+            yield from map(json.loads, block.splitlines())
 
     def __len__(self) -> int:
-        return len(self.lines)
+        return self._count
 
     def to_jsonl(self) -> str:
-        return "\n".join(self.lines) + ("\n" if self.lines else "")
+        text = "".join(self._blocks + self._tail)
+        self._blocks = [text]
+        self._tail.clear()
+        return text
+
+
+def _percentile(ordered: np.ndarray, p: float) -> float:
+    """np.percentile(ordered, p) of a sorted series, to the bit.
+
+    numpy's linear rule: virtual index (n-1)*p/100, interpolated from the
+    upper neighbour when its fraction is at least 0.5, and clamped at the
+    last value, which numpy addresses as index -1.  np.percentile itself
+    imports numpy.ma on first use.
+    """
+    n = len(ordered)
+    if math.isnan(ordered[-1]):  # np.sort puts NaN last
+        return math.nan
+    v = (n - 1) * (p / 100)
+    if v >= n - 1:
+        lo, hi, gamma = -1, -1, v + 1
+    else:
+        lo = math.floor(v)
+        hi, gamma = lo + 1, v - lo
+    a, b = float(ordered[lo]), float(ordered[hi])
+    diff = b - a
+    return b - diff * (1 - gamma) if gamma >= 0.5 else a + diff * gamma
 
 
 class Metrics:
@@ -125,13 +164,14 @@ class Metrics:
         for name, values in self.series.items():
             unit = self._units.get(name, "")
             arr = np.asarray(values, dtype=float)
+            ordered = np.sort(arr)
             stats = {
                 "count": float(arr.size),
                 "mean": float(arr.mean()),
                 "std": float(arr.std()),
                 "min": float(arr.min()),
-                "p50": float(np.percentile(arr, 50)),
-                "p90": float(np.percentile(arr, 90)),
+                "p50": _percentile(ordered, 50),
+                "p90": _percentile(ordered, 90),
                 "max": float(arr.max()),
             }
             for suffix, value in stats.items():

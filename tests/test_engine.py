@@ -3,13 +3,14 @@
 import enum
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
-from oneq.engine import EventKind, Metrics, Simulator, Trace, eval_timing
+from oneq.engine import EventKind, Metrics, Simulator, Trace, _percentile, eval_timing
 
 
 class TestScheduling:
@@ -214,7 +215,7 @@ class TestTraceEncoding:
             assert len(trace) == 0
             return
         trace.emit(t, node, kind, **details)
-        assert trace.lines == [want]
+        assert trace.to_jsonl() == want + "\n"
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
                                      _Float(math.nan), np.float64(-math.inf)])
@@ -225,6 +226,65 @@ class TestTraceEncoding:
             with pytest.raises(ValueError):
                 trace.emit(*args, **details)
         assert len(trace) == 0
+
+
+class TestCompactTrace:
+    """Lines are held in joined blocks; the text must not depend on where they fall."""
+
+    @pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 1000])
+    def test_blocks_serialize_as_lines(self, n):
+        trace, want = Trace(), []
+        for i in range(n):
+            details = {"i": i, "tag": "x" * (i % 7)}
+            trace.emit(i * 1e-3, f"n{i % 3}", "k", **details)
+            want.append(_old_line(i * 1e-3, f"n{i % 3}", "k", details))
+            if i % 5 == 0:  # a failing emit leaves no partial line behind
+                with pytest.raises(ValueError):
+                    trace.emit(0.0, "n0", "bad", x=math.nan, i=i)
+        assert len(trace) == n
+        text = trace.to_jsonl()
+        assert text == "".join(line + "\n" for line in want)
+        assert trace.to_jsonl() == text
+        assert list(trace) == [json.loads(line) for line in want]
+
+    def test_emits_after_serializing_are_appended(self):
+        trace = Trace()
+        for i in range(300):
+            trace.emit(float(i), "n", "a", i=i)
+        first = trace.to_jsonl()
+        for i in range(300, 600):
+            trace.emit(float(i), "n", "a", i=i)
+        assert len(trace) == 600
+        text = trace.to_jsonl()
+        assert text.startswith(first)
+        assert text.count("\n") == 600
+        assert [r["details"]["i"] for r in trace] == list(range(600))
+
+
+_SERIES = st.lists(
+    st.floats(min_value=-1e3, max_value=1e3)
+    | st.sampled_from([0.0, -0.0, 1e-9, -1e-9, 1e3, 0.5, math.nan])
+    | st.floats(min_value=1e-9, max_value=1e-6),
+    min_size=1, max_size=40,
+)
+
+
+class TestPercentile:
+    @settings(max_examples=300, deadline=None)
+    @given(_SERIES, st.sampled_from([50, 90]))
+    @example([3.0], 90)
+    @example([-0.0], 50)
+    @example([1.0, 2.0, 2.0, 2.0], 50)
+    @example([1.0, 2.0, 3.0, 4.0], 90)
+    @example([0.5, math.nan, 1e-9], 50)
+    def test_matches_numpy_to_the_bit(self, values, p):
+        arr = np.asarray(values, dtype=float)
+        ours = _percentile(np.sort(arr), p)
+        want = float(np.percentile(arr, p))
+        if math.isnan(want):
+            assert math.isnan(ours)
+        else:
+            assert struct.pack("<d", ours) == struct.pack("<d", want)
 
 
 class TestEvalTiming:

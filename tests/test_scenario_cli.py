@@ -299,15 +299,34 @@ class TestRunner:
         finally:
             gc.enable()
 
-    def test_import_leaves_scipy_stats_out(self):
+    @staticmethod
+    def _fresh_python(code: str) -> str:
+        """stdout of ``code`` in a new interpreter, where nothing is imported yet."""
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p)
-        code = "import sys, oneq.runner, oneq.cli; print('scipy.stats' in sys.modules)"
-        proc = subprocess.run([sys.executable, "-c", code], env=env,
+        proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=REPO,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        return proc.stdout.strip()
+
+    def test_import_leaves_scipy_stats_out(self):
+        code = "import sys, oneq.runner, oneq.cli; print('scipy.stats' in sys.modules)"
+        assert self._fresh_python(code) == "False"
+
+    def test_run_and_tables_leave_numpy_ma_out(self):
+        # numpy.ma costs every run about 1.2 MB and 18 ms of import; pytest
+        # plugins or scipy may already have loaded it here, hence a subprocess.
+        code = (
+            "import sys\n"
+            "from oneq.runner import app_results_csv, metrics_csv, run_scenario\n"
+            "from oneq.scenario import load_scenario_file\n"
+            "art = run_scenario(load_scenario_file('scenarios/qkd_baseline.json')[0])\n"
+            "metrics_csv(art.metrics_rows)\n"
+            "app_results_csv(art.app_rows)\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        assert self._fresh_python(code) == "False"
 
     def test_fault_inside_a_run_names_the_run_and_the_time(self, monkeypatch):
         faults = _fail_qkd_midway(monkeypatch)
@@ -458,6 +477,21 @@ class TestCli:
 
 
 class TestReadme:
+    def test_scenario_files_example_runs(self):
+        """The "Scenario files" example loads strictly and every app finishes.
+
+        A strict load rejects unknown keys only: a known field that the
+        example's other settings leave without effect passes unnoticed.
+        """
+        readme = (REPO / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Scenario files", 1)[1]
+        block = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+        scenario, warnings = load_scenario(json.loads(block), strict=True)
+        assert warnings == []
+        art = run_scenario(scenario)
+        outcomes = {row[1]: row[3] for row in art.app_rows}
+        assert outcomes and "unfinished" not in outcomes.values(), outcomes
+
     def test_library_use_snippet_runs(self, tmp_path, monkeypatch, capsys):
         readme = (REPO / "README.md").read_text(encoding="utf-8")
         section = readme.split("## Library use", 1)[1]
