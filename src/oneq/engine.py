@@ -108,24 +108,27 @@ class Trace:
         return text
 
 
-def _percentile(ordered: np.ndarray, p: float) -> float:
-    """np.percentile(ordered, p) of a sorted series, to the bit.
+def _percentile(values: np.ndarray, p: float) -> float:
+    """np.percentile(values, p), to the bit.
 
     numpy's linear rule: virtual index (n-1)*p/100, interpolated from the
     upper neighbour when its fraction is at least 0.5, and clamped at the
-    last value, which numpy addresses as index -1.  np.percentile itself
+    last value, which numpy addresses as index -1.  The neighbours are read
+    after np.partition at the index set numpy partitions at, so of equal
+    values (0.0 and -0.0) the same one is picked.  np.percentile itself
     imports numpy.ma on first use.
     """
-    n = len(ordered)
-    if math.isnan(ordered[-1]):  # np.sort puts NaN last
-        return math.nan
+    n = len(values)
     v = (n - 1) * (p / 100)
     if v >= n - 1:
         lo, hi, gamma = -1, -1, v + 1
     else:
         lo = math.floor(v)
         hi, gamma = lo + 1, v - lo
-    a, b = float(ordered[lo]), float(ordered[hi])
+    part = np.partition(values, sorted({0, lo % n, hi % n, n - 1}))
+    if math.isnan(part[-1]):  # the partition puts NaN last
+        return math.nan
+    a, b = float(part[lo]), float(part[hi])
     diff = b - a
     return b - diff * (1 - gamma) if gamma >= 0.5 else a + diff * gamma
 
@@ -164,14 +167,13 @@ class Metrics:
         for name, values in self.series.items():
             unit = self._units.get(name, "")
             arr = np.asarray(values, dtype=float)
-            ordered = np.sort(arr)
             stats = {
                 "count": float(arr.size),
                 "mean": float(arr.mean()),
                 "std": float(arr.std()),
                 "min": float(arr.min()),
-                "p50": _percentile(ordered, 50),
-                "p90": _percentile(ordered, 90),
+                "p50": _percentile(arr, 50),
+                "p90": _percentile(arr, 90),
                 "max": float(arr.max()),
             }
             for suffix, value in stats.items():

@@ -729,7 +729,7 @@ class Stack:
         """Bell-state measurement at the repeater; output w is the product.
 
         The output pair is unusable until its classical correction is marked
-        delivered (see swap_with_correction).  Both inputs are consumed.
+        delivered (see _swap_chain).  Both inputs are consumed.
         """
         pair_ab = self.ledger.live(pair_ab_id)
         pair_bc = self.ledger.live(pair_bc_id)
@@ -772,15 +772,23 @@ class Stack:
     def mark_correction_delivered(self, pair: WernerPair) -> None:
         pair.usable_at = self.sim.now
 
-    def swap_with_correction(self, pair_ab_id: str, pair_bc_id: str, repeater: str,
-                             correction_to: str):
-        """Generator: swap then deliver the 2-bit correction message.
+    def _swap_chain(self, pair_ids: Sequence[str], stations: Sequence[str]):
+        """Generator: swap a chain into one end pair; its id, or None.
 
-        Returns the output pair id on success.  A lost correction discards
-        the output pair and returns None.
+        Pair i is held by stations[i] and stations[i+1].  Every inner
+        station measures at this instant, and each intermediate output is
+        corrected at once (Pauli-frame tracking); one correction then walks
+        back from the last repeater to stations[0], collecting every
+        outcome.  A lost correction discards the end pair.  A one-pair
+        chain is returned as is.
         """
-        out = self.entanglement_swap(pair_ab_id, pair_bc_id, repeater)
-        ok = yield from self.send_routed(repeater, correction_to, "correction")
+        if len(pair_ids) == 1:
+            return pair_ids[0]
+        out = self.entanglement_swap(pair_ids[0], pair_ids[1], stations[1])
+        for pair_id, repeater in zip(pair_ids[2:], stations[2:]):
+            self.mark_correction_delivered(out)
+            out = self.entanglement_swap(out.id, pair_id, repeater)
+        ok = yield from self.send_over(stations[-2::-1], "correction")
         if not ok:
             self.discard_pair(out.id, "correction-lost")
             return None
@@ -831,22 +839,6 @@ class Stack:
             if result is not None:
                 return result
         return None
-
-    def _swap_segments(self, plan: list[_Segment], segments: dict[int, WernerPair]):
-        """Generator: swap the held segments left to right into one pair, or None.
-
-        A lost correction ends the chain; the segments right of it stay
-        held for the next slot.
-        """
-        merged = segments.pop(0)
-        for i in range(1, len(plan)):
-            out_id = yield from self.swap_with_correction(
-                merged.id, segments.pop(i).id, plan[i].holders[0], plan[0].holders[0],
-            )
-            if out_id is None:
-                return None
-            merged = self.ledger.resources[out_id]
-        return merged
 
     def entanglement_session(self, request: EntanglementRequest):
         """Generator returning a SessionResult.
@@ -937,9 +929,10 @@ class Stack:
                     held = yield from self._attempt_loop(period, deadline, served, slot)
                     if held is None:
                         break
-                    pair = yield from self._swap_segments(plan, segments)
-                    if pair is not None:
-                        delivered.append(pair)
+                    pair_id = yield from self._swap_chain(
+                        [segments.pop(i).id for i in range(len(plan))], chain)
+                    if pair_id is not None:
+                        delivered.append(self.ledger.resources[pair_id])
             except CoverageError as err:
                 aborted = "coverage-lost"
                 self.sim.trace.emit(self.sim.now, requester, "session-coverage-lost",
@@ -1170,8 +1163,7 @@ class Stack:
                     unbridged = stored_ids[k:]
                     break
                 t_swap = self.sim.now
-                out_id = yield from self.swap_with_correction(
-                    rid, bridge.id, bs_old, ue_id)
+                out_id = yield from self._swap_chain((rid, bridge.id), (ue_id, bs_old, bs_new))
                 downtime += self.sim.now - t_swap  # correction in flight
                 if out_id is not None:
                     out = self.ledger.resources[out_id]

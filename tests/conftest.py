@@ -97,6 +97,45 @@ def two_cell_topology(
     )
 
 
+def line_topology(
+    w0_ue: float = 0.96,
+    w0_bs: float = 0.94,
+    q_attempt: float = 1.0,
+    attempt_period_s: float = 1e-4,
+    t_coh_ue: float = 0.05,
+    t_coh_bs: float = 0.1,
+    p_err_c: float = 0.0,
+) -> Topology:
+    """QUE1-QBS1-QBS2-QBS3-QUE2: a four-segment chain with three repeaters.
+
+    Each station's classical and quantum links reach only its neighbours,
+    and the stations are joined by repeater edges QBS1-QBS2-QBS3.
+    """
+    bs_ids = ["QBS1", "QBS2", "QBS3"]
+    nodes = [NodeSpec(id=bs, kind="QBS", position=(3000.0 * i, 0.0, 10.0),
+                      t_coh_s=t_coh_bs, memory_slots=64) for i, bs in enumerate(bs_ids)]
+    nodes += [
+        NodeSpec(id="QUE1", kind="QUE", position=(300.0, 0.0, 0.0),
+                 t_coh_s=t_coh_ue, memory_slots=16),
+        NodeSpec(id="QUE2", kind="QUE", position=(6300.0, 0.0, 0.0),
+                 t_coh_s=t_coh_ue, memory_slots=16),
+    ]
+    hops = [("QBS1", "QUE1", w0_ue, 1e8, 1e-5), ("QBS1", "QBS2", w0_bs, 1e9, 2e-5),
+            ("QBS2", "QBS3", w0_bs, 1e9, 2e-5), ("QBS3", "QUE2", w0_ue, 1e8, 1e-5)]
+    return Topology(
+        nodes=nodes,
+        cells=[CellSpec(bs_id=bs, classical_radius=2000.0, quantum_radius=1500.0)
+               for bs in bs_ids],
+        classical_links=[ClassicalLinkSpec(a=a, b=b, rate_bps=rate, prop_delay_s=delay,
+                                           p_err_c=p_err_c)
+                         for a, b, _, rate, delay in hops],
+        quantum_links=[QuantumLinkSpec(a=a, b=b, q_attempt=q_attempt,
+                                       attempt_period_s=attempt_period_s, w0=w0)
+                       for a, b, w0, _, _ in hops],
+        repeater_edges=[("QBS1", "QBS2"), ("QBS2", "QBS3")],
+    )
+
+
 def drive(sim: Simulator, gen, until: float = 1e6):
     """Spawn a protocol generator and run it to completion; return its value.
 

@@ -277,9 +277,10 @@ class TestPercentile:
     @example([1.0, 2.0, 2.0, 2.0], 50)
     @example([1.0, 2.0, 3.0, 4.0], 90)
     @example([0.5, math.nan, 1e-9], 50)
+    @example([0.0, -0.0, 0.0, 0.0, 0.0, 0.0, 0.0, -0.0, 0.0, 0.0], 50)
     def test_matches_numpy_to_the_bit(self, values, p):
         arr = np.asarray(values, dtype=float)
-        ours = _percentile(np.sort(arr), p)
+        ours = _percentile(arr, p)
         want = float(np.percentile(arr, p))
         if math.isnan(want):
             assert math.isnan(ours)

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import QUIET, drive, one_cell_topology, two_cell_topology
+from conftest import QUIET, drive, line_topology, one_cell_topology, two_cell_topology
 from oneq.engine import Simulator
 from oneq.errors import PermanentLossError, ProtocolError, ResourceError
 from oneq.protocol import (
@@ -504,19 +504,22 @@ class TestSwap:
         with pytest.raises(ResourceError):
             stack.entanglement_swap(a.id, b.id, "QBS1")
 
-    def test_swap_with_correction_delivers(self, make_stack):
+    def test_swap_chain_two_pairs_delivers(self, make_stack):
         topo = two_cell_topology(t_coh_ue=1e9, t_coh_bs=1e9, p_err_c=0.0)
         sim, stack = make_stack(topo)
         drive(sim, stack.register("QUE1", "QBS1"))
         drive(sim, stack.register("QUE2", "QBS2"))
         a = _register_pair(stack, "QUE1", "QBS1", 0.9)
         b = _register_pair(stack, "QBS1", "QBS2", 0.95)
-        out_id = drive(sim, stack.swap_with_correction(a.id, b.id, "QBS1",
-                                                       correction_to="QUE1"))
+        t_swap = sim.now
+        out_id = drive(sim, stack._swap_chain((a.id, b.id), ("QUE1", "QBS1", "QBS2")))
         assert out_id is not None
         out = stack.ledger.live(out_id)
-        assert out.usable_at <= sim.now
+        assert t_swap < out.usable_at <= sim.now
         assert set(out.holders) == {"QUE1", "QBS2"}
+        assert out.w == pytest.approx(0.9 * 0.95)
+        assert [(r["node"], r["details"]["dst"]) for r in sim.trace
+                if r["details"].get("msg") == "correction"] == [("QBS1", "QUE1")]
 
     def test_three_hop_w_is_order_independent(self, make_stack):
         topo = two_cell_topology(t_coh_ue=1e9, t_coh_bs=1e9)
@@ -564,17 +567,53 @@ class TestCrossCellSession:
         assert any(r["kind"] == "swap" for r in sim.trace)
 
     def test_lost_correction_leaves_no_segment_live(self, make_stack):
-        # at this seed the first swap's correction is lost; the segment right
-        # of it must be reused by the next slot, not left live until run end
+        # at this seed some collected corrections are lost; each loss discards
+        # the whole end pair, and the next slot heralds every segment again
         sim, stack = make_stack(two_cell_topology(q_attempt=1.0, p_err_c=0.5), seed=31,
                                 defaults=Defaults(inactivity_timeout_s=1e9, retry_cap=2))
         assert drive(sim, stack.register("QUE1", "QBS1"))
         assert drive(sim, stack.register("QUE2", "QBS2"))
         res = drive(sim, stack.entanglement_session(_request(count=1)))
-        assert [r["details"]["reason"] for r in sim.trace
-                if r["kind"] == "pair-discarded"] == ["correction-lost"]
+        reasons = [r["details"]["reason"] for r in sim.trace if r["kind"] == "pair-discarded"]
+        assert reasons and set(reasons) == {"correction-lost"}
         assert res.outcome == SessionOutcome.FULFILLED
         assert stack.ledger.live_ids() == list(res.delivered)
+
+    def test_line_chain_swaps_at_once_and_sends_one_correction(self, make_stack):
+        topo = line_topology()
+        sim, stack = make_stack(topo)
+        drive(sim, stack.register("QUE1", "QBS1"))
+        drive(sim, stack.register("QUE2", "QBS3"))
+        res = drive(sim, stack.entanglement_session(_request(count=1)))
+        assert res.outcome == SessionOutcome.FULFILLED
+        records = list(sim.trace)
+        swaps = [r for r in records if r["kind"] == "swap"]
+        assert [r["node"] for r in swaps] == ["QBS1", "QBS2", "QBS3"]
+        t_swap = swaps[0]["t"]
+        assert {r["t"] for r in swaps} == {t_swap}
+        corrections = [r for r in records if r["details"].get("msg") == "correction"]
+        assert [r["details"]["route"] if r["kind"] == "msg-route"
+                else f'{r["node"]}+{r["details"]["dst"]}'
+                for r in corrections] == ["QBS3+QBS2+QBS1", "QBS1+QUE1"]
+        assert all(r["details"]["delivered"] for r in corrections)
+        t_landed = corrections[-1]["t"]
+        assert t_swap < corrections[0]["t"] < t_landed
+
+        # the end pair: the product of the four segments aged to the swap
+        # instant, decayed over the one correction walk and then to the ACK
+        segments = [r for r in records if r["kind"] == "pair-created"]
+        assert len(segments) == 4
+        w_swapped = math.prod(
+            r["details"]["w"] * math.exp(-(t_swap - r["t"]) / stack.effective_t_coh(
+                tuple(r["details"]["holders"].split("+"))))
+            for r in segments)
+        assert swaps[-1]["details"]["w_out"] == pytest.approx(w_swapped, abs=1e-9)
+        pair = stack.ledger.live(res.delivered[0])
+        t_coh = stack.effective_t_coh(pair.holders)
+        assert pair.usable_at == pytest.approx(t_landed, abs=1e-12)
+        w_landed = w_swapped * math.exp(-(t_landed - t_swap) / t_coh)
+        assert pair.w == pytest.approx(
+            w_landed * math.exp(-(pair.last_touched - t_landed) / t_coh), rel=1e-9)
 
 
 class TestTeleport:
