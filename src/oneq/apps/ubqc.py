@@ -14,10 +14,12 @@ blindness argument; the chi-square helpers below make it testable.
 All angles live on the eight-point grid and are carried as integers
 (multiples of pi/4), so the blinding algebra is exact.
 
-Exact mode simulates the server's qubits as statevectors: remote
-preparation collapses the server half of each pair, the server links
-neighbours with CZ lazily (never holding more than two qubits), and the
-client decodes outcomes through the byproduct frame
+Each shot takes all its pairs in one session and, as in the protocol of
+Broadbent, Fitzsimons and Kashefi, prepares every server qubit before the
+first angle is announced.  Exact mode simulates the server's qubits as
+statevectors: remote preparation collapses the server half of each pair,
+the server links neighbours with CZ lazily (never holding more than two
+qubits), and the client decodes outcomes through the byproduct frame
 
     angle:  lambda_n = (-1)^x phi_n
     frame:  (x, z) <- (b_n xor z, x)
@@ -195,9 +197,10 @@ class UbqcApp:
         pairs = 0
         deltas: list[int] = []
         for _ in range(cfg.shots):
-            shot = yield from self._one_shot(stack, theta_rng, r_rng,
-                                             client_meas, server_meas, deltas)
-            if shot is None:
+            logical, used = yield from self._one_shot(
+                stack, theta_rng, r_rng, client_meas, server_meas, deltas)
+            pairs += used
+            if logical is None:
                 result = UbqcResult(cfg.app_id, "starved", shots_done=shots_done,
                                     zeros=zeros, pairs_consumed=pairs,
                                     mode="exact" if cfg.exact else "parameterized",
@@ -205,9 +208,7 @@ class UbqcApp:
                 if shots_done:
                     result.p_zero = zeros / shots_done
                 return self._finish(stack, result, t0)
-            logical, used = shot
             shots_done += 1
-            pairs += used
             if logical == 0:
                 zeros += 1
         result = UbqcResult(
@@ -218,48 +219,48 @@ class UbqcApp:
         )
         return self._finish(stack, result, t0)
 
-    def _rsp_one(self, stack: Stack, theta_rng, client_meas):
-        """Generator: acquire a pair and collapse the server half.
+    def _prepare(self, stack: Stack, pair_id: str, theta_rng, client_meas):
+        """Consume one pair and collapse its server half.
 
-        Returns (theta_eff_eighths, server_qubit_or_None) or None when no
-        pair could be provisioned.
+        Returns (theta_eff_eighths, server_qubit_or_None).
         """
         cfg = self.config
-        taken, _ = yield from stack.acquire_pairs(
-            cfg.client, cfg.server, 1, cfg.min_fidelity, cfg.max_latency_s)
-        if not taken:
-            return None
-        pair = stack.consume_pair(taken[0], "rsp")
+        pair = stack.consume_pair(pair_id, "rsp")
         theta8 = int(theta_rng.integers(0, GRID)) if cfg.blinding == "uniform" else 0
         if cfg.exact:
             m, server_qubit = rsp_collapse(pair.w, theta8, client_meas)
         else:
             m, server_qubit = int(client_meas.integers(0, 2)), None
-        theta_eff8 = (theta8 + 4 * m) % GRID
-        return theta_eff8, server_qubit
+        return (theta8 + 4 * m) % GRID, server_qubit
 
     def _one_shot(self, stack: Stack, theta_rng, r_rng, client_meas,
                   server_meas, deltas: list[int]):
+        """Generator: one blind computation.
+
+        Returns (logical_bit_or_None, pairs_consumed); the bit is None when
+        the shot could not finish.
+        """
         cfg = self.config
         n_steps = len(cfg.phi_eighths) + 1  # pattern angles plus readout
+        taken, _ = yield from stack.acquire_pairs(
+            cfg.client, cfg.server, n_steps, cfg.min_fidelity, cfg.max_latency_s)
+        if len(taken) < n_steps:
+            for pair_id in taken:
+                stack.discard_pair(pair_id, "shot-starved")
+            return None, 0
+        # Every server qubit is prepared at this one instant, before the
+        # first angle is sent: a pair left stored across the sends below
+        # could be refreshed away by a provisioner or taken by another app.
+        thetas, qubits = zip(*(self._prepare(stack, pair_id, theta_rng, client_meas)
+                               for pair_id in taken))
         server = _ServerShot(cfg.exact, server_meas)
-
-        first = yield from self._rsp_one(stack, theta_rng, client_meas)
-        if first is None:
-            return None
-        theta_eff8, qubit = first
-        server.push(qubit)
+        server.push(qubits[0])
 
         x = z = 0
         logical = 0
-        used = 1
-        for n in range(n_steps):
+        for n, theta_eff8 in enumerate(thetas):
             if n + 1 < n_steps:
-                nxt = yield from self._rsp_one(stack, theta_rng, client_meas)
-                if nxt is None:
-                    return None
-                used += 1
-                server.push(nxt[1])
+                server.push(qubits[n + 1])
             r = int(r_rng.integers(0, 2)) if cfg.blinding == "uniform" else 0
             if n < len(cfg.phi_eighths):
                 phi8 = cfg.phi_eighths[n]
@@ -270,19 +271,17 @@ class UbqcApp:
             deltas.append(delta8)
             ok = yield from stack.send_routed(cfg.client, cfg.server, "angle")
             if not ok:
-                return None
+                return None, n_steps
             s = server.measure_front(delta8)
             ok = yield from stack.send_routed(cfg.server, cfg.client, "outcome")
             if not ok:
-                return None
+                return None, n_steps
             b = s ^ r
             if n < len(cfg.phi_eighths):
                 x, z = b ^ z, x
             else:
                 logical = b ^ z
-            if n + 1 < n_steps:
-                theta_eff8 = nxt[0]
-        return logical, used
+        return logical, n_steps
 
     def _finish(self, stack: Stack, result: UbqcResult, t0: float) -> UbqcResult:
         sim = stack.sim

@@ -295,6 +295,15 @@ def _cross_reference(topology: Topology, apps: tuple[AppSpec, ...],
                 (f"sensors[{j}]", s) for j, s in enumerate(cfg.sensors)]
         for label, node_id in refs:
             known(node_id, f"{path}.{label}")
+        if spec.kind == "ubqc":
+            # a shot holds all its pairs at once, at both ends
+            need = len(cfg.phi_eighths) + 1
+            for label, node_id in refs:
+                node = topology.nodes.get(node_id)
+                if node is not None and node.memory_slots < need:
+                    check.fail(f"{path}.phi_eighths",
+                               f"{label} {node_id!r} has {node.memory_slots} memory "
+                               f"slots, a shot holds {need} pairs")
         if spec.kind == "sensing":
             for j, s in enumerate(cfg.sensors):
                 if s in topology.nodes and cfg.fusion in topology.nodes \

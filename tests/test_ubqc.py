@@ -1,6 +1,7 @@
 """Delegated blind computation: chain semantics, blinding, app runs."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +18,11 @@ from oneq.apps.ubqc import (
     pattern_distinguishability_pvalue,
     rsp_collapse,
 )
+from oneq.runner import run_scenario
+from oneq.scenario import load_scenario_file
 
+
+REPO = Path(__file__).resolve().parents[1]
 
 PATTERNS = [(0,), (3,), (2, 2), (1, 6, 3), (7, 5, 1, 4)]
 
@@ -172,3 +177,63 @@ class TestAppOnEngine:
         assert res2.p_zero == res1.p_zero
         sim3, _, res3 = _run_app(make_stack, _ideal_topology(), cfg, seed=22)
         assert res3.deltas_eighths != res1.deltas_eighths
+
+
+class TestShotProvisioning:
+    """A shot gets all its pairs in one session and prepares them at once."""
+
+    def test_short_shot_discards_its_partial_pairs(self, make_stack):
+        # About 20 attempt slots at q 0.2 deliver 4 pairs only some of the
+        # time: seed 2 finishes three shots, then the fourth gets 3 of 4.
+        topo = one_cell_topology(q_attempt=0.2, w0=1.0, t_coh_s=1e9, memory_slots=4)
+        cfg = UbqcConfig("blind0", "QUE1", "QBS1", phi_eighths=(1, 6, 3),
+                        shots=50, max_latency_s=4e-3)
+        sim, stack, res = _run_app(make_stack, topo, cfg, seed=2)
+        stack.finalize()
+        ledger = stack.ledger
+        assert res.outcome == "starved"
+        assert res.shots_done == 3
+        consumed = [rid for rid, st in ledger.state.items() if st == "consumed"]
+        assert res.pairs_consumed == len(consumed) == 3 * 4
+        assert all(st in ("consumed", "discarded", "expired")
+                   for st in ledger.state.values())
+        partial = [rid for rid, st in ledger.state.items() if st == "discarded"]
+        assert 0 < len(partial) < 4
+        assert {ledger.reason[rid] for rid in partial} == {"shot-starved"}
+        for node_id in ("QUE1", "QBS1"):
+            assert ledger.slots_free(node_id) == topo.nodes[node_id].memory_slots
+
+    def test_prepared_pairs_decay_until_the_shot_starts(self, make_stack):
+        # Every pair of a shot is consumed at one instant, so the earlier
+        # heralded ones have aged longer in memory.
+        topo = one_cell_topology(q_attempt=1.0, w0=1.0, t_coh_s=0.01)
+        cfg = UbqcConfig("blind0", "QUE1", "QBS1", phi_eighths=(1, 6, 3),
+                        shots=1, max_latency_s=0.01)
+        sim, stack, res = _run_app(make_stack, topo, cfg)
+        assert res.outcome == "done"
+        pairs = [stack.ledger.resources[rid] for rid in sorted(stack.ledger.state)]
+        assert len(pairs) == 4
+        assert all(stack.ledger.reason[p.id] == "rsp" for p in pairs)
+        t_prepare = pairs[0].last_touched
+        assert all(p.last_touched == t_prepare for p in pairs)
+        t_coh = stack.effective_t_coh(("QUE1", "QBS1"))
+        for p in pairs:
+            assert p.w == pytest.approx(qcore.decay(1.0, t_prepare - p.created_at, t_coh),
+                                        rel=1e-12)
+        ws = [p.w for p in pairs]
+        assert ws == sorted(ws) and ws[0] < ws[-1] < 1.0
+
+
+class TestShippedChain:
+    def test_one_session_per_shot_keeps_the_counts(self):
+        scenario, _ = load_scenario_file(str(REPO / "scenarios" / "ubqc_chain.json"))
+        art = run_scenario(scenario, seed=23)
+        # 400 shots of 4 pairs: one request, one attempt slot per pair and
+        # one ack per shot, then 4 angle and 4 outcome messages.
+        assert art.summary["events"] == 5606
+        assert art.summary["trace_records"] == 8807
+        assert art.summary["apps"]["blind0"]["result"] == 0.165
+        ends = [line for line in art.trace_jsonl.splitlines()
+                if '"session-end"' in line]
+        assert len(ends) == 400
+        assert all('"outcome":"Fulfilled"' in line for line in ends)
