@@ -154,9 +154,6 @@ class Metrics:
         self.series.setdefault(name, []).append(float(value))
         self._units.setdefault(name, unit)
 
-    def counter(self, name: str) -> float:
-        return self.counters.get(name, 0.0)
-
     def to_rows(self, run_id: str, seed: int) -> list[tuple]:
         """Rows (run_id, seed, metric, value, unit), sorted by metric name."""
         rows: list[tuple] = []

@@ -196,8 +196,6 @@ class Defaults:
         object.__setattr__(self, "message_bits", {**MESSAGE_BITS, **self.message_bits})
 
 
-_TERMINAL_STATES = ("consumed", "discarded", "expired")
-
 # Simulated seconds a handover may spend provisioning entanglement at the
 # new station: the soft bridge must herald within it, and a hard handover's
 # replacement session has it as its latency budget.
@@ -245,26 +243,14 @@ class ResourceLedger:
             )
         return res
 
-    def _finish(self, resource_id: str, terminal: str, reason: str) -> None:
+    def finish(self, resource_id: str, terminal: str, reason: str) -> WernerPair | GhzResource:
+        """End a live resource as consumed, discarded or expired; its slots free now."""
         res = self.live(resource_id)
-        if isinstance(res, WernerPair):
-            res.consumed = True
         self.state[resource_id] = terminal
         self.reason[resource_id] = reason
         for h in res.holders:
             self._slots_used[h] -= 1
-
-    def mark_consumed(self, resource_id: str, purpose: str) -> None:
-        self._finish(resource_id, "consumed", purpose)
-
-    def mark_discarded(self, resource_id: str, reason: str) -> None:
-        self._finish(resource_id, "discarded", reason)
-
-    def expire_remaining(self) -> list[str]:
-        expired = self.live_ids()
-        for rid in expired:
-            self._finish(rid, "expired", "run-end")
-        return expired
+        return res
 
     def live_ids(self) -> list[str]:
         return [rid for rid, st in self.state.items() if st == "live"]
@@ -631,24 +617,30 @@ class Stack:
             if ctx is not None:
                 ctx.stored.add(resource.id)
 
-    def _unstore_for_ues(self, resource: WernerPair | GhzResource) -> None:
-        for h in resource.holders:
+    def _retire(self, resource_id: str, terminal: str, reason: str, record: str = "",
+                /, **details) -> WernerPair | GhzResource:
+        """The one exit of a live resource: ledger, pairs_<terminal>, UE buffers.
+
+        When record is given, that trace record is written at the first
+        holder with the resource id and details.
+        """
+        res = self.ledger.finish(resource_id, terminal, reason)
+        self.sim.metrics.incr(f"pairs_{terminal}")
+        for h in res.holders:
             ctx = self.ues.get(h)
             if ctx is not None:
-                ctx.stored.discard(resource.id)
+                ctx.stored.discard(resource_id)
+        if record:
+            self.sim.trace.emit(self.sim.now, res.holders[0], record, id=resource_id, **details)
+        return res
 
     def discard_pair(self, resource_id: str, reason: str) -> None:
-        res = self.ledger.live(resource_id)
-        self.ledger.mark_discarded(resource_id, reason)
-        self.sim.metrics.incr("pairs_discarded")
-        self._unstore_for_ues(res)
+        res = self._retire(resource_id, "discarded", reason, "pair-discarded", reason=reason)
         if reason == "below-threshold":
             self.sim.metrics.incr("pairs_discarded_below_threshold")
             for h in res.holders:
                 if self.topo.nodes[h].kind in UE_KINDS:
                     self.sim.metrics.incr(f"pairs_discarded_below_threshold.{h}")
-        self.sim.trace.emit(self.sim.now, res.holders[0], "pair-discarded",
-                            id=resource_id, reason=reason)
         for h in res.holders:
             self._maybe_exit_entangled(h)
 
@@ -656,11 +648,11 @@ class Stack:
         """Whether the pair's correction has arrived, within 1e-12 s."""
         return self.sim.now + 1e-12 >= pair.usable_at
 
-    def _precheck_consumable(self, res: WernerPair | GhzResource) -> list[str]:
+    def consume_pair(self, resource_id: str, purpose: str) -> WernerPair | GhzResource:
+        """Terminal consumption; legal only while all UE holders are Entangled."""
+        res = self.ledger.live(resource_id)
         if isinstance(res, WernerPair) and not self._corrected(res):
-            raise ResourceError(
-                f"pair {res.id} is not usable before its correction arrives"
-            )
+            raise ResourceError(f"pair {res.id} is not usable before its correction arrives")
         holder_states = []
         for h in res.holders:
             ctx = self.ues.get(h)
@@ -668,58 +660,33 @@ class Stack:
                 holder_states.append(f"{h}:{ctx.state.value}")
                 if ctx.state != QueState.ENTANGLED:
                     raise ProtocolError(
-                        f"cannot consume {res.id}: holder {h} is {ctx.state.value}"
-                    )
-        return holder_states
-
-    def _commit_consume(self, res: WernerPair | GhzResource, purpose: str,
-                        holder_states: list[str]) -> None:
-        self.ledger.mark_consumed(res.id, purpose)
-        self.sim.metrics.incr("pairs_consumed")
-        self._unstore_for_ues(res)
-        self.sim.trace.emit(
-            self.sim.now, res.holders[0], "pair-consumed",
-            id=res.id, purpose=purpose,
-            holder_states="+".join(holder_states) if holder_states else "bs-only",
-        )
-        for h in res.holders:
-            self._maybe_exit_entangled(h)
-
-    def consume_pair(self, resource_id: str, purpose: str) -> WernerPair | GhzResource:
-        """Terminal consumption; legal only while all UE holders are Entangled."""
-        res = self.ledger.live(resource_id)
-        holder_states = self._precheck_consumable(res)
+                        f"cannot consume {res.id}: holder {h} is {ctx.state.value}")
         if isinstance(res, WernerPair):
             self.age_pair(res)
             self.sim.metrics.observe("fidelity_at_consumption", fidelity_of(res.w))
-        self._commit_consume(res, purpose, holder_states)
+        self._retire(resource_id, "consumed", purpose, "pair-consumed", purpose=purpose,
+                     holder_states="+".join(holder_states) or "bs-only")
+        for h in res.holders:
+            self._maybe_exit_entangled(h)
         return res
 
     def measure_stored_pair(self, pair_id: str, basis_a: qcore.MeasurementBasis,
                             basis_b: qcore.MeasurementBasis) -> tuple[int, int]:
-        """Measure both halves of a stored pair; consumes it.
+        """Consume a stored pair, then measure both halves.
 
         The correlated outcome sampling keys off the first holder's stream
         so a fixed seed reproduces the bit pair exactly.
         """
-        res = self.ledger.live(pair_id)
-        if not isinstance(res, WernerPair):
+        if not isinstance(self.ledger.live(pair_id), WernerPair):
             raise ResourceError(f"{pair_id} is not a bipartite pair")
-        holder_states = self._precheck_consumable(res)
-        self.age_pair(res)
-        self.sim.metrics.observe("fidelity_at_consumption", fidelity_of(res.w))
-        rng = self.sim.rng_stream(res.holders[0], "measurement")
-        bits = qcore.measure_pair(res, basis_a, basis_b, rng)
-        self._commit_consume(res, "measure", holder_states)
-        return bits
+        pair = self.consume_pair(pair_id, "measure")
+        rng = self.sim.rng_stream(pair.holders[0], "measurement")
+        return qcore.measure_pair(pair, basis_a, basis_b, rng)
 
     def finalize(self) -> None:
         """Expire whatever is still live; call once at end of run."""
-        for rid in self.ledger.expire_remaining():
-            res = self.ledger.resources[rid]
-            self.sim.metrics.incr("pairs_expired")
-            self._unstore_for_ues(res)
-            self.sim.trace.emit(self.sim.now, res.holders[0], "pair-expired", id=rid)
+        for rid in self.ledger.live_ids():
+            self._retire(rid, "expired", "run-end", "pair-expired")
 
     # ------------------------------------------------------------------
     # Entanglement swapping
@@ -748,11 +715,8 @@ class Stack:
             raise ResourceError("swap would produce a pair with identical holders")
         w_ab = self.age_pair(pair_ab)
         w_bc = self.age_pair(pair_bc)
-        self.ledger.mark_consumed(pair_ab_id, "swap")
-        self.ledger.mark_consumed(pair_bc_id, "swap")
-        self.sim.metrics.incr("pairs_consumed", 2)
-        self._unstore_for_ues(pair_ab)
-        self._unstore_for_ues(pair_bc)
+        self._retire(pair_ab_id, "consumed", "swap")
+        self._retire(pair_bc_id, "consumed", "swap")
         out = WernerPair(
             id=self.ledger.new_id(),
             holders=(left, right),
@@ -942,16 +906,13 @@ class Stack:
             yield from self.send_message(requester, bs_a, "ack")
             survivors = []
             for pair in delivered:
-                if self.ledger.state.get(pair.id) != "live":
-                    continue
                 if _meets_fidelity(self.age_pair(pair), request.min_fidelity):
                     survivors.append(pair)
                 else:
                     discarded_below += 1
                     self.discard_pair(pair.id, "below-threshold")
             for leftover in segments.values():
-                if self.ledger.state.get(leftover.id) == "live":
-                    self.discard_pair(leftover.id, "segment-unused")
+                self.discard_pair(leftover.id, "segment-unused")
             segments.clear()
             if aborted or len(survivors) >= request.count or self.sim.now >= deadline:
                 break
@@ -1216,12 +1177,11 @@ class Stack:
     # ------------------------------------------------------------------
 
     def _buffered(self, ue_id: str, bs_id: str) -> list[WernerPair]:
-        """The UE's stored live pairs held by exactly ue_id and bs_id, by id."""
+        """The UE's stored pairs held by exactly ue_id and bs_id, by id."""
         pairs = []
         for rid in sorted(self.ue(ue_id).stored):
-            res = self.ledger.resources.get(rid)
-            if (isinstance(res, WernerPair) and self.ledger.state[rid] == "live"
-                    and set(res.holders) == {ue_id, bs_id}):
+            res = self.ledger.live(rid)
+            if isinstance(res, WernerPair) and set(res.holders) == {ue_id, bs_id}:
                 pairs.append(res)
         return pairs
 
@@ -1236,26 +1196,26 @@ class Stack:
         for pair in self._buffered(ue_id, bs_id):
             if len(taken) >= count:
                 break
-            if self._corrected(pair) and _meets_fidelity(self.age_pair(pair), min_fidelity):
+            if not self._corrected(pair):
+                continue
+            if _meets_fidelity(self.age_pair(pair), min_fidelity):
                 taken.append(pair.id)
+            else:
+                self.discard_pair(pair.id, "below-threshold")
         deficit = count - len(taken)
         result: Optional[SessionResult] = None
-        if deficit > 0:
-            if ctx.state == QueState.ENTANGLED:
-                # A session needs Connected; buffered resources keep us
-                # Entangled, so session-based top-up is only possible when
-                # the buffer is empty for this peer.
-                pass
-            else:
-                ok = yield from self.ensure_connected(ue_id, bs_id)
-                if ok:
-                    request = EntanglementRequest(
-                        requester=ue_id, peers=(bs_id,),
-                        count=deficit, max_latency_s=max_latency_s,
-                        min_fidelity=min_fidelity,
-                    )
-                    result = yield from self.entanglement_session(request)
-                    taken.extend(result.delivered)
+        # A session needs Connected, and a UE stays Entangled while any
+        # buffered pair is left, so only an emptied buffer is topped up.
+        if deficit > 0 and ctx.state != QueState.ENTANGLED:
+            ok = yield from self.ensure_connected(ue_id, bs_id)
+            if ok:
+                request = EntanglementRequest(
+                    requester=ue_id, peers=(bs_id,),
+                    count=deficit, max_latency_s=max_latency_s,
+                    min_fidelity=min_fidelity,
+                )
+                result = yield from self.entanglement_session(request)
+                taken.extend(result.delivered)
         return taken, result
 
     def start_policy(self, mode: PolicyMode, targets: Sequence[tuple[str, str]] = (),

@@ -153,7 +153,9 @@ class WernerPair:
 
     w is the Werner parameter as of ``last_touched``; callers are expected to
     age it with :func:`touch` before use.  ``usable_at`` gates swap outputs on
-    delivery of their classical correction.
+    delivery of their classical correction.  ``measured`` is set by
+    :func:`measure_pair` alone; whether a stored pair has ended is the
+    protocol ledger's record.
     """
 
     id: str
@@ -162,7 +164,7 @@ class WernerPair:
     created_at: float
     last_touched: float = 0.0
     usable_at: float = 0.0
-    consumed: bool = False
+    measured: bool = False
 
     def __post_init__(self) -> None:
         if len(self.holders) != 2 or self.holders[0] == self.holders[1]:
@@ -219,19 +221,19 @@ def measure_pair(
     basis_b: MeasurementBasis,
     rng: np.random.Generator,
 ) -> tuple[int, int]:
-    """Measure both halves of a pair in Z or X bases, consuming it.
+    """Measure both halves of a pair in Z or X bases, once.
 
     Equal bases give correlated bits: the outcomes disagree with probability
     (1 - w)/2, which is exactly the Born statistics of rho(w) in Z x Z or
     X x X.  Mixed bases give two independent fair bits.  Marginals are
     uniform in every case.
     """
-    if pair.consumed:
-        raise ResourceError(f"pair {pair.id} was already consumed")
+    if pair.measured:
+        raise ResourceError(f"pair {pair.id} was already measured")
     for basis in (basis_a, basis_b):
         if basis.kind not in ("Z", "X"):
             raise ValueError(f"measure_pair supports Z and X bases only, got {basis.kind}")
-    pair.consumed = True
+    pair.measured = True
     bit_a = int(rng.random() < 0.5)
     if basis_a.kind == basis_b.kind:
         flip = int(rng.random() < (1.0 - pair.w) / 2.0)
@@ -304,9 +306,6 @@ class PureState:
         if self.n_qubits + other.n_qubits > MAX_QUBITS:
             raise ValueError("tensor product exceeds the oracle cap")
         return PureState(np.multiply.outer(self.amplitudes, other.amplitudes))
-
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
 
 
 def _check_targets(state: PureState, targets: Sequence[int], arity: int) -> None:

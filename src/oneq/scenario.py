@@ -295,21 +295,23 @@ def _cross_reference(topology: Topology, apps: tuple[AppSpec, ...],
                 (f"sensors[{j}]", s) for j, s in enumerate(cfg.sensors)]
         for label, node_id in refs:
             known(node_id, f"{path}.{label}")
-        if spec.kind == "ubqc":
-            # a shot holds all its pairs at once, at both ends
-            need = len(cfg.phi_eighths) + 1
-            for label, node_id in refs:
-                node = topology.nodes.get(node_id)
-                if node is not None and node.memory_slots < need:
-                    check.fail(f"{path}.phi_eighths",
-                               f"{label} {node_id!r} has {node.memory_slots} memory "
-                               f"slots, a shot holds {need} pairs")
         if spec.kind == "sensing":
             for j, s in enumerate(cfg.sensors):
                 if s in topology.nodes and cfg.fusion in topology.nodes \
                         and topology.classical_link(s, cfg.fusion) is None:
                     check.fail(f"{path}.sensors[{j}]",
                                f"no classical link to the fusion node {cfg.fusion!r}")
+            continue
+        # one session holds all of a ubqc shot's or a qkd batch's pairs at
+        # once, at both ends
+        key, need, unit = (("phi_eighths", len(cfg.phi_eighths) + 1, "a shot")
+                           if spec.kind == "ubqc" else ("n_pairs", cfg.n_pairs, "a batch"))
+        for label, node_id in refs:
+            node = topology.nodes.get(node_id)
+            if node is not None and node.memory_slots < need:
+                check.fail(f"{path}.{key}",
+                           f"{label} {node_id!r} has {node.memory_slots} memory "
+                           f"slots, {unit} holds {need} pairs")
 
 
 def load_scenario(data: Any, strict: bool = False) -> tuple[Scenario, list[str]]:

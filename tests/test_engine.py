@@ -152,8 +152,8 @@ class TestTraceAndMetrics:
         m.set_gauge("qber", 0.07, unit="ratio")
         for v in (1.0, 2.0, 3.0, 4.0):
             m.observe("lat", v, unit="s")
-        assert m.counter("pairs") == 3.0
-        assert m.counter("missing") == 0.0
+        assert m.counters.get("pairs", 0.0) == 3.0
+        assert m.counters.get("missing", 0.0) == 0.0
         rows = m.to_rows("r", 1)
         by_name = {row[2]: row[3] for row in rows}
         assert by_name["pairs"] == 3.0

@@ -303,7 +303,7 @@ class TestLinks:
         untouched = copy.deepcopy(rng)
         assert stack._herald("QBS1", (link,), ("QBS1", "near")) is None
         assert rng.random() == untouched.random()
-        stack.ledger.mark_discarded("p000001", "test")
+        stack.ledger.finish("p000001", "discarded", "test")
         assert stack._herald("QBS1", (link,), ("QBS1", "near")) == 0.91
 
     def test_repeater_path_bfs(self):

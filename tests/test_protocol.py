@@ -23,6 +23,7 @@ from oneq.protocol import (
 from oneq.runner import run_scenario
 from oneq.scenario import load_scenario
 from oneq.qcore import (
+    GhzResource,
     WernerPair,
     X_BASIS,
     Z_BASIS,
@@ -335,7 +336,7 @@ class TestSessions:
         self._connect_both(sim, stack)
         res = drive(sim, stack.entanglement_session(
             _request(count=6, max_latency_s=0.2, min_fidelity=0.92)))
-        discards = sim.metrics.counter("pairs_discarded_below_threshold")
+        discards = sim.metrics.counters.get("pairs_discarded_below_threshold", 0.0)
         assert discards == res.discarded_below_threshold
         for rid in res.delivered:
             pair = stack.ledger.live(rid)
@@ -345,7 +346,7 @@ class TestSessions:
         sim, stack = make_stack(one_cell_topology(q_attempt=0.9))
         self._connect_both(sim, stack)
         drive(sim, stack.entanglement_session(_request(count=2)))
-        assert sim.metrics.counter("sessions_Fulfilled") == 1.0
+        assert sim.metrics.counters.get("sessions_Fulfilled", 0.0) == 1.0
         kinds = {r["kind"] for r in sim.trace}
         assert {"session-start", "session-end", "pair-created"} <= kinds
 
@@ -421,11 +422,11 @@ class TestLedger:
     def test_terminal_states_are_final(self, make_stack):
         sim, stack = make_stack(one_cell_topology())
         pair = _register_pair(stack, "QUE1", "QBS1", 0.9)
-        stack.ledger.mark_consumed(pair.id, "test")
+        assert stack.ledger.finish(pair.id, "consumed", "test") is pair
         with pytest.raises(ResourceError):
             stack.ledger.live(pair.id)
         with pytest.raises(ResourceError):
-            stack.ledger.mark_consumed(pair.id, "again")
+            stack.ledger.finish(pair.id, "discarded", "again")
         with pytest.raises(ResourceError):
             stack.ledger.live("p999999")
 
@@ -443,8 +444,8 @@ class TestLedger:
             stack.consume_pair(rid, "test")
         stack.ue("QUE2").stored.add(rid)
         stack._set_state(ctx, QueState.ENTANGLED, "test-restore")
-        out = stack.consume_pair(rid, "test")
-        assert out.consumed
+        stack.consume_pair(rid, "test")
+        assert stack.ledger.state[rid] == "consumed"
 
     def test_finalize_expires_leftovers(self, make_stack):
         sim, stack = make_stack(one_cell_topology())
@@ -494,7 +495,8 @@ class TestSwap:
         with pytest.raises(ResourceError):
             stack.consume_pair(out.id, "test")
         stack.mark_correction_delivered(out)
-        assert stack.consume_pair(out.id, "test").consumed
+        stack.consume_pair(out.id, "test")
+        assert stack.ledger.state[out.id] == "consumed"
 
     def test_swap_requires_common_repeater(self, make_stack):
         topo = two_cell_topology()
@@ -904,6 +906,32 @@ class TestAcquireAndPolicy:
                      and r["details"]["target"] == "SAT1" and r["t"] >= wait["t"])
         # not one check period (0.05 s) late
         assert first["t"] == wait["details"]["pass_start"] == pytest.approx(3.9, abs=1e-9)
+
+    def test_acquire_discards_a_stale_buffer_and_tops_up(self, make_stack):
+        sim, stack = make_stack(one_cell_topology(q_attempt=0.9, t_coh_s=1e9))
+        drive(sim, stack.register("QUE1", "QBS1"))
+        stale = _register_pair(stack, "QUE1", "QBS1", w_for_fidelity(0.7))
+        stack._store_for_ues(stale)
+        stack._enter_entangled("QUE1")
+        taken, session = drive(sim, stack.acquire_pairs(
+            "QUE1", "QBS1", count=1, min_fidelity=0.8, max_latency_s=1.0))
+        assert stack.ledger.state[stale.id] == "discarded"
+        assert stack.ledger.reason[stale.id] == "below-threshold"
+        assert session is not None and taken == list(session.delivered) != []
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_provisioned_client_is_not_starved_by_its_stale_buffer(self, seed):
+        # the provisioner keeps three QBS1 pairs at QUE4; with the 0.1 s
+        # memories they age below the shot's floor between refreshes, and a
+        # shot must then replace them instead of finding too few usable
+        doc = json.loads((REPO / "scenarios" / "metro_with_satellite.json")
+                         .read_text(encoding="utf-8"))
+        doc["policy"]["targets"].append(["QBS1", "QUE4"])
+        doc["policy"]["buffer_target"] = 3
+        art = run_scenario(load_scenario(doc, strict=True)[0], seed=seed)
+        metrics = {row[2]: row[3] for row in art.metrics_rows}
+        assert art.summary["apps"]["blind0"]["outcome"] == "done"
+        assert metrics["app.blind0.shots"] == 40.0
 
     def test_reactive_policy_is_inert(self, make_stack):
         sim, stack = make_stack(one_cell_topology())
@@ -1380,3 +1408,89 @@ class TestChainProperties:
                    for state in stack.ledger.state.values())
         assert all(stack.ledger.slots_free(n.id) == n.memory_slots
                    for n in topo.nodes.values())
+
+
+_EXIT_OPS = ("create", "create", "ghz", "consume", "measure", "measure_ghz",
+             "discard", "swap", "wait")
+_PAIR_HOLDERS = (("QUE1", "QBS1"), ("QBS1", "QUE2"), ("QUE1", "QUE2"))
+
+
+class TestResourceExitProperties:
+    """Random lifecycles: every resource leaves through the one retire step."""
+
+    @staticmethod
+    def _check_invariants(stack, topo):
+        for ctx in stack.ues.values():
+            assert all(stack.ledger.state[rid] == "live" for rid in ctx.stored)
+            if ctx.stored:
+                assert ctx.state == QueState.ENTANGLED
+        live = [stack.ledger.resources[rid] for rid in stack.ledger.live_ids()]
+        for node in topo.nodes.values():
+            held = sum(node.id in res.holders for res in live)
+            assert 0 <= stack.ledger.slots_free(node.id) == node.memory_slots - held
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(_EXIT_OPS), st.integers(0, 63)),
+                    max_size=40))
+    def test_every_resource_ends_once(self, steps):
+        topo = one_cell_topology(memory_slots=3)
+        sim = Simulator(seed=7)
+        stack = Stack(sim, topo, QUIET)
+        for ue in ("QUE1", "QUE2"):
+            _attach(stack, ue, "QBS1")
+
+        def live(kind):
+            return [rid for rid in stack.ledger.live_ids()
+                    if isinstance(stack.ledger.resources[rid], kind)]
+
+        def hold(res):
+            if stack.ledger.can_store(res.holders):
+                stack.ledger.register(res)
+                stack._store_for_ues(res)
+                for h in res.holders:
+                    stack._enter_entangled(h)
+            else:
+                with pytest.raises(ResourceError):
+                    stack.ledger.register(res)
+
+        for op, k in steps:
+            pairs, ghzs = live(WernerPair), live(GhzResource)
+            both = pairs + ghzs
+            if op == "create":
+                hold(WernerPair(id=stack.ledger.new_id(), w=0.95,
+                                holders=_PAIR_HOLDERS[k % 3],
+                                created_at=sim.now, last_touched=sim.now))
+            elif op == "ghz":
+                hold(GhzResource(id=stack.ledger.new_id(), w=0.9,
+                                 holders=("QBS1", "QUE1", "QUE2"), created_at=sim.now))
+            elif op == "consume" and both:
+                rid = both[k % len(both)]
+                assert stack.consume_pair(rid, "test").id == rid
+            elif op == "measure" and pairs:
+                assert set(stack.measure_stored_pair(pairs[k % len(pairs)],
+                                                     Z_BASIS, Z_BASIS)) <= {0, 1}
+            elif op == "measure_ghz" and ghzs:
+                rid = ghzs[k % len(ghzs)]
+                with pytest.raises(ResourceError):
+                    stack.measure_stored_pair(rid, Z_BASIS, Z_BASIS)
+                assert stack.ledger.state[rid] == "live"
+            elif op == "discard" and both:
+                stack.discard_pair(both[k % len(both)], "test")
+            elif op == "swap":
+                ab = [r for r in pairs if stack.ledger.resources[r].holders[1] == "QBS1"]
+                bc = [r for r in pairs if stack.ledger.resources[r].holders[0] == "QBS1"]
+                if ab and bc:
+                    out = stack.entanglement_swap(ab[k % len(ab)], bc[k % len(bc)], "QBS1")
+                    stack.mark_correction_delivered(out)
+                    stack._store_for_ues(out)
+            elif op == "wait":
+                sim.run_until(sim.now + k * 1e-3)
+            self._check_invariants(stack, topo)
+
+        stack.finalize()
+        self._check_invariants(stack, topo)
+        ended = sum(sim.metrics.counters.get(f"pairs_{terminal}", 0.0)
+                    for terminal in ("consumed", "discarded", "expired"))
+        assert ended == len(stack.ledger.state)
+        assert set(stack.ledger.state.values()) <= {"consumed", "discarded", "expired"}
+        assert all(ctx.stored == set() for ctx in stack.ues.values())

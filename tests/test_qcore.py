@@ -88,7 +88,7 @@ class TestPairMeasurement:
         rng = np.random.default_rng(0)
         pair = WernerPair(id="p", holders=("a", "b"), w=1.0, created_at=0.0)
         measure_pair(pair, Z_BASIS, Z_BASIS, rng)
-        assert pair.consumed
+        assert pair.measured
         with pytest.raises(ResourceError):
             measure_pair(pair, Z_BASIS, Z_BASIS, rng)
 
@@ -157,7 +157,7 @@ class TestStatevector:
             PureState([1.0, 0.0, 0.0])  # not a power of two
         with pytest.raises(ValueError):
             PureState([0.9, 0.1])  # not normalized
-        assert PureState.zeros(3).probabilities()[0] == 1.0
+        assert abs(PureState.zeros(3).amplitudes[0]) ** 2 == 1.0
 
     def test_h_is_involutive(self):
         state = PureState.zeros(1)
@@ -170,7 +170,7 @@ class TestStatevector:
         amps = np.zeros(4, dtype=complex)
         amps[2] = 1.0
         out = oracle_apply(PureState(amps), "CNOT", (0, 1))
-        assert out.probabilities()[3] == pytest.approx(1.0)
+        assert abs(out.amplitudes[3]) ** 2 == pytest.approx(1.0)
 
     def test_rz_needs_theta_and_unknown_gate_rejected(self):
         state = PureState.zeros(1)
@@ -220,7 +220,7 @@ class TestStatevector:
 class TestGhz:
     def test_ghz_state_amplitudes(self):
         state = ghz_state(3)
-        probs = state.probabilities()
+        probs = abs(state.amplitudes) ** 2
         assert probs[0] == pytest.approx(0.5)
         assert probs[-1] == pytest.approx(0.5)
 

@@ -45,6 +45,8 @@ BAD_BLOCKS = [
     ("ubqc_latency_zero", "$.apps[0]: max_latency_s must be positive, got 0.0"),
     ("ubqc_shot_exceeds_memory",
      "$.apps[0].phi_eighths: client 'QUE1' has 2 memory slots, a shot holds 4 pairs"),
+    ("qkd_n_pairs_exceeds_memory",
+     "$.apps[0].n_pairs: alice 'QUE1' has 8 memory slots, a batch holds 24 pairs"),
     ("defaults_retry_cap_zero", "$.defaults: retry_cap must be at least 1, got 0"),
     ("defaults_timeout_negative",
      "$.defaults: inactivity_timeout_s must be positive, got -1.0"),
