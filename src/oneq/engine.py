@@ -14,7 +14,7 @@ import hashlib
 import heapq
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import Any, Callable, Generator, Iterable, Optional, Sequence
@@ -23,7 +23,6 @@ import numpy as np
 
 __all__ = [
     "EventKind",
-    "Event",
     "Trace",
     "Metrics",
     "Simulator",
@@ -38,14 +37,6 @@ class EventKind(str, Enum):
     DECOHERENCE_CHECK = "decoherence-check"
     TIMER = "timer"
     APP_STEP = "app-step"
-
-
-@dataclass
-class Event:
-    time: float
-    seq: int
-    kind: EventKind
-    payload: Callable[[], None]
 
 
 def _json_value(value: Any) -> str:
@@ -189,7 +180,7 @@ class Simulator:
         self.trace = Trace()
         self.metrics = Metrics()
         self.events_processed = 0
-        self._heap: list[tuple[float, int, Event]] = []
+        self._heap: list[tuple[float, int, Callable[[], None]]] = []
         self._next_seq = 0
         self._streams: dict[tuple[str, str], np.random.Generator] = {}
 
@@ -218,12 +209,11 @@ class Simulator:
         delay: float,
         fn: Callable[[], None],
         kind: EventKind = EventKind.TIMER,
-    ) -> Event:
+    ) -> None:
+        """Run fn after delay.  kind labels the event; the kernel does not read it."""
         if delay < 0.0:
             raise ValueError(f"delay must be nonnegative, got {delay}")
-        event = Event(self.now + delay, self._alloc_seq(), kind, fn)
-        heapq.heappush(self._heap, (event.time, event.seq, event))
-        return event
+        heapq.heappush(self._heap, (self.now + delay, self._alloc_seq(), fn))
 
     def _alloc_seq(self) -> int:
         seq = self._next_seq
@@ -269,10 +259,9 @@ class Simulator:
         if t_end < self.now:
             raise ValueError(f"t_end {t_end} precedes current time {self.now}")
         while self._heap and self._heap[0][0] <= t_end:
-            _, _, event = heapq.heappop(self._heap)
-            self.now = event.time
+            self.now, _, fn = heapq.heappop(self._heap)
             self.events_processed += 1
-            event.payload()
+            fn()
         self.now = max(self.now, t_end)
         return self.metrics, self.trace
 

@@ -8,9 +8,9 @@ or expired at run end); the ledger enforces both.
 
 All protocol steps are generator processes driven by the event engine.  A
 yielded float is the simulated delay until the step resumes.  Every
-classical transmission is one Stack.transmit over the lossy channel model;
-messages retry within a bounded budget, one attempt per yield, except that
-a routed message crosses a fixed backbone stretch in one yield.
+classical transmission is one Stack.transmit over the lossy channel model.
+A message crosses its whole hop list in one yield, each hop retrying within
+a bounded budget, and writes one msg record.
 """
 
 from __future__ import annotations
@@ -313,7 +313,7 @@ class Stack:
             frm=old.value, to=new_state.value, reason=reason,
         )
         if new_state == QueState.CONNECTED:
-            ctx.last_activity = self.sim.now
+            self._touch_activity(self.sim.now, ctx.node_id)
             self._arm_inactivity(ctx, self.defaults.inactivity_timeout_s)
 
     def _arm_inactivity(self, ctx: QueContext, delay: float) -> None:
@@ -328,11 +328,12 @@ class Stack:
         else:
             self._arm_inactivity(ctx, remaining)
 
-    def _touch_activity(self, *node_ids: str) -> None:
+    def _touch_activity(self, t: float, *node_ids: str) -> None:
+        """Count t as activity for the UEs among node_ids; t may lie ahead."""
         for node_id in node_ids:
             ctx = self.ues.get(node_id)
             if ctx is not None:
-                ctx.last_activity = self.sim.now
+                ctx.last_activity = max(ctx.last_activity, t)
 
     def _maybe_exit_entangled(self, node_id: str) -> None:
         ctx = self.ues.get(node_id)
@@ -367,28 +368,48 @@ class Stack:
             bits = self.bits(msg_kind)
         return classical_send(link, bits, self.sim.rng_stream(src, "classical"))
 
-    def send_message(self, src: str, dst: str, msg_kind: str,
+    def send_message(self, route: Sequence[str], msg_kind: str,
                      bits: Optional[float] = None):
-        """Generator: one classical hop with retries.  Returns delivered bool."""
-        if self.topo.classical_link(src, dst) is None:
-            self.sim.trace.emit(self.sim.now, src, "msg-no-link", dst=dst, msg=msg_kind)
-            return False
-        for attempt in range(1, self.defaults.retry_cap + 1):
-            if not self.topo.classical_reachable(src, dst, self.sim.now):
-                self.sim.trace.emit(
-                    self.sim.now, src, "msg-no-coverage", dst=dst, msg=msg_kind,
-                )
-                return False
-            delivered, latency = self.transmit(src, dst, msg_kind, bits)
+        """Generator: carry one message along a hop list; returns delivered bool.
+
+        Each hop in turn makes up to retry_cap transmissions, each only
+        while its ends are in classical reach at the time it starts.  The
+        summed latency is one MESSAGE_DELIVERY event, after which one msg
+        record at route[0] states the outcome: route, msg, delivered, tx
+        (transmissions over all hops) and, on failure, failed_at (the hop's
+        source) and reason (no-link, no-coverage or retries).  A message
+        that fails before its first transmission makes no event; a route of
+        one station is delivered at once, with no record.  Each UE end of a
+        delivered hop takes the hop's arrival time as its last activity.
+        """
+        if len(route) < 2:
+            return True
+        t0 = self.sim.now
+        latency, tx, reason = 0.0, 0, ""
+        for src, dst in zip(route, route[1:]):
+            if self.topo.classical_link(src, dst) is None:
+                reason = "no-link"
+                break
+            for _ in range(self.defaults.retry_cap):
+                if not self.topo.classical_reachable(src, dst, t0 + latency):
+                    reason = "no-coverage"
+                    break
+                delivered, hop_latency = self.transmit(src, dst, msg_kind, bits)
+                latency += hop_latency
+                tx += 1
+                if delivered:
+                    break
+            else:
+                reason = "retries"
+            if reason:
+                break
+            self._touch_activity(t0 + latency, src, dst)
+        if tx:
             yield (latency, EventKind.MESSAGE_DELIVERY)
-            self.sim.trace.emit(
-                self.sim.now, src, "msg", dst=dst, msg=msg_kind,
-                delivered=delivered, attempt=attempt,
-            )
-            if delivered:
-                self._touch_activity(src, dst)
-                return True
-        return False
+        failure = {"failed_at": src, "reason": reason} if reason else {}
+        self.sim.trace.emit(self.sim.now, route[0], "msg", route="+".join(route),
+                            msg=msg_kind, delivered=not reason, tx=tx, **failure)
+        return not reason
 
     def _anchored(self, src: str, dst: str,
                   join: Callable[[str, str], Optional[list[str]]]) -> Optional[list[str]]:
@@ -413,75 +434,14 @@ class Stack:
             return [src, dst]
         return self._anchored(src, dst, self.topo.bs_route)
 
-    def _fixed_hop(self, src: str, dst: str) -> bool:
-        """True for a linked hop between two base stations with no orbit window.
-
-        Whether such a hop can be used never changes, and relaying over it
-        touches no UE activity timer.
-        """
-        a, b = self.topo.nodes[src], self.topo.nodes[dst]
-        return (a.kind in BS_KINDS and b.kind in BS_KINDS
-                and a.mobility.kind != "orbit" and b.mobility.kind != "orbit"
-                and self.topo.classical_link(src, dst) is not None)
-
     def send_routed(self, src: str, dst: str, msg_kind: str,
                     bits: Optional[float] = None):
-        """Generator: deliver src to dst over classical_route; see send_over."""
+        """Generator: deliver src to dst over classical_route; see send_message."""
         route = self.classical_route(src, dst)
         if route is None:
             self.sim.trace.emit(self.sim.now, src, "msg-no-route", dst=dst, msg=msg_kind)
             return False
-        return (yield from self.send_over(route, msg_kind, bits))
-
-    def send_over(self, route: Sequence[str], msg_kind: str, bits: Optional[float] = None):
-        """Generator: relay along a hop list; False when any hop fails.
-
-        A fixed stretch (two or more consecutive fixed hops, see _fixed_hop)
-        is crossed in one event by _send_stretch; every other hop goes
-        through send_message.
-        """
-        i = 0
-        while i < len(route) - 1:
-            j = i
-            while j < len(route) - 1 and self._fixed_hop(route[j], route[j + 1]):
-                j += 1
-            if j - i >= 2:
-                ok = yield from self._send_stretch(route[i:j + 1], msg_kind, bits)
-                i = j
-            else:
-                ok = yield from self.send_message(route[i], route[i + 1], msg_kind, bits=bits)
-                i += 1
-            if not ok:
-                return False
-        return True
-
-    def _send_stretch(self, hops: Sequence[str], msg_kind: str, bits: Optional[float]):
-        """Generator: relay over a fixed stretch in one event; returns delivered bool.
-
-        Each hop in turn makes up to retry_cap transmissions, as
-        send_message would; the summed latency is yielded once, and a hop
-        that uses up its retries fails the message at that hop's time.  One
-        msg-route record stands for the stretch.
-        """
-        latency = 0.0
-        tx = 0
-        failed_at: Optional[str] = None
-        for hop_src, hop_dst in zip(hops, hops[1:]):
-            for _ in range(self.defaults.retry_cap):
-                delivered, hop_latency = self.transmit(hop_src, hop_dst, msg_kind, bits)
-                latency += hop_latency
-                tx += 1
-                if delivered:
-                    break
-            else:
-                failed_at = hop_src
-                break
-        yield (latency, EventKind.MESSAGE_DELIVERY)
-        delivered = failed_at is None
-        failure = {} if delivered else {"failed_at": failed_at}
-        self.sim.trace.emit(self.sim.now, hops[0], "msg-route", route="+".join(hops),
-                            msg=msg_kind, delivered=delivered, tx=tx, **failure)
-        return delivered
+        return (yield from self.send_message(route, msg_kind, bits))
 
     # ------------------------------------------------------------------
     # Registration and connection management
@@ -497,7 +457,7 @@ class Stack:
         k = self.defaults.registration_messages
         for i in range(k):
             src, dst = (ue_id, bs_id) if i % 2 == 0 else (bs_id, ue_id)
-            ok = yield from self.send_message(src, dst, "registration")
+            ok = yield from self.send_message((src, dst), "registration")
             if not ok:
                 self.sim.trace.emit(self.sim.now, ue_id, "registration-failed",
                                     bs=bs_id, at_message=i + 1)
@@ -514,9 +474,9 @@ class Stack:
         bs = ctx.serving_bs
         if bs is None:
             raise ProtocolError(f"{ue_id} has no serving base station")
-        ok = yield from self.send_message(ue_id, bs, "resume")
+        ok = yield from self.send_message((ue_id, bs), "resume")
         if ok:
-            ok = yield from self.send_message(bs, ue_id, "resume")
+            ok = yield from self.send_message((bs, ue_id), "resume")
         if not ok:
             return False
         self._set_state(ctx, QueState.CONNECTED, "resumed")
@@ -529,7 +489,7 @@ class Stack:
             raise ProtocolError(f"{ue_id} cannot release while {ctx.state.value}")
         bs = ctx.serving_bs
         if bs is not None:
-            yield from self.send_message(bs, ue_id, "release")
+            yield from self.send_message((bs, ue_id), "release")
         ctx.serving_bs = None
         self._set_state(ctx, QueState.IDLE, "released")
         return True
@@ -752,7 +712,7 @@ class Stack:
         for pair_id, repeater in zip(pair_ids[2:], stations[2:]):
             self.mark_correction_delivered(out)
             out = self.entanglement_swap(out.id, pair_id, repeater)
-        ok = yield from self.send_over(stations[-2::-1], "correction")
+        ok = yield from self.send_message(stations[-2::-1], "correction")
         if not ok:
             self.discard_pair(out.id, "correction-lost")
             return None
@@ -798,7 +758,7 @@ class Stack:
                    EventKind.ENTANGLEMENT_ATTEMPT)
             if self.sim.now >= deadline:
                 break
-            self._touch_activity(*holders)
+            self._touch_activity(self.sim.now, *holders)
             result = attempt()
             if result is not None:
                 return result
@@ -828,7 +788,7 @@ class Stack:
                 elapsed_s=self.sim.now - t_start, reason=reason,
             )
 
-        if ctx.state != QueState.CONNECTED:
+        if ctx.state not in (QueState.CONNECTED, QueState.ENTANGLED):
             return reject(f"requester-state-{ctx.state.value}")
         target_ctx = self.ues.get(target)
         if target_ctx is not None and target_ctx.state == QueState.INACTIVE:
@@ -854,10 +814,10 @@ class Stack:
         self.sim.trace.emit(self.sim.now, requester, "session-start",
                             target=target, count=request.count,
                             chain="+".join(chain))
-        ok = yield from self.send_message(requester, bs_a, "request")
+        ok = yield from self.send_message((requester, bs_a), "request")
         if not ok:
             return reject("request-undeliverable")
-        ok = yield from self.send_over(
+        ok = yield from self.send_message(
             [n for n in chain if self.topo.nodes[n].kind in BS_KINDS], "request")
         if not ok:
             return reject("setup-undeliverable")
@@ -903,7 +863,7 @@ class Stack:
                                     detail=str(err))
 
             # Step 3: ACK, then the freshness screen at ACK time.
-            yield from self.send_message(requester, bs_a, "ack")
+            yield from self.send_message((requester, bs_a), "ack")
             survivors = []
             for pair in delivered:
                 if _meets_fidelity(self.age_pair(pair), request.min_fidelity):
@@ -1099,8 +1059,8 @@ class Stack:
             mode = HandoverMode.HARD
 
         stored_ids = [pair.id for pair in self._buffered(ue_id, bs_old)]
-        yield from self.send_message(bs_old, ue_id, "handover")
-        yield from self.send_message(ue_id, bs_new, "handover")
+        yield from self.send_message((bs_old, ue_id), "handover")
+        yield from self.send_message((ue_id, bs_new), "handover")
 
         migrated: list[str] = []
         downtime = 0.0
@@ -1191,7 +1151,6 @@ class Stack:
 
         Returns (pair_ids, session_result_or_None).
         """
-        ctx = self.ue(ue_id)
         taken: list[str] = []
         for pair in self._buffered(ue_id, bs_id):
             if len(taken) >= count:
@@ -1204,9 +1163,7 @@ class Stack:
                 self.discard_pair(pair.id, "below-threshold")
         deficit = count - len(taken)
         result: Optional[SessionResult] = None
-        # A session needs Connected, and a UE stays Entangled while any
-        # buffered pair is left, so only an emptied buffer is topped up.
-        if deficit > 0 and ctx.state != QueState.ENTANGLED:
+        if deficit > 0:
             ok = yield from self.ensure_connected(ue_id, bs_id)
             if ok:
                 request = EntanglementRequest(
@@ -1239,7 +1196,6 @@ class Stack:
     def _provisioner(self, bs_id: str, ue_id: str, buffer_target: int,
                      check_period_s: float, f_min: float):
         bs = self.topo.nodes[bs_id]
-        ctx = self.ue(ue_id)
         while True:
             if not bs.available_at(self.sim.now):
                 start, _ = orbit_next_window(bs.mobility, self.sim.now)
@@ -1251,7 +1207,7 @@ class Stack:
                 if not _meets_fidelity(self.age_pair(pair), f_min):
                     self.discard_pair(pair.id, "below-threshold")
             deficit = buffer_target - len(self._buffered(ue_id, bs_id))
-            if deficit > 0 and ctx.state != QueState.ENTANGLED:
+            if deficit > 0:
                 connected = yield from self.ensure_connected(ue_id, bs_id)
                 if connected and self.topo.in_quantum_coverage(ue_id, bs_id, self.sim.now):
                     request = EntanglementRequest(

@@ -97,7 +97,7 @@ class TestStateMachine:
         def chatter():
             for _ in range(8):
                 yield 0.3
-                ok = yield from stack.send_message("QUE1", "QBS1", "ack")
+                ok = yield from stack.send_message(("QUE1", "QBS1"), "ack")
                 assert ok
 
         drive(sim, chatter(), until=10.0)
@@ -146,7 +146,7 @@ class TestStateMachine:
 
         def ack_then_session():
             yield 0.4 - sim.now
-            assert (yield from stack.send_message("QUE1", "QBS1", "ack"))
+            assert (yield from stack.send_message(("QUE1", "QBS1"), "ack"))
             yield 0.7 - sim.now
             return (yield from stack.entanglement_session(_request(count=1)))
 
@@ -189,19 +189,26 @@ class TestMessaging:
         sim, stack = make_stack(one_cell_topology(p_err_c=0.0))
         drive(sim, stack.register("QUE1", "QBS1"))
         before = len([r for r in sim.trace if r["kind"] == "msg"])
-        assert drive(sim, stack.send_message("QUE1", "QBS1", "ack")) is True
-        attempts = [r for r in sim.trace if r["kind"] == "msg"][before:]
-        assert len(attempts) == 1
+        assert drive(sim, stack.send_message(("QUE1", "QBS1"), "ack")) is True
+        (record,) = [r for r in sim.trace if r["kind"] == "msg"][before:]
+        assert record["node"] == "QUE1"
+        assert record["details"] == {"route": "QUE1+QBS1", "msg": "ack",
+                                     "delivered": True, "tx": 1}
 
     def test_dead_link_exhausts_retry_cap(self, make_stack):
         topo = one_cell_topology(p_err_c=1.0)
         sim, stack = make_stack(topo, defaults=Defaults(
             inactivity_timeout_s=1e9, retry_cap=4))
-        ok = drive(sim, stack.send_message("QUE1", "QBS1", "ack"))
+        ok = drive(sim, stack.send_message(("QUE1", "QBS1"), "ack"))
         assert ok is False
-        attempts = [r for r in sim.trace if r["kind"] == "msg"]
-        assert len(attempts) == 4
-        assert all(r["details"]["delivered"] is False for r in attempts)
+        (record,) = list(sim.trace)
+        assert record["details"]["delivered"] is False
+        assert record["details"]["tx"] == 4
+        assert record["details"]["reason"] == "retries"
+        assert record["details"]["failed_at"] == "QUE1"
+        # the four transmissions are one delivery event after the process start
+        assert sim.events_processed == 2
+        assert sim.now == pytest.approx(4 * (128.0 / 1e9 + 1e-6))
 
     def test_retry_cap_delivery_probability(self, make_stack):
         # P(delivered within cap attempts) = 1 - p^cap
@@ -212,7 +219,7 @@ class TestMessaging:
         def many(n):
             delivered = 0
             for _ in range(n):
-                ok = yield from stack.send_message("QUE1", "QBS1", "ack")
+                ok = yield from stack.send_message(("QUE1", "QBS1"), "ack")
                 delivered += ok
             return delivered
 
@@ -227,7 +234,7 @@ class TestMessaging:
 
         def one():
             t0 = sim.now
-            yield from stack.send_message("QUE1", "QBS1", "registration")
+            yield from stack.send_message(("QUE1", "QBS1"), "registration")
             return sim.now - t0
 
         elapsed = drive(sim, one())
@@ -238,15 +245,53 @@ class TestMessaging:
         topo = one_cell_topology()
         topo.nodes["QUE1"].position = (5000.0, 0.0, 0.0)
         sim, stack = make_stack(topo)
-        ok = drive(sim, stack.send_message("QUE1", "QBS1", "ack"))
+        ok = drive(sim, stack.send_message(("QUE1", "QBS1"), "ack"))
         assert ok is False
-        assert any(r["kind"] == "msg-no-coverage" for r in sim.trace)
+        (record,) = list(sim.trace)
+        assert record["kind"] == "msg" and record["t"] == 0.0
+        assert record["details"]["reason"] == "no-coverage"
+        assert record["details"]["tx"] == 0
+        assert sim.events_processed == 1  # no transmission, no delivery event
 
     def test_missing_link_is_reported(self, make_stack):
         sim, stack = make_stack(two_cell_topology())
-        ok = drive(sim, stack.send_message("QUE1", "QBS2", "ack"))
+        ok = drive(sim, stack.send_message(("QUE1", "QBS2"), "ack"))
         assert ok is False
-        assert any(r["kind"] == "msg-no-link" for r in sim.trace)
+        (record,) = list(sim.trace)
+        assert record["kind"] == "msg"
+        assert record["details"]["reason"] == "no-link"
+        assert record["details"]["failed_at"] == "QUE1"
+        assert record["details"]["tx"] == 0
+        assert sim.events_processed == 1
+
+    def test_one_station_route_is_delivered_at_once(self, make_stack):
+        sim, stack = make_stack(one_cell_topology())
+        assert drive(sim, stack.send_message(["QBS1"], "request")) is True
+        assert len(sim.trace) == 0 and sim.now == 0.0
+
+    def test_in_flight_message_keeps_its_ue_connected(self, make_stack):
+        # the timer fires 0.1 s into a 0.3 s message; the UE's activity is
+        # the message's arrival, so it goes Inactive only a timeout after it
+        topo = one_cell_topology(prop_delay_s=0.3)
+        sim, stack = make_stack(topo, defaults=Defaults(inactivity_timeout_s=0.5))
+        drive(sim, stack.register("QUE1", "QBS1"))
+        t_connected = sim.now
+
+        def late_ack():
+            yield t_connected + 0.4 - sim.now
+            return (yield from stack.send_message(("QUE1", "QBS1"), "ack"))
+
+        assert drive(sim, late_ack())
+        t_arrival = sim.now
+        assert t_arrival == pytest.approx(t_connected + 0.4 + 0.3, abs=1e-6)
+        assert stack.ue("QUE1").state == QueState.CONNECTED
+        sim.run_until(t_arrival + 0.45)
+        assert stack.ue("QUE1").state == QueState.CONNECTED
+        sim.run_until(t_arrival + 0.55)
+        assert stack.ue("QUE1").state == QueState.INACTIVE
+        (timeout,) = [r for r in sim.trace if r["kind"] == "state-transition"
+                      and r["details"]["reason"] == "inactivity-timeout"]
+        assert timeout["t"] == pytest.approx(t_arrival + 0.5, abs=1e-12)
 
     def test_routing_same_cell_and_cross_cell(self, make_stack):
         sim, stack = make_stack(one_cell_topology())
@@ -520,8 +565,8 @@ class TestSwap:
         assert t_swap < out.usable_at <= sim.now
         assert set(out.holders) == {"QUE1", "QBS2"}
         assert out.w == pytest.approx(0.9 * 0.95)
-        assert [(r["node"], r["details"]["dst"]) for r in sim.trace
-                if r["details"].get("msg") == "correction"] == [("QBS1", "QUE1")]
+        assert [(r["node"], r["details"]["route"]) for r in sim.trace
+                if r["details"].get("msg") == "correction"] == [("QBS1", "QBS1+QUE1")]
 
     def test_three_hop_w_is_order_independent(self, make_stack):
         topo = two_cell_topology(t_coh_ue=1e9, t_coh_bs=1e9)
@@ -593,13 +638,15 @@ class TestCrossCellSession:
         assert [r["node"] for r in swaps] == ["QBS1", "QBS2", "QBS3"]
         t_swap = swaps[0]["t"]
         assert {r["t"] for r in swaps} == {t_swap}
-        corrections = [r for r in records if r["details"].get("msg") == "correction"]
-        assert [r["details"]["route"] if r["kind"] == "msg-route"
-                else f'{r["node"]}+{r["details"]["dst"]}'
-                for r in corrections] == ["QBS3+QBS2+QBS1", "QBS1+QUE1"]
-        assert all(r["details"]["delivered"] for r in corrections)
-        t_landed = corrections[-1]["t"]
-        assert t_swap < corrections[0]["t"] < t_landed
+        (correction,) = [r for r in records if r["details"].get("msg") == "correction"]
+        assert correction["node"] == "QBS3"
+        assert correction["details"]["route"] == "QBS3+QBS2+QBS1+QUE1"
+        assert correction["details"]["delivered"] is True
+        assert correction["details"]["tx"] == 3
+        t_landed = correction["t"]
+        # one walk over the two backbone hops and the UE hop, lossless
+        assert t_landed - t_swap == pytest.approx(
+            2 * (64.0 / 1e9 + 2e-5) + 64.0 / 1e8 + 1e-5, abs=1e-12)
 
         # the end pair: the product of the four segments aged to the swap
         # instant, decayed over the one correction walk and then to the ACK
@@ -933,6 +980,34 @@ class TestAcquireAndPolicy:
         assert art.summary["apps"]["blind0"]["outcome"] == "done"
         assert metrics["app.blind0.shots"] == 40.0
 
+    def test_acquire_tops_up_a_partial_buffer(self, make_stack):
+        # one fresh pair in the buffer, two asked for: the UE stays Entangled
+        # and a session provisions the second
+        sim, stack = make_stack(one_cell_topology(q_attempt=0.9, t_coh_s=1e9))
+        drive(sim, stack.register("QUE1", "QBS1"))
+        fresh = _register_pair(stack, "QUE1", "QBS1", 0.97)
+        stack._store_for_ues(fresh)
+        stack._enter_entangled("QUE1")
+        taken, session = drive(sim, stack.acquire_pairs(
+            "QUE1", "QBS1", count=2, min_fidelity=0.8, max_latency_s=1.0))
+        assert session is not None and session.outcome == SessionOutcome.FULFILLED
+        assert taken == [fresh.id, *session.delivered] and len(taken) == 2
+        assert stack.ue("QUE1").state == QueState.ENTANGLED
+        assert stack.ue("QUE1").stored == set(taken)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_provisioned_client_with_a_partial_buffer_is_topped_up(self, seed):
+        # the provisioner keeps two QBS1 pairs at QUE4, fewer than a shot's
+        # three; each shot takes the buffer and a session adds the rest
+        doc = json.loads((REPO / "scenarios" / "metro_with_satellite.json")
+                         .read_text(encoding="utf-8"))
+        doc["policy"]["targets"].append(["QBS1", "QUE4"])
+        doc["policy"]["buffer_target"] = 2
+        art = run_scenario(load_scenario(doc, strict=True)[0], seed=seed)
+        metrics = {row[2]: row[3] for row in art.metrics_rows}
+        assert art.summary["apps"]["blind0"]["outcome"] == "done"
+        assert metrics["app.blind0.shots"] == 40.0
+
     def test_reactive_policy_is_inert(self, make_stack):
         sim, stack = make_stack(one_cell_topology())
         stack.start_policy(PolicyMode.REACTIVE)
@@ -990,26 +1065,68 @@ def _attach(stack, ue, bs):
     stack._set_state(ctx, QueState.CONNECTED, "attached")
 
 
-def _replay_stretch(topo, seed, hops, bits, retry_cap):
-    """Per-hop reference: (delivered, tx, failed_at, hop-by-hop arrival time)."""
+def _replay_route(topo, seed, route, bits, retry_cap, t0=0.0):
+    """Per-hop reference: each transmission stepped on its own, from time t0.
+
+    Returns (delivered, tx, failed_at, reason, t): t is the time of delivery
+    or failure, failed_at the source of the hop that failed and reason why.
+    """
     from oneq.engine import Simulator
     sim = Simulator(seed=seed)
-    t, tx = 0.0, 0
-    for a, b in zip(hops, hops[1:]):
+    t, tx = t0, 0
+    for a, b in zip(route, route[1:]):
         link = topo.classical_link(a, b)
+        if link is None:
+            return False, tx, a, "no-link", t
         rng = sim.rng_stream(a, "classical")
         for _ in range(retry_cap):
+            if not topo.classical_reachable(a, b, t):
+                return False, tx, a, "no-coverage", t
             tx += 1
             t += bits / link.rate_bps + link.prop_delay_s
             if rng.random() >= link.p_err_c:
                 break
         else:
-            return False, tx, a, t
-    return True, tx, None, t
+            return False, tx, a, "retries", t
+    return True, tx, None, None, t
 
 
-class TestFixedStretch:
+def _route_case(case):
+    """(topology, route) for one shape of route, every backbone hop lossy."""
+    from oneq.netmodel import Mobility
+    stations = [f"QBS{i}" for i in range(5)]
+    if case == "backbone":
+        return _bs_line(5, p_err_c=0.45), stations
+    if case == "ue-hops":
+        topo = _bs_line(5, p_err_c=0.45, ues=(("QUEA", 0), ("QUEB", 4)))
+        return topo, ["QUEA"] + stations + ["QUEB"]
+    if case == "orbit":
+        # QBS2's pass ends at 2e-4 s, while a message may still need it
+        topo = _bs_line(5, p_err_c=0.45, orbit=(2,))
+        topo.nodes["QBS2"].mobility = Mobility(kind="orbit", pass_start=0.0,
+                                               pass_duration=2e-4, period=1.0)
+        return topo, stations
+    if case == "ue-leaves":
+        # QUEB crosses QBS4's 2 km edge at t = 4.25e-4 s
+        topo = _bs_line(5, p_err_c=0.45, ues=(("QUEA", 0), ("QUEB", 4)))
+        topo.nodes["QUEB"].mobility = Mobility(kind="waypoint", waypoints=(
+            (0.0, (12300.0, 0.0, 0.0)), (1e-3, (16300.0, 0.0, 0.0))))
+        return topo, ["QUEA"] + stations + ["QUEB"]
+    # a gap: no QBS2-QBS4 link, so a message that gets that far fails there
+    return _bs_line(5, p_err_c=0.45), ["QBS0", "QBS1", "QBS2", "QBS4"]
+
+
+class TestRoutedMessage:
+    """A message crosses its whole route in one event and writes one record."""
+
     HOPS = ["QBS0", "QBS1", "QBS2", "QBS3", "QBS4"]
+    REASONS_SEEN = {
+        "backbone": {None, "retries"},
+        "ue-hops": {None, "retries"},
+        "orbit": {None, "retries", "no-coverage"},
+        "ue-leaves": {None, "retries", "no-coverage"},
+        "gap": {"retries", "no-link"},
+    }
 
     def _routed(self, make_stack, topo, seed, src, dst, retry_cap=3):
         sim, stack = make_stack(topo, seed=seed, defaults=Defaults(
@@ -1017,26 +1134,33 @@ class TestFixedStretch:
         ok = drive(sim, stack.send_routed(src, dst, "correction"))
         return sim, ok
 
-    def test_one_record_matches_per_hop_reference(self, make_stack):
-        outcomes = set()
+    @pytest.mark.parametrize("case", ["backbone", "ue-hops", "orbit", "ue-leaves", "gap"])
+    def test_one_record_matches_per_hop_reference(self, make_stack, case):
+        reasons = set()
         for seed in range(40):
-            topo = _bs_line(5, p_err_c=0.45)
-            sim, ok = self._routed(make_stack, topo, seed, "QBS0", "QBS4", retry_cap=2)
-            delivered, tx, failed_at, t_ref = _replay_stretch(
-                topo, seed, self.HOPS, 64.0, retry_cap=2)
+            topo, route = _route_case(case)
+            sim, stack = make_stack(topo, seed=seed, defaults=Defaults(
+                inactivity_timeout_s=1e9, retry_cap=2))
+            ok = drive(sim, stack.send_message(route, "correction"))
+            delivered, tx, failed_at, reason, t_ref = _replay_route(
+                topo, seed, route, 64.0, retry_cap=2)
             (record,) = list(sim.trace)
-            assert record["kind"] == "msg-route"
-            assert record["node"] == "QBS0"
+            assert record["kind"] == "msg"
+            assert record["node"] == route[0]
             details = record["details"]
-            assert details["route"] == "+".join(self.HOPS)
+            assert details["route"] == "+".join(route)
             assert details["msg"] == "correction"
             assert ok is details["delivered"] is delivered
             assert details["tx"] == tx
             assert details.get("failed_at") == failed_at
+            assert details.get("reason") == reason
+            assert abs(record["t"] - t_ref) <= 1e-12
             assert abs(sim.now - t_ref) <= 1e-12
-            assert sim.events_processed == 2  # the process start and one delivery
-            outcomes.add(delivered)
-        assert outcomes == {True, False}
+            # the process start, and one delivery event once anything was sent
+            assert sim.events_processed == (2 if tx else 1)
+            reasons.add(reason)
+        # None is a delivery; the gap route cannot deliver
+        assert reasons == self.REASONS_SEEN[case]
 
     def test_failing_hop_fails_at_its_time(self, make_stack):
         topo = _bs_line(5, p_err_c=[0.0, 0.0, 1.0, 0.0])
@@ -1044,35 +1168,38 @@ class TestFixedStretch:
         assert ok is False
         (record,) = list(sim.trace)
         assert record["details"]["failed_at"] == "QBS2"
+        assert record["details"]["reason"] == "retries"
         assert record["details"]["tx"] == 1 + 1 + 3
         t_fail = (64.0 / 1e6 + 2e-5) + (64.0 / 2e6 + 3e-5) + 3 * (64.0 / 3e6 + 4e-5)
         assert abs(sim.now - t_fail) <= 1e-12
 
-    def test_orbit_station_splits_the_stretch(self, make_stack):
+    def test_orbit_station_stays_in_one_record(self, make_stack):
         topo = _bs_line(6, p_err_c=0.0, orbit=(3,))
         sim, ok = self._routed(make_stack, topo, 0, "QBS0", "QBS5")
         assert ok is True
-        assert [(r["kind"], r["node"]) for r in sim.trace] == [
-            ("msg-route", "QBS0"), ("msg", "QBS2"), ("msg", "QBS3"), ("msg", "QBS4")]
-        assert next(iter(sim.trace))["details"]["route"] == "QBS0+QBS1+QBS2"
+        (record,) = list(sim.trace)
+        assert (record["kind"], record["node"]) == ("msg", "QBS0")
+        assert record["details"]["route"] == "+".join(f"QBS{i}" for i in range(6))
+        assert record["details"]["tx"] == 5
 
-    def test_ue_hops_and_single_backbone_hop_stay_per_hop(self, make_stack):
+    def test_ue_hops_and_single_backbone_hop_are_one_record_each(self, make_stack):
         topo = _bs_line(5, p_err_c=0.0, ues=(("QUEA", 0), ("QUEB", 4)))
         sim, stack = make_stack(topo)
         assert drive(sim, stack.register("QUEA", "QBS0"))
         assert drive(sim, stack.register("QUEB", "QBS4"))
         n0 = len(sim.trace)
         assert drive(sim, stack.send_routed("QUEA", "QUEB", "basis"))
-        assert [(r["kind"], r["node"]) for r in list(sim.trace)[n0:]] == [
-            ("msg", "QUEA"), ("msg-route", "QBS0"), ("msg", "QBS4")]
+        assert [(r["kind"], r["node"], r["details"]["route"])
+                for r in list(sim.trace)[n0:]] == [
+            ("msg", "QUEA", "+".join(["QUEA"] + self.HOPS + ["QUEB"]))]
         n1 = len(sim.trace)
         assert drive(sim, stack.send_routed("QBS1", "QBS2", "basis"))
-        assert [(r["kind"], r["details"]["dst"]) for r in list(sim.trace)[n1:]] == [
-            ("msg", "QBS2")]
+        assert [(r["kind"], r["details"]["route"]) for r in list(sim.trace)[n1:]] == [
+            ("msg", "QBS1+QBS2")]
 
 
 class TestSessionSetup:
-    """The set-up request walks the station chain as routed messages do."""
+    """The set-up request walks the station chain as one routed message."""
 
     HOPS = ["QBS0", "QBS1", "QBS2", "QBS3", "QBS4"]
 
@@ -1095,7 +1222,8 @@ class TestSessionSetup:
         sim, res, setup = self._session(make_stack, self._line(0.0))
         assert res.outcome == SessionOutcome.FULFILLED
         assert [(r["kind"], r["node"]) for r in setup] == [
-            ("msg", "QUEA"), ("msg-route", "QBS0")]
+            ("msg", "QUEA"), ("msg", "QBS0")]
+        assert setup[0]["details"]["route"] == "QUEA+QBS0"
         assert setup[1]["details"]["route"] == "+".join(self.HOPS)
         assert setup[1]["details"]["delivered"] is True
 
@@ -1104,6 +1232,7 @@ class TestSessionSetup:
         assert res.outcome == SessionOutcome.REJECTED
         assert res.reason == "setup-undeliverable"
         assert setup[1]["details"]["failed_at"] == "QBS2"
+        assert setup[1]["details"]["reason"] == "retries"
         t_fail = (512.0 / 1e8 + 1e-5) + (512.0 / 1e6 + 2e-5) + (512.0 / 2e6 + 3e-5) \
             + 3 * (512.0 / 3e6 + 4e-5)
         (rejected,) = [r for r in sim.trace if r["kind"] == "session-rejected"]
@@ -1116,16 +1245,17 @@ class TestSessionSetup:
         for seed in range(40):
             topo = self._line(0.45)
             sim, res, setup = self._session(make_stack, topo, seed=seed, retry_cap=2)
-            delivered, tx, failed_at, t_ref = _replay_stretch(
-                topo, seed, self.HOPS, 512.0, retry_cap=2)
             first, route = setup[:2]
+            delivered, tx, failed_at, reason, t_ref = _replay_route(
+                topo, seed, self.HOPS, 512.0, retry_cap=2, t0=first["t"])
             assert first["kind"] == "msg" and first["details"]["delivered"] is True
-            assert route["kind"] == "msg-route" and route["node"] == "QBS0"
+            assert route["kind"] == "msg" and route["node"] == "QBS0"
             details = route["details"]
             assert details["delivered"] is delivered
             assert details["tx"] == tx
             assert details.get("failed_at") == failed_at
-            assert abs(route["t"] - first["t"] - t_ref) <= 1e-12
+            assert details.get("reason") == reason
+            assert abs(route["t"] - t_ref) <= 1e-12
             assert (res.reason == "setup-undeliverable") is not delivered
             outcomes.add(delivered)
         assert outcomes == {True, False}

@@ -2,8 +2,8 @@
 
 Reruns inside one process share one ``PYTHONHASHSEED``, so they cannot see
 output that depends on set iteration order.  Here every shipped scenario,
-and a generated line of cells whose routed messages cross fixed backbone
-stretches, is run by ``oneq run`` in two fresh interpreters whose hash
+and a generated line of cells whose messages cross the backbone in one
+record each, is run by ``oneq run`` in two fresh interpreters whose hash
 seeds differ.
 """
 
@@ -93,4 +93,6 @@ def test_backbone_stretches_identical_across_hash_seeds(tmp_path):
     scenario.write_text(json.dumps(_line_document()), encoding="utf-8")
     _assert_identical_runs(scenario, tmp_path)
     trace = (tmp_path / f"h{HASH_SEEDS[0]}" / "trace.jsonl").read_text("utf-8")
-    assert '"kind":"msg-route"' in trace
+    # the set-up request and the routed basis messages each cross every station
+    assert '"route":"QBS0+QBS1+QBS2+QBS3+QBS4+QBS5"' in trace
+    assert '"route":"QUE0_1+QBS0+QBS1+QBS2+QBS3+QBS4+QBS5+QUE5_0"' in trace
