@@ -112,8 +112,8 @@ class QkdConfig:
     max_latency_s: float = 1.0
     sample_fraction: float = 0.1
     qber_abort: float = 0.11
+    # 1 or more selects first-key mode; see _run_first_key
     k_target: int = 0
-    retry_until_key: bool = False
     max_rounds: int = 10000
 
     def __post_init__(self) -> None:
@@ -123,8 +123,8 @@ class QkdConfig:
             raise ValueError(f"rounds must be positive, got {self.rounds}")
         if not 0.0 <= self.sample_fraction <= 1.0:
             raise ValueError(f"sample_fraction out of range: {self.sample_fraction}")
-        if self.retry_until_key and self.k_target < 1:
-            raise ValueError("retry_until_key needs k_target >= 1")
+        if self.k_target < 0:
+            raise ValueError(f"k_target must be nonnegative, got {self.k_target}")
         check_request_bounds(self.max_latency_s, self.min_fidelity)
 
 
@@ -165,7 +165,7 @@ class QkdApp:
         basis_rng_b = sim.rng_stream(cfg.bob, "basis")
         sift_rng = sim.rng_stream(cfg.alice, "sift")
 
-        if cfg.retry_until_key:
+        if cfg.k_target >= 1:
             result = yield from self._run_first_key(stack, basis_rng_a, basis_rng_b,
                                                     sift_rng)
             return self._finish(stack, result, t0)
@@ -206,7 +206,7 @@ class QkdApp:
         """
         cfg = self.config
         request = EntanglementRequest(
-            requester=cfg.alice, peers=(cfg.bob,),
+            requester=cfg.alice, target=cfg.bob,
             count=cfg.n_pairs, max_latency_s=cfg.max_latency_s,
             min_fidelity=cfg.min_fidelity,
         )

@@ -3,16 +3,15 @@
 Subcommands: validate (schema check), run (single seeded run with
 artifacts), sweep (one parameter, several values, replicated seeds), and
 plan (closed-form feasibility tables without running the simulator).
-Verbosity comes from the ONEQ_LOG environment variable (error, info,
-debug).
+validate prints loader warnings as "warning: ..." lines on stdout and run
+on stderr; sweep logs them through the oneq.runner logger, which Python
+writes to stderr while no logging is configured.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import logging
-import os
 import sys
 from pathlib import Path
 from typing import Optional
@@ -21,22 +20,6 @@ from . import analytic
 from .errors import OneQError, SchemaError
 from .runner import run_scenario, run_sweep, sweep_csv, write_artifacts
 from .scenario import load_scenario_file
-
-log = logging.getLogger("oneq.cli")
-
-_LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO,
-               "debug": logging.DEBUG}
-
-
-def _setup_logging() -> None:
-    level_name = os.environ.get("ONEQ_LOG", "error").lower()
-    level = _LOG_LEVELS.get(level_name)
-    if level is None:
-        print(f"warning: unknown ONEQ_LOG value {level_name!r}, using error",
-              file=sys.stderr)
-        level = logging.ERROR
-    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -115,7 +98,7 @@ def _cmd_run(args) -> int:
             print(f"error: {violation}", file=sys.stderr)
         return 2
     for warning in warnings:
-        log.warning("%s", warning)
+        print(f"warning: {warning}", file=sys.stderr)
     artifacts = run_scenario(scenario, seed=args.seed, until=args.until)
     print(f"run {artifacts.run_id}: t_end={artifacts.summary['t_end']:.6f} "
           f"events={artifacts.summary['events']}")
@@ -202,7 +185,6 @@ def _cmd_plan(args) -> int:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    _setup_logging()
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "validate":

@@ -19,7 +19,8 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from itertools import islice
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import qcore
 from .engine import EventKind, Simulator
@@ -108,7 +109,7 @@ def check_request_bounds(max_latency_s: float, min_fidelity: float) -> None:
 @dataclass(frozen=True)
 class EntanglementRequest:
     requester: str
-    peers: tuple[str, ...]
+    target: str
     count: int
     max_latency_s: float
     min_fidelity: float
@@ -117,8 +118,6 @@ class EntanglementRequest:
         if self.count < 1:
             raise ValueError(f"count must be positive, got {self.count}")
         check_request_bounds(self.max_latency_s, self.min_fidelity)
-        if len(self.peers) != 1:
-            raise ValueError("exactly one peer is supported per session")
 
 
 @dataclass
@@ -126,7 +125,6 @@ class SessionResult:
     outcome: SessionOutcome
     delivered: tuple[str, ...]
     elapsed_s: float
-    requested: int
     discarded_below_threshold: int = 0
     attempts: int = 0
     reason: str = ""
@@ -339,11 +337,6 @@ class Stack:
         ctx = self.ues.get(node_id)
         if ctx is not None and ctx.state == QueState.ENTANGLED and not ctx.stored:
             self._set_state(ctx, QueState.CONNECTED, "resources-exhausted")
-
-    def _enter_entangled(self, node_id: str) -> None:
-        ctx = self.ues.get(node_id)
-        if ctx is not None and ctx.state == QueState.CONNECTED and ctx.stored:
-            self._set_state(ctx, QueState.ENTANGLED, "session-delivered")
 
     # ------------------------------------------------------------------
     # Classical messaging
@@ -571,11 +564,14 @@ class Stack:
         )
         return pair
 
-    def _store_for_ues(self, resource: WernerPair | GhzResource) -> None:
+    def _hand_over(self, resource: WernerPair | GhzResource) -> None:
+        """Store the resource at each UE holder; a Connected holder turns Entangled."""
         for h in resource.holders:
             ctx = self.ues.get(h)
             if ctx is not None:
                 ctx.stored.add(resource.id)
+                if ctx.state == QueState.CONNECTED:
+                    self._set_state(ctx, QueState.ENTANGLED, "session-delivered")
 
     def _retire(self, resource_id: str, terminal: str, reason: str, record: str = "",
                 /, **details) -> WernerPair | GhzResource:
@@ -777,14 +773,14 @@ class Stack:
         """
         t_start = self.sim.now
         requester = request.requester
-        target = request.peers[0]
+        target = request.target
         ctx = self.ue(requester)
 
         def reject(reason: str) -> SessionResult:
             self.sim.trace.emit(self.sim.now, requester, "session-rejected", reason=reason)
             self.sim.metrics.incr("sessions_rejected")
             return SessionResult(
-                outcome=SessionOutcome.REJECTED, delivered=(), requested=request.count,
+                outcome=SessionOutcome.REJECTED, delivered=(),
                 elapsed_s=self.sim.now - t_start, reason=reason,
             )
 
@@ -864,13 +860,8 @@ class Stack:
 
             # Step 3: ACK, then the freshness screen at ACK time.
             yield from self.send_message((requester, bs_a), "ack")
-            survivors = []
-            for pair in delivered:
-                if _meets_fidelity(self.age_pair(pair), request.min_fidelity):
-                    survivors.append(pair)
-                else:
-                    discarded_below += 1
-                    self.discard_pair(pair.id, "below-threshold")
+            survivors = list(self._screen(delivered, request.min_fidelity))
+            discarded_below += len(delivered) - len(survivors)
             for leftover in segments.values():
                 self.discard_pair(leftover.id, "segment-unused")
             segments.clear()
@@ -889,10 +880,7 @@ class Stack:
             aborted = aborted or "coverage-lost-at-ack"
 
         for pair in survivors:
-            self._store_for_ues(pair)
-        if survivors:
-            for h in survivors[0].holders:
-                self._enter_entangled(h)
+            self._hand_over(pair)
 
         elapsed = self.sim.now - t_start
         if len(survivors) >= request.count:
@@ -905,7 +893,6 @@ class Stack:
             outcome=outcome,
             delivered=tuple(p.id for p in survivors),
             elapsed_s=elapsed,
-            requested=request.count,
             discarded_below_threshold=discarded_below,
             attempts=attempts,
             reason=aborted,
@@ -952,9 +939,7 @@ class Stack:
         ghz = GhzResource(id=self.ledger.new_id(), holders=holders, w=w,
                           created_at=self.sim.now)
         self.ledger.register(ghz)
-        self._store_for_ues(ghz)
-        for h in holders:
-            self._enter_entangled(h)
+        self._hand_over(ghz)
         self.sim.metrics.incr("ghz_created")
         self.sim.trace.emit(self.sim.now, bs_id, "ghz-created",
                             id=ghz.id, holders="+".join(holders), w=round(w, 9))
@@ -1031,14 +1016,17 @@ class Stack:
         """Generator: move the UE to bs_new, migrating its buffered pairs.
 
         The pairs migrated are the UE's buffered pairs with bs_old (see
-        _buffered).  Soft mode bridges each over a bs_old-bs_new repeater
-        link and swaps at bs_old, so end-to-end entanglement survives.
-        Hard mode discards them and provisions replacements via a fresh
-        session.  Both get HANDOVER_BUDGET_S: every bridge must herald by
-        its end, and the hard session's latency budget is it.  Soft falls
-        back to hard, with a trace warning, when the bridge link does not
-        exist, and for the pairs not yet bridged when the budget runs out
-        or a bridge station leaves quantum reach.
+        _buffered), read again at each use, since another process may
+        consume them meanwhile.  Soft mode heralds at most one bs_old-bs_new
+        bridge per pair buffered when the handover starts; each bridge is
+        swapped at bs_old with the first pair still buffered, so end-to-end
+        entanglement survives, and is discarded unused when none is left.
+        Hard mode discards the pairs still buffered and provisions as many
+        replacements via a fresh session.  Both get HANDOVER_BUDGET_S:
+        every bridge must herald by its end, and the hard session's latency
+        budget is it.  Soft falls back to hard, with a trace warning, when
+        the bridge link does not exist, and for the pairs not yet bridged
+        when the budget runs out or a bridge station leaves quantum reach.
         """
         ctx = self.ue(ue_id)
         bs_old = ctx.serving_bs
@@ -1058,17 +1046,16 @@ class Stack:
                                 bs_old=bs_old, bs_new=bs_new)
             mode = HandoverMode.HARD
 
-        stored_ids = [pair.id for pair in self._buffered(ue_id, bs_old)]
+        bridges = len(self._buffered(ue_id, bs_old))
         yield from self.send_message((bs_old, ue_id), "handover")
         yield from self.send_message((ue_id, bs_new), "handover")
 
         migrated: list[str] = []
         downtime = 0.0
         session_result: Optional[SessionResult] = None
-        unbridged = stored_ids
         if mode == HandoverMode.SOFT:
             deadline = self.sim.now + HANDOVER_BUDGET_S
-            for k, rid in enumerate(stored_ids):
+            for _ in range(bridges):
                 try:
                     bridge = yield from self._bridge(bs_old, bs_new, bridge_link, deadline)
                 except CoverageError as err:
@@ -1079,35 +1066,39 @@ class Stack:
                     self.sim.trace.emit(self.sim.now, ue_id, "warn",
                                         msg="soft-handover-bridge-failed-falling-back-hard",
                                         bs_old=bs_old, bs_new=bs_new, detail=failure,
-                                        pairs=len(stored_ids) - k)
+                                        pairs=len(self._buffered(ue_id, bs_old)))
                     mode = HandoverMode.HARD
-                    unbridged = stored_ids[k:]
+                    break
+                buffered = self._buffered(ue_id, bs_old)
+                if not buffered:
+                    self.discard_pair(bridge.id, "segment-unused")
                     break
                 t_swap = self.sim.now
-                out_id = yield from self._swap_chain((rid, bridge.id), (ue_id, bs_old, bs_new))
+                out_id = yield from self._swap_chain((buffered[0].id, bridge.id),
+                                                     (ue_id, bs_old, bs_new))
                 downtime += self.sim.now - t_swap  # correction in flight
                 if out_id is not None:
-                    out = self.ledger.resources[out_id]
-                    self._store_for_ues(out)
+                    self._hand_over(self.ledger.resources[out_id])
                     migrated.append(out_id)
             ctx.serving_bs = bs_new
         if mode == HandoverMode.HARD:
             t_gap0 = self.sim.now
             was_entangled = ctx.state == QueState.ENTANGLED
-            for rid in unbridged:
-                self.discard_pair(rid, "handover-released")
+            released = self._buffered(ue_id, bs_old)
+            for pair in released:
+                self.discard_pair(pair.id, "handover-released")
             ctx.serving_bs = bs_new
-            if unbridged:
+            if released:
                 if ctx.state == QueState.ENTANGLED:
                     self._set_state(ctx, QueState.CONNECTED, "handover-hard")
                 request = EntanglementRequest(
-                    requester=ue_id, peers=(bs_new,),
-                    count=len(unbridged), max_latency_s=HANDOVER_BUDGET_S,
+                    requester=ue_id, target=bs_new,
+                    count=len(released), max_latency_s=HANDOVER_BUDGET_S,
                     min_fidelity=self.defaults.f_min,
                 )
                 session_result = yield from self.entanglement_session(request)
                 migrated.extend(session_result.delivered)
-            if unbridged and was_entangled:
+            if released and was_entangled:
                 downtime += self.sim.now - t_gap0
 
         self.sim.trace.emit(self.sim.now, ue_id, "handover",
@@ -1133,7 +1124,7 @@ class Stack:
         return None if w is None else self._register_pair(holders, w, "bridge")
 
     # ------------------------------------------------------------------
-    # Distribution policies
+    # Pair buffer and distribution policies
     # ------------------------------------------------------------------
 
     def _buffered(self, ue_id: str, bs_id: str) -> list[WernerPair]:
@@ -1145,29 +1136,34 @@ class Stack:
                 pairs.append(res)
         return pairs
 
+    def _screen(self, pairs: Iterable[WernerPair], min_fidelity: float) -> Iterator[WernerPair]:
+        """Age each pair in turn: yield it if it meets min_fidelity, else discard it.
+
+        The one fidelity screen: the session's ACK, the buffered hand-out
+        and the provisioner's refresh all use it.  Lazy, so a caller that
+        stops early leaves the remaining pairs unaged and unscreened.
+        """
+        for pair in pairs:
+            if _meets_fidelity(self.age_pair(pair), min_fidelity):
+                yield pair
+            else:
+                self.discard_pair(pair.id, "below-threshold")
+
     def acquire_pairs(self, ue_id: str, bs_id: str, count: int, min_fidelity: float,
                       max_latency_s: float):
         """Generator: hand out buffered pairs first, then top up via a session.
 
         Returns (pair_ids, session_result_or_None).
         """
-        taken: list[str] = []
-        for pair in self._buffered(ue_id, bs_id):
-            if len(taken) >= count:
-                break
-            if not self._corrected(pair):
-                continue
-            if _meets_fidelity(self.age_pair(pair), min_fidelity):
-                taken.append(pair.id)
-            else:
-                self.discard_pair(pair.id, "below-threshold")
+        taken = [pair.id for pair in
+                 islice(self._screen(self._buffered(ue_id, bs_id), min_fidelity), count)]
         deficit = count - len(taken)
         result: Optional[SessionResult] = None
         if deficit > 0:
             ok = yield from self.ensure_connected(ue_id, bs_id)
             if ok:
                 request = EntanglementRequest(
-                    requester=ue_id, peers=(bs_id,),
+                    requester=ue_id, target=bs_id,
                     count=deficit, max_latency_s=max_latency_s,
                     min_fidelity=min_fidelity,
                 )
@@ -1203,15 +1199,13 @@ class Stack:
                                     ue=ue_id, pass_start=start)
                 yield (max(start - self.sim.now, 0.0), EventKind.TIMER)
             # Refresh: throw away buffered pairs that decohered below spec.
-            for pair in self._buffered(ue_id, bs_id):
-                if not _meets_fidelity(self.age_pair(pair), f_min):
-                    self.discard_pair(pair.id, "below-threshold")
-            deficit = buffer_target - len(self._buffered(ue_id, bs_id))
+            held = list(self._screen(self._buffered(ue_id, bs_id), f_min))
+            deficit = buffer_target - len(held)
             if deficit > 0:
                 connected = yield from self.ensure_connected(ue_id, bs_id)
                 if connected and self.topo.in_quantum_coverage(ue_id, bs_id, self.sim.now):
                     request = EntanglementRequest(
-                        requester=ue_id, peers=(bs_id,),
+                        requester=ue_id, target=bs_id,
                         count=deficit, max_latency_s=max(check_period_s, 0.1),
                         min_fidelity=f_min,
                     )

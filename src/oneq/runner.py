@@ -248,7 +248,7 @@ def run_sweep(document: dict, param: str, values: list, replications: int = 1,
         varied = set_by_path(document, param, value)
         scenario, warnings = load_scenario(varied, strict=strict)
         for warning in warnings:
-            log.warning("%s", warning)
+            log.warning("warning: %s", warning)
         for rep in range(replications):
             seed = derive_seed(base_seed, param, value, rep)
             artifacts = run_scenario(scenario, seed=seed)

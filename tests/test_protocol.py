@@ -39,7 +39,7 @@ REPO = Path(__file__).resolve().parent.parent
 def _request(peer="QUE2", requester="QUE1", count=2, max_latency_s=1.0,
              min_fidelity=0.8):
     return EntanglementRequest(
-        requester=requester, peers=(peer,),
+        requester=requester, target=peer,
         count=count, max_latency_s=max_latency_s, min_fidelity=min_fidelity,
     )
 
@@ -319,9 +319,6 @@ class TestSessions:
             _request(max_latency_s=0.0)
         with pytest.raises(ValueError):
             _request(min_fidelity=0.1)
-        with pytest.raises(ValueError):
-            EntanglementRequest(requester="a", peers=("b", "c"),
-                                count=1, max_latency_s=1.0, min_fidelity=0.8)
 
     def test_rejected_when_not_connected(self, make_stack):
         sim, stack = make_stack(one_cell_topology())
@@ -718,10 +715,22 @@ class TestTeleport:
         assert res.fidelity == pytest.approx(fidelity_of(0.8))
 
 
-def _handover_topology(w0_new=0.96):
+def _terminal_records(records) -> Counter:
+    """How many terminal records name each resource id; swap inputs included."""
+    ended = Counter()
+    for r in records:
+        if r["kind"] in ("pair-consumed", "pair-discarded", "pair-expired"):
+            ended[r["details"]["id"]] += 1
+        elif r["kind"] == "swap":
+            ended.update((r["details"]["in_a"], r["details"]["in_b"]))
+    return ended
+
+
+def _handover_topology(w0_new=0.96, bridge_q_attempt=0.9):
     """Two overlapping cells with the UE in both quantum disks.
 
-    w0_new is the w0 of the QBS2-QUE1 link, the cell a handover moves to.
+    w0_new is the w0 of the QBS2-QUE1 link, the cell a handover moves to;
+    bridge_q_attempt is the q_attempt of the QBS1-QBS2 bridge link.
     """
     from oneq.netmodel import (
         CellSpec, ClassicalLinkSpec, NodeSpec, QuantumLinkSpec, Topology,
@@ -747,7 +756,7 @@ def _handover_topology(w0_new=0.96):
                         attempt_period_s=1e-4, w0=0.96),
         QuantumLinkSpec(a="QBS2", b="QUE1", q_attempt=0.9,
                         attempt_period_s=1e-4, w0=w0_new),
-        QuantumLinkSpec(a="QBS1", b="QBS2", q_attempt=0.9,
+        QuantumLinkSpec(a="QBS1", b="QBS2", q_attempt=bridge_q_attempt,
                         attempt_period_s=1e-4, w0=0.94),
     ]
     return Topology(
@@ -799,6 +808,76 @@ class TestHandover:
             assert set(stack.ledger.live(pid).holders) == {"QUE1", "QBS2"}
         with pytest.raises(ResourceError):
             stack.ledger.live(rid)
+
+    # (mode, QBS1-QBS2 q_attempt, delay of the competing consumer): the
+    # consumer acts during the handover messages, or, with the slow
+    # bridge, while the first bridge is still heralding
+    @pytest.mark.parametrize("mode, bridge_q, consume_at", [
+        (HandoverMode.SOFT, 0.9, 1e-6),
+        (HandoverMode.HARD, 0.9, 1e-6),
+        (HandoverMode.SOFT, 0.001, 1e-3),
+    ], ids=["soft", "hard", "soft-slow-bridge"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_pair_consumed_during_the_handover(self, make_stack, mode, bridge_q,
+                                               consume_at, seed):
+        sim, stack = make_stack(_handover_topology(bridge_q_attempt=bridge_q), seed=seed)
+        drive(sim, stack.register("QUE1", "QBS1"))
+        res = drive(sim, stack.entanglement_session(
+            _request(peer="QBS1", count=2, max_latency_s=0.5)))
+        assert res.outcome == SessionOutcome.FULFILLED
+        first, kept = sorted(res.delivered)
+        used = []
+
+        def consumer():
+            taken, session = yield from stack.acquire_pairs(
+                "QUE1", "QBS1", count=1, min_fidelity=0.8, max_latency_s=0.5)
+            assert session is None
+            used.append((sim.now, stack.consume_pair(taken[0], "test").id))
+
+        t0 = sim.now
+        sim.spawn(consumer(), delay=consume_at)
+        ho = drive(sim, stack.handover("QUE1", "QBS2", mode))
+        assert used == [(pytest.approx(t0 + consume_at), first)]
+        records = list(sim.trace)
+        bridges = [r for r in records if r["kind"] == "pair-created"
+                   and r["details"]["via"] == "bridge"]
+        if bridge_q < 0.5:
+            handover_msgs = [r for r in records if r["kind"] == "msg"
+                             and r["details"]["msg"] == "handover"]
+            assert handover_msgs[-1]["t"] < used[0][0] < bridges[0]["t"]
+        assert ho.mode_used == mode and ho.fell_back is False
+        assert len(ho.migrated) == 1
+        assert set(stack.ledger.live(ho.migrated[0]).holders) == {"QUE1", "QBS2"}
+        assert stack.ue("QUE1").stored == set(ho.migrated)
+        assert stack.ue("QUE1").state == QueState.ENTANGLED
+        if mode == HandoverMode.SOFT:
+            # the remaining pair is swapped onto the first bridge; the
+            # second bridge finds the buffer empty
+            assert stack.ledger.reason[kept] == "swap"
+            assert [stack.ledger.reason[b["details"]["id"]] for b in bridges] \
+                == ["swap", "segment-unused"]
+        else:
+            # the remaining pair is released and one replacement provisioned
+            assert stack.ledger.reason[kept] == "handover-released"
+            assert ho.session.delivered == ho.migrated
+            (start,) = [r for r in records if r["kind"] == "session-start"
+                        and r["details"]["target"] == "QBS2"]
+            assert start["details"]["count"] == 1
+        stack.finalize()
+        assert _terminal_records(sim.trace) == Counter(stack.ledger.resources.keys())
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_handover_fixture_migrates_over_bridges(self, seed):
+        # metro_with_satellite with a QBS1 buffer at QUE2 and the handover
+        # moved before QUE2 leaves the QBS1 quantum disk
+        doc = json.loads((REPO / "tests" / "data" / "handover_migrates_buffer.json")
+                         .read_text(encoding="utf-8"))
+        art = run_scenario(load_scenario(doc, strict=True)[0], seed=seed)
+        records = [json.loads(line) for line in art.trace_jsonl.splitlines()]
+        assert sum(r["kind"] == "pair-created" and r["details"]["via"] == "bridge"
+                   for r in records) == 2
+        (handover,) = [r["details"] for r in records if r["kind"] == "handover"]
+        assert handover["mode"] == "soft" and handover["migrated"] == 2
 
     def test_soft_falls_back_without_bridge(self, make_stack):
         topo = _handover_topology()
@@ -929,8 +1008,7 @@ class TestAcquireAndPolicy:
         drive(sim, stack.register("QUE1", "QBS1"))
         pair = _register_pair(stack, "QUE1", "QBS1", w_for_fidelity(0.8 - 5e-13))
         assert 0.8 - 1e-12 <= fidelity_of(pair.w) < 0.8
-        stack._store_for_ues(pair)
-        stack._enter_entangled("QUE1")
+        stack._hand_over(pair)
         stack.start_policy(PolicyMode.PROACTIVE, targets=[("QBS1", "QUE1")],
                            buffer_target=1, check_period_s=0.05, min_fidelity=0.8)
         sim.run_until(sim.now + 0.2)
@@ -954,12 +1032,26 @@ class TestAcquireAndPolicy:
         # not one check period (0.05 s) late
         assert first["t"] == wait["details"]["pass_start"] == pytest.approx(3.9, abs=1e-9)
 
+    def test_acquire_screens_only_the_pairs_it_hands_out(self, make_stack):
+        # a stale pair behind the one taken is neither aged nor discarded
+        sim, stack = make_stack(one_cell_topology(q_attempt=0.9))
+        drive(sim, stack.register("QUE1", "QBS1"))
+        fresh = _register_pair(stack, "QUE1", "QBS1", 0.97)
+        stale = _register_pair(stack, "QUE1", "QBS1", w_for_fidelity(0.7))
+        stack._hand_over(fresh)
+        stack._hand_over(stale)
+        sim.run_until(sim.now + 0.01)
+        taken, session = drive(sim, stack.acquire_pairs(
+            "QUE1", "QBS1", count=1, min_fidelity=0.8, max_latency_s=1.0))
+        assert taken == [fresh.id] and session is None
+        assert fresh.last_touched == sim.now > stale.last_touched
+        assert stack.ledger.state[stale.id] == "live"
+
     def test_acquire_discards_a_stale_buffer_and_tops_up(self, make_stack):
         sim, stack = make_stack(one_cell_topology(q_attempt=0.9, t_coh_s=1e9))
         drive(sim, stack.register("QUE1", "QBS1"))
         stale = _register_pair(stack, "QUE1", "QBS1", w_for_fidelity(0.7))
-        stack._store_for_ues(stale)
-        stack._enter_entangled("QUE1")
+        stack._hand_over(stale)
         taken, session = drive(sim, stack.acquire_pairs(
             "QUE1", "QBS1", count=1, min_fidelity=0.8, max_latency_s=1.0))
         assert stack.ledger.state[stale.id] == "discarded"
@@ -986,8 +1078,7 @@ class TestAcquireAndPolicy:
         sim, stack = make_stack(one_cell_topology(q_attempt=0.9, t_coh_s=1e9))
         drive(sim, stack.register("QUE1", "QBS1"))
         fresh = _register_pair(stack, "QUE1", "QBS1", 0.97)
-        stack._store_for_ues(fresh)
-        stack._enter_entangled("QUE1")
+        stack._hand_over(fresh)
         taken, session = drive(sim, stack.acquire_pairs(
             "QUE1", "QBS1", count=2, min_fidelity=0.8, max_latency_s=1.0))
         assert session is not None and session.outcome == SessionOutcome.FULFILLED
@@ -1527,13 +1618,7 @@ class TestChainProperties:
             assert w <= math.prod(case["w0s"][i:j]) + 1e-9
 
         # exactly one terminal record per resource, matching the ledger
-        ended = Counter()
-        for r in records:
-            if r["kind"] in ("pair-consumed", "pair-discarded", "pair-expired"):
-                ended[r["details"]["id"]] += 1
-            elif r["kind"] == "swap":
-                ended.update((r["details"]["in_a"], r["details"]["in_b"]))
-        assert ended == Counter(stack.ledger.resources.keys())
+        assert _terminal_records(records) == Counter(stack.ledger.resources.keys())
         assert all(state in ("consumed", "discarded", "expired")
                    for state in stack.ledger.state.values())
         assert all(stack.ledger.slots_free(n.id) == n.memory_slots
@@ -1576,9 +1661,7 @@ class TestResourceExitProperties:
         def hold(res):
             if stack.ledger.can_store(res.holders):
                 stack.ledger.register(res)
-                stack._store_for_ues(res)
-                for h in res.holders:
-                    stack._enter_entangled(h)
+                stack._hand_over(res)
             else:
                 with pytest.raises(ResourceError):
                     stack.ledger.register(res)
@@ -1612,7 +1695,7 @@ class TestResourceExitProperties:
                 if ab and bc:
                     out = stack.entanglement_swap(ab[k % len(ab)], bc[k % len(bc)], "QBS1")
                     stack.mark_correction_delivered(out)
-                    stack._store_for_ues(out)
+                    stack._hand_over(out)
             elif op == "wait":
                 sim.run_until(sim.now + k * 1e-3)
             self._check_invariants(stack, topo)

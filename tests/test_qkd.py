@@ -1,6 +1,8 @@
 """Entanglement-based key distribution: helpers and the app on the engine."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +19,10 @@ from oneq.apps.qkd import (
     simulate_match_rate,
 )
 from oneq.qcore import Z_BASIS
+from oneq.runner import run_scenario
+from oneq.scenario import load_scenario
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 class TestHelpers:
@@ -83,7 +89,7 @@ class TestHelpers:
         with pytest.raises(ValueError):
             QkdConfig("a", "QUE1", "QUE2", sample_fraction=1.5)
         with pytest.raises(ValueError):
-            QkdConfig("a", "QUE1", "QUE2", retry_until_key=True, k_target=0)
+            QkdConfig("a", "QUE1", "QUE2", k_target=-1)
 
 
 def _run_app(make_stack, topo, config, seed=1):
@@ -152,10 +158,9 @@ class TestAppOnEngine:
         assert res.outcome == "aborted-attach"
         assert res.key_bits == 0 and res.pairs_measured == 0
 
-    def test_retry_until_key_builds_from_single_batch(self, make_stack):
+    def test_first_key_builds_from_single_batch(self, make_stack):
         topo = one_cell_topology(q_attempt=1.0, w0=1.0, t_coh_s=1e9)
-        cfg = QkdConfig("qkd0", "QUE1", "QUE2", n_pairs=6,
-                        retry_until_key=True, k_target=3, max_rounds=50,
+        cfg = QkdConfig("qkd0", "QUE1", "QUE2", n_pairs=6, k_target=3, max_rounds=50,
                         sample_fraction=0.0)
         sim, stack, res = _run_app(make_stack, topo, cfg, seed=6)
         assert res.outcome == "key"
@@ -168,20 +173,18 @@ class TestAppOnEngine:
     def test_retry_exhausts_round_budget(self, make_stack):
         # all six basis draws must match (1 in 64); two rounds rarely suffice
         topo = one_cell_topology(q_attempt=1.0, w0=1.0, t_coh_s=1e9)
-        cfg = QkdConfig("qkd0", "QUE1", "QUE2", n_pairs=6,
-                        retry_until_key=True, k_target=6, max_rounds=2,
+        cfg = QkdConfig("qkd0", "QUE1", "QUE2", n_pairs=6, k_target=6, max_rounds=2,
                         sample_fraction=0.0)
         sim, stack, res = _run_app(make_stack, topo, cfg, seed=8)
         assert res.outcome == "exhausted"
         assert res.sessions == 2
         assert res.key_bits == 0
 
-    def test_retry_until_key_samples_and_aborts_noisy_batches(self, make_stack):
+    def test_first_key_samples_and_aborts_noisy_batches(self, make_stack):
         # legs at w0 0.5 leave w = 0.25 end to end: 37.5% same-basis errors
         topo = one_cell_topology(q_attempt=1.0, w0=0.5, t_coh_s=1e9)
         cfg = QkdConfig("qkd0", "QUE1", "QUE2", n_pairs=40, min_fidelity=0.25,
-                        retry_until_key=True, k_target=24, max_rounds=50,
-                        sample_fraction=0.5)
+                        k_target=24, max_rounds=50, sample_fraction=0.5)
         sim, stack, res = _run_app(make_stack, topo, cfg, seed=5)
         assert res.sessions > 1
         assert res.pairs_measured == cfg.n_pairs * res.sessions
@@ -192,6 +195,21 @@ class TestAppOnEngine:
         reports = [r for r in sim.trace if r["kind"] == "msg"
                    and r["details"]["msg"] == "report"]
         assert reports and reports[-1]["details"]["delivered"]
+
+    def test_a_file_with_retry_until_key_warns_and_runs_the_same(self):
+        # k_target >= 1 alone selects first-key mode; the flag that used to
+        # select it is now an unknown key, so such a file still runs as before
+        doc = json.loads((REPO / "scenarios" / "qkd_retry_sweetspot.json")
+                         .read_text(encoding="utf-8"))
+        old = json.loads(json.dumps(doc))
+        old["apps"][0]["retry_until_key"] = True
+        scenario, warnings = load_scenario(old)
+        assert warnings == ["$.apps[0].retry_until_key: unknown key"]
+        assert scenario.apps[0].config.k_target == 8
+        ran, shipped = run_scenario(scenario), run_scenario(load_scenario(doc, strict=True)[0])
+        assert ran.summary["apps"]["retry"]["outcome"] == "key"
+        assert (ran.trace_jsonl, ran.metrics_rows, ran.app_rows) == \
+            (shipped.trace_jsonl, shipped.metrics_rows, shipped.app_rows)
 
     def test_app_metrics_and_trace(self, make_stack):
         topo = one_cell_topology(q_attempt=0.9, w0=1.0, t_coh_s=1e9)

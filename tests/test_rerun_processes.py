@@ -2,9 +2,9 @@
 
 Reruns inside one process share one ``PYTHONHASHSEED``, so they cannot see
 output that depends on set iteration order.  Here every shipped scenario,
-and a generated line of cells whose messages cross the backbone in one
-record each, is run by ``oneq run`` in two fresh interpreters whose hash
-seeds differ.
+a soft handover that migrates buffered pairs over bridges, and a generated
+line of cells whose messages cross the backbone in one record each, is run
+by ``oneq run`` in two fresh interpreters whose hash seeds differ.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ from pathlib import Path
 import pytest
 
 REPO = Path(__file__).resolve().parent.parent
-SCENARIOS = sorted((REPO / "scenarios").glob("*.json"))
+SCENARIOS = sorted((REPO / "scenarios").glob("*.json")) + [
+    REPO / "tests" / "data" / "handover_migrates_buffer.json"]
 ARTIFACTS = ("trace.jsonl", "metrics.csv", "app_results.csv")
 HASH_SEEDS = ("0", "5")
 

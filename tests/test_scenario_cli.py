@@ -475,6 +475,26 @@ class TestCli:
         lines = (out_dir / "sweep.csv").read_text(encoding="utf-8").splitlines()
         assert len(lines) == 3
 
+    @pytest.mark.parametrize("command", [
+        ["run", "--until", "0.01"],
+        ["sweep", "--param", "apps[0].n_pairs", "--values", "8"],
+    ], ids=["run", "sweep"])
+    def test_loader_warnings_reach_stderr(self, tmp_path, command):
+        # a fresh interpreter, as the installed command runs, with no logging
+        # configured: sweep's warnings come through the runner's logger
+        doc = _baseline_doc()
+        doc["bogus_key"] = 1
+        path = tmp_path / "loose.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-m", "oneq.cli", command[0], str(path), *command[1:]],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines() == ["warning: $.bogus_key: unknown key"]
+
     def test_sweep_rejects_bad_param(self, capsys):
         assert main(["sweep", str(BASELINE), "--param", "apps[0].bogus",
                      "--values", "1"]) == 2
