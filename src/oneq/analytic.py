@@ -8,12 +8,9 @@ sources are independent.
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 __all__ = [
     "p_block",
-    "p_succ_sequence",
-    "p_all_blocks",
     "p_succ_iid",
     "qkd_match_success",
 ]
@@ -29,29 +26,6 @@ def _check_prob(value: float, name: str) -> float:
 def p_block(p_err_q: float, p_err_c: float) -> float:
     """Success probability of one block: (1 - p_err_q)(1 - p_err_c)."""
     return (1.0 - _check_prob(p_err_q, "p_err_q")) * (1.0 - _check_prob(p_err_c, "p_err_c"))
-
-
-def p_succ_sequence(block_ps: Sequence[float]) -> float:
-    """Probability that at least one block in a sequence succeeds.
-
-    Evaluates the first-success expansion sum_i p_i * prod_{l<i} (1 - p_l),
-    which telescopes to 1 - prod_i (1 - p_i).
-    """
-    total = 0.0
-    prefix_fail = 1.0
-    for i, p in enumerate(block_ps):
-        p = _check_prob(p, f"block_ps[{i}]")
-        total += p * prefix_fail
-        prefix_fail *= 1.0 - p
-    return total
-
-
-def p_all_blocks(block_ps: Sequence[float]) -> float:
-    """Probability that every block in the sequence succeeds."""
-    out = 1.0
-    for i, p in enumerate(block_ps):
-        out *= _check_prob(p, f"block_ps[{i}]")
-    return out
 
 
 def p_succ_iid(p_err_q: float, p_err_c: float, k: int) -> float:

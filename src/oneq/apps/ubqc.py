@@ -48,7 +48,6 @@ __all__ = [
     "ideal_chain_p_zero",
     "rsp_collapse",
     "blindness_pvalue",
-    "pattern_distinguishability_pvalue",
 ]
 
 GRID = 8  # angles are integer multiples of pi/4
@@ -93,21 +92,6 @@ def blindness_pvalue(deltas_eighths) -> float:
     counts = np.bincount(np.asarray(deltas_eighths, dtype=int) % GRID,
                          minlength=GRID)
     return float(stats.chisquare(counts).pvalue)
-
-
-def pattern_distinguishability_pvalue(deltas_a, deltas_b) -> float:
-    """Contingency-test p-value for two transcripts sharing one distribution.
-
-    Large values mean the announced-angle histograms do not separate the
-    two computations.
-    """
-    from scipy import stats
-
-    ca = np.bincount(np.asarray(deltas_a, dtype=int) % GRID, minlength=GRID)
-    cb = np.bincount(np.asarray(deltas_b, dtype=int) % GRID, minlength=GRID)
-    table = np.stack([ca, cb])
-    keep = table.sum(axis=0) > 0
-    return float(stats.chi2_contingency(table[:, keep]).pvalue)
 
 
 @dataclass(frozen=True)

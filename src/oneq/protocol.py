@@ -65,7 +65,7 @@ class QueState(str, Enum):
 # Legal state-machine edges.  Everything else raises ProtocolError.
 _ALLOWED_TRANSITIONS = {
     QueState.IDLE: {QueState.CONNECTED},
-    QueState.CONNECTED: {QueState.INACTIVE, QueState.IDLE, QueState.ENTANGLED},
+    QueState.CONNECTED: {QueState.INACTIVE, QueState.ENTANGLED},
     QueState.INACTIVE: {QueState.CONNECTED},
     QueState.ENTANGLED: {QueState.CONNECTED},
 }
@@ -164,7 +164,6 @@ MESSAGE_BITS = {
     "correction": 64.0,
     "registration": 1024.0,
     "resume": 256.0,
-    "release": 128.0,
     "angle": 64.0,
     "outcome": 64.0,
     "basis": 1.0,
@@ -475,18 +474,6 @@ class Stack:
         self._set_state(ctx, QueState.CONNECTED, "resumed")
         return True
 
-    def release(self, ue_id: str):
-        """Generator: Connected -> Idle."""
-        ctx = self.ue(ue_id)
-        if ctx.state != QueState.CONNECTED:
-            raise ProtocolError(f"{ue_id} cannot release while {ctx.state.value}")
-        bs = ctx.serving_bs
-        if bs is not None:
-            yield from self.send_message((bs, ue_id), "release")
-        ctx.serving_bs = None
-        self._set_state(ctx, QueState.IDLE, "released")
-        return True
-
     def ensure_connected(self, ue_id: str, bs_id: Optional[str] = None):
         """Generator: bring the UE to Connected, registering or resuming."""
         ctx = self.ue(ue_id)
@@ -649,44 +636,44 @@ class Stack:
     # ------------------------------------------------------------------
 
     def entanglement_swap(self, pair_ab_id: str, pair_bc_id: str, repeater: str) -> WernerPair:
-        """Bell-state measurement at the repeater; output w is the product.
+        """Bell-state measurement at the repeater: _measure_chain for two pairs."""
+        return self._measure_chain((pair_ab_id, pair_bc_id), (repeater,))
 
-        The output pair is unusable until its classical correction is marked
-        delivered (see _swap_chain).  Both inputs are consumed.
+    def _measure_chain(self, pair_ids: Sequence[str], repeaters: Sequence[str]) -> WernerPair:
+        """Bell-state measurements at every repeater at this instant; the end pair.
+
+        Pair i and pair i+1 meet at repeaters[i].  Each outcome is a
+        Pauli-frame update at the end node, so the end pair's w is the
+        product of the aged inputs' w, left to right.  The inputs are
+        consumed; the end pair is unusable until its classical correction
+        is marked delivered (see _swap_chain).
         """
-        pair_ab = self.ledger.live(pair_ab_id)
-        pair_bc = self.ledger.live(pair_bc_id)
-        if not isinstance(pair_ab, WernerPair) or not isinstance(pair_bc, WernerPair):
-            raise ResourceError("entanglement_swap needs two bipartite pairs")
-        if repeater not in pair_ab.holders or repeater not in pair_bc.holders:
-            raise ResourceError(
-                f"repeater {repeater} does not hold both of {pair_ab_id}, {pair_bc_id}"
-            )
-        for p in (pair_ab, pair_bc):
+        pairs = [self.ledger.live(p) for p in pair_ids]
+        if (not repeaters or len(pairs) != len(repeaters) + 1
+                or not all(isinstance(p, WernerPair) for p in pairs)
+                or any(r == s for r, s in zip(repeaters, repeaters[1:]))):
+            raise ResourceError("a swap needs one more bipartite pair than repeaters, "
+                                "and no repeater twice in a row")
+        for a, b, r in zip(pairs, pairs[1:], repeaters):
+            if r not in a.holders or r not in b.holders:
+                raise ResourceError(f"repeater {r} does not hold both of {a.id}, {b.id}")
+        for p in pairs:
             if not self._corrected(p):
                 raise ResourceError(f"pair {p.id} awaits its correction; cannot swap")
-        (left,) = [h for h in pair_ab.holders if h != repeater]
-        (right,) = [h for h in pair_bc.holders if h != repeater]
+        (left,) = [h for h in pairs[0].holders if h != repeaters[0]]
+        (right,) = [h for h in pairs[-1].holders if h != repeaters[-1]]
         if left == right:
             raise ResourceError("swap would produce a pair with identical holders")
-        w_ab = self.age_pair(pair_ab)
-        w_bc = self.age_pair(pair_bc)
-        self._retire(pair_ab_id, "consumed", "swap")
-        self._retire(pair_bc_id, "consumed", "swap")
-        out = WernerPair(
-            id=self.ledger.new_id(),
-            holders=(left, right),
-            w=w_ab * w_bc,
-            created_at=self.sim.now,
-            last_touched=self.sim.now,
-            usable_at=math.inf,
-        )
+        w = math.prod(self.age_pair(p) for p in pairs)
+        for p in pairs:
+            self._retire(p.id, "consumed", "swap")
+        t = self.sim.now
+        out = WernerPair(id=self.ledger.new_id(), holders=(left, right), w=w,
+                         created_at=t, last_touched=t, usable_at=math.inf)
         self.ledger.register(out)
-        self.sim.metrics.incr("swaps")
-        self.sim.trace.emit(
-            self.sim.now, repeater, "swap",
-            in_a=pair_ab_id, in_b=pair_bc_id, out=out.id, w_out=round(out.w, 9),
-        )
+        self.sim.metrics.incr("swaps", len(repeaters))
+        self.sim.trace.emit(t, repeaters[0], "swap", ins="+".join(pair_ids),
+                            at="+".join(repeaters), out=out.id, w_out=round(w, 9))
         return out
 
     def mark_correction_delivered(self, pair: WernerPair) -> None:
@@ -696,18 +683,14 @@ class Stack:
         """Generator: swap a chain into one end pair; its id, or None.
 
         Pair i is held by stations[i] and stations[i+1].  Every inner
-        station measures at this instant, and each intermediate output is
-        corrected at once (Pauli-frame tracking); one correction then walks
-        back from the last repeater to stations[0], collecting every
-        outcome.  A lost correction discards the end pair.  A one-pair
-        chain is returned as is.
+        station measures at this instant (_measure_chain); one correction
+        then walks back from the last repeater to stations[0], collecting
+        every outcome.  A lost correction discards the end pair.  A
+        one-pair chain is returned as is.
         """
         if len(pair_ids) == 1:
             return pair_ids[0]
-        out = self.entanglement_swap(pair_ids[0], pair_ids[1], stations[1])
-        for pair_id, repeater in zip(pair_ids[2:], stations[2:]):
-            self.mark_correction_delivered(out)
-            out = self.entanglement_swap(out.id, pair_id, repeater)
+        out = self._measure_chain(pair_ids, stations[1:-1])
         ok = yield from self.send_message(stations[-2::-1], "correction")
         if not ok:
             self.discard_pair(out.id, "correction-lost")
@@ -1018,9 +1001,10 @@ class Stack:
         The pairs migrated are the UE's buffered pairs with bs_old (see
         _buffered), read again at each use, since another process may
         consume them meanwhile.  Soft mode heralds at most one bs_old-bs_new
-        bridge per pair buffered when the handover starts; each bridge is
-        swapped at bs_old with the first pair still buffered, so end-to-end
-        entanglement survives, and is discarded unused when none is left.
+        bridge per pair buffered when the handover starts, and none once the
+        buffer is empty; each bridge is swapped at bs_old with the first pair
+        still buffered, so end-to-end entanglement survives, and is discarded
+        unused when that pair was consumed while the bridge heralded.
         Hard mode discards the pairs still buffered and provisions as many
         replacements via a fresh session.  Both get HANDOVER_BUDGET_S:
         every bridge must herald by its end, and the hard session's latency
@@ -1056,6 +1040,8 @@ class Stack:
         if mode == HandoverMode.SOFT:
             deadline = self.sim.now + HANDOVER_BUDGET_S
             for _ in range(bridges):
+                if not self._buffered(ue_id, bs_old):
+                    break
                 try:
                     bridge = yield from self._bridge(bs_old, bs_new, bridge_link, deadline)
                 except CoverageError as err:

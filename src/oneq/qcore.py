@@ -35,7 +35,6 @@ __all__ = [
     "WernerPair",
     "GhzResource",
     "fidelity_of",
-    "w_for_fidelity",
     "decay",
     "touch",
     "measure_pair",
@@ -46,7 +45,6 @@ __all__ = [
     "apply_cz",
     "oracle_measure",
     "bell_state",
-    "ghz_state",
     "equatorial_state",
     "state_fidelity",
 ]
@@ -98,13 +96,6 @@ def fidelity_of(w: float) -> float:
     if not 0.0 <= w <= 1.0:
         raise ValueError(f"Werner parameter must lie in [0, 1], got {w}")
     return (1.0 + 3.0 * w) / 4.0
-
-
-def w_for_fidelity(f: float) -> float:
-    """Inverse of :func:`fidelity_of`; valid for F in [0.25, 1]."""
-    if not 0.25 <= f <= 1.0:
-        raise ValueError(f"pair fidelity must lie in [0.25, 1], got {f}")
-    return (4.0 * f - 1.0) / 3.0
 
 
 def decay(w0: float, dt: float, t_coh: float) -> float:
@@ -391,15 +382,6 @@ def bell_state(x: int, z: int) -> PureState:
     if x:
         state = oracle_apply(state, "X", (0,))
     return state
-
-
-def ghz_state(n_qubits: int) -> PureState:
-    """(|0...0> + |1...1>)/sqrt(2) on n_qubits >= 2."""
-    if n_qubits < 2:
-        raise ValueError(f"a GHZ state needs at least 2 qubits, got {n_qubits}")
-    amps = np.zeros(1 << n_qubits, dtype=complex)
-    amps[0] = amps[-1] = _INV_SQRT2
-    return PureState(amps)
 
 
 def equatorial_state(theta: float) -> PureState:

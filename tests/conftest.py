@@ -105,23 +105,26 @@ def line_topology(
     t_coh_ue: float = 0.05,
     t_coh_bs: float = 0.1,
     p_err_c: float = 0.0,
+    n_bs: int = 3,
 ) -> Topology:
-    """QUE1-QBS1-QBS2-QBS3-QUE2: a four-segment chain with three repeaters.
+    """QUE1-QBS1-...-QBS<n_bs>-QUE2: an (n_bs + 1)-segment chain, n_bs repeaters.
 
     Each station's classical and quantum links reach only its neighbours,
-    and the stations are joined by repeater edges QBS1-QBS2-QBS3.
+    and consecutive stations are joined by repeater edges.  The default is
+    the four-segment chain QUE1-QBS1-QBS2-QBS3-QUE2.
     """
-    bs_ids = ["QBS1", "QBS2", "QBS3"]
+    bs_ids = [f"QBS{i + 1}" for i in range(n_bs)]
     nodes = [NodeSpec(id=bs, kind="QBS", position=(3000.0 * i, 0.0, 10.0),
                       t_coh_s=t_coh_bs, memory_slots=64) for i, bs in enumerate(bs_ids)]
     nodes += [
         NodeSpec(id="QUE1", kind="QUE", position=(300.0, 0.0, 0.0),
                  t_coh_s=t_coh_ue, memory_slots=16),
-        NodeSpec(id="QUE2", kind="QUE", position=(6300.0, 0.0, 0.0),
+        NodeSpec(id="QUE2", kind="QUE", position=(3000.0 * (n_bs - 1) + 300.0, 0.0, 0.0),
                  t_coh_s=t_coh_ue, memory_slots=16),
     ]
-    hops = [("QBS1", "QUE1", w0_ue, 1e8, 1e-5), ("QBS1", "QBS2", w0_bs, 1e9, 2e-5),
-            ("QBS2", "QBS3", w0_bs, 1e9, 2e-5), ("QBS3", "QUE2", w0_ue, 1e8, 1e-5)]
+    hops = [("QBS1", "QUE1", w0_ue, 1e8, 1e-5)]
+    hops += [(a, b, w0_bs, 1e9, 2e-5) for a, b in zip(bs_ids, bs_ids[1:])]
+    hops += [(bs_ids[-1], "QUE2", w0_ue, 1e8, 1e-5)]
     return Topology(
         nodes=nodes,
         cells=[CellSpec(bs_id=bs, classical_radius=2000.0, quantum_radius=1500.0)
@@ -132,7 +135,7 @@ def line_topology(
         quantum_links=[QuantumLinkSpec(a=a, b=b, q_attempt=q_attempt,
                                        attempt_period_s=attempt_period_s, w0=w0)
                        for a, b, w0, _, _ in hops],
-        repeater_edges=[("QBS1", "QBS2"), ("QBS2", "QBS3")],
+        repeater_edges=list(zip(bs_ids, bs_ids[1:])),
     )
 
 

@@ -47,6 +47,11 @@ def werner_rho(w: float) -> np.ndarray:
     return w * np.outer(phi, phi.conj()) + (1.0 - w) / 4.0 * np.eye(4)
 
 
+def w_for_fidelity(f: float) -> float:
+    """Werner parameter of the pair with fidelity F = (3w + 1)/4 to |phi+>."""
+    return (4.0 * f - 1.0) / 3.0
+
+
 # ---------------------------------------------------------------------------
 # QBER from the Born rule
 # ---------------------------------------------------------------------------

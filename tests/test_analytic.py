@@ -6,10 +6,8 @@ import pytest
 
 import oracles
 from oneq.analytic import (
-    p_all_blocks,
     p_block,
     p_succ_iid,
-    p_succ_sequence,
     qkd_match_success,
 )
 
@@ -29,24 +27,9 @@ class TestBlockModel:
         vals = [p_succ_iid(0.3, 0.05, k) for k in range(1, 12)]
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
-    def test_sequence_forms_agree(self):
-        ps = [0.72, 0.5, 0.9, 0.1]
-        want = 1.0
-        for p in ps:
-            want *= 1.0 - p
-        assert p_succ_sequence(ps) == pytest.approx(1.0 - want, abs=1e-12)
-        assert p_succ_sequence([0.72] * 3) == pytest.approx(p_succ_iid(0.2, 0.1, 3),
-                                                            abs=1e-12)
-
-    def test_p_all_blocks(self):
-        assert p_all_blocks([0.5, 0.5, 0.5]) == pytest.approx(0.125)
-        assert p_all_blocks([]) == 1.0
-
     def test_probability_validation(self):
         with pytest.raises(ValueError):
             p_block(1.2, 0.0)
-        with pytest.raises(ValueError):
-            p_succ_sequence([0.5, -0.1])
         with pytest.raises(ValueError):
             p_succ_iid(0.5, 0.5, 0)
 

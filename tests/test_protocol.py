@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from conftest import QUIET, drive, line_topology, one_cell_topology, two_cell_topology
 from oneq.engine import Simulator
 from oneq.errors import PermanentLossError, ProtocolError, ResourceError
@@ -30,7 +31,6 @@ from oneq.qcore import (
     equatorial_state,
     fidelity_of,
     state_fidelity,
-    w_for_fidelity,
 )
 
 REPO = Path(__file__).resolve().parent.parent
@@ -160,13 +160,6 @@ class TestStateMachine:
         assert not any(r["kind"] == "pair-created" or r["details"].get("msg") == "request"
                        for r in sim.trace)
         assert ("QBS1", "entanglement") not in sim._streams
-
-    def test_release_returns_to_idle(self, make_stack):
-        sim, stack = make_stack(one_cell_topology())
-        drive(sim, stack.register("QUE1", "QBS1"))
-        drive(sim, stack.release("QUE1"))
-        assert stack.ue("QUE1").state == QueState.IDLE
-        assert stack.ue("QUE1").serving_bs is None
 
     def test_ensure_connected_covers_all_entry_states(self, make_stack):
         sim, stack = make_stack(one_cell_topology(),
@@ -419,7 +412,7 @@ class TestRegeneration:
         # one slot refills all three segments and swaps them at both stations
         assert sum(r["kind"] == "pair-created" and r["details"]["via"] == "segment"
                    for r in after) == 3
-        assert sum(r["kind"] == "swap" for r in after) == 2
+        assert [r["details"]["at"] for r in after if r["kind"] == "swap"] == ["QBS1+QBS2"]
         assert res.outcome == SessionOutcome.PARTIALLY_FULFILLED
         assert res.attempts == 3
         assert res.discarded_below_threshold == 2
@@ -591,6 +584,54 @@ class TestSwap:
         assert w_left == pytest.approx(w_right, abs=1e-12)
         assert w_left == pytest.approx(0.9 * 0.95 * 0.8, abs=1e-12)
 
+    @pytest.mark.parametrize("repeaters", [("QBS2", "QBS1"), ("QBS1", "QBS1"), ("QBS1",)])
+    def test_chain_that_does_not_link_up_is_refused_whole(self, make_stack, repeaters):
+        sim, stack = make_stack(two_cell_topology())
+        ids = [_register_pair(stack, a, b, 0.9).id
+               for a, b in [("QUE1", "QBS1"), ("QBS1", "QBS2"), ("QBS2", "QUE2")]]
+        with pytest.raises(ResourceError):
+            stack._measure_chain(ids, repeaters)
+        assert stack.ledger.live_ids() == ids
+        assert not any(r["kind"] == "swap" for r in sim.trace)
+
+    @pytest.mark.parametrize("k", range(2, 6))
+    def test_chain_measures_once_as_chained_swaps_would(self, make_stack, k):
+        # QUE1-QBS1-...-QBS<k-1>-QUE2, each segment heralded 1 ms after the
+        # last, so every input is aged by a different span at the swap
+        stations = ["QUE1", *(f"QBS{i}" for i in range(1, k)), "QUE2"]
+
+        def build():
+            sim, stack = make_stack(line_topology(n_bs=k - 1))
+            ids = []
+            for i in range(k):
+                ids.append(_register_pair(stack, *stations[i:i + 2], 0.99 - 0.013 * i).id)
+                sim.run_until(sim.now + 1e-3)
+            return sim, stack, ids
+
+        sim, stack, ids = build()
+        out_id = drive(sim, stack._swap_chain(ids, stations))
+        assert out_id is not None
+        assert list(stack.ledger.resources) == [*ids, out_id]
+        assert stack.ledger.resources[out_id].holders == ("QUE1", "QUE2")
+        assert [(stack.ledger.state[p], stack.ledger.reason[p]) for p in ids] \
+            == [("consumed", "swap")] * k
+        assert _terminal_records(sim.trace) == Counter(ids)
+        assert sim.metrics.counters["swaps"] == k - 1
+        (swap,) = [r for r in sim.trace if r["kind"] == "swap"]
+        assert swap["node"] == "QBS1"
+        assert swap["details"]["ins"] == "+".join(ids)
+        assert swap["details"]["at"] == "+".join(stations[1:-1])
+        assert swap["details"]["out"] == out_id
+
+        # the same chain on an identical stack through chained two-pair
+        # swaps, written as acceptance criterion 06 writes them
+        _, ref, ref_ids = build()
+        out = ref.entanglement_swap(ref_ids[0], ref_ids[1], stations[1])
+        for pair_id, repeater in zip(ref_ids[2:], stations[2:]):
+            ref.mark_correction_delivered(out)
+            out = ref.entanglement_swap(out.id, pair_id, repeater)
+        assert stack.ledger.resources[out_id].w == out.w
+
 
 class TestCrossCellSession:
     def test_swapped_delivery_end_to_end(self, make_stack):
@@ -631,10 +672,12 @@ class TestCrossCellSession:
         res = drive(sim, stack.entanglement_session(_request(count=1)))
         assert res.outcome == SessionOutcome.FULFILLED
         records = list(sim.trace)
-        swaps = [r for r in records if r["kind"] == "swap"]
-        assert [r["node"] for r in swaps] == ["QBS1", "QBS2", "QBS3"]
-        t_swap = swaps[0]["t"]
-        assert {r["t"] for r in swaps} == {t_swap}
+        # every repeater measures at one instant: one record for the chain
+        (swap,) = [r for r in records if r["kind"] == "swap"]
+        assert swap["node"] == "QBS1"
+        assert swap["details"]["at"] == "QBS1+QBS2+QBS3"
+        assert len(swap["details"]["ins"].split("+")) == 4
+        t_swap = swap["t"]
         (correction,) = [r for r in records if r["details"].get("msg") == "correction"]
         assert correction["node"] == "QBS3"
         assert correction["details"]["route"] == "QBS3+QBS2+QBS1+QUE1"
@@ -653,7 +696,7 @@ class TestCrossCellSession:
             r["details"]["w"] * math.exp(-(t_swap - r["t"]) / stack.effective_t_coh(
                 tuple(r["details"]["holders"].split("+"))))
             for r in segments)
-        assert swaps[-1]["details"]["w_out"] == pytest.approx(w_swapped, abs=1e-9)
+        assert swap["details"]["w_out"] == pytest.approx(w_swapped, abs=1e-9)
         pair = stack.ledger.live(res.delivered[0])
         t_coh = stack.effective_t_coh(pair.holders)
         assert pair.usable_at == pytest.approx(t_landed, abs=1e-12)
@@ -722,7 +765,7 @@ def _terminal_records(records) -> Counter:
         if r["kind"] in ("pair-consumed", "pair-discarded", "pair-expired"):
             ended[r["details"]["id"]] += 1
         elif r["kind"] == "swap":
-            ended.update((r["details"]["in_a"], r["details"]["in_b"]))
+            ended.update(r["details"]["ins"].split("+"))
     return ended
 
 
@@ -852,10 +895,9 @@ class TestHandover:
         assert stack.ue("QUE1").state == QueState.ENTANGLED
         if mode == HandoverMode.SOFT:
             # the remaining pair is swapped onto the first bridge; the
-            # second bridge finds the buffer empty
+            # buffer is then empty, so no second bridge is heralded
             assert stack.ledger.reason[kept] == "swap"
-            assert [stack.ledger.reason[b["details"]["id"]] for b in bridges] \
-                == ["swap", "segment-unused"]
+            assert [stack.ledger.reason[b["details"]["id"]] for b in bridges] == ["swap"]
         else:
             # the remaining pair is released and one replacement provisioned
             assert stack.ledger.reason[kept] == "handover-released"
@@ -865,6 +907,29 @@ class TestHandover:
             assert start["details"]["count"] == 1
         stack.finalize()
         assert _terminal_records(sim.trace) == Counter(stack.ledger.resources.keys())
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bridge_whose_pair_is_consumed_meanwhile_is_discarded(self, make_stack, seed):
+        # the one buffered pair is consumed while the slow bridge heralds
+        sim, stack = make_stack(_handover_topology(bridge_q_attempt=0.001), seed=seed)
+        drive(sim, stack.register("QUE1", "QBS1"))
+        res = drive(sim, stack.entanglement_session(
+            _request(peer="QBS1", count=1, max_latency_s=0.5)))
+        (pair_id,) = res.delivered
+
+        def consumer():
+            taken, _ = yield from stack.acquire_pairs(
+                "QUE1", "QBS1", count=1, min_fidelity=0.8, max_latency_s=0.5)
+            stack.consume_pair(taken[0], "test")
+
+        sim.spawn(consumer(), delay=1e-3)
+        ho = drive(sim, stack.handover("QUE1", "QBS2", HandoverMode.SOFT))
+        (bridge,) = [r["details"]["id"] for r in sim.trace if r["kind"] == "pair-created"
+                     and r["details"]["via"] == "bridge"]
+        assert stack.ledger.state[pair_id] == "consumed"
+        assert stack.ledger.reason[bridge] == "segment-unused"
+        assert ho.mode_used == HandoverMode.SOFT and ho.migrated == ()
+        assert stack.ue("QUE1").serving_bs == "QBS2"
 
     @pytest.mark.parametrize("seed", range(6))
     def test_handover_fixture_migrates_over_bridges(self, seed):
@@ -1006,7 +1071,7 @@ class TestAcquireAndPolicy:
         # memories that never decay keep its fidelity exactly where it is
         sim, stack = make_stack(one_cell_topology(t_coh_s=1e300))
         drive(sim, stack.register("QUE1", "QBS1"))
-        pair = _register_pair(stack, "QUE1", "QBS1", w_for_fidelity(0.8 - 5e-13))
+        pair = _register_pair(stack, "QUE1", "QBS1", oracles.w_for_fidelity(0.8 - 5e-13))
         assert 0.8 - 1e-12 <= fidelity_of(pair.w) < 0.8
         stack._hand_over(pair)
         stack.start_policy(PolicyMode.PROACTIVE, targets=[("QBS1", "QUE1")],
@@ -1037,7 +1102,7 @@ class TestAcquireAndPolicy:
         sim, stack = make_stack(one_cell_topology(q_attempt=0.9))
         drive(sim, stack.register("QUE1", "QBS1"))
         fresh = _register_pair(stack, "QUE1", "QBS1", 0.97)
-        stale = _register_pair(stack, "QUE1", "QBS1", w_for_fidelity(0.7))
+        stale = _register_pair(stack, "QUE1", "QBS1", oracles.w_for_fidelity(0.7))
         stack._hand_over(fresh)
         stack._hand_over(stale)
         sim.run_until(sim.now + 0.01)
@@ -1050,7 +1115,7 @@ class TestAcquireAndPolicy:
     def test_acquire_discards_a_stale_buffer_and_tops_up(self, make_stack):
         sim, stack = make_stack(one_cell_topology(q_attempt=0.9, t_coh_s=1e9))
         drive(sim, stack.register("QUE1", "QBS1"))
-        stale = _register_pair(stack, "QUE1", "QBS1", w_for_fidelity(0.7))
+        stale = _register_pair(stack, "QUE1", "QBS1", oracles.w_for_fidelity(0.7))
         stack._hand_over(stale)
         taken, session = drive(sim, stack.acquire_pairs(
             "QUE1", "QBS1", count=1, min_fidelity=0.8, max_latency_s=1.0))

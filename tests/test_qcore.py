@@ -19,14 +19,12 @@ from oneq.qcore import (
     decay,
     equatorial_state,
     fidelity_of,
-    ghz_state,
     measure_pair,
     oracle_apply,
     oracle_measure,
     sample_bell_label,
     state_fidelity,
     touch,
-    w_for_fidelity,
     werner_bell_weights,
 )
 
@@ -39,7 +37,7 @@ class TestWernerScalars:
 
     @pytest.mark.parametrize("w", [0.0, 0.17, 0.5, 0.93, 1.0])
     def test_fidelity_roundtrip(self, w):
-        assert w_for_fidelity(fidelity_of(w)) == pytest.approx(w, abs=1e-12)
+        assert oracles.w_for_fidelity(fidelity_of(w)) == pytest.approx(w, abs=1e-12)
 
     def test_decay_closed_form(self):
         assert decay(0.9, 0.5, 2.0) == pytest.approx(0.9 * math.exp(-0.25))
@@ -218,19 +216,14 @@ class TestStatevector:
 
 
 class TestGhz:
-    def test_ghz_state_amplitudes(self):
-        state = ghz_state(3)
-        probs = abs(state.amplitudes) ** 2
-        assert probs[0] == pytest.approx(0.5)
-        assert probs[-1] == pytest.approx(0.5)
-
     def test_x_reduce_statevector_semantics(self):
         # X-measuring one leg of a 3-party GHZ leaves |phi+> up to a Z
         # keyed by the outcome, which is what the correction bit encodes.
+        ghz = PureState(np.array([1, 0, 0, 0, 0, 0, 0, 1]) / math.sqrt(2.0))
         rng = np.random.default_rng(17)
         seen = set()
         for _ in range(40):
-            outcome, rest = oracle_measure(ghz_state(3), 0, X_BASIS, rng)
+            outcome, rest = oracle_measure(ghz, 0, X_BASIS, rng)
             target = bell_state(0, outcome)
             assert state_fidelity(rest, target) == pytest.approx(1.0)
             seen.add(outcome)

@@ -15,7 +15,6 @@ from oneq.apps.ubqc import (
     UbqcConfig,
     blindness_pvalue,
     ideal_chain_p_zero,
-    pattern_distinguishability_pvalue,
     rsp_collapse,
 )
 from oneq.runner import run_scenario
@@ -77,19 +76,6 @@ class TestBlindnessStatistics:
 
     def test_constant_transcript_rejected(self):
         assert blindness_pvalue([3] * 400) < 1e-6
-
-    def test_two_uniform_transcripts_indistinguishable(self):
-        rng = np.random.default_rng(8)
-        a = rng.integers(0, GRID, size=3000)
-        b = rng.integers(0, GRID, size=3000)
-        assert pattern_distinguishability_pvalue(a, b) > 0.01
-
-    def test_skewed_transcript_distinguishable(self):
-        rng = np.random.default_rng(9)
-        a = rng.integers(0, GRID, size=3000)
-        b = np.concatenate([rng.integers(0, 2, size=1500),
-                            rng.integers(0, GRID, size=1500)])
-        assert pattern_distinguishability_pvalue(a, b) < 1e-6
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
