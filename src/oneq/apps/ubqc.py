@@ -28,10 +28,19 @@ with the logical result read off the last qubit at angle 0 and corrected
 by the final z.  Parameterized mode skips the statevector and returns fair
 outcome bits, which keeps timing and transcript statistics meaningful but
 not the logical output distribution.
+
+Since the server never holds more than two qubits, exact mode carries its
+register as plain Python complex amplitudes (2 for one qubit, 4 for two)
+rather than as ``qcore.PureState`` arrays: CZ negates the |11> amplitude,
+and an equatorial measurement of the front qubit at grid angle k pi/4 is
+the closed-form projection H Rz(-k pi/4) with one uniform draw, as in
+``qcore.oracle_measure``.  The tests check this kernel against the
+``qcore`` oracle within 1e-12.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -57,6 +66,45 @@ def _angle(eighths: int) -> float:
     return (eighths % GRID) * math.pi / 4.0
 
 
+_S = 1.0 / math.sqrt(2.0)
+# e^{-i k pi/4}: H Rz(-k pi/4) has rows (1, +phase) / sqrt(2) and (1, -phase) / sqrt(2)
+_PHASE = tuple(cmath.exp(-1j * _angle(k)) for k in range(GRID))
+# Bell label (x, z) -> amplitudes of (X^x Z^z on qubit 0) |phi+>
+_BELL = {(0, 0): (_S, 0j, 0j, _S), (0, 1): (_S, 0j, 0j, -_S),
+         (1, 0): (0j, _S, _S, 0j), (1, 1): (0j, -_S, _S, 0j)}
+
+
+def _measure_front(amps: tuple[complex, ...], eighths: int, rng) -> tuple[int, tuple[complex, ...]]:
+    """Measure qubit 0 of a one- or two-qubit register at angle eighths * pi/4.
+
+    Outcome 0 projects onto (|0> + e^{i theta}|1>)/sqrt(2).  Returns the bit
+    and the normalized amplitudes of the qubit left, or () when none is.
+    """
+    phase = _PHASE[eighths % GRID]
+    if len(amps) == 2:  # a lone qubit: no second qubit to carry
+        a0, b0 = amps
+        a1 = b1 = 0j
+    else:
+        a0, a1, b0, b1 = amps
+    b0 *= phase
+    b1 *= phase
+    v0 = (a0 + b0) * _S
+    v1 = (a1 + b1) * _S
+    p0 = v0.real * v0.real + v0.imag * v0.imag + v1.real * v1.real + v1.imag * v1.imag
+    outcome = int(rng.random() >= p0)
+    p = p0
+    if outcome:
+        v0 = (a0 - b0) * _S
+        v1 = (a1 - b1) * _S
+        p = 1.0 - p0
+    if p <= 0.0:
+        raise ValueError("measured a zero-probability branch; state was inconsistent")
+    if len(amps) == 2:
+        return outcome, ()
+    root = math.sqrt(p)
+    return outcome, (v0 / root, v1 / root)
+
+
 def ideal_chain_p_zero(phi_eighths: tuple[int, ...]) -> float:
     """P(logical bit = 0) for the noiseless chain computation.
 
@@ -71,18 +119,14 @@ def ideal_chain_p_zero(phi_eighths: tuple[int, ...]) -> float:
     return float(abs(amp_plus) ** 2)
 
 
-def rsp_collapse(w: float, theta_eighths: int, rng) -> tuple[int, qcore.PureState]:
+def rsp_collapse(w: float, theta_eighths: int, rng) -> tuple[int, tuple[complex, complex]]:
     """Remote state preparation through one pair of mixture parameter w.
 
-    Builds the shared state from a Bell label sampled from the Werner
-    mixture, measures the client half at theta, and returns the outcome bit
-    together with the collapsed server qubit.
+    Takes the shared state's Bell label from the Werner mixture, measures
+    the client half at theta, and returns the outcome bit together with the
+    collapsed server qubit's amplitudes (a0, a1).
     """
-    x, z = qcore.sample_bell_label(w, rng)
-    shared = qcore.bell_state(x, z)
-    basis = qcore.MeasurementBasis.equatorial(_angle(theta_eighths))
-    m, server_qubit = qcore.oracle_measure(shared, 0, basis, rng)
-    return m, server_qubit
+    return _measure_front(_BELL[qcore.sample_bell_label(w, rng)], theta_eighths, rng)
 
 
 def blindness_pvalue(deltas_eighths) -> float:
@@ -132,27 +176,38 @@ class UbqcResult:
 
 
 class _ServerShot:
-    """Server side of one shot: at most two live qubits at any time."""
+    """Server side of one shot: at most two live qubits at any time.
+
+    The register is a tuple of 2 or 4 complex amplitudes, qubit 0 (the one
+    measured next) being the leftmost label, or () when it holds no qubit.
+    """
 
     def __init__(self, exact: bool, rng):
         self.exact = exact
         self.rng = rng
-        self.reg: Optional[qcore.PureState] = None
+        self.reg: tuple[complex, ...] = ()
 
-    def push(self, qubit: Optional[qcore.PureState]) -> None:
+    def push(self, qubit: Optional[tuple[complex, complex]]) -> None:
+        """Append a qubit and link it to the held one with CZ."""
         if not self.exact:
             return
-        if self.reg is None or self.reg.n_qubits == 0:
-            self.reg = qubit
+        a0, a1 = qubit
+        norm = math.sqrt(a0.real * a0.real + a0.imag * a0.imag
+                         + a1.real * a1.real + a1.imag * a1.imag)
+        if not abs(norm - 1.0) <= 1e-7:  # also rejects NaN
+            raise ValueError(f"pushed qubit is not normalized (norm {norm})")
+        if not self.reg:
+            self.reg = (a0, a1)
+        elif len(self.reg) == 2:
+            c0, c1 = self.reg
+            self.reg = (c0 * a0, c0 * a1, c1 * a0, -(c1 * a1))
         else:
-            self.reg = self.reg.tensor(qubit)
-            self.reg = qcore.apply_cz(self.reg, 0, 1)
+            raise ValueError("the server holds at most two qubits")
 
     def measure_front(self, delta_eighths: int) -> int:
         if not self.exact:
             return int(self.rng.integers(0, 2))
-        basis = qcore.MeasurementBasis.equatorial(_angle(delta_eighths))
-        outcome, self.reg = qcore.oracle_measure(self.reg, 0, basis, self.rng)
+        outcome, self.reg = _measure_front(self.reg, delta_eighths, self.rng)
         return outcome
 
 
@@ -206,7 +261,7 @@ class UbqcApp:
     def _prepare(self, stack: Stack, pair_id: str, theta_rng, client_meas):
         """Consume one pair and collapse its server half.
 
-        Returns (theta_eff_eighths, server_qubit_or_None).
+        Returns (theta_eff_eighths, server_qubit_amplitudes_or_None).
         """
         cfg = self.config
         pair = stack.consume_pair(pair_id, "rsp")

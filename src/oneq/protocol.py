@@ -671,6 +671,7 @@ class Stack:
         out = WernerPair(id=self.ledger.new_id(), holders=(left, right), w=w,
                          created_at=t, last_touched=t, usable_at=math.inf)
         self.ledger.register(out)
+        self.sim.metrics.incr("pairs_swapped")
         self.sim.metrics.incr("swaps", len(repeaters))
         self.sim.trace.emit(t, repeaters[0], "swap", ins="+".join(pair_ids),
                             at="+".join(repeaters), out=out.id, w_out=round(w, 9))

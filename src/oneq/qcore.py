@@ -42,7 +42,6 @@ __all__ = [
     "sample_bell_label",
     "PureState",
     "oracle_apply",
-    "apply_cz",
     "oracle_measure",
     "bell_state",
     "equatorial_state",
@@ -334,13 +333,6 @@ def oracle_apply(
         control, target = targets
         return PureState(state.amplitudes[_cnot_permutation(n, control, target)])
     raise ValueError(f"unknown gate {gate!r}")
-
-
-def apply_cz(state: PureState, a: int, b: int) -> PureState:
-    """CZ composed from the base gate set (H on b, CNOT a->b, H on b)."""
-    out = oracle_apply(state, "H", (b,))
-    out = oracle_apply(out, "CNOT", (a, b))
-    return oracle_apply(out, "H", (b,))
 
 
 def oracle_measure(

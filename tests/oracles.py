@@ -118,6 +118,13 @@ def _apply_cnot(state: np.ndarray, control: int, target: int, n: int) -> np.ndar
     return tensor.reshape(-1)
 
 
+def apply_cz(state: np.ndarray, a: int, b: int, n: int) -> np.ndarray:
+    """CZ composed from the base gate set (H on b, CNOT a->b, H on b)."""
+    out = _apply_1q(state, H, b, n)
+    out = _apply_cnot(out, a, b, n)
+    return _apply_1q(out, H, b, n)
+
+
 def _project(state: np.ndarray, qubit: int, outcome: int, n: int) -> tuple[float, np.ndarray]:
     tensor = np.moveaxis(state.reshape([2] * n), qubit, 0)
     branch = tensor[outcome].reshape(-1)

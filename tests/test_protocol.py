@@ -1772,3 +1772,24 @@ class TestResourceExitProperties:
         assert ended == len(stack.ledger.state)
         assert set(stack.ledger.state.values()) <= {"consumed", "discarded", "expired"}
         assert all(ctx.stored == set() for ctx in stack.ues.values())
+
+
+_BALANCE_RUNS = sorted((REPO / "scenarios").glob("*.json")) + [
+    REPO / "tests" / "data" / "handover_migrates_buffer.json"]
+
+
+class TestCounterBalance:
+    """metrics.csv counts each resource once when it is made and once when it ends."""
+
+    @pytest.mark.parametrize("path", _BALANCE_RUNS, ids=lambda p: p.stem)
+    def test_made_equals_ended(self, path):
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        scenario = load_scenario(doc, strict=True)[0]
+        for seed in range(12):
+            rows = run_scenario(scenario, seed=seed).metrics_rows
+            counts = {metric: value for _, _, metric, value, _ in rows}
+            made = sum(counts.get(name, 0.0)
+                       for name in ("pairs_created", "ghz_created", "pairs_swapped"))
+            ended = sum(counts.get(f"pairs_{terminal}", 0.0)
+                        for terminal in ("consumed", "discarded", "expired"))
+            assert made == ended, f"{path.stem} seed {seed}: {counts}"

@@ -13,6 +13,7 @@ from oneq.apps.ubqc import (
     GRID,
     UbqcApp,
     UbqcConfig,
+    _ServerShot,
     blindness_pvalue,
     ideal_chain_p_zero,
     rsp_collapse,
@@ -49,7 +50,8 @@ class TestRsp:
     def test_perfect_pair_prepares_rotated_plus(self):
         rng = np.random.default_rng(0)
         for theta8 in range(GRID):
-            m, server = rsp_collapse(1.0, theta8, rng)
+            m, amps = rsp_collapse(1.0, theta8, rng)
+            server = qcore.PureState(amps)
             assert m in (0, 1)
             target = qcore.equatorial_state(-theta8 * math.pi / 4 + m * math.pi)
             assert qcore.state_fidelity(server, target) == pytest.approx(1.0)
@@ -62,10 +64,122 @@ class TestRsp:
 
     def test_noisy_pair_still_returns_equatorial_qubit(self):
         rng = np.random.default_rng(2)
-        m, server = rsp_collapse(0.7, 5, rng)
-        a0, a1 = server.amplitudes
+        m, amps = rsp_collapse(0.7, 5, rng)
+        a0, a1 = qcore.PureState(amps).amplitudes
         assert abs(a0) == pytest.approx(1 / math.sqrt(2))
         assert abs(a1) == pytest.approx(1 / math.sqrt(2))
+
+
+class _Draws:
+    """Stands in for a Generator: random() returns the given draws in order."""
+
+    def __init__(self, *draws):
+        self.draws = list(draws)
+
+    def random(self):
+        return self.draws.pop(0)
+
+
+# Draws that force outcome 0 and outcome 1 whenever 0 < P(0) < 1.
+FORCE = (0.0, float(np.nextafter(1.0, 0.0)))
+
+
+def _eq_basis(eighths):
+    return qcore.MeasurementBasis.equatorial(eighths * math.pi / 4)
+
+
+def _p_zero(amps, eighths):
+    """P(0) of an equatorial measurement of qubit 0, from the explicit bra."""
+    bra = np.array([1.0, np.exp(-1j * eighths * math.pi / 4)]) / math.sqrt(2.0)
+    kept = bra @ np.asarray(amps, dtype=complex).reshape(2, -1)
+    return float(np.vdot(kept, kept).real)
+
+
+def _random_qubit(rng):
+    amps = rng.normal(size=2) + 1j * rng.normal(size=2)
+    return tuple(complex(a) for a in amps / np.linalg.norm(amps))
+
+
+def _oracle_push(reg, qubit):
+    """The qcore circuit for push: tensor, then CZ as H, CNOT, H."""
+    out = reg.tensor(qcore.PureState(qubit))
+    for gate, targets in (("H", (1,)), ("CNOT", (0, 1)), ("H", (1,))):
+        out = qcore.oracle_apply(out, gate, targets)
+    return out
+
+
+class TestServerKernel:
+    """The complex-amplitude server register against the qcore oracle."""
+
+    @pytest.mark.parametrize("label", [(0, 0), (0, 1), (1, 0), (1, 1)])
+    def test_rsp_matches_oracle_measurement(self, label):
+        # At w = 0 every Bell label has weight 1/4; this draw picks ``label``.
+        u_label = 0.125 + 0.25 * (2 * label[0] + label[1])
+        shared = qcore.bell_state(*label)
+        for theta8 in range(GRID):
+            p0 = _p_zero(shared.amplitudes, theta8)
+            for want, u in enumerate(FORCE):
+                m, amps = rsp_collapse(0.0, theta8, _Draws(u_label, u))
+                ref_m, ref = qcore.oracle_measure(shared, 0, _eq_basis(theta8), _Draws(u))
+                assert m == ref_m == want
+                np.testing.assert_allclose(amps, ref.amplitudes, rtol=0, atol=1e-12)
+            for u, want in ((p0 - 1e-12, 0), (p0 + 1e-12, 1)):
+                assert rsp_collapse(0.0, theta8, _Draws(u_label, u))[0] == want
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_push_and_measure_match_oracle_circuit(self, seed):
+        rng = np.random.default_rng(seed)
+        front, back = _random_qubit(rng), _random_qubit(rng)
+        linked = _oracle_push(qcore.PureState(front), back)
+        shot = _ServerShot(True, _Draws())
+        shot.push(front)
+        shot.push(back)
+        np.testing.assert_allclose(shot.reg, linked.amplitudes, rtol=0, atol=1e-12)
+        # A pushed register, and any normalized two-qubit register.
+        entangled = rng.normal(size=4) + 1j * rng.normal(size=4)
+        entangled = qcore.PureState(entangled / np.linalg.norm(entangled))
+        for reg in (linked, entangled):
+            for delta8 in range(GRID):
+                p0 = _p_zero(reg.amplitudes, delta8)
+                for u in (*FORCE, p0 - 1e-12, p0 + 1e-12):
+                    shot = _ServerShot(True, _Draws(u))
+                    shot.reg = tuple(reg.amplitudes)
+                    ref_s, ref = qcore.oracle_measure(reg, 0, _eq_basis(delta8), _Draws(u))
+                    assert shot.measure_front(delta8) == ref_s == int(u >= p0)
+                    np.testing.assert_allclose(shot.reg, ref.amplitudes, rtol=0, atol=1e-12)
+                    # The qubit left behind is measured alone and leaves no qubit.
+                    last8 = (delta8 + 3) % GRID
+                    p_last = _p_zero(ref.amplitudes, last8)
+                    for draw in (*FORCE, p_last - 1e-12, p_last + 1e-12):
+                        shot.rng = _Draws(draw)
+                        shot.reg = tuple(ref.amplitudes)
+                        ref_last, _ = qcore.oracle_measure(ref, 0, _eq_basis(last8),
+                                                           _Draws(draw))
+                        assert shot.measure_front(last8) == ref_last
+                        assert shot.reg == ()
+
+    def test_guards_raise_like_the_oracle(self):
+        s = 1 / math.sqrt(2.0)
+        shot = _ServerShot(True, _Draws())
+        shot.push((1.0 + 5e-8 + 0j, 0j))  # within the 1e-7 norm tolerance
+        for bad in ((1.0 + 2e-7 + 0j, 0j), (complex(math.nan), 0j)):
+            with pytest.raises(ValueError, match="not normalized"):
+                _ServerShot(True, _Draws()).push(bad)
+            with pytest.raises(ValueError, match="not normalized"):
+                qcore.PureState(bad)
+        # |-> measured along X has P(0) = 0; a draw below it picks that branch.
+        minus = (s + 0j, -s + 0j)
+        shot = _ServerShot(True, _Draws(-1.0))
+        shot.push(minus)
+        with pytest.raises(ValueError, match="zero-probability"):
+            shot.measure_front(0)
+        with pytest.raises(ValueError, match="zero-probability"):
+            qcore.oracle_measure(qcore.PureState(minus), 0, _eq_basis(0), _Draws(-1.0))
+        shot = _ServerShot(True, _Draws())
+        shot.push(minus)
+        shot.push(minus)
+        with pytest.raises(ValueError, match="at most two"):
+            shot.push(minus)
 
 
 class TestBlindnessStatistics:
