@@ -158,14 +158,17 @@ class SensingApp:
     # -- separable --------------------------------------------------------
 
     def _run_separable(self, stack: Stack):
-        """Samples every shot of the run from the app's own stream in one loop.
+        """Samples every shot of the run from the app's own stream.
 
         A shot reads only classical coverage, a pure function of time, and
         the app's stream, so nothing else in the run can observe the shots
-        one by one.  The loop keeps its own clock with the engine's float
-        arithmetic and the app yields once at the end; with
-        ``trace_reports`` it steps the engine along with the loop instead,
-        so that report records keep their place in the trace.
+        one by one.  The app keeps its own clock with the engine's float
+        arithmetic and yields once at the end.  When the fusion station and
+        every sensor are static, coverage is fixed and a block of shots is
+        a few array operations; otherwise one loop walks the shot times and
+        reads coverage at each.  With ``trace_reports`` that loop steps the
+        engine along instead, so that report records keep their place in
+        the trace.
         """
         cfg = self.config
         sim = stack.sim
@@ -191,36 +194,50 @@ class SensingApp:
             zero = rng.random((size, len(links))) < p0
             loss = rng.random((len(links), size))
             arrived = np.array([link.delivered(draws)
-                                for link, draws in zip(links, loss)]).T.tolist()
-            got_rows = []
-            for arrived_row in arrived:
-                t += step
-                cover = fixed_cover if static else coverage(t)
-                got = list(map(operator.and_, cover, arrived_row))
-                latency = max(compress(latencies, got), default=0.0)
-                if cfg.trace_reports:
-                    yield step
-                    for s, c, g in zip(cfg.sensors, cover, got):
-                        self._trace_report(sim, s, c, g)
-                    if latency > 0.0:
-                        yield latency
-                t += latency
-                got_rows.append(got)
-            got_block = np.array(got_rows, dtype=bool)
-            per_shot.extend(zip((got_block & zero).sum(axis=1).tolist(),
-                                got_block.sum(axis=1).tolist()))
+                                for link, draws in zip(links, loss)]).T
+            if static and not cfg.trace_reports:
+                got = arrived & np.array(fixed_cover)
+                # t, step, latency, step, latency, ...: summed left to right,
+                # as the loop below adds them.
+                clock = np.empty(2 * size + 1)
+                clock[0] = t
+                clock[1::2] = step
+                clock[2::2] = np.where(got, latencies, 0.0).max(axis=1)
+                t = float(np.add.accumulate(clock)[-1])
+            else:
+                got_rows = []
+                for arrived_row in arrived.tolist():
+                    t += step
+                    cover = fixed_cover if static else coverage(t)
+                    got_row = list(map(operator.and_, cover, arrived_row))
+                    latency = max(compress(latencies, got_row), default=0.0)
+                    if cfg.trace_reports:
+                        yield step
+                        for s, c, g in zip(cfg.sensors, cover, got_row):
+                            self._trace_report(sim, s, c, g)
+                        if latency > 0.0:
+                            yield latency
+                    t += latency
+                    got_rows.append(got_row)
+                got = np.array(got_rows, dtype=bool)
+            per_shot.extend(zip((got & zero).sum(axis=1).tolist(),
+                                got.sum(axis=1).tolist()))
         if not cfg.trace_reports:
             yield t - sim.now
+        return self._separable_result(per_shot)
 
+    def _separable_result(self, per_shot: list[tuple[int, int]]) -> SensingResult:
+        """The pooled estimate from each shot's (zeros, bits used)."""
+        cfg = self.config
         used = sum(u for _, u in per_shot)
-        discarded = cfg.shots * len(links) - used
+        discarded = len(per_shot) * len(cfg.sensors) - used
         if used == 0:
             return SensingResult(cfg.app_id, "no-data", mode=cfg.mode,
-                                 shots_done=cfg.shots, discarded=discarded)
+                                 shots_done=len(per_shot), discarded=discarded)
         p_hat = sum(z for z, _ in per_shot) / used
         phi = estimate_phase(p_hat, self.contrast)
         return SensingResult(
-            cfg.app_id, "done", mode=cfg.mode, shots_done=cfg.shots,
+            cfg.app_id, "done", mode=cfg.mode, shots_done=len(per_shot),
             bits_used=used, discarded=discarded, p_hat=p_hat, phi_est=phi,
             phi_std=delta_method_se(p_hat, used, self.contrast, phi),
             phi_std_batch=self._batch_se(per_shot, self.contrast, 1),

@@ -340,6 +340,11 @@ class Topology:
             "repeater": _adjacency(tuple(edge) for edge in self.repeater_edges),
         }
         self._paths: dict[tuple[str, str, str], Optional[tuple]] = {}
+        # Coverage and reachability between two static nodes are the same at
+        # every t, so each such answer is kept from its first use, keyed by
+        # (node, node, quantum).
+        self._disks: dict[tuple[str, str, bool], bool] = {}
+        self._links: dict[tuple[str, str, bool], bool] = {}
 
     def _require(self, node_id: str) -> NodeSpec:
         if node_id not in self.nodes:
@@ -361,15 +366,20 @@ class Topology:
         Both ends must be in view; a station with no cell, or a zero radius,
         covers nothing.
         """
+        key = (ue_id, bs_id, quantum)
+        known = self._disks.get(key)
+        if known is not None:
+            return known
         bs = self._require(bs_id)
         ue = self._require(ue_id)
         cell = self.cells.get(bs_id)
-        if cell is None:
-            return False
-        radius = cell.quantum_radius if quantum else cell.classical_radius
-        if radius <= 0.0 or not bs.available_at(t) or not ue.available_at(t):
-            return False
-        return self.distance(ue_id, bs_id, t) <= radius
+        radius = 0.0 if cell is None else (
+            cell.quantum_radius if quantum else cell.classical_radius)
+        inside = (radius > 0.0 and bs.available_at(t) and ue.available_at(t)
+                  and self.distance(ue_id, bs_id, t) <= radius)
+        if bs.mobility.kind == ue.mobility.kind == "static":
+            self._disks[key] = inside
+        return inside
 
     def in_classical_coverage(self, ue_id: str, bs_id: str, t: float) -> bool:
         return self._in_disk(ue_id, bs_id, t, quantum=False)
@@ -385,25 +395,33 @@ class Topology:
     def quantum_link(self, a: str, b: str) -> Optional[QuantumLinkSpec]:
         return self.quantum_links.get(frozenset((a, b)))
 
-    def _reachable(self, a: str, b: str, t: float, covered) -> bool:
-        """Whether the a-b link is usable at t; a UE end must pass covered(ue, bs, t).
+    def _reachable(self, a: str, b: str, t: float, quantum: bool) -> bool:
+        """Whether the a-b link is usable at t; a UE end must lie in the station's disk.
 
         Engineered BS-to-BS links are range-validated at deployment, not per use.
         """
+        key = (a, b, quantum)
+        known = self._links.get(key)
+        if known is not None:
+            return known
         na, nb = self._require(a), self._require(b)
         if na.kind in UE_KINDS and nb.kind in BS_KINDS:
-            return covered(a, b, t)
-        if nb.kind in UE_KINDS and na.kind in BS_KINDS:
-            return covered(b, a, t)
-        return na.available_at(t) and nb.available_at(t)
+            usable = self._in_disk(a, b, t, quantum)
+        elif nb.kind in UE_KINDS and na.kind in BS_KINDS:
+            usable = self._in_disk(b, a, t, quantum)
+        else:
+            usable = na.available_at(t) and nb.available_at(t)
+        if na.mobility.kind == nb.mobility.kind == "static":
+            self._links[key] = usable
+        return usable
 
     def classical_reachable(self, a: str, b: str, t: float) -> bool:
         """True when a and b can exchange a message over their link at time t."""
-        return self._reachable(a, b, t, self.in_classical_coverage)
+        return self._reachable(a, b, t, quantum=False)
 
     def quantum_reachable(self, a: str, b: str, t: float) -> bool:
         """True when a and b can herald over their quantum link at time t."""
-        return self._reachable(a, b, t, self.in_quantum_coverage)
+        return self._reachable(a, b, t, quantum=True)
 
     def _path(self, graph: str, a: str, b: str) -> Optional[list[str]]:
         key = (graph, a, b)

@@ -263,12 +263,18 @@ class QueContext:
 
 
 class _Segment(NamedTuple):
-    """One pair a session heralds: every leg from source in the same slot."""
+    """One resource a process heralds: every leg from source in the same slot.
+
+    p and w, the products of the legs' q_attempt and w0, are fixed for the
+    segment, so Stack._segment computes them once for all its slots.
+    """
 
     source: str
     legs: tuple[QuantumLinkSpec, ...]
-    holders: tuple[str, str]
+    holders: tuple[str, ...]
     via: str
+    p: float
+    w: float
 
 
 class Stack:
@@ -513,27 +519,32 @@ class Stack:
     # Resource creation and consumption
     # ------------------------------------------------------------------
 
-    def _herald(self, source: str, legs: Sequence[QuantumLinkSpec],
-                parties: Iterable[str]) -> Optional[float]:
-        """One heralded attempt slot at source; the delivered w, or None.
+    def _segment(self, source: str, legs: Sequence[QuantumLinkSpec],
+                 holders: Sequence[str], via: str = "") -> _Segment:
+        return _Segment(source, tuple(legs), tuple(holders), via,
+                        math.prod(link.q_attempt for link in legs),
+                        math.prod(link.w0 for link in legs))
+
+    def _herald(self, seg: _Segment) -> Optional[float]:
+        """One heralded attempt slot at seg.source; the delivered w, or None.
 
         Every leg must herald in the same slot, so the success probability
         is the product of the leg q_attempts and the delivered Werner
-        parameter the product of the leg w0s.  A party without a free
+        parameter the product of the leg w0s.  A holder without a free
         memory slot skips the slot without a draw; a leg out of quantum
-        reach raises CoverageError.
+        reach raises CoverageError.  The source's entanglement stream is
+        opened at its first draw, so a process that never draws opens none.
         """
-        if not self.ledger.can_store(parties):
+        if not self.ledger.can_store(seg.holders):
             return None
         t = self.sim.now
-        for link in legs:
+        for link in seg.legs:
             if not self.topo.quantum_reachable(link.a, link.b, t):
                 raise CoverageError(
                     f"no quantum coverage between {link.a} and {link.b} at t={t}")
-        rng = self.sim.rng_stream(source, "entanglement")
-        if rng.random() >= math.prod(link.q_attempt for link in legs):
+        if self.sim.rng_stream(seg.source, "entanglement").random() >= seg.p:
             return None
-        return math.prod(link.w0 for link in legs)
+        return seg.w
 
     def _register_pair(self, holders: tuple[str, str], w: float, link_note: str) -> WernerPair:
         t = self.sim.now
@@ -719,9 +730,9 @@ class Stack:
             return None
         kinds = [self.topo.nodes[n].kind for n in chain]
         if len(chain) == 3 and kinds[1] in BS_KINDS and kinds[2] in UE_KINDS:
-            return [_Segment(chain[1], tuple(links), (chain[0], chain[2]), f"src:{chain[1]}")]
+            return [self._segment(chain[1], links, (chain[0], chain[2]), f"src:{chain[1]}")]
         via = "direct" if len(links) == 1 else "segment"
-        return [_Segment(a if kind in BS_KINDS else b, (link,), (a, b), via)
+        return [self._segment(a if kind in BS_KINDS else b, (link,), (a, b), via)
                 for a, b, kind, link in zip(chain, chain[1:], kinds, links)]
 
     def _attempt_loop(self, period: float, deadline: float, holders: Sequence[str],
@@ -787,7 +798,7 @@ class Stack:
         # A herald delivers the product of its legs' w0, a swap multiplies
         # its inputs' w and storage only lowers it: no pair of this chain
         # can beat the product over every leg.
-        w_max = math.prod(link.w0 for seg in plan for link in seg.legs)
+        w_max = math.prod(seg.w for seg in plan)
         if not _meets_fidelity(w_max, request.min_fidelity):
             return reject("fidelity-unreachable")
 
@@ -819,7 +830,7 @@ class Stack:
             attempts += 1
             for i, seg in enumerate(plan):
                 if i not in segments:
-                    w = self._herald(seg.source, seg.legs, seg.holders)
+                    w = self._herald(seg)
                     if w is not None:
                         segments[i] = self._register_pair(seg.holders, w, seg.via)
             return True if len(segments) == len(plan) else None
@@ -912,9 +923,10 @@ class Stack:
                 raise ProtocolError(f"no quantum link {bs_id}-{h}")
             legs.append(link)
         period = max(l.attempt_period_s for l in legs)
+        herald = partial(self._herald, self._segment(bs_id, legs, holders))
         try:
             w = yield from self._attempt_loop(period, self.sim.now + max_latency_s, holders,
-                                              partial(self._herald, bs_id, legs, holders))
+                                              herald)
         except CoverageError as err:
             self.sim.trace.emit(self.sim.now, bs_id, "ghz-coverage-lost", detail=str(err))
             return None
@@ -1106,8 +1118,9 @@ class Stack:
         the caller.
         """
         holders = (bs_old, bs_new)
-        w = yield from self._attempt_loop(link.attempt_period_s, deadline, holders,
-                                          partial(self._herald, bs_old, (link,), holders))
+        w = yield from self._attempt_loop(
+            link.attempt_period_s, deadline, holders,
+            partial(self._herald, self._segment(bs_old, (link,), holders)))
         return None if w is None else self._register_pair(holders, w, "bridge")
 
     # ------------------------------------------------------------------

@@ -26,6 +26,8 @@ from typing import Any, Optional
 from .apps import QkdConfig, SensingConfig, UbqcConfig
 from .errors import ConfigurationError, SchemaError
 from .netmodel import (
+    BS_KINDS,
+    UE_KINDS,
     CellSpec,
     ClassicalLinkSpec,
     NodeSpec,
@@ -263,22 +265,30 @@ def _build_app(item: dict, path: str, check: _Check) -> Any:
                   path, check, config=config)
 
 
+_UE = (UE_KINDS, "is not user equipment")
+_BS = (BS_KINDS, "is not a base station")
+
+
 def _cross_reference(topology: Topology, apps: tuple[AppSpec, ...],
                      attachments: tuple[tuple[str, str], ...], policy: PolicySpec,
                      ops: tuple[OpSpec, ...], check: _Check) -> None:
-    def known(node_id: str, path: str) -> None:
-        if node_id not in topology.nodes:
+    def known(node_id: str, path: str, role: Optional[tuple] = None) -> None:
+        """Report a node id that is unknown, or not of the role's kinds."""
+        node = topology.nodes.get(node_id)
+        if node is None:
             check.fail(path, f"unknown node id {node_id!r}")
+        elif role is not None and node.kind not in role[0]:
+            check.fail(path, f"{node_id!r} {role[1]}")
 
     for i, (ue, bs) in enumerate(attachments):
-        known(ue, f"$.attachments[{i}].ue")
-        known(bs, f"$.attachments[{i}].bs")
+        known(ue, f"$.attachments[{i}].ue", _UE)
+        known(bs, f"$.attachments[{i}].bs", _BS)
     for i, (bs, ue) in enumerate(policy.targets):
-        known(bs, f"$.policy.targets[{i}][0]")
-        known(ue, f"$.policy.targets[{i}][1]")
+        known(bs, f"$.policy.targets[{i}][0]", _BS)
+        known(ue, f"$.policy.targets[{i}][1]", _UE)
     for i, op in enumerate(ops):
-        known(op.ue, f"$.ops[{i}].ue")
-        known(op.to, f"$.ops[{i}].to")
+        known(op.ue, f"$.ops[{i}].ue", _UE)
+        known(op.to, f"$.ops[{i}].to", _BS)
     seen_ids: set[str] = set()
     for i, spec in enumerate(apps):
         path = f"$.apps[{i}]"
@@ -286,27 +296,38 @@ def _cross_reference(topology: Topology, apps: tuple[AppSpec, ...],
         if cfg.app_id in seen_ids:
             check.fail(f"{path}.id", f"duplicate app id {cfg.app_id!r}")
         seen_ids.add(cfg.app_id)
+        # (field, node id, role) of each node the app names
         if spec.kind == "qkd":
-            refs = [("alice", cfg.alice), ("bob", cfg.bob)]
+            refs = [("alice", cfg.alice, _UE), ("bob", cfg.bob, _UE)]
         elif spec.kind == "ubqc":
-            refs = [("client", cfg.client), ("server", cfg.server)]
+            refs = [("client", cfg.client, _UE), ("server", cfg.server, None)]
         else:
-            refs = [("fusion", cfg.fusion)] + [
-                (f"sensors[{j}]", s) for j, s in enumerate(cfg.sensors)]
-        for label, node_id in refs:
-            known(node_id, f"{path}.{label}")
+            ghz = cfg.mode == "ghz"
+            refs = [("fusion", cfg.fusion, _BS if ghz else None)] + [
+                (f"sensors[{j}]", s, _UE if ghz else None)
+                for j, s in enumerate(cfg.sensors)]
+        for label, node_id, role in refs:
+            known(node_id, f"{path}.{label}", role)
         if spec.kind == "sensing":
             for j, s in enumerate(cfg.sensors):
-                if s in topology.nodes and cfg.fusion in topology.nodes \
-                        and topology.classical_link(s, cfg.fusion) is None:
+                if s not in topology.nodes or cfg.fusion not in topology.nodes:
+                    continue
+                if topology.classical_link(s, cfg.fusion) is None:
                     check.fail(f"{path}.sensors[{j}]",
                                f"no classical link to the fusion node {cfg.fusion!r}")
+                elif ghz and topology.quantum_link(s, cfg.fusion) is None:
+                    check.fail(f"{path}.sensors[{j}]",
+                               f"no quantum link to the fusion node {cfg.fusion!r}")
             continue
+        (first, a, _), (second, b, _) = refs
+        if a == b:
+            check.fail(f"{path}.{second}",
+                       f"{b!r} is {first} too; a pair needs two distinct holders")
         # one session holds all of a ubqc shot's or a qkd batch's pairs at
         # once, at both ends
         key, need, unit = (("phi_eighths", len(cfg.phi_eighths) + 1, "a shot")
                            if spec.kind == "ubqc" else ("n_pairs", cfg.n_pairs, "a batch"))
-        for label, node_id in refs:
+        for label, node_id, _ in refs:
             node = topology.nodes.get(node_id)
             if node is not None and node.memory_slots < need:
                 check.fail(f"{path}.{key}",

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
+from hypothesis import settings
 
 from oneq.engine import Simulator
 from oneq.netmodel import (
@@ -13,6 +16,12 @@ from oneq.netmodel import (
     Topology,
 )
 from oneq.protocol import Defaults, Stack
+
+# Under CI, property tests draw the same examples on every run and print the
+# blob that replays a failure, so a failing example reproduces locally.
+settings.register_profile("ci", derandomize=True, print_blob=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 QUIET = Defaults(inactivity_timeout_s=1e9)
 

@@ -344,3 +344,102 @@ def survival_time_bisect(w0: float, f_min: float, t_coh: float) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+# ---------------------------------------------------------------------------
+# Cell coverage, from positions and pass windows at the queried time
+# ---------------------------------------------------------------------------
+#
+# A node is a dict: {"kind": "QBS" | "CBS" | "SAT_QBS" | "QUE" | "CUE",
+# "position": (x, y, z), "mobility": {"kind": "static"} | {"kind":
+# "waypoint", "waypoints": [(t, (x, y, z)), ...]} | {"kind": "orbit",
+# "pass_start": s, "pass_duration": d, "period": p}}.  cells maps a station
+# id to (classical_radius, quantum_radius).  Nothing is remembered between
+# calls: every answer is worked out again from the time it is asked for.
+
+_STATIONS = ("QBS", "CBS", "SAT_QBS")
+
+
+def node_position(node: dict, t: float) -> tuple[float, ...]:
+    """Waypoint nodes move along straight segments and rest at both ends."""
+    mobility = node["mobility"]
+    if mobility["kind"] != "waypoint":
+        return tuple(node["position"])
+    points = mobility["waypoints"]
+    if t <= points[0][0]:
+        return tuple(points[0][1])
+    for (t0, p0), (t1, p1) in zip(points, points[1:]):
+        if t0 <= t <= t1:
+            frac = (t - t0) / (t1 - t0)
+            return tuple(a + frac * (b - a) for a, b in zip(p0, p1))
+    return tuple(points[-1][1])
+
+
+def node_in_view(node: dict, t: float) -> bool:
+    """An orbit node is in view inside [s + k p, s + k p + d) for some k >= 0."""
+    mobility = node["mobility"]
+    if mobility["kind"] != "orbit":
+        return True
+    start, duration, period = (mobility["pass_start"], mobility["pass_duration"],
+                               mobility["period"])
+    last = max(math.floor((t - start) / period), 0)
+    for k in range(max(last - 1, 0), last + 2):
+        opens = start + k * period
+        if opens <= t < opens + duration:
+            return True
+    return False
+
+
+def in_disk(nodes: dict, cells: dict, ue: str, bs: str, t: float, quantum: bool) -> bool:
+    if ue not in nodes or bs not in nodes:
+        raise KeyError(ue if ue not in nodes else bs)
+    if bs not in cells:
+        return False
+    radius = cells[bs][1 if quantum else 0]
+    if radius <= 0.0 or not (node_in_view(nodes[bs], t) and node_in_view(nodes[ue], t)):
+        return False
+    return math.dist(node_position(nodes[ue], t), node_position(nodes[bs], t)) <= radius
+
+
+def link_usable(nodes: dict, cells: dict, a: str, b: str, t: float, quantum: bool) -> bool:
+    """A UE end must lie in the station's disk; any other pair needs both in view."""
+    if a not in nodes or b not in nodes:
+        raise KeyError(a if a not in nodes else b)
+    a_station, b_station = (nodes[n]["kind"] in _STATIONS for n in (a, b))
+    if b_station and not a_station:
+        return in_disk(nodes, cells, a, b, t, quantum)
+    if a_station and not b_station:
+        return in_disk(nodes, cells, b, a, t, quantum)
+    return node_in_view(nodes[a], t) and node_in_view(nodes[b], t)
+
+
+# ---------------------------------------------------------------------------
+# Separable sensing shots, one shot at a time
+# ---------------------------------------------------------------------------
+
+def separable_shots(rng: np.random.Generator, shots: int, p0: float,
+                    p_err: list[float], latencies: list[float], step: float,
+                    t0: float, coverage, block: int) -> tuple[list[tuple[int, int]], float]:
+    """Each shot's (zeros, bits used) and the clock after the last shot.
+
+    Shots are drawn ``block`` at a time from ``rng``: first a (shots,
+    sensors) array of probe draws, a bit reading 0 when its draw is below
+    p0, then a (sensors, shots) array of loss draws, a report arriving when
+    its draw is at least the link's p_err.  A shot takes ``step``, then
+    waits for the slowest report that arrived from a sensor that
+    ``coverage(t)`` says is covered; only those reports count.
+    """
+    n = len(latencies)
+    per_shot = []
+    t = t0
+    for first in range(0, shots, block):
+        size = min(block, shots - first)
+        zero = rng.random((size, n)) < p0
+        loss = rng.random((n, size))
+        for i in range(size):
+            t += step
+            cover = coverage(t)
+            got = [bool(cover[j] and loss[j, i] >= p_err[j]) for j in range(n)]
+            t += max((lat for lat, g in zip(latencies, got) if g), default=0.0)
+            per_shot.append((sum(1 for j in range(n) if got[j] and zero[i, j]), sum(got)))
+    return per_shot, t

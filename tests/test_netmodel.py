@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from conftest import QUIET
 from oneq.engine import Simulator
 from oneq.errors import ConfigurationError, CoverageError, SchemaError
@@ -242,6 +243,160 @@ class TestCoverage:
         assert not topo.in_quantum_coverage("near", "SAT1", 2.5)
 
 
+_STATION_KINDS = ("QBS", "CBS", "SAT_QBS")
+_UE_KINDS = ("QUE", "CUE")
+_COORD = st.floats(-2000.0, 2000.0, width=32).map(float)
+_QUERIES = ("in_classical_coverage", "in_quantum_coverage",
+            "classical_reachable", "quantum_reachable")
+
+
+def _crossings(p0, p1, t0, t1, centre, radius):
+    """Times in [t0, t1] at which p0 -> p1 crosses the sphere |x - centre| = radius."""
+    d = [b - a for a, b in zip(p0, p1)]
+    f = [a - c for a, c in zip(p0, centre)]
+    qa = sum(x * x for x in d)
+    qb = 2.0 * sum(x * y for x, y in zip(d, f))
+    qc = sum(x * x for x in f) - radius * radius
+    disc = qb * qb - 4.0 * qa * qc
+    if qa == 0.0 or disc < 0.0:
+        return []
+    roots = ((-qb - math.sqrt(disc)) / (2.0 * qa), (-qb + math.sqrt(disc)) / (2.0 * qa))
+    return [t0 + s * (t1 - t0) for s in roots if 0.0 <= s <= 1.0]
+
+
+@st.composite
+def _mobility(draw, kinds=("static", "waypoint", "orbit")):
+    kind = draw(st.sampled_from(kinds))
+    if kind == "waypoint":
+        times = sorted(draw(st.sets(st.floats(0.0, 10.0, width=32).map(float),
+                                    min_size=2, max_size=3)))
+        return {"kind": kind, "waypoints": [
+            (t, (draw(_COORD), draw(_COORD), 0.0)) for t in times]}
+    if kind == "orbit":
+        period = draw(st.floats(0.5, 4.0))
+        return {"kind": kind, "pass_start": draw(st.floats(0.0, 5.0)),
+                "pass_duration": period * draw(st.floats(0.05, 1.0)), "period": period}
+    return {"kind": kind}
+
+
+@st.composite
+def _worlds(draw):
+    """Stations and UEs of every mobility, some stations with a cell.
+
+    The first station is static with a cell and the first UE moves, so that
+    every world has a disk edge that a moving UE can cross.
+    """
+    n_bs, n_ue = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    nodes, cells = {}, {}
+    for i in range(n_bs + n_ue):
+        station = i < n_bs
+        nid = f"BS{i}" if station else f"UE{i}"
+        nodes[nid] = {"kind": draw(st.sampled_from(_STATION_KINDS if station else _UE_KINDS)),
+                      "position": (draw(_COORD), draw(_COORD), 10.0 if station else 0.0),
+                      "mobility": draw(_mobility(("static",) if i == 0 else
+                                                 ("waypoint",) if i == n_bs else
+                                                 ("static", "waypoint", "orbit")))}
+        if station and (i == 0 or draw(st.booleans())):
+            classical = draw(st.floats(200.0, 2500.0))
+            quantum = 0.0 if nodes[nid]["kind"] == "CBS" else \
+                classical * draw(st.floats(0.0, 1.0))
+            cells[nid] = (classical, quantum)
+    return nodes, cells
+
+
+def _turning_times(nodes, cells, a, b):
+    """The times at which an answer about a and b can turn.
+
+    They are the pass-window edges and waypoint times of both nodes, and the
+    moments a waypoint node crosses the other, static node's disk edges.
+    """
+    times = [0.0]
+    for one, other in ((a, b), (b, a)):
+        mobility = nodes[one]["mobility"]
+        if mobility["kind"] == "orbit":
+            for k in range(4):
+                opens = mobility["pass_start"] + k * mobility["period"]
+                times += [opens, opens + mobility["pass_duration"]]
+        if mobility["kind"] == "waypoint":
+            points = mobility["waypoints"]
+            times += [t for t, _ in points]
+            if other in cells and nodes[other]["mobility"]["kind"] == "static":
+                for (t0, p0), (t1, p1) in zip(points, points[1:]):
+                    for radius in cells[other]:
+                        times += _crossings(p0, p1, t0, t1, nodes[other]["position"],
+                                            radius)
+    return sorted(set(times))
+
+
+def _topology(nodes, cells):
+    specs = []
+    for nid, node in nodes.items():
+        mobility = dict(node["mobility"])
+        mobility["waypoints"] = tuple(mobility.get("waypoints", ()))
+        slots = 0 if node["kind"] in ("CBS", "CUE") else 4
+        specs.append(NodeSpec(id=nid, kind=node["kind"], position=node["position"],
+                              memory_slots=slots, mobility=Mobility(**mobility)))
+    return Topology(nodes=specs, cells=[CellSpec(bs_id=bs, classical_radius=c,
+                                                 quantum_radius=q)
+                                        for bs, (c, q) in cells.items()])
+
+
+def _expected(nodes, cells, query, a, b, t):
+    quantum = "quantum" in query
+    if query.endswith("coverage"):
+        return oracles.in_disk(nodes, cells, a, b, t, quantum)
+    return oracles.link_usable(nodes, cells, a, b, t, quantum)
+
+
+class TestCoverageMemo:
+    """Coverage and reachability answers kept for static pairs match geometry."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_answers_match_the_reference_in_any_query_order(self, data):
+        nodes, cells = data.draw(_worlds())
+        topo = _topology(nodes, cells)
+        ids = sorted(nodes)
+        ues, served = [n for n in ids if n.startswith("UE")], sorted(cells)
+        asked = []
+        for _ in range(data.draw(st.integers(1, 12))):
+            query = data.draw(st.sampled_from(_QUERIES))
+            # mostly a UE and a station with a cell, where disks matter
+            a, b = data.draw(st.tuples(st.sampled_from(ues), st.sampled_from(served))
+                             if served and data.draw(st.booleans())
+                             else st.tuples(st.sampled_from(ids), st.sampled_from(ids)))
+            t = data.draw(st.sampled_from(_turning_times(nodes, cells, a, b))
+                          | st.floats(0.0, 12.0))
+            # around the chosen time: a disk edge found by the quadratic may sit
+            # a few ulps off the one the float geometry sees
+            asked += [(query, a, b, x) for x in (t - 1e-6, math.nextafter(t, -math.inf), t,
+                                                  math.nextafter(t, math.inf), t + 1e-6)]
+        for query, a, b, t in asked + asked[::-1]:  # every query repeats
+            assert getattr(topo, query)(a, b, t) == _expected(nodes, cells, query, a, b, t), \
+                (query, a, b, t)
+            with pytest.raises(ConfigurationError):
+                getattr(topo, query)(a, "GHOST", t)
+
+    def test_moving_pairs_answer_anew_on_each_side_of_a_boundary(self):
+        topo = _coverage_topology()
+        # "mover" leaves QBS1's 1000 m disk at t = 900 / 490 s
+        inside, outside = 1.8, 1.9
+        for query in ("in_classical_coverage", "classical_reachable"):
+            ask = getattr(topo, query)
+            assert [ask("mover", "QBS1", t) for t in (inside, outside, inside)] \
+                == [True, False, True]
+        # SAT1's first pass is [1, 2); "near" is static and in its disk
+        for query in _QUERIES:
+            ask = getattr(topo, query)
+            assert [ask("near", "SAT1", t) for t in (1.5, 2.0, 1.5, 0.5)] \
+                == [True, False, True, False]
+        # two static nodes: the first answer is every later one
+        assert [topo.in_quantum_coverage("near", "QBS1", t) for t in (0.0, 7.0)] \
+            == [True, True]
+        assert [topo.in_quantum_coverage("edge", "QBS1", t) for t in (0.0, 7.0)] \
+            == [False, False]
+
+
 class TestLinks:
     def test_latency_formula(self):
         link = ClassicalLinkSpec(a="a", b="b", rate_bps=1e6,
@@ -274,7 +429,8 @@ class TestLinks:
             links = tuple(QuantumLinkSpec(a="QBS1", b=ue, q_attempt=q,
                                           attempt_period_s=1e-3, w0=w0)
                           for ue, q, w0 in legs)
-            made = [stack._herald("QBS1", links, parties) for _ in range(n)]
+            seg = stack._segment("QBS1", links, parties)
+            made = [stack._herald(seg) for _ in range(n)]
             heralded = [x for x in made if x is not None]
             assert abs(len(heralded) / n - rate) <= 3 * math.sqrt(rate * (1 - rate) / n)
             assert set(heralded) == {w}
@@ -286,10 +442,10 @@ class TestLinks:
         far = QuantumLinkSpec(a="QBS1", b="far", q_attempt=1.0,
                               attempt_period_s=1e-3, w0=0.91)
         with pytest.raises(CoverageError):
-            stack._herald("QBS1", (far,), ("QBS1", "far"))
+            stack._herald(stack._segment("QBS1", (far,), ("QBS1", "far")))
         with pytest.raises(CoverageError):
-            stack._herald("QBS1", (near, far), ("near", "far"))
-        assert stack._herald("QBS1", (near,), ("QBS1", "near")) == 0.91
+            stack._herald(stack._segment("QBS1", (near, far), ("near", "far")))
+        assert stack._herald(stack._segment("QBS1", (near,), ("QBS1", "near"))) == 0.91
 
     def test_herald_skips_full_memory_without_a_draw(self):
         stack = self._stack(_coverage_topology())
@@ -300,11 +456,12 @@ class TestLinks:
             stack.ledger.register(WernerPair(id=stack.ledger.new_id(),
                                              holders=("QBS1", "near"), w=0.9,
                                              created_at=0.0))
+        seg = stack._segment("QBS1", (link,), ("QBS1", "near"))
         untouched = copy.deepcopy(rng)
-        assert stack._herald("QBS1", (link,), ("QBS1", "near")) is None
+        assert stack._herald(seg) is None
         assert rng.random() == untouched.random()
         stack.ledger.finish("p000001", "discarded", "test")
-        assert stack._herald("QBS1", (link,), ("QBS1", "near")) == 0.91
+        assert stack._herald(seg) == 0.91
 
     def test_repeater_path_bfs(self):
         def qbs(nid):

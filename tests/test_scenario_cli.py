@@ -71,6 +71,18 @@ BAD_BLOCKS = [
     ("duplicate_node_id", "$.nodes[2].id: duplicate node id 'QUE1'"),
     ("quantum_link_on_classical_ue",
      "$.quantum_links[1].b: 'CUE9' has no quantum hardware"),
+    # Roles: each of these passed validation and then failed mid-run.
+    ("qkd_alice_is_bob",
+     "$.apps[0].bob: 'QUE1' is alice too; a pair needs two distinct holders"),
+    ("qkd_alice_base_station", "$.apps[0].alice: 'QBS1' is not user equipment"),
+    ("ubqc_client_is_server",
+     "$.apps[0].server: 'QUE1' is client too; a pair needs two distinct holders"),
+    ("policy_target_not_station", "$.policy.targets[0][0]: 'QUE1' is not a base station"),
+    ("sensing_ghz_sensor_no_quantum_link",
+     "$.apps[0].sensors[1]: no quantum link to the fusion node 'QBS1'"),
+    ("op_ue_is_station", "$.ops[0].ue: 'QBS1' is not user equipment"),
+    ("op_to_is_ue", "$.ops[0].to: 'QUE2' is not a base station"),
+    ("attachment_ue_is_station", "$.attachments[0].ue: 'QBS1' is not user equipment"),
 ]
 
 

@@ -10,6 +10,7 @@ import pytest
 import oracles
 from conftest import drive, one_cell_topology
 from oneq.apps.sensing import (
+    _BLOCK_SHOTS,
     SensingApp,
     SensingConfig,
     delta_method_se,
@@ -17,6 +18,7 @@ from oneq.apps.sensing import (
     parity_probability,
     probe_probability,
 )
+from oneq.engine import Simulator
 from oneq.errors import ConfigurationError
 from oneq.protocol import Defaults
 from oneq.runner import run_scenario
@@ -353,6 +355,36 @@ class TestSeparableTimeline:
         _, art = _run_doc(_walking_doc(trace_reports=trace_reports, shots=4000))
         assert art.summary["apps"]["walk"]["outcome"] == "unfinished"
         assert not any('"app-end"' in line for line in art.trace_jsonl.splitlines())
+
+
+class TestSeparableAgainstReference:
+    """Static, untraced runs against the shot-by-shot reference loop."""
+
+    @pytest.mark.parametrize("shots", [1, 255, 256, 257, 1500])
+    @pytest.mark.parametrize("p_err_c", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("n_sensors", [1, 9])
+    def test_result_and_end_time_equal_the_reference(self, make_stack, n_sensors,
+                                                     p_err_c, shots):
+        seed = 1000 * n_sensors + shots
+        topo = one_cell_topology(n_ues=n_sensors, p_err_c=p_err_c)
+        sensors = tuple(f"QUE{i}" for i in range(1, n_sensors + 1))
+        cfg = SensingConfig("sense0", "QBS1", sensors, phi_true=1.0, shots=shots)
+        sim, stack, res = _run_app(make_stack, topo, cfg, seed=seed)
+
+        links = [topo.classical_link(s, "QBS1") for s in sensors]
+        cover = [topo.in_classical_coverage(s, "QBS1", 0.0) for s in sensors]
+        per_shot, t_end = oracles.separable_shots(
+            Simulator(seed=seed).rng_stream("QBS1", "sensing/sense0"), shots,
+            oracles.ramsey_p_zero(1.0, math.exp(-cfg.tau_interrogate_s / cfg.t2_s)),
+            [link.p_err_c for link in links],
+            [link.latency(stack.bits("report")) for link in links],
+            cfg.reinit_delay_s + cfg.tau_interrogate_s, 0.0, lambda t: cover,
+            _BLOCK_SHOTS)
+        want = SensingApp(cfg)._separable_result(per_shot)
+        want.elapsed_s = t_end
+        assert res == want
+        assert sim.now == t_end
+        assert res.outcome == ("no-data" if p_err_c == 1.0 else "done")
 
 
 class TestChronologicalTraces:
