@@ -1012,27 +1012,36 @@ class Stack:
         """Generator: move the UE to bs_new, migrating its buffered pairs.
 
         The pairs migrated are the UE's buffered pairs with bs_old (see
-        _buffered), read again at each use, since another process may
-        consume them meanwhile.  Soft mode heralds at most one bs_old-bs_new
-        bridge per pair buffered when the handover starts, and none once the
-        buffer is empty; each bridge is swapped at bs_old with the first pair
-        still buffered, so end-to-end entanglement survives, and is discarded
-        unused when that pair was consumed while the bridge heralded.
-        Hard mode discards the pairs still buffered and provisions as many
-        replacements via a fresh session.  Both get HANDOVER_BUDGET_S:
-        every bridge must herald by its end, and the hard session's latency
-        budget is it.  Soft falls back to hard, with a trace warning, when
-        the bridge link does not exist, and for the pairs not yet bridged
-        when the budget runs out or a bridge station leaves quantum reach.
+        _buffered), read through _screen at f_min at each use, since they
+        decay and another process may consume them meanwhile.  Soft mode
+        heralds at most one bs_old-bs_new bridge per pair buffered when the
+        handover starts, and none once no pair passes the screen; each
+        bridge is swapped at bs_old with the first pair still buffered, so
+        end-to-end entanglement survives, and is discarded unused when that
+        pair was consumed while the bridge heralded.  The swapped pair is
+        screened before the UE holds it.  Hard mode discards the pairs still
+        buffered and tops up at bs_new with acquire_pairs for every pair the
+        handover moves, migrated so far or released.  Both get
+        HANDOVER_BUDGET_S: every bridge must herald by its end, and it is
+        the top-up session's latency budget.  Soft falls back to hard, with
+        a trace warning, when the bridge link does not exist, and for the
+        pairs not yet bridged when the budget runs out or a bridge station
+        leaves quantum reach.  A handover that cannot start (no serving
+        station, bs_new serves the UE already, or the UE is outside its
+        classical coverage) writes a handover-rejected record; it returns None.
         """
         ctx = self.ue(ue_id)
         bs_old = ctx.serving_bs
-        if bs_old is None:
-            raise ProtocolError(f"{ue_id} is not attached to any base station")
-        if bs_new == bs_old:
-            raise ProtocolError(f"{ue_id} is already served by {bs_new}")
-        if not self.topo.in_classical_coverage(ue_id, bs_new, self.sim.now):
-            raise CoverageError(f"{ue_id} is outside classical coverage of {bs_new}")
+        refused = ("not-attached" if bs_old is None
+                   else "already-served" if bs_new == bs_old
+                   else None if self.topo.in_classical_coverage(ue_id, bs_new, self.sim.now)
+                   else "outside-classical-coverage")
+        if refused:
+            self.sim.trace.emit(self.sim.now, ue_id, "handover-rejected",
+                                frm=bs_old, to=bs_new, reason=refused)
+            self.sim.metrics.incr("handover_rejected")
+            return None
+        f_min = self.defaults.f_min
         requested = mode
         bridge_link = self.topo.quantum_link(bs_old, bs_new)
         bridgeable = (bridge_link is not None
@@ -1053,7 +1062,7 @@ class Stack:
         if mode == HandoverMode.SOFT:
             deadline = self.sim.now + HANDOVER_BUDGET_S
             for _ in range(bridges):
-                if not self._buffered(ue_id, bs_old):
+                if not list(self._screen(self._buffered(ue_id, bs_old), f_min)):
                     break
                 try:
                     bridge = yield from self._bridge(bs_old, bs_new, bridge_link, deadline)
@@ -1077,8 +1086,9 @@ class Stack:
                                                      (ue_id, bs_old, bs_new))
                 downtime += self.sim.now - t_swap  # correction in flight
                 if out_id is not None:
-                    self._hand_over(self.ledger.resources[out_id])
-                    migrated.append(out_id)
+                    for pair in self._screen((self.ledger.resources[out_id],), f_min):
+                        self._hand_over(pair)
+                        migrated.append(pair.id)
             ctx.serving_bs = bs_new
         if mode == HandoverMode.HARD:
             t_gap0 = self.sim.now
@@ -1088,17 +1098,11 @@ class Stack:
                 self.discard_pair(pair.id, "handover-released")
             ctx.serving_bs = bs_new
             if released:
-                if ctx.state == QueState.ENTANGLED:
-                    self._set_state(ctx, QueState.CONNECTED, "handover-hard")
-                request = EntanglementRequest(
-                    requester=ue_id, target=bs_new,
-                    count=len(released), max_latency_s=HANDOVER_BUDGET_S,
-                    min_fidelity=self.defaults.f_min,
-                )
-                session_result = yield from self.entanglement_session(request)
-                migrated.extend(session_result.delivered)
-            if released and was_entangled:
-                downtime += self.sim.now - t_gap0
+                migrated, session_result = yield from self.acquire_pairs(
+                    ue_id, bs_new, len(migrated) + len(released), f_min,
+                    HANDOVER_BUDGET_S)
+                if was_entangled:
+                    downtime += self.sim.now - t_gap0
 
         self.sim.trace.emit(self.sim.now, ue_id, "handover",
                             frm=bs_old, to=bs_new, mode=mode.value,
@@ -1139,9 +1143,9 @@ class Stack:
     def _screen(self, pairs: Iterable[WernerPair], min_fidelity: float) -> Iterator[WernerPair]:
         """Age each pair in turn: yield it if it meets min_fidelity, else discard it.
 
-        The one fidelity screen: the session's ACK, the buffered hand-out
-        and the provisioner's refresh all use it.  Lazy, so a caller that
-        stops early leaves the remaining pairs unaged and unscreened.
+        The one fidelity screen: the session's ACK, acquire_pairs and the
+        soft handover use it.  Lazy, so a caller that stops early leaves
+        the remaining pairs unaged and unscreened.
         """
         for pair in pairs:
             if _meets_fidelity(self.age_pair(pair), min_fidelity):
@@ -1151,9 +1155,11 @@ class Stack:
 
     def acquire_pairs(self, ue_id: str, bs_id: str, count: int, min_fidelity: float,
                       max_latency_s: float):
-        """Generator: hand out buffered pairs first, then top up via a session.
+        """Generator: the one top-up of the UE's buffer of pairs with bs_id.
 
-        Returns (pair_ids, session_result_or_None).
+        Takes up to count buffered pairs that pass _screen, then connects the
+        UE and opens one session for the shortfall.  Apps, the provisioner
+        and the hard handover all call it.  Returns (pair_ids, session or None).
         """
         taken = [pair.id for pair in
                  islice(self._screen(self._buffered(ue_id, bs_id), min_fidelity), count)]
@@ -1177,9 +1183,10 @@ class Stack:
         """Launch the distribution policy.
 
         Reactive does nothing ahead of requests.  Proactive runs one
-        provisioner per (bs, ue) target that keeps the ue's buffer of
-        bs-entangled pairs at buffer_target, refreshes decohered pairs, and
-        wakes at satellite pass starts predicted with orbit_next_window.
+        provisioner per (bs, ue) target that, every check_period_s while bs
+        is in view, no other station serves ue and ue is in bs's quantum
+        disk, tops ue's buffer of bs pairs up to buffer_target with
+        acquire_pairs.  It wakes at pass starts predicted by orbit_next_window.
         """
         if mode == PolicyMode.REACTIVE:
             return
@@ -1191,28 +1198,20 @@ class Stack:
 
     def _provisioner(self, bs_id: str, ue_id: str, buffer_target: int,
                      check_period_s: float, f_min: float):
-        bs = self.topo.nodes[bs_id]
+        bs, ctx = self.topo.nodes[bs_id], self.ue(ue_id)
         while True:
             if not bs.available_at(self.sim.now):
                 start, _ = orbit_next_window(bs.mobility, self.sim.now)
                 self.sim.trace.emit(self.sim.now, bs_id, "provision-wait-pass",
                                     ue=ue_id, pass_start=start)
                 yield (max(start - self.sim.now, 0.0), EventKind.TIMER)
-            # Refresh: throw away buffered pairs that decohered below spec.
-            held = list(self._screen(self._buffered(ue_id, bs_id), f_min))
-            deficit = buffer_target - len(held)
-            if deficit > 0:
-                connected = yield from self.ensure_connected(ue_id, bs_id)
-                if connected and self.topo.in_quantum_coverage(ue_id, bs_id, self.sim.now):
-                    request = EntanglementRequest(
-                        requester=ue_id, target=bs_id,
-                        count=deficit, max_latency_s=max(check_period_s, 0.1),
-                        min_fidelity=f_min,
-                    )
-                    result = yield from self.entanglement_session(request)
-                    if result.delivered:
-                        self.sim.trace.emit(self.sim.now, bs_id, "provision",
-                                            ue=ue_id, delivered=len(result.delivered))
+            if (ctx.serving_bs in (None, bs_id)
+                    and self.topo.in_quantum_coverage(ue_id, bs_id, self.sim.now)):
+                _, result = yield from self.acquire_pairs(
+                    ue_id, bs_id, buffer_target, f_min, max(check_period_s, 0.1))
+                if result is not None and result.delivered:
+                    self.sim.trace.emit(self.sim.now, bs_id, "provision",
+                                        ue=ue_id, delivered=len(result.delivered))
             yield (check_period_s, EventKind.DECOHERENCE_CHECK)
 
 

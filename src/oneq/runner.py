@@ -150,22 +150,20 @@ def run_scenario(scenario: Scenario, seed: Optional[int] = None,
     )
 
 
-def metrics_csv(rows: list[tuple]) -> str:
+def _csv(header: tuple, rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(("run_id", "seed", "metric", "value", "unit"))
-    for row in rows:
-        writer.writerow(row)
+    writer.writerow(header)
+    writer.writerows(rows)
     return buf.getvalue()
+
+
+def metrics_csv(rows: list[tuple]) -> str:
+    return _csv(("run_id", "seed", "metric", "value", "unit"), rows)
 
 
 def app_results_csv(rows: list[tuple]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(APP_RESULT_COLUMNS)
-    for row in rows:
-        writer.writerow(row)
-    return buf.getvalue()
+    return _csv(APP_RESULT_COLUMNS, rows)
 
 
 def write_artifacts(artifacts: RunArtifacts, out_dir: str) -> dict[str, str]:
@@ -266,10 +264,4 @@ def run_sweep(document: dict, param: str, values: list, replications: int = 1,
 def sweep_csv(rows: list[dict]) -> str:
     columns = ("param", "value", "replicate", "seed", "app_id", "app_type",
                "outcome", "result", "elapsed_s", "resources_consumed")
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow(tuple(row[c] for c in columns))
-    return buf.getvalue()
-
+    return _csv(columns, (tuple(row[c] for c in columns) for row in rows))

@@ -280,9 +280,14 @@ def _cross_reference(topology: Topology, apps: tuple[AppSpec, ...],
         elif role is not None and node.kind not in role[0]:
             check.fail(path, f"{node_id!r} {role[1]}")
 
+    attached: dict[str, int] = {}
     for i, (ue, bs) in enumerate(attachments):
         known(ue, f"$.attachments[{i}].ue", _UE)
         known(bs, f"$.attachments[{i}].bs", _BS)
+        if ue in attached:
+            check.fail(f"$.attachments[{i}].ue",
+                       f"{ue!r} is already attached at $.attachments[{attached[ue]}]")
+        attached.setdefault(ue, i)
     for i, (bs, ue) in enumerate(policy.targets):
         known(bs, f"$.policy.targets[{i}][0]", _BS)
         known(ue, f"$.policy.targets[{i}][1]", _UE)

@@ -1,5 +1,6 @@
 """Unit tests for the control plane: RRC states, sessions, swaps, handover."""
 
+import functools
 import json
 import math
 from collections import Counter
@@ -769,6 +770,29 @@ def _terminal_records(records) -> Counter:
     return ended
 
 
+FIXTURE = REPO / "tests" / "data" / "handover_migrates_buffer.json"
+
+
+@functools.lru_cache(maxsize=None)
+def _fixture_records(at_s, seed):
+    """The trace of the handover fixture with its handover moved to at_s."""
+    doc = json.loads(FIXTURE.read_text(encoding="utf-8"))
+    doc["ops"][0]["at_s"] = at_s
+    art = run_scenario(load_scenario(doc, strict=True)[0], seed=seed)
+    return tuple(json.loads(line) for line in art.trace_jsonl.splitlines())
+
+
+def _ends(records) -> dict:
+    """The terminal record of each resource id; a swap ends its inputs."""
+    ended = {}
+    for r in records:
+        if r["kind"] in ("pair-consumed", "pair-discarded", "pair-expired"):
+            ended[r["details"]["id"]] = r
+        elif r["kind"] == "swap":
+            ended.update(dict.fromkeys(r["details"]["ins"].split("+"), r))
+    return ended
+
+
 def _handover_topology(w0_new=0.96, bridge_q_attempt=0.9):
     """Two overlapping cells with the UE in both quantum disks.
 
@@ -934,7 +958,7 @@ class TestHandover:
     @pytest.mark.parametrize("seed", range(6))
     def test_handover_fixture_migrates_over_bridges(self, seed):
         # metro_with_satellite with a QBS1 buffer at QUE2 and the handover
-        # moved before QUE2 leaves the QBS1 quantum disk
+        # at 0.415 s, while that buffer is still above f_min
         doc = json.loads((REPO / "tests" / "data" / "handover_migrates_buffer.json")
                          .read_text(encoding="utf-8"))
         art = run_scenario(load_scenario(doc, strict=True)[0], seed=seed)
@@ -943,6 +967,134 @@ class TestHandover:
                    for r in records) == 2
         (handover,) = [r["details"] for r in records if r["kind"] == "handover"]
         assert handover["mode"] == "soft" and handover["migrated"] == 2
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_stale_buffer_is_discarded_and_not_bridged(self, seed):
+        # at 0.45 s the QBS1 pairs QUE2 holds have decayed below f_min 0.8
+        records = _fixture_records(0.45, seed)
+        (handover,) = [r for r in records if r["kind"] == "handover"]
+        ends = _ends(records)
+        buffered = [r["details"]["id"] for r in records if r["kind"] == "pair-created"
+                    and set(r["details"]["holders"].split("+")) == {"QUE2", "QBS1"}
+                    and r["t"] < 0.45 < ends[r["details"]["id"]]["t"]]
+        assert len(buffered) == 2
+        for pair_id in buffered:
+            end = ends[pair_id]
+            assert end["kind"] == "pair-discarded"
+            assert end["details"]["reason"] == "below-threshold"
+            assert 0.45 <= end["t"] <= handover["t"]
+        assert not any(r["kind"] == "pair-created" and r["details"]["via"] == "bridge"
+                       for r in records)
+        assert handover["details"]["migrated"] == 0
+
+    def test_bridged_pair_below_the_floor_is_not_handed_over(self):
+        # at 0.42 s, seed 6, both buffered pairs pass the screen, but each
+        # bridged pair is F 0.799 once swapped
+        records = _fixture_records(0.42, 6)
+        (handover,) = [r for r in records if r["kind"] == "handover"]
+        bridges = {r["details"]["id"] for r in records if r["kind"] == "pair-created"
+                   and r["details"]["via"] == "bridge"}
+        outs = [r["details"]["out"] for r in records if r["kind"] == "swap"
+                and bridges & set(r["details"]["ins"].split("+"))]
+        assert len(outs) == 2
+        ends = _ends(records)
+        dropped = [o for o in outs if ends[o]["kind"] == "pair-discarded"
+                   and ends[o]["details"]["reason"] == "below-threshold"]
+        assert dropped
+        # screened when its correction arrives, before the handover ends
+        assert all(ends[o]["t"] <= handover["t"] for o in dropped)
+        assert handover["details"]["migrated"] == len(outs) - len(dropped)
+
+    @pytest.mark.parametrize("at_s", [0.415, 0.45])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_provisioner_follows_the_serving_cell(self, at_s, seed):
+        # the (QBS1, QUE2) provisioner waits once QBS2 serves QUE2
+        records = _fixture_records(at_s, seed)
+        (handover,) = [r for r in records if r["kind"] == "handover"]
+        assert handover["details"]["to"] == "QBS2"
+        assert not [r for r in records if r["kind"] == "session-start"
+                    and r["node"] == "QUE2" and r["details"]["target"] == "QBS1"
+                    and r["t"] >= handover["t"]]
+
+    def test_swapped_pair_is_screened_before_the_ue_holds_it(self, make_stack):
+        # F 0.8125 passes the 0.8 floor, but swapped onto the w0 0.94 bridge
+        # it is F 0.779
+        sim, stack = make_stack(_handover_topology())
+        drive(sim, stack.register("QUE1", "QBS1"))
+        pair = _register_pair(stack, "QUE1", "QBS1", 0.75)
+        stack._hand_over(pair)
+        ho = drive(sim, stack.handover("QUE1", "QBS2", HandoverMode.SOFT))
+        (swap,) = [r["details"] for r in sim.trace if r["kind"] == "swap"]
+        assert fidelity_of(swap["w_out"]) < 0.8
+        assert stack.ledger.reason[swap["out"]] == "below-threshold"
+        assert ho.mode_used == HandoverMode.SOFT and ho.migrated == ()
+        assert stack.ue("QUE1").stored == set()
+        assert stack.ue("QUE1").state == QueState.CONNECTED
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_soft_fallback_part_way_moves_each_pair_once(self, make_stack, seed):
+        # the first bridge heralds; the second finds the budget spent, so
+        # the handover falls back hard for the one pair still buffered
+        sim, stack = make_stack(_handover_topology(), seed=seed)
+        drive(sim, stack.register("QUE1", "QBS1"))
+        res = drive(sim, stack.entanglement_session(
+            _request(peer="QBS1", count=2, max_latency_s=0.5)))
+        assert res.outcome == SessionOutcome.FULFILLED
+        bridge, calls = stack._bridge, []
+
+        def first_bridge_only(bs_old, bs_new, link, deadline):
+            calls.append(sim.now)
+            return (yield from bridge(bs_old, bs_new, link,
+                                      deadline if len(calls) == 1 else sim.now))
+
+        stack._bridge = first_bridge_only
+        n_records = len(sim.trace)
+        ho = drive(sim, stack.handover("QUE1", "QBS2", HandoverMode.SOFT))
+        records = list(sim.trace)[n_records:]
+        assert len(calls) == 2
+        assert ho.mode_used == HandoverMode.HARD and ho.fell_back is True
+        assert len(ho.migrated) == len(set(ho.migrated)) == 2
+        for pid in ho.migrated:
+            assert set(stack.ledger.live(pid).holders) == {"QUE1", "QBS2"}
+        assert stack.ue("QUE1").stored == set(ho.migrated)
+        # the top-up session asks only for the pair that was released
+        (start,) = [r for r in records if r["kind"] == "session-start"]
+        assert start["details"] == {"target": "QBS2", "count": 1, "chain": "QUE1+QBS2"}
+        assert ho.session.delivered == ho.migrated[1:]
+        # the UE holds the migrated pair throughout, so it stays Entangled
+        assert not any(r["kind"] == "state-transition" for r in records)
+        assert stack.ue("QUE1").state == QueState.ENTANGLED
+
+    @pytest.mark.parametrize("reason", [
+        "not-attached", "already-served", "outside-classical-coverage"])
+    def test_handover_that_cannot_start_is_rejected(self, make_stack, reason):
+        # QUE1 sits in both cells of the handover topology, and outside
+        # QBS2's cell in the two-cell one
+        far = reason == "outside-classical-coverage"
+        sim, stack = make_stack(two_cell_topology() if far else _handover_topology())
+        if reason != "not-attached":
+            assert drive(sim, stack.register("QUE1", "QBS1"))
+        bs_new = "QBS1" if reason == "already-served" else "QBS2"
+        n_records = len(sim.trace)
+        ho = drive(sim, stack.handover("QUE1", bs_new, HandoverMode.SOFT))
+        assert ho is None
+        bs_old = None if reason == "not-attached" else "QBS1"
+        assert [(r["kind"], r["details"]) for r in list(sim.trace)[n_records:]] == [
+            ("handover-rejected", {"frm": bs_old, "to": bs_new, "reason": reason})]
+        assert sim.metrics.counters["handover_rejected"] == 1.0
+        assert stack.ue("QUE1").serving_bs == bs_old
+
+    def test_rejected_handover_op_does_not_stop_the_run(self):
+        # QBS1 already serves QUE1; the run goes on to its duration
+        doc = json.loads(FIXTURE.read_text(encoding="utf-8"))
+        doc["ops"][0].update(ue="QUE1", to="QBS1")
+        art = run_scenario(load_scenario(doc, strict=True)[0])
+        records = [json.loads(line) for line in art.trace_jsonl.splitlines()]
+        (rejected,) = [r for r in records if r["kind"] == "handover-rejected"]
+        assert rejected["details"]["reason"] == "already-served"
+        assert not any(r["kind"] == "handover" for r in records)
+        assert art.summary["t_end"] == pytest.approx(doc["duration_s"])
+        assert {row[2]: row[3] for row in art.metrics_rows}["handover_rejected"] == 1.0
 
     def test_soft_falls_back_without_bridge(self, make_stack):
         topo = _handover_topology()

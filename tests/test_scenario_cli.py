@@ -83,6 +83,8 @@ BAD_BLOCKS = [
     ("op_ue_is_station", "$.ops[0].ue: 'QBS1' is not user equipment"),
     ("op_to_is_ue", "$.ops[0].to: 'QUE2' is not a base station"),
     ("attachment_ue_is_station", "$.attachments[0].ue: 'QBS1' is not user equipment"),
+    ("attachment_ue_twice",
+     "$.attachments[2].ue: 'QUE1' is already attached at $.attachments[0]"),
 ]
 
 
@@ -264,6 +266,43 @@ class TestSingleGate:
             raise
         except OneQError:
             pass
+
+
+    @pytest.mark.parametrize("stem", sorted(_SHIPPED))
+    def test_node_id_substitution_is_rejected_or_runs(self, stem):
+        # every value that names a node, replaced by each other node id of
+        # the file: a wrong role, a UE attached twice, a handover op that
+        # cannot start at run time
+        doc = _SHIPPED[stem]
+        ids = [node["id"] for node in doc["nodes"]]
+        failures = []
+        for path in _PATHS[stem]:
+            parent = doc
+            for key in path[:-1]:
+                parent = parent[key]
+            if not (isinstance(parent[path[-1]], str) and parent[path[-1]] in ids):
+                continue
+            for other in ids:
+                if other == parent[path[-1]]:
+                    continue
+                varied = set_by_path(doc, _dotted(path), other)
+                try:
+                    scenario, _ = load_scenario(varied)
+                except SchemaError:
+                    continue
+                try:
+                    art = run_scenario(scenario)
+                except OneQError as err:
+                    failures.append(f"{_dotted(path)}={other}: {type(err).__name__}: {err}")
+                    continue
+                assert art.summary["t_end"] == pytest.approx(scenario.duration_s)
+        assert failures == []
+
+
+def _dotted(path) -> str:
+    """A _json_paths path in set_by_path's notation."""
+    return "".join(f"[{key}]" if isinstance(key, int) else f".{key}"
+                   for key in path).lstrip(".")
 
 
 class TestRunner:
