@@ -112,7 +112,7 @@ class QkdConfig:
     max_latency_s: float = 1.0
     sample_fraction: float = 0.1
     qber_abort: float = 0.11
-    # 1 or more selects first-key mode; see _run_first_key
+    # 1 or more selects first-key mode; see QkdApp.run
     k_target: int = 0
     max_rounds: int = 10000
 
@@ -165,35 +165,48 @@ class QkdApp:
         basis_rng_b = sim.rng_stream(cfg.bob, "basis")
         sift_rng = sim.rng_stream(cfg.alice, "sift")
 
-        if cfg.k_target >= 1:
-            result = yield from self._run_first_key(stack, basis_rng_a, basis_rng_b,
-                                                    sift_rng)
-            return self._finish(stack, result, t0)
-
+        # First-key mode keeps only the last batch and stops at the first
+        # that sifts k_target bits alone, which makes the batch size a real
+        # tuning knob.  Rounds mode (k_target 0) keeps every batch and
+        # announces its bases once, after the last.
+        first_key = cfg.k_target >= 1
+        limit = cfg.max_rounds if first_key else cfg.rounds
         alice_bits: list[int] = []
         bob_bits: list[int] = []
         match_flags: list[bool] = []
         sessions = 0
-        for _ in range(cfg.rounds):
+        measured = 0
+        outcome: Optional[str] = "exhausted"
+        while sessions < limit:
             batch = yield from self._one_batch(stack, basis_rng_a, basis_rng_b)
             if batch is None:
-                result = QkdResult(cfg.app_id, "aborted-session", sessions=sessions)
-                return self._finish(stack, result, t0)
+                outcome = "aborted-session"
+                break
             sessions += 1
             a, b, flags = batch
-            alice_bits.extend(a)
-            bob_bits.extend(b)
-            match_flags.extend(flags)
-
-        ok = yield from self._announce_bases(stack, len(match_flags))
-        if not ok:
-            result = QkdResult(cfg.app_id, "aborted-classical", sessions=sessions,
-                               pairs_measured=len(match_flags))
-            return self._finish(stack, result, t0)
-
-        result = self._distill(alice_bits, bob_bits, match_flags, sift_rng)
+            measured += len(flags)
+            if first_key:
+                alice_bits, bob_bits, match_flags = a, b, flags
+            else:
+                alice_bits.extend(a)
+                bob_bits.extend(b)
+                match_flags.extend(flags)
+                if sessions < limit:
+                    continue
+            ok = yield from self._announce_bases(stack, len(match_flags))
+            if not ok:
+                outcome = "aborted-classical"
+                break
+            if sum(match_flags) >= cfg.k_target:
+                outcome = None
+                break
+        if outcome is None:
+            result = self._distill(alice_bits, bob_bits, match_flags, sift_rng)
+        else:
+            result = QkdResult(cfg.app_id, outcome)
         result.sessions = sessions
-        yield from self._exchange_sample(stack, result)
+        result.pairs_measured = measured
+        yield from self._exchange_sample(stack, result)  # an abort sampled nothing
         return self._finish(stack, result, t0)
 
     # -- building blocks -------------------------------------------------
@@ -268,51 +281,18 @@ class QkdApp:
             keep_a, keep_b = sifted_a, sifted_b
 
         if qber > cfg.qber_abort:
-            return QkdResult(cfg.app_id, "aborted-qber", pairs_measured=n,
-                             sifted_bits=n_sift, sift_discard_rate=discard_rate,
-                             sampled_bits=sample_k, disagreements=disagreements,
-                             qber_estimate=qber)
+            return QkdResult(cfg.app_id, "aborted-qber", sifted_bits=n_sift,
+                             sift_discard_rate=discard_rate, sampled_bits=sample_k,
+                             disagreements=disagreements, qber_estimate=qber)
         k_bits = key_length(len(keep_a), qber)
         return QkdResult(
             cfg.app_id, "key" if k_bits > 0 else "no-key",
-            pairs_measured=n, sifted_bits=n_sift, sift_discard_rate=discard_rate,
+            sifted_bits=n_sift, sift_discard_rate=discard_rate,
             sampled_bits=sample_k, disagreements=disagreements, qber_estimate=qber,
             key_bits=k_bits,
             alice_key="".join(str(b) for b in keep_a[:k_bits]),
             bob_key="".join(str(b) for b in keep_b[:k_bits]),
         )
-
-    def _run_first_key(self, stack: Stack, rng_a, rng_b, sift_rng):
-        """Retry whole batches until one alone sifts k_target bits.
-
-        Short batches are discarded, not accumulated: a key is only built
-        from a single fresh batch, which is what makes the batch size a
-        real tuning knob.  The winning batch is distilled like any other,
-        sampled error estimate and abort threshold included.
-        """
-        cfg = self.config
-        sessions = 0
-        measured = 0
-        while sessions < cfg.max_rounds:
-            batch = yield from self._one_batch(stack, rng_a, rng_b)
-            if batch is None:
-                return QkdResult(cfg.app_id, "aborted-session", sessions=sessions,
-                                 pairs_measured=measured)
-            sessions += 1
-            a, b, flags = batch
-            measured += len(flags)
-            ok = yield from self._announce_bases(stack, len(flags))
-            if not ok:
-                return QkdResult(cfg.app_id, "aborted-classical", sessions=sessions,
-                                 pairs_measured=measured)
-            if sum(flags) >= cfg.k_target:
-                result = self._distill(a, b, flags, sift_rng)
-                result.sessions = sessions
-                result.pairs_measured = measured
-                yield from self._exchange_sample(stack, result)
-                return result
-        return QkdResult(cfg.app_id, "exhausted", sessions=sessions,
-                         pairs_measured=measured)
 
     def _finish(self, stack: Stack, result: QkdResult, t0: float) -> QkdResult:
         sim = stack.sim

@@ -25,13 +25,11 @@ import math
 import operator
 from dataclasses import dataclass, field
 from itertools import compress
-from typing import Optional
 
 import numpy as np
 
 from ..errors import ConfigurationError
 from ..protocol import Stack
-from ..qcore import decay
 
 __all__ = [
     "SensingConfig",
@@ -149,16 +147,22 @@ class SensingApp:
             if stack.topo.classical_link(s, cfg.fusion) is None:
                 raise ConfigurationError(f"sensor {s} has no classical link to "
                                          f"{cfg.fusion}")
+        w_sum = 0.0
         if cfg.mode == "ghz":
-            result = yield from self._run_ghz(stack)
+            for s in cfg.sensors:
+                ok = yield from stack.ensure_connected(s, cfg.fusion)
+                if not ok:
+                    result = SensingResult(cfg.app_id, "aborted-attach", mode=cfg.mode)
+                    return self._finish(stack, result, t0)
+            per_shot, w_sum = yield from self._run_ghz(stack)
         else:
-            result = yield from self._run_separable(stack)
-        return self._finish(stack, result, t0)
+            per_shot = yield from self._run_separable(stack)
+        return self._finish(stack, self._estimate(per_shot, w_sum), t0)
 
     # -- separable --------------------------------------------------------
 
     def _run_separable(self, stack: Stack):
-        """Samples every shot of the run from the app's own stream.
+        """Each shot's (zeros, bits used), sampled from the app's own stream.
 
         A shot reads only classical coverage, a pure function of time, and
         the app's stream, so nothing else in the run can observe the shots
@@ -224,42 +228,21 @@ class SensingApp:
                                 got.sum(axis=1).tolist()))
         if not cfg.trace_reports:
             yield t - sim.now
-        return self._separable_result(per_shot)
-
-    def _separable_result(self, per_shot: list[tuple[int, int]]) -> SensingResult:
-        """The pooled estimate from each shot's (zeros, bits used)."""
-        cfg = self.config
-        used = sum(u for _, u in per_shot)
-        discarded = len(per_shot) * len(cfg.sensors) - used
-        if used == 0:
-            return SensingResult(cfg.app_id, "no-data", mode=cfg.mode,
-                                 shots_done=len(per_shot), discarded=discarded)
-        p_hat = sum(z for z, _ in per_shot) / used
-        phi = estimate_phase(p_hat, self.contrast)
-        return SensingResult(
-            cfg.app_id, "done", mode=cfg.mode, shots_done=len(per_shot),
-            bits_used=used, discarded=discarded, p_hat=p_hat, phi_est=phi,
-            phi_std=delta_method_se(p_hat, used, self.contrast, phi),
-            phi_std_batch=self._batch_se(per_shot, self.contrast, 1),
-            visibility=self.contrast,
-        )
+        return per_shot
 
     # -- ghz ---------------------------------------------------------------
 
     def _run_ghz(self, stack: Stack):
+        """One GHZ resource per shot; returns per_shot and the used shots' w sum.
+
+        A shot yields its parity bit as (bit, 1), or (0, 0) when no resource
+        arrives or any sensor's report is lost: the parity needs every bit.
+        """
         cfg = self.config
         sim = stack.sim
         topo = stack.topo
         n = len(cfg.sensors)
         rng = sim.rng_stream(cfg.fusion, "sensing")
-        for s in cfg.sensors:
-            ok = yield from stack.ensure_connected(s, cfg.fusion)
-            if not ok:
-                return SensingResult(cfg.app_id, "aborted-attach", mode=cfg.mode)
-
-        even = 0
-        used = 0
-        discarded = 0
         w_sum = 0.0
         per_shot: list[tuple[int, int]] = []
         for _ in range(cfg.shots):
@@ -267,12 +250,10 @@ class SensingApp:
             ghz_id = yield from stack.ghz_session(cfg.fusion, cfg.sensors,
                                                   max_latency_s=cfg.max_latency_s)
             if ghz_id is None:
-                discarded += 1
+                per_shot.append((0, 0))
                 continue
             yield cfg.tau_interrogate_s
-            ghz = stack.ledger.live(ghz_id)
-            dt = sim.now - ghz.created_at
-            w_used = decay(ghz.w, dt, stack.effective_t_coh(ghz.holders))
+            w_used = stack.age_pair(stack.ledger.live(ghz_id))
             stack.consume_pair(ghz_id, "sensing-parity")
             reported = True
             max_latency = 0.0
@@ -292,31 +273,41 @@ class SensingApp:
             if max_latency > 0.0:
                 yield max_latency
             if not reported:
-                discarded += 1  # parity needs every sensor's bit
+                per_shot.append((0, 0))
                 continue
             p_even = parity_probability(cfg.phi_true, n, w_used, self.contrast)
-            bit_even = rng.random() < p_even
-            even += int(bit_even)
-            used += 1
+            per_shot.append((int(rng.random() < p_even), 1))
             w_sum += w_used
-            per_shot.append((int(bit_even), 1))
-
-        if used == 0:
-            return SensingResult(cfg.app_id, "no-data", mode=cfg.mode,
-                                 shots_done=cfg.shots, discarded=discarded)
-        p_hat = even / used
-        mean_w = w_sum / used
-        visibility = mean_w * self.contrast
-        phi = estimate_phase(p_hat, visibility, scale=n)
-        return SensingResult(
-            cfg.app_id, "done", mode=cfg.mode, shots_done=cfg.shots,
-            bits_used=used, discarded=discarded, p_hat=p_hat, phi_est=phi,
-            phi_std=delta_method_se(p_hat, used, visibility, phi, scale=n),
-            phi_std_batch=self._batch_se(per_shot, visibility, n),
-            visibility=visibility, mean_w=mean_w,
-        )
+        return per_shot, w_sum
 
     # -- shared ------------------------------------------------------------
+
+    def _estimate(self, per_shot: list[tuple[int, int]], w_sum: float) -> SensingResult:
+        """The pooled estimate from each shot's (zeros or even parities, bits used).
+
+        A separable shot can yield one bit per sensor; a GHZ shot one parity
+        bit, at N times the phase and with the used shots' mean w in its
+        visibility.
+        """
+        cfg = self.config
+        ghz = cfg.mode == "ghz"
+        scale = len(cfg.sensors) if ghz else 1
+        used = sum(u for _, u in per_shot)
+        discarded = len(per_shot) * (1 if ghz else len(cfg.sensors)) - used
+        if used == 0:
+            return SensingResult(cfg.app_id, "no-data", mode=cfg.mode,
+                                 shots_done=len(per_shot), discarded=discarded)
+        p_hat = sum(z for z, _ in per_shot) / used
+        mean_w = w_sum / used if ghz else 1.0
+        visibility = mean_w * self.contrast
+        phi = estimate_phase(p_hat, visibility, scale)
+        return SensingResult(
+            cfg.app_id, "done", mode=cfg.mode, shots_done=len(per_shot),
+            bits_used=used, discarded=discarded, p_hat=p_hat, phi_est=phi,
+            phi_std=delta_method_se(p_hat, used, visibility, phi, scale),
+            phi_std_batch=self._batch_se(per_shot, visibility, scale),
+            visibility=visibility, mean_w=mean_w,
+        )
 
     def _trace_report(self, sim, sensor: str, covered: bool, delivered: bool) -> None:
         if covered:

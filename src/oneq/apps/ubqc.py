@@ -235,24 +235,20 @@ class UbqcApp:
         shots_done = 0
         pairs = 0
         deltas: list[int] = []
+        outcome = "done"
         for _ in range(cfg.shots):
             logical, used = yield from self._one_shot(
                 stack, theta_rng, r_rng, client_meas, server_meas, deltas)
             pairs += used
             if logical is None:
-                result = UbqcResult(cfg.app_id, "starved", shots_done=shots_done,
-                                    zeros=zeros, pairs_consumed=pairs,
-                                    mode="exact" if cfg.exact else "parameterized",
-                                    deltas_eighths=tuple(deltas))
-                if shots_done:
-                    result.p_zero = zeros / shots_done
-                return self._finish(stack, result, t0)
+                outcome = "starved"
+                break
             shots_done += 1
             if logical == 0:
                 zeros += 1
         result = UbqcResult(
-            cfg.app_id, "done", shots_done=shots_done, zeros=zeros,
-            p_zero=zeros / shots_done, pairs_consumed=pairs,
+            cfg.app_id, outcome, shots_done=shots_done, zeros=zeros,
+            p_zero=zeros / shots_done if shots_done else 0.0, pairs_consumed=pairs,
             mode="exact" if cfg.exact else "parameterized",
             deltas_eighths=tuple(deltas),
         )

@@ -512,7 +512,7 @@ class Stack:
         rate = sum(1.0 / self.topo.nodes[h].t_coh_s for h in holders)
         return 1.0 / rate
 
-    def age_pair(self, pair: WernerPair) -> float:
+    def age_pair(self, pair: WernerPair | GhzResource) -> float:
         return qcore.touch(pair, self.sim.now, self.effective_t_coh(pair.holders))
 
     # ------------------------------------------------------------------

@@ -18,7 +18,6 @@ applications.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -62,23 +61,6 @@ _FIXED_GATES = {"H": H_GATE, "X": X_GATE, "Z": Z_GATE}
 
 def _rz(theta: float) -> np.ndarray:
     return np.array([[1, 0], [0, np.exp(1j * theta)]], dtype=complex)
-
-
-@functools.lru_cache(maxsize=64)
-def _basis_rotation(theta: float) -> np.ndarray:
-    """H Rz(-theta): maps |+_theta> to |0> and |-_theta> to |1>."""
-    matrix = H_GATE @ _rz(-theta)
-    matrix.flags.writeable = False
-    return matrix
-
-
-@functools.lru_cache(maxsize=64)
-def _cnot_permutation(n: int, control: int, target: int) -> np.ndarray:
-    """Index map of CNOT on n qubits: new amplitudes are ``old[perm]``."""
-    index = np.arange(1 << n)
-    perm = index ^ (((index >> (n - 1 - control)) & 1) << (n - 1 - target))
-    perm.flags.writeable = False
-    return perm
 
 
 def _split(amps: np.ndarray, n: int, qubit: int) -> np.ndarray:
@@ -173,24 +155,31 @@ class WernerPair:
 
 @dataclass
 class GhzResource:
-    """GHZ-class resource over n >= 2 holders, dephasing-mixture parameter w."""
+    """GHZ-class resource over n >= 2 holders, dephasing-mixture parameter w.
+
+    Like a pair, w is as of ``last_touched`` and is aged with :func:`touch`.
+    """
 
     id: str
     holders: tuple[str, ...]
     w: float
     created_at: float
+    last_touched: float = 0.0
 
     def __post_init__(self) -> None:
         if len(self.holders) < 2 or len(set(self.holders)) != len(self.holders):
             raise ValueError(f"GHZ holders must be distinct, got {self.holders}")
         if not 0.0 <= self.w <= 1.0:
             raise ValueError(f"Werner parameter must lie in [0, 1], got {self.w}")
+        if self.last_touched < self.created_at:
+            self.last_touched = self.created_at
 
 
-def touch(pair: WernerPair, t: float, t_coh: float) -> float:
+def touch(pair: WernerPair | GhzResource, t: float, t_coh: float) -> float:
     """Age ``pair`` to time t against an effective coherence time, in place.
 
-    Returns the updated Werner parameter.  t may not precede last_touched.
+    ``pair`` may also be a GHZ resource.  Returns the updated Werner
+    parameter.  t may not precede last_touched.
     """
     dt = t - pair.last_touched
     if dt < 0.0:
@@ -331,7 +320,10 @@ def oracle_apply(
     if name == "CNOT":
         _check_targets(state, targets, 2)
         control, target = targets
-        return PureState(state.amplitudes[_cnot_permutation(n, control, target)])
+        # new amplitudes are old[perm]: the target bit flips where the control is 1
+        index = np.arange(1 << n)
+        perm = index ^ (((index >> (n - 1 - control)) & 1) << (n - 1 - target))
+        return PureState(state.amplitudes[perm])
     raise ValueError(f"unknown gate {gate!r}")
 
 
@@ -351,7 +343,8 @@ def oracle_measure(
         raise ValueError(f"qubit index {qubit} out of range for {n} qubits")
     view = _split(state.amplitudes, n, qubit)
     if basis.kind != "Z":
-        view = np.matmul(_basis_rotation(basis.theta), view)
+        # H Rz(-theta) maps |+_theta> to |0> and |-_theta> to |1>
+        view = np.matmul(H_GATE @ _rz(-basis.theta), view)
     zero = view[:, 0]
     p0 = float(np.vdot(zero, zero).real)
     outcome = int(rng.random() >= p0)

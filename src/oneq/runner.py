@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Optional
 
-from .apps import QkdApp, SensingApp, UbqcApp
+from .apps import APPS
 from .engine import EventKind, Simulator
 from .errors import InternalError, OneQError
 from .protocol import Stack
@@ -49,14 +49,6 @@ class RunArtifacts:
     metrics_rows: list[tuple]
     app_rows: list[tuple]
     trace_jsonl: str
-
-
-def _make_app(spec) -> Any:
-    if spec.kind == "qkd":
-        return QkdApp(spec.config)
-    if spec.kind == "ubqc":
-        return UbqcApp(spec.config)
-    return SensingApp(spec.config)
 
 
 def _headline(kind: str, result) -> tuple[str, float, float]:
@@ -92,7 +84,8 @@ def run_scenario(scenario: Scenario, seed: Optional[int] = None,
 
     def launch(_started) -> None:
         for spec in scenario.apps:
-            app = _make_app(spec)
+            _, app_cls = APPS[spec.kind]
+            app = app_cls(spec.config)
             delay = max(spec.start_s - sim.now, 0.0)
             sim.spawn(app.run(stack), delay=delay,
                       on_done=lambda r, s=spec: results.__setitem__(s.config.app_id,

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Optional
 
-from .apps import QkdConfig, SensingConfig, UbqcConfig
+from .apps import APPS
 from .errors import ConfigurationError, SchemaError
 from .netmodel import (
     BS_KINDS,
@@ -40,8 +40,6 @@ __all__ = ["AppSpec", "OpSpec", "PolicySpec", "Scenario", "load_scenario",
            "load_scenario_file", "SCHEMA_VERSION"]
 
 SCHEMA_VERSION = 1
-
-_APP_CONFIGS = {"qkd": QkdConfig, "ubqc": UbqcConfig, "sensing": SensingConfig}
 
 
 @dataclass(frozen=True)
@@ -254,11 +252,11 @@ def _build(cls: type, data: Any, path: str, check: _Check, **given: Any) -> Any:
 def _build_app(item: dict, path: str, check: _Check) -> Any:
     """Build an app block: its "type" picks the config class for its other keys."""
     kind = item.get("type")
-    if kind not in tuple(_APP_CONFIGS):  # a tuple, since kind may be unhashable
+    if kind not in tuple(APPS):  # a tuple, since kind may be unhashable
         check.fail(f"{path}.type", "missing required field" if "type" not in item
                    else f"unknown app type {kind!r}")
         return _BAD
-    cls = _APP_CONFIGS[kind]
+    cls, _ = APPS[kind]
     own = {key for key, _, _ in _schema(cls)}
     config = _build(cls, {k: v for k, v in item.items() if k in own}, path, check)
     return _build(AppSpec, {k: v for k, v in item.items() if k not in own},

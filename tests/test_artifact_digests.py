@@ -1,8 +1,9 @@
 """Pinned sha256 digests of the run artifacts.
 
-Every shipped scenario and the handover fixture, at seeds 0-3, must write
-the same ``trace.jsonl``, ``metrics.csv`` and ``app_results.csv`` bytes as
-when ``tests/data/artifact_digests.json`` was recorded.  A change that
+Every shipped scenario, the handover fixture and the GHZ sensing fixture,
+at seeds 0-3, must write the same ``trace.jsonl``, ``metrics.csv`` and
+``app_results.csv`` bytes as when ``tests/data/artifact_digests.json`` was
+recorded.  A change that
 shifts a trace must say why in CHANGES.md and rewrite that file with
 
     PYTHONPATH=src python tests/test_artifact_digests.py
@@ -27,7 +28,8 @@ from oneq.scenario import load_scenario_file
 REPO = Path(__file__).resolve().parent.parent
 DIGESTS = REPO / "tests" / "data" / "artifact_digests.json"
 SCENARIOS = sorted((REPO / "scenarios").glob("*.json")) + [
-    REPO / "tests" / "data" / "handover_migrates_buffer.json"]
+    REPO / "tests" / "data" / "handover_migrates_buffer.json",
+    REPO / "tests" / "data" / "sensing_ghz.json"]
 SEEDS = range(4)
 
 

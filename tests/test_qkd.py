@@ -1,5 +1,6 @@
 """Entanglement-based key distribution: helpers and the app on the engine."""
 
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -235,3 +236,43 @@ class TestAppOnEngine:
             q_attempt=0.5, w0=0.95, t_coh_s=1e9), cfg, seed=34)
         assert (res3.alice_key != res1.alice_key
                 or res3.elapsed_s != res1.elapsed_s)
+
+
+class TestEveryOutcomeInBothModes:
+    """Each way a run ends, in rounds mode and in first-key mode.
+
+    Links lose 10% of messages and a message gets one try, so runs end at
+    every step: attachment, session admission, the basis announcement, the
+    batch budget.  However it ends, a run counts every pair it measured.
+    """
+
+    CONFIGS = {
+        "rounds": QkdConfig("qkd0", "QUE1", "QUE2", n_pairs=4, rounds=4),
+        "first-key": QkdConfig("qkd0", "QUE1", "QUE2", n_pairs=4, k_target=4,
+                               max_rounds=6),
+    }
+
+    @pytest.mark.parametrize("mode, seed, outcome, sessions", [
+        ("rounds", 1, "aborted-attach", 0),
+        ("rounds", 31, "aborted-session", 2),
+        ("rounds", 11, "aborted-classical", 4),
+        ("rounds", 2, "key", 4),
+        ("first-key", 1, "aborted-attach", 0),
+        ("first-key", 31, "aborted-session", 4),
+        ("first-key", 5, "aborted-classical", 1),
+        ("first-key", 98, "exhausted", 6),
+        ("first-key", 2, "key", 5),
+    ])
+    def test_outcome_counts_every_pair_measured(self, make_stack, mode, seed,
+                                                outcome, sessions):
+        cfg = self.CONFIGS[mode]
+        topo = one_cell_topology(q_attempt=0.9, w0=1.0, t_coh_s=1e9, p_err_c=0.1)
+        sim, stack = make_stack(topo, seed=seed,
+                                defaults=dataclasses.replace(QUIET, retry_cap=1))
+        res = drive(sim, QkdApp(cfg).run(stack))
+        assert (res.outcome, res.sessions) == (outcome, sessions)
+        measured = [r for r in sim.trace if r["kind"] == "pair-consumed"
+                    and r["details"]["purpose"] == "measure"]
+        # every accepted session here delivers all of its pairs
+        assert res.pairs_measured == len(measured) == cfg.n_pairs * sessions
+        assert (res.key_bits > 0) == (outcome == "key")

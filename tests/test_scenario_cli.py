@@ -15,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from oneq.apps import APPS
 from oneq.cli import main
 from oneq.errors import InternalError, OneQError, SchemaError
 from oneq.runner import (
@@ -245,7 +246,8 @@ def _fail_qkd_midway(monkeypatch):
             faults.append(stack.sim.now)
             raise TypeError("unsupported operand in the key tally")
 
-    monkeypatch.setattr("oneq.runner.QkdApp", FaultyQkd)
+    config_cls, _ = APPS["qkd"]
+    monkeypatch.setitem(APPS, "qkd", (config_cls, FaultyQkd))
     return faults
 
 

@@ -380,7 +380,7 @@ class TestSeparableAgainstReference:
             [link.latency(stack.bits("report")) for link in links],
             cfg.reinit_delay_s + cfg.tau_interrogate_s, 0.0, lambda t: cover,
             _BLOCK_SHOTS)
-        want = SensingApp(cfg)._separable_result(per_shot)
+        want = SensingApp(cfg)._estimate(per_shot, 0.0)
         want.elapsed_s = t_end
         assert res == want
         assert sim.now == t_end
