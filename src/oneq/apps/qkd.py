@@ -121,6 +121,8 @@ class QkdConfig:
             raise ValueError(f"n_pairs must be positive, got {self.n_pairs}")
         if self.rounds < 1:
             raise ValueError(f"rounds must be positive, got {self.rounds}")
+        if self.max_rounds < 1:
+            raise ValueError(f"max_rounds must be positive, got {self.max_rounds}")
         if not 0.0 <= self.sample_fraction <= 1.0:
             raise ValueError(f"sample_fraction out of range: {self.sample_fraction}")
         if self.k_target < 0:

@@ -347,6 +347,52 @@ def survival_time_bisect(w0: float, f_min: float, t_coh: float) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Waiting time of a chain swapped once every segment is held
+# ---------------------------------------------------------------------------
+#
+# Segment i heralds at slot N_i ~ Geometric(p_i), independently, with Werner
+# parameter w0_i, and then decays as exp(-t / tau_i).  With deterministic
+# swaps the chain is measured at slot T = max_i N_i.  This is the
+# deterministic-swap case of Shchukin, Schmidt and van Loock, PRA 100,
+# 032322 (2019).
+
+def chain_slot_pmf(ps: list[float], tol: float = 1e-15) -> list[float]:
+    """[P(T = 1), P(T = 2), ...] from P(T <= n) = prod_i (1 - (1 - p_i)^n).
+
+    The list ends once P(T > n) < tol.
+    """
+    pmf, below = [], 0.0
+    while 1.0 - below >= tol:
+        cdf = math.prod(1.0 - (1.0 - p) ** (len(pmf) + 1) for p in ps)
+        pmf.append(cdf - below)
+        below = cdf
+    return pmf
+
+
+def chain_mean_w_out(w0s: list[float], ps: list[float], delta: float,
+                     taus: list[float], tol: float = 1e-15) -> float:
+    """E[w_out] at the swap, for attempt period delta:
+
+        E[w_out] = prod_i w0_i * sum_n (prod_i A_i(n) - prod_i B_i(n))
+        A_i(n) = sum_{m=1..n}   p_i (1 - p_i)^(m-1) exp(-(n - m) delta / tau_i)
+        B_i(n) = sum_{m=1..n-1} p_i (1 - p_i)^(m-1) exp(-(n - m) delta / tau_i)
+
+    The n-th term is E[prod_i exp(-(T - N_i) delta / tau_i); T = n], and
+    B_i(n) = exp(-delta / tau_i) A_i(n - 1).
+    """
+    decay = [math.exp(-delta / tau) for tau in taus]
+    a = [0.0] * len(ps)
+    total, n, tail = 0.0, 0, 1.0
+    while tail >= tol:
+        n += 1
+        b = [a_i * r for a_i, r in zip(a, decay)]
+        a = [b_i + p * (1.0 - p) ** (n - 1) for b_i, p in zip(b, ps)]
+        total += math.prod(a) - math.prod(b)
+        tail = 1.0 - math.prod(1.0 - (1.0 - p) ** n for p in ps)
+    return math.prod(w0s) * total
+
+
+# ---------------------------------------------------------------------------
 # Cell coverage, from positions and pass windows at the queried time
 # ---------------------------------------------------------------------------
 #

@@ -41,6 +41,7 @@ BAD_BLOCKS = [
      "$.apps[0]: min_fidelity must lie in [0.25, 1], got 2.0"),
     ("qkd_latency_negative", "$.apps[0]: max_latency_s must be positive, got -1.0"),
     ("qkd_n_pairs_fractional", "$.apps[0].n_pairs: expected int, got float"),
+    ("qkd_max_rounds_zero", "$.apps[0]: max_rounds must be positive, got 0"),
     ("ubqc_exact_int", "$.apps[0].exact: expected bool, got int"),
     ("ubqc_min_fidelity_low", "$.apps[0]: min_fidelity must lie in [0.25, 1], got 0.1"),
     ("ubqc_latency_zero", "$.apps[0]: max_latency_s must be positive, got 0.0"),

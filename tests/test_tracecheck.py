@@ -1,0 +1,114 @@
+"""The trace checker: every run obeys its rules, and each fault is reported."""
+
+import functools
+import json
+from pathlib import Path
+
+import pytest
+
+import tracecheck
+from oneq.runner import run_scenario, write_artifacts
+from oneq.scenario import load_scenario_file
+
+REPO = Path(__file__).resolve().parent.parent
+HANDOVER = REPO / "tests" / "data" / "handover_migrates_buffer.json"
+RUNS = sorted((REPO / "scenarios").glob("*.json")) + [
+    HANDOVER, REPO / "tests" / "data" / "sensing_ghz.json"]
+
+
+@functools.lru_cache(maxsize=None)
+def _scenario(path):
+    return load_scenario_file(str(path))[0]
+
+
+def _records(art):
+    return [json.loads(line) for line in art.trace_jsonl.splitlines()]
+
+
+@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("path", RUNS, ids=lambda p: p.stem)
+def test_every_run_obeys_the_trace_rules(path, seed):
+    art = run_scenario(_scenario(path), seed=seed)
+    assert tracecheck.violations(_records(art), art.summary, art.metrics_rows) == []
+
+
+@functools.lru_cache(maxsize=None)
+def _handover_run():
+    # seed 0: swaps, bridge pairs, a soft handover's transitions, expiries
+    return run_scenario(_scenario(HANDOVER), seed=0)
+
+
+def _first(records, kind, **details):
+    return next(i for i, r in enumerate(records) if r["kind"] == kind
+                and all(r["details"][k] == v for k, v in details.items()))
+
+
+def _duplicate_consume(records, rows):
+    i = _first(records, "pair-consumed")
+    records.insert(i + 1, records[i])
+
+
+def _drop_swap_input(records, rows):
+    d = records[_first(records, "swap")]["details"]
+    d["ins"] = d["ins"].split("+", 1)[1]
+
+
+def _consume_while_connected(records, rows):
+    i = _first(records, "pair-consumed", holder_states="QUE1:Entangled+QUE2:Entangled")
+    records[i]["details"]["holder_states"] = "QUE2:Connected"
+
+
+def _idle_to_entangled(records, rows):
+    records[_first(records, "state-transition")]["details"]["to"] = "Entangled"
+
+
+def _drop_line(records, rows):
+    del records[_first(records, "msg")]
+
+
+def _exchange_times(records, rows):
+    records[0]["t"], records[-1]["t"] = records[-1]["t"], records[0]["t"]
+
+
+def _discard_one_more(records, rows):
+    (i,) = [i for i, row in enumerate(rows) if row[2] == "pairs_discarded"]
+    rows[i] = (*rows[i][:3], rows[i][3] + 1, rows[i][4])
+
+
+FAULTS = [
+    (_duplicate_consume, "already ended at record"),
+    (_drop_swap_input, "ins p000144 for at QBS1"),
+    (_consume_while_connected, "consumed while its holders are QUE2:Connected"),
+    (_idle_to_entangled, "Idle -> Entangled is not an allowed edge"),
+    (_drop_line, "1205 trace records, but summary.json counts 1206"),
+    (_exchange_times, "t steps back"),
+    (_discard_one_more, "metrics: 210 resources made"),
+]
+
+
+@pytest.mark.parametrize("fault, message", FAULTS,
+                         ids=[fault.__name__.strip("_") for fault, _ in FAULTS])
+def test_each_fault_is_reported(fault, message):
+    art = _handover_run()
+    records, rows = _records(art), list(art.metrics_rows)
+    assert tracecheck.violations(records, art.summary, rows) == []
+    fault(records, rows)
+    found = tracecheck.violations(records, art.summary, rows)
+    assert any(message in m for m in found), found
+
+
+def test_ends_reports_an_id_that_ends_twice():
+    records = _records(_handover_run())
+    assert len(tracecheck.ends(records)) == 210
+    _duplicate_consume(records, [])
+    with pytest.raises(ValueError, match="ends twice"):
+        tracecheck.ends(records)
+
+
+def test_command_reads_a_run_directory(tmp_path, capsys):
+    write_artifacts(_handover_run(), str(tmp_path))
+    assert tracecheck.main([str(tmp_path)]) == 0
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text("".join(trace.read_text("utf-8").splitlines(True)[1:]), "utf-8")
+    assert tracecheck.main([str(tmp_path)]) == 1
+    assert "1205 trace records" in capsys.readouterr().out
