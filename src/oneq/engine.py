@@ -3,9 +3,13 @@
 Events are ordered by (time, insertion sequence), so simultaneous events
 fire in schedule order and a scenario plus a seed fully pins the run.
 Protocol logic runs as generator processes that yield the delay until their
-next step.  Randomness is drawn from named substreams derived from
-(master seed, node id, purpose), which keeps every node's draws independent
-of scheduling jitter elsewhere.
+next step.  A step due within the current run_until horizon and strictly
+before every queued event is the one the queue would hand out next, so the
+process continues at once, without a trip through the queue; a step due at
+the same instant as a queued event runs after it, as its later sequence
+number says, and every other step is queued.  Randomness is drawn from
+named substreams derived from (master seed, node id, purpose), which keeps
+every node's draws independent of scheduling jitter elsewhere.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import numpy as np
 
 __all__ = [
     "EventKind",
+    "RngStream",
     "Trace",
     "Metrics",
     "Simulator",
@@ -59,6 +64,10 @@ def _json_value(value: Any) -> str:
 
 _BLOCK_LINES = 256
 
+# Per tuple of detail keys, as a call passes them: each key in sorted
+# order with its encoded '"key":' head.
+_DETAIL_HEADS: dict[tuple[str, ...], list[tuple[str, str]]] = {}
+
 
 class Trace:
     """Append-only run log; one record per domain happening.
@@ -76,7 +85,11 @@ class Trace:
         self._count = 0
 
     def emit(self, t: float, node: str, kind: str, **details: Any) -> None:
-        body = ",".join([f"{_json_str(k)}:{_json_value(details[k])}" for k in sorted(details)])
+        heads = _DETAIL_HEADS.get(tuple(details))
+        if heads is None:
+            heads = _DETAIL_HEADS[tuple(details)] = [
+                (k, f"{_json_str(k)}:") for k in sorted(details)]
+        body = ",".join([head + _json_value(details[k]) for k, head in heads])
         tail = self._tail
         tail.append(f'{{"t":{_json_value(t)},"node":{_json_value(node)},'
                     f'"kind":{_json_value(kind)},"details":{{{body}}}}}\n')
@@ -171,6 +184,127 @@ class Metrics:
         return rows
 
 
+_MAX_BLOCK = 256
+_RANDOM = "random"  # the run of scalar random() draws; integers runs are (low, high)
+_F64, _I64 = np.float64, np.int64
+
+
+class RngStream:
+    """A Philox Generator whose scalar draws are served from blocks.
+
+    A run of scalar random() calls, or of scalar integers(low, high) calls
+    with one pair of int bounds, is served from blocks of 2, 4, ... up to
+    _MAX_BLOCK values drawn with random(n) or integers(low, high, size=n),
+    which numpy fills with the values the scalar calls would return, in the
+    same order (scalar integers come back as Python int).  Any other use (an
+    array draw, a different kind or bounds, bit_generator, deepcopy, any
+    other Generator method) first rebuilds the generator at the served
+    position: back to the state where the run began, then one replay of the
+    values served.  That state is read once per run, and not at all for the
+    first run of a new stream, so draws never differ from a plain Generator.
+    """
+
+    _run: Any = None  # None: _gen stands at the served position
+    _origin: Any = None  # _gen's state where the run began; None: as built from _key
+    _block: Any = ()  # the run's unserved values, last one first
+    _size = 0  # length of the run's last block
+    _drawn = 0  # values the run has drawn
+
+    def __init__(self, key: np.ndarray, gen: Optional[np.random.Generator] = None) -> None:
+        self._key = key
+        self._fresh = gen is None  # _gen has not moved since it was built from _key
+        self._gen = np.random.Generator(np.random.Philox(key=key)) if gen is None else gen
+
+    def random(self, size=None, dtype=_F64, out=None):
+        if size is None and dtype is _F64 and out is None:
+            if self._run is _RANDOM and self._block:
+                return self._block.pop()
+            return self._scalar(_RANDOM)
+        return self._synced().random(size, dtype, out)
+
+    def integers(self, low, high=None, size=None, dtype=_I64, endpoint=False):
+        if (size is None and dtype is _I64 and not endpoint
+                and type(low) is int and type(high) is int):
+            if self._run == (low, high) and self._block:
+                return self._block.pop()
+            return self._scalar((low, high))
+        return self._synced().integers(low, high, size, dtype, endpoint)
+
+    @property
+    def bit_generator(self) -> np.random.BitGenerator:
+        return self._synced().bit_generator
+
+    def __deepcopy__(self, memo: dict) -> "RngStream":
+        import copy
+        return RngStream(self._key, copy.deepcopy(self._synced(), memo))
+
+    def _scalar(self, run):
+        """The next value of run, from a new block; starts the run if it is new."""
+        new = run != self._run
+        if new:
+            gen = self._sync()
+            origin = None if self._fresh else gen.bit_generator.state
+            size = 2
+        else:
+            gen = self._gen
+            size = min(2 * self._size, _MAX_BLOCK)
+        block = (gen.random(size) if run is _RANDOM
+                 else gen.integers(run[0], run[1], size=size)).tolist()
+        if new:
+            self._run, self._origin, self._drawn, self._fresh = run, origin, 0, False
+        block.reverse()
+        self._block, self._size = block, size
+        self._drawn += size
+        return block.pop()
+
+    def _synced(self) -> np.random.Generator:
+        """The generator at the served position, for any use but a block."""
+        gen = self._sync()
+        self._fresh = False
+        return gen
+
+    def _sync(self) -> np.random.Generator:
+        """Rebuild the generator at the served position if a run is open."""
+        run = self._run
+        if run is not None:
+            served = self._drawn - len(self._block)
+            if self._origin is None:
+                gen = self._gen = np.random.Generator(np.random.Philox(key=self._key))
+            else:
+                gen = self._gen
+                gen.bit_generator.state = self._origin
+            if run is _RANDOM:
+                gen.random(served)
+            else:
+                gen.integers(run[0], run[1], size=served)
+            self._run = self._origin = None
+            self._block, self._drawn = (), 0
+        return self._gen
+
+
+def _delegate(name: str) -> Callable:
+    def call(self: RngStream, *args: Any, **kwargs: Any) -> Any:
+        return getattr(self._synced(), name)(*args, **kwargs)
+    call.__name__ = call.__qualname__ = name
+    return call
+
+
+# The rest of the Generator interface runs on the generator at the served
+# position.  It is listed by name: reading np.random.Generator here would
+# import numpy.random with oneq, which a run otherwise does at its first draw.
+for _name in (
+        "beta", "binomial", "bytes", "chisquare", "choice", "dirichlet",
+        "exponential", "f", "gamma", "geometric", "gumbel", "hypergeometric",
+        "laplace", "logistic", "lognormal", "logseries", "multinomial",
+        "multivariate_hypergeometric", "multivariate_normal", "negative_binomial",
+        "noncentral_chisquare", "noncentral_f", "normal", "pareto", "permutation",
+        "permuted", "poisson", "power", "rayleigh", "shuffle", "spawn",
+        "standard_cauchy", "standard_exponential", "standard_gamma",
+        "standard_normal", "standard_t", "triangular", "uniform", "vonmises",
+        "wald", "weibull", "zipf"):
+    setattr(RngStream, _name, _delegate(_name))
+
+
 class Simulator:
     """Event queue, clock, trace, metrics, and derived RNG substreams."""
 
@@ -180,27 +314,31 @@ class Simulator:
         self.trace = Trace()
         self.metrics = Metrics()
         self.events_processed = 0
-        self._heap: list[tuple[float, int, Callable[[], None]]] = []
+        self._kind_counts = dict.fromkeys(sorted(EventKind), 0)  # str order: by value
+        self._heap: list[tuple[float, int, EventKind, Callable[[], None]]] = []
         self._next_seq = 0
-        self._streams: dict[tuple[str, str], np.random.Generator] = {}
+        self._horizon = -math.inf  # t_end of the run_until call in progress
+        self._streams: dict[tuple[str, str], RngStream] = {}
 
     # -- randomness ---------------------------------------------------------
 
-    def rng_stream(self, node_id: str, purpose: str) -> np.random.Generator:
+    def rng_stream(self, node_id: str, purpose: str) -> RngStream:
         """Counter-based generator keyed by (seed, node, purpose).
 
         Repeated calls return the same stream object, so draws continue
         where they left off; a fresh simulator with the same seed replays
-        the identical sequence.
+        the identical sequence.  Scalar random() and integers(low, high)
+        are served from blocks of the same values (see RngStream); every
+        draw equals what a plain Philox Generator with this key returns.
         """
-        key = (node_id, purpose)
-        if key not in self._streams:
+        stream = self._streams.get((node_id, purpose))
+        if stream is None:
             digest = hashlib.sha256(
                 f"{self.seed}|{node_id}|{purpose}".encode("utf-8")
             ).digest()
-            philox_key = np.frombuffer(digest[:16], dtype="<u8")
-            self._streams[key] = np.random.Generator(np.random.Philox(key=philox_key))
-        return self._streams[key]
+            stream = self._streams[node_id, purpose] = RngStream(
+                np.frombuffer(digest[:16], dtype="<u8"))
+        return stream
 
     # -- scheduling ---------------------------------------------------------
 
@@ -210,10 +348,10 @@ class Simulator:
         fn: Callable[[], None],
         kind: EventKind = EventKind.TIMER,
     ) -> None:
-        """Run fn after delay.  kind labels the event; the kernel does not read it."""
+        """Run fn after delay.  kind labels the event in events_by_kind."""
         if delay < 0.0:
             raise ValueError(f"delay must be nonnegative, got {delay}")
-        heapq.heappush(self._heap, (self.now + delay, self._alloc_seq(), fn))
+        heapq.heappush(self._heap, (self.now + delay, self._alloc_seq(), kind, fn))
 
     def _alloc_seq(self) -> int:
         seq = self._next_seq
@@ -238,19 +376,29 @@ class Simulator:
         self.schedule_call(delay, lambda: self._resume(gen, on_done), kind)
 
     def _resume(self, gen: Generator, on_done: Optional[Callable[[Any], None]]) -> None:
-        try:
-            item = gen.send(None)
-        except StopIteration as stop:
-            if on_done is not None:
-                on_done(stop.value)
-            return
-        if isinstance(item, tuple):
-            delay, kind = item
-        else:
-            delay, kind = item, EventKind.TIMER
-        if delay < 0.0:
-            raise ValueError(f"process yielded a negative delay {delay}")
-        self.schedule_call(float(delay), lambda: self._resume(gen, on_done), kind)
+        heap, counts, send = self._heap, self._kind_counts, gen.send
+        while True:
+            try:
+                item = send(None)
+            except StopIteration as stop:
+                if on_done is not None:
+                    on_done(stop.value)
+                return
+            if isinstance(item, tuple):
+                delay, kind = item
+            else:
+                delay, kind = item, EventKind.TIMER
+            if delay < 0.0:
+                raise ValueError(f"process yielded a negative delay {delay}")
+            delay = float(delay)
+            t = self.now + delay
+            if not (t <= self._horizon and (not heap or t < heap[0][0])):
+                self.schedule_call(delay, lambda: self._resume(gen, on_done), kind)
+                return
+            # The queue would hand this step out next: run it now.
+            self.now = t
+            self.events_processed += 1
+            counts[kind] += 1
 
     # -- execution ----------------------------------------------------------
 
@@ -258,12 +406,20 @@ class Simulator:
         """Execute every queued event with time <= t_end, in (time, seq) order."""
         if t_end < self.now:
             raise ValueError(f"t_end {t_end} precedes current time {self.now}")
-        while self._heap and self._heap[0][0] <= t_end:
-            self.now, _, fn = heapq.heappop(self._heap)
+        self._horizon = t_end
+        heap, counts = self._heap, self._kind_counts
+        while heap and heap[0][0] <= t_end:
+            self.now, _, kind, fn = heapq.heappop(heap)
             self.events_processed += 1
+            counts[kind] += 1
             fn()
         self.now = max(self.now, t_end)
         return self.metrics, self.trace
+
+    @property
+    def events_by_kind(self) -> dict[str, int]:
+        """Dispatched events per EventKind value, sorted by value."""
+        return {kind.value: n for kind, n in self._kind_counts.items()}
 
     @property
     def pending_events(self) -> int:

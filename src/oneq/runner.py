@@ -134,6 +134,7 @@ def run_scenario(scenario: Scenario, seed: Optional[int] = None,
         "t_end": sim.now,
         "apps": summary_apps,
         "events": sim.events_processed,
+        "events_by_kind": sim.events_by_kind,
         "trace_records": len(sim.trace),
     }
     return RunArtifacts(

@@ -1,6 +1,10 @@
 """Unit tests for the event kernel, RNG streams, trace/metrics, eval_timing."""
 
+import copy
 import enum
+import hashlib
+import heapq
+import itertools
 import json
 import math
 import struct
@@ -94,6 +98,158 @@ class TestScheduling:
             sim.run_until(1.0)
 
 
+class _HeapOnly:
+    """Reference kernel: every process step is pushed on the heap and popped."""
+
+    def __init__(self) -> None:
+        self.now = 0.0
+        self.events_processed = 0
+        self._heap: list = []
+        self._seq = 0
+
+    def schedule_call(self, delay, fn, kind=EventKind.TIMER):
+        heapq.heappush(self._heap, (self.now + delay, self._seq, fn))
+        self._seq += 1
+
+    def spawn(self, gen, delay=0.0, kind=EventKind.APP_STEP, on_done=None):
+        self.schedule_call(delay, lambda: self._resume(gen))
+
+    def _resume(self, gen):
+        try:
+            item = gen.send(None)
+        except StopIteration:
+            return
+        delay = item[0] if isinstance(item, tuple) else item
+        self.schedule_call(float(delay), lambda: self._resume(gen))
+
+    def run_until(self, t_end):
+        while self._heap and self._heap[0][0] <= t_end:
+            self.now, _, fn = heapq.heappop(self._heap)
+            self.events_processed += 1
+            fn()
+        self.now = max(self.now, t_end)
+
+    @property
+    def pending_events(self):
+        return len(self._heap)
+
+
+_DELAYS = st.sampled_from([0.0, 0.0, 0.1, 0.25, 0.5, 1.0])
+_STEP = st.tuples(_DELAYS, st.sampled_from(list(EventKind) + [None]),
+                  st.one_of(st.none(), _DELAYS))
+_PROCESS = st.tuples(_DELAYS, st.lists(_STEP, max_size=8))
+
+
+def _play(sim, processes, timers, horizons):
+    """Run one scripted scenario; returns what it saw at every step."""
+    seen = []
+
+    def proc(name, steps):
+        for i, (delay, kind, timer) in enumerate(steps):
+            seen.append((name, i, sim.now))
+            if timer is not None:
+                sim.schedule_call(timer, lambda i=i: seen.append((name, "timer", i, sim.now)))
+            yield delay if kind is None else (delay, kind)
+        seen.append((name, "end", sim.now))
+
+    for n, (start, steps) in enumerate(processes):
+        sim.spawn(proc(f"p{n}", steps), delay=start)
+    for n, delay in enumerate(timers):
+        sim.schedule_call(delay, lambda n=n: seen.append((f"t{n}", sim.now)))
+    for t_end in horizons:
+        sim.run_until(t_end)
+        seen.append(("horizon", sim.now, sim.events_processed, sim.pending_events))
+    return seen
+
+
+class TestInlineContinuation:
+    def test_step_due_with_a_queued_timer_runs_after_it(self):
+        sim = Simulator(seed=0)
+        order = []
+
+        def proc():
+            sim.schedule_call(1.0, lambda: order.append("timer"))
+            yield 1.0
+            order.append("step")
+
+        sim.spawn(proc())
+        sim.run_until(5.0)
+        assert order == ["timer", "step"]
+        assert sim.events_processed == 3
+
+    def test_step_before_every_queued_event_runs_at_its_time(self):
+        sim = Simulator(seed=0)
+        marks = []
+
+        def proc():
+            yield 0.0
+            marks.append(sim.now)
+            yield 0.5
+            marks.append(sim.now)
+
+        sim.schedule_call(2.0, lambda: marks.append(("timer", sim.now)))
+        sim.spawn(proc())
+        sim.run_until(10.0)
+        assert marks == [0.0, 0.5, ("timer", 2.0)]
+        assert sim.events_processed == 4
+
+    def test_step_past_the_horizon_stays_queued(self):
+        sim = Simulator(seed=0)
+        marks = []
+
+        def proc():
+            marks.append(sim.now)
+            yield 2.0
+            marks.append(sim.now)
+
+        sim.spawn(proc())
+        sim.run_until(1.0)
+        assert marks == [0.0] and sim.pending_events == 1 and sim.now == 1.0
+        assert sim._heap[0][0] == 2.0
+        sim.run_until(2.0)
+        assert marks == [0.0, 2.0] and sim.pending_events == 0
+
+    def test_exception_in_an_inline_step_reaches_the_caller(self):
+        sim = Simulator(seed=0)
+
+        def proc():
+            yield 0.25
+            raise RuntimeError("boom")
+
+        sim.spawn(proc())
+        with pytest.raises(RuntimeError, match="boom"):
+            sim.run_until(1.0)
+        assert sim.now == 0.25 and sim.events_processed == 2
+
+    def test_events_by_kind_counts_inline_and_queued_steps(self):
+        sim = Simulator(seed=0)
+
+        def proc():
+            yield (0.1, EventKind.ENTANGLEMENT_ATTEMPT)
+            yield (0.1, EventKind.ENTANGLEMENT_ATTEMPT)
+            yield (0.3, EventKind.MESSAGE_DELIVERY)
+            yield 0.2
+
+        sim.schedule_call(0.2, lambda: None)  # the second attempt waits behind it
+        sim.spawn(proc())
+        sim.run_until(1.0)
+        assert sim.events_by_kind == {
+            "app-step": 1, "decoherence-check": 0, "entanglement-attempt": 2,
+            "message-delivery": 1, "timer": 2}
+        assert sum(sim.events_by_kind.values()) == sim.events_processed == 6
+
+    @settings(max_examples=300, deadline=None)
+    @given(processes=st.lists(_PROCESS, max_size=5),
+           timers=st.lists(_DELAYS, max_size=4),
+           horizons=st.lists(_DELAYS, min_size=1, max_size=4))
+    def test_same_order_as_a_heap_only_kernel(self, processes, timers, horizons):
+        horizons = list(itertools.accumulate(horizons)) + [100.0]
+        sim, ref = Simulator(seed=0), _HeapOnly()
+        assert _play(sim, processes, timers, horizons) == \
+            _play(ref, processes, timers, horizons)
+        assert sum(sim.events_by_kind.values()) == sim.events_processed
+
+
 class TestRngStreams:
     def test_same_key_same_sequence(self):
         a = Simulator(seed=42).rng_stream("n1", "basis")
@@ -120,6 +276,85 @@ class TestRngStreams:
         draws = Simulator(seed=7).rng_stream("n1", "uniformity").random(100_000)
         counts, _ = np.histogram(draws, bins=20, range=(0.0, 1.0))
         assert stats.chisquare(counts).pvalue > 0.01
+
+
+_BOUNDS = [(0, 2), (0, 8), (3, 2**40)]
+_OPS = st.one_of(
+    st.tuples(st.just("random"), st.integers(1, 600)),
+    st.tuples(st.just("integers"), st.integers(0, len(_BOUNDS) - 1), st.integers(1, 600)),
+    st.tuples(st.just("random(k)"), st.integers(0, 40)),
+    st.tuples(st.just("integers(size=k)"), st.integers(0, len(_BOUNDS) - 1),
+              st.integers(0, 40)),
+    st.tuples(st.just("permutation"), st.integers(0, 30)),
+    st.tuples(st.just("state")),
+    st.tuples(st.just("deepcopy"), st.integers(0, 5)),
+)
+
+
+def _plain_twin(seed: int, node: str, purpose: str) -> np.random.Generator:
+    digest = hashlib.sha256(f"{seed}|{node}|{purpose}".encode("utf-8")).digest()
+    return np.random.Generator(np.random.Philox(key=np.frombuffer(digest[:16], dtype="<u8")))
+
+
+def _same(a, b) -> bool:
+    if isinstance(b, np.ndarray):
+        return a.dtype == b.dtype and np.array_equal(a, b)
+    return type(a) is type(b) and a == b
+
+
+class TestStreamExactness:
+    """An RngStream returns what a plain Philox Generator with its key returns."""
+
+    @staticmethod
+    def _apply(op, stream, plain):
+        """(stream's answer, plain Generator's answer) for one op."""
+        kind = op[0]
+        if kind == "random":
+            return ([stream.random() for _ in range(op[1])],
+                    [plain.random() for _ in range(op[1])])
+        if kind == "integers":
+            low, high = _BOUNDS[op[1]]
+            return ([stream.integers(low, high) for _ in range(op[2])],
+                    [int(plain.integers(low, high)) for _ in range(op[2])])
+        if kind == "random(k)":
+            return stream.random(op[1]), plain.random(op[1])
+        if kind == "integers(size=k)":
+            low, high = _BOUNDS[op[1]]
+            return (stream.integers(low, high, size=op[2]),
+                    plain.integers(low, high, size=op[2]))
+        if kind == "permutation":
+            return stream.permutation(op[1]), plain.permutation(op[1])
+        if kind == "state":
+            return repr(stream.bit_generator.state), repr(plain.bit_generator.state)
+        twin, plain_twin = copy.deepcopy(stream), copy.deepcopy(plain)
+        return ([twin.random() for _ in range(op[1])] + [twin.integers(0, 8)],
+                [plain_twin.random() for _ in range(op[1])]
+                + [int(plain_twin.integers(0, 8))])
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32), ops=st.lists(_OPS, max_size=12))
+    @example(seed=0, ops=[("integers", 0, 3), ("random", 1), ("integers", 0, 3)])
+    @example(seed=1, ops=[("random", 300), ("state",), ("random", 300),
+                          ("integers", 2, 5), ("deepcopy", 3), ("random(k)", 3)])
+    def test_every_draw_matches_a_plain_generator(self, seed, ops):
+        stream = Simulator(seed=seed).rng_stream("QUE1", "measurement")
+        plain = _plain_twin(seed, "QUE1", "measurement")
+        for op in ops:
+            got, want = self._apply(op, stream, plain)
+            if isinstance(want, list):
+                assert len(got) == len(want) and all(map(_same, got, want)), op
+            else:
+                assert _same(got, want), op
+        assert repr(stream.bit_generator.state) == repr(plain.bit_generator.state)
+
+    def test_the_whole_generator_interface_is_served(self):
+        stream = Simulator(seed=3).rng_stream("QBS1", "x")
+        plain = _plain_twin(3, "QBS1", "x")
+        assert all(hasattr(stream, name) for name in dir(np.random.Generator)
+                   if not name.startswith("_"))
+        assert [stream.random() for _ in range(5)] == [plain.random() for _ in range(5)]
+        assert np.array_equal(stream.choice(10, size=4), plain.choice(10, size=4))
+        assert stream.normal() == plain.normal()
 
 
 class TestTraceAndMetrics:

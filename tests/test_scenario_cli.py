@@ -372,6 +372,12 @@ class TestRunner:
         code = "import sys, oneq.runner, oneq.cli; print('scipy.stats' in sys.modules)"
         assert self._fresh_python(code) == "False"
 
+    def test_import_leaves_numpy_random_out(self):
+        # A run imports numpy.random at its first draw; importing it with
+        # oneq would add its import time to every set-up.
+        code = "import sys, oneq.runner, oneq.cli; print('numpy.random' in sys.modules)"
+        assert self._fresh_python(code) == "False"
+
     def test_run_and_tables_leave_numpy_ma_out(self):
         # numpy.ma costs every run about 1.2 MB and 18 ms of import; pytest
         # plugins or scipy may already have loaded it here, hence a subprocess.
@@ -409,6 +415,9 @@ class TestRunner:
         assert Path(paths["trace"]).read_text(encoding="utf-8") == art.trace_jsonl
         summary = json.loads(Path(paths["summary"]).read_text(encoding="utf-8"))
         assert summary["run_id"] == art.run_id
+        by_kind = summary["events_by_kind"]
+        assert list(by_kind) == sorted(by_kind)
+        assert sum(by_kind.values()) == summary["events"] > 0
 
 
 class TestSweepPlumbing:

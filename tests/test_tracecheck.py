@@ -112,3 +112,14 @@ def test_command_reads_a_run_directory(tmp_path, capsys):
     trace.write_text("".join(trace.read_text("utf-8").splitlines(True)[1:]), "utf-8")
     assert tracecheck.main([str(tmp_path)]) == 1
     assert "1205 trace records" in capsys.readouterr().out
+
+
+def test_events_by_kind_must_sum_to_events():
+    art = _handover_run()
+    summary = dict(art.summary)
+    assert sum(summary["events_by_kind"].values()) == summary["events"]
+    summary["events_by_kind"] = {**summary["events_by_kind"], "timer": 1 + summary[
+        "events_by_kind"]["timer"]}
+    found = tracecheck.violations(_records(art), summary, art.metrics_rows)
+    assert found == [f"summary.json events_by_kind sums to {summary['events'] + 1}, "
+                     f"but events is {summary['events']}"]

@@ -331,6 +331,9 @@ class TestShippedChain:
         # 400 shots of 4 pairs: one request, one attempt slot per pair and
         # one ack per shot, then 4 angle and 4 outcome messages.
         assert art.summary["events"] == 5606
+        assert art.summary["events_by_kind"] == {
+            "app-step": 2, "decoherence-check": 0, "entanglement-attempt": 1600,
+            "message-delivery": 4004, "timer": 0}
         assert art.summary["trace_records"] == 8807
         assert art.summary["apps"]["blind0"]["result"] == 0.165
         ends = [line for line in art.trace_jsonl.splitlines()

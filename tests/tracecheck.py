@@ -11,6 +11,7 @@ test, so a fault there cannot hide here.
 
 The rules:
 - the trace has one line per record counted in summary.json trace_records
+- summary.json events_by_kind, where present, sums to its events
 - t never decreases
 - every resource a record creates ends exactly once.  pair-created,
   ghz-created and a swap's out create one; pair-consumed, pair-discarded,
@@ -84,6 +85,11 @@ def violations(records, summary: dict | None = None,
     if summary is not None and len(records) != summary["trace_records"]:
         found.append(f"{len(records)} trace records, but summary.json counts "
                      f"{summary['trace_records']}")
+    if summary is not None and "events_by_kind" in summary \
+            and sum(summary["events_by_kind"].values()) != summary["events"]:
+        found.append(f"summary.json events_by_kind sums to "
+                     f"{sum(summary['events_by_kind'].values())}, but events is "
+                     f"{summary['events']}")
     created: dict[str, int] = {}  # resource id -> number of its creating record
     ended: dict[str, int] = {}
     swap_outs: set = set()  # (t, out) of every swap so far
