@@ -190,18 +190,20 @@ _F64, _I64 = np.float64, np.int64
 
 
 class RngStream:
-    """A Philox Generator whose scalar draws are served from blocks.
+    """The random, integers and permutation draws of a Philox Generator.
 
     A run of scalar random() calls, or of scalar integers(low, high) calls
     with one pair of int bounds, is served from blocks of 2, 4, ... up to
     _MAX_BLOCK values drawn with random(n) or integers(low, high, size=n),
     which numpy fills with the values the scalar calls would return, in the
     same order (scalar integers come back as Python int).  Any other use (an
-    array draw, a different kind or bounds, bit_generator, deepcopy, any
-    other Generator method) first rebuilds the generator at the served
-    position: back to the state where the run began, then one replay of the
-    values served.  That state is read once per run, and not at all for the
-    first run of a new stream, so draws never differ from a plain Generator.
+    array draw, a permutation, a different kind or bounds, a bit_generator
+    read) first rebuilds the generator at the served position: back to the
+    state where the run began, then one replay of the values served.  That
+    state is read once per run, and not at all for the first run of a new
+    stream, so draws never differ from a plain Generator.  A deepcopy copies
+    the open block with the generator, so the twin draws on from the same
+    position.
     """
 
     _run: Any = None  # None: _gen stands at the served position
@@ -210,10 +212,10 @@ class RngStream:
     _size = 0  # length of the run's last block
     _drawn = 0  # values the run has drawn
 
-    def __init__(self, key: np.ndarray, gen: Optional[np.random.Generator] = None) -> None:
+    def __init__(self, key: np.ndarray) -> None:
         self._key = key
-        self._fresh = gen is None  # _gen has not moved since it was built from _key
-        self._gen = np.random.Generator(np.random.Philox(key=key)) if gen is None else gen
+        self._fresh = True  # _gen has not moved since it was built from _key
+        self._gen = np.random.Generator(np.random.Philox(key=key))
 
     def random(self, size=None, dtype=_F64, out=None):
         if size is None and dtype is _F64 and out is None:
@@ -234,9 +236,8 @@ class RngStream:
     def bit_generator(self) -> np.random.BitGenerator:
         return self._synced().bit_generator
 
-    def __deepcopy__(self, memo: dict) -> "RngStream":
-        import copy
-        return RngStream(self._key, copy.deepcopy(self._synced(), memo))
+    def permutation(self, x):
+        return self._synced().permutation(x)
 
     def _scalar(self, run):
         """The next value of run, from a new block; starts the run if it is new."""
@@ -280,29 +281,6 @@ class RngStream:
             self._run = self._origin = None
             self._block, self._drawn = (), 0
         return self._gen
-
-
-def _delegate(name: str) -> Callable:
-    def call(self: RngStream, *args: Any, **kwargs: Any) -> Any:
-        return getattr(self._synced(), name)(*args, **kwargs)
-    call.__name__ = call.__qualname__ = name
-    return call
-
-
-# The rest of the Generator interface runs on the generator at the served
-# position.  It is listed by name: reading np.random.Generator here would
-# import numpy.random with oneq, which a run otherwise does at its first draw.
-for _name in (
-        "beta", "binomial", "bytes", "chisquare", "choice", "dirichlet",
-        "exponential", "f", "gamma", "geometric", "gumbel", "hypergeometric",
-        "laplace", "logistic", "lognormal", "logseries", "multinomial",
-        "multivariate_hypergeometric", "multivariate_normal", "negative_binomial",
-        "noncentral_chisquare", "noncentral_f", "normal", "pareto", "permutation",
-        "permuted", "poisson", "power", "rayleigh", "shuffle", "spawn",
-        "standard_cauchy", "standard_exponential", "standard_gamma",
-        "standard_normal", "standard_t", "triangular", "uniform", "vonmises",
-        "wald", "weibull", "zipf"):
-    setattr(RngStream, _name, _delegate(_name))
 
 
 class Simulator:

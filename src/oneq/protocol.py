@@ -260,6 +260,7 @@ class QueContext:
     serving_bs: Optional[str] = None
     stored: set = field(default_factory=set)
     last_activity: float = 0.0
+    timer_queued: bool = False  # an inactivity check is queued for this UE
 
 
 class _Segment(NamedTuple):
@@ -317,12 +318,15 @@ class Stack:
         )
         if new_state == QueState.CONNECTED:
             self._touch_activity(self.sim.now, ctx.node_id)
-            self._arm_inactivity(ctx, self.defaults.inactivity_timeout_s)
+            if not ctx.timer_queued:
+                self._arm_inactivity(ctx, self.defaults.inactivity_timeout_s)
 
     def _arm_inactivity(self, ctx: QueContext, delay: float) -> None:
+        ctx.timer_queued = True
         self.sim.schedule_call(delay, partial(self._check_inactivity, ctx), EventKind.TIMER)
 
     def _check_inactivity(self, ctx: QueContext) -> None:
+        ctx.timer_queued = False
         if ctx.state is not QueState.CONNECTED:
             return
         remaining = ctx.last_activity + self.defaults.inactivity_timeout_s - self.sim.now

@@ -48,6 +48,10 @@ class AppSpec:
     config: Any  # QkdConfig | UbqcConfig | SensingConfig, built from the same block
     start_s: float = 0.0
 
+    def __post_init__(self) -> None:
+        if self.start_s < 0.0:
+            raise ValueError(f"start_s must be nonnegative, got {self.start_s}")
+
 
 @dataclass(frozen=True)
 class OpSpec:
@@ -60,6 +64,8 @@ class OpSpec:
     def __post_init__(self) -> None:
         if self.op != "handover":
             raise ValueError(f"unknown op {self.op!r}")
+        if self.at_s < 0.0:
+            raise ValueError(f"at_s must be nonnegative, got {self.at_s}")
 
 
 @dataclass(frozen=True)
@@ -286,9 +292,14 @@ def _cross_reference(topology: Topology, apps: tuple[AppSpec, ...],
             check.fail(f"$.attachments[{i}].ue",
                        f"{ue!r} is already attached at $.attachments[{attached[ue]}]")
         attached.setdefault(ue, i)
-    for i, (bs, ue) in enumerate(policy.targets):
-        known(bs, f"$.policy.targets[{i}][0]", _BS)
-        known(ue, f"$.policy.targets[{i}][1]", _UE)
+    listed: dict[tuple[str, str], int] = {}
+    for i, target in enumerate(policy.targets):
+        known(target[0], f"$.policy.targets[{i}][0]", _BS)
+        known(target[1], f"$.policy.targets[{i}][1]", _UE)
+        j = listed.setdefault(target, i)
+        if j != i:
+            check.fail(f"$.policy.targets[{i}]",
+                       f"{list(target)} is already listed at $.policy.targets[{j}]")
     for i, op in enumerate(ops):
         known(op.ue, f"$.ops[{i}].ue", _UE)
         known(op.to, f"$.ops[{i}].to", _BS)

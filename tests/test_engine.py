@@ -347,15 +347,6 @@ class TestStreamExactness:
                 assert _same(got, want), op
         assert repr(stream.bit_generator.state) == repr(plain.bit_generator.state)
 
-    def test_the_whole_generator_interface_is_served(self):
-        stream = Simulator(seed=3).rng_stream("QBS1", "x")
-        plain = _plain_twin(3, "QBS1", "x")
-        assert all(hasattr(stream, name) for name in dir(np.random.Generator)
-                   if not name.startswith("_"))
-        assert [stream.random() for _ in range(5)] == [plain.random() for _ in range(5)]
-        assert np.array_equal(stream.choice(10, size=4), plain.choice(10, size=4))
-        assert stream.normal() == plain.normal()
-
 
 class TestTraceAndMetrics:
     def test_jsonl_is_stable_and_compact(self):

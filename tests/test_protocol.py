@@ -108,6 +108,29 @@ class TestStateMachine:
         sim.run_until(sim.now + 1.0)
         assert stack.ue("QUE1").state == QueState.INACTIVE
 
+    def test_reentering_connected_keeps_one_timer(self, make_stack):
+        # four Entangled -> Connected cycles within one timeout
+        sim, stack = make_stack(one_cell_topology(q_attempt=1.0, t_coh_s=1e9),
+                                defaults=Defaults(inactivity_timeout_s=0.5))
+        drive(sim, stack.register("QUE1", "QBS1"))
+        drive(sim, stack.register("QUE2", "QBS1"))
+        ctx = stack.ue("QUE1")
+        for _ in range(4):
+            res = drive(sim, stack.entanglement_session(_request(count=1)))
+            assert ctx.state == QueState.ENTANGLED
+            stack.consume_pair(res.delivered[0], "test")
+            assert ctx.state == QueState.CONNECTED
+        assert sim.now < 0.5
+        timers = [fn for _, _, _, fn in sim._heap
+                  if getattr(fn, "func", None) == stack._check_inactivity
+                  and fn.args[0] is ctx]
+        assert len(timers) == 1
+        t_last = ctx.last_activity
+        sim.run_until(t_last + 1.0)
+        (timeout,) = [r for r in sim.trace if r["node"] == "QUE1"
+                      and r["details"].get("reason") == "inactivity-timeout"]
+        assert timeout["t"] == pytest.approx(t_last + 0.5, abs=1e-12)
+
     def test_session_outlasting_the_timeout_keeps_its_ues_connected(self):
         # qkd_baseline with a slow QUE2 leg: one session runs up to 8 s
         # against the 5 s default timeout

@@ -30,104 +30,199 @@ from oneq.scenario import load_scenario, load_scenario_file
 
 REPO = Path(__file__).resolve().parent.parent
 SCENARIOS = sorted((REPO / "scenarios").glob("*.json"))
-MALFORMED = sorted((REPO / "tests" / "data" / "malformed").glob("*.json"))
 BASELINE = REPO / "scenarios" / "qkd_baseline.json"
-
-# Malformed files of every other block, each with the one message it must give.
-BAD_BLOCKS = [
-    ("qkd_alice_list", "$.apps[0].alice: expected str, got list"),
-    ("qkd_min_fidelity_string", "$.apps[0].min_fidelity: expected float, got str"),
-    ("qkd_min_fidelity_above_one",
-     "$.apps[0]: min_fidelity must lie in [0.25, 1], got 2.0"),
-    ("qkd_latency_negative", "$.apps[0]: max_latency_s must be positive, got -1.0"),
-    ("qkd_n_pairs_fractional", "$.apps[0].n_pairs: expected int, got float"),
-    ("qkd_max_rounds_zero", "$.apps[0]: max_rounds must be positive, got 0"),
-    ("ubqc_exact_int", "$.apps[0].exact: expected bool, got int"),
-    ("ubqc_min_fidelity_low", "$.apps[0]: min_fidelity must lie in [0.25, 1], got 0.1"),
-    ("ubqc_latency_zero", "$.apps[0]: max_latency_s must be positive, got 0.0"),
-    ("ubqc_shot_exceeds_memory",
-     "$.apps[0].phi_eighths: client 'QUE1' has 2 memory slots, a shot holds 4 pairs"),
-    ("qkd_n_pairs_exceeds_memory",
-     "$.apps[0].n_pairs: alice 'QUE1' has 8 memory slots, a batch holds 24 pairs"),
-    ("defaults_retry_cap_zero", "$.defaults: retry_cap must be at least 1, got 0"),
-    ("defaults_timeout_negative",
-     "$.defaults: inactivity_timeout_s must be positive, got -1.0"),
-    ("defaults_timeout_zero", "$.defaults: inactivity_timeout_s must be positive, got 0.0"),
-    ("defaults_f_min_above_one", "$.defaults: f_min must lie in [0.25, 1], got 1.5"),
-    ("policy_check_period_zero", "$.policy: check_period_s must be positive, got 0.0"),
-    ("policy_buffer_target_zero",
-     "$.policy: a proactive policy needs buffer_target >= 1, got 0"),
-    ("policy_proactive_without_targets",
-     "$.policy: a proactive policy needs at least one target"),
-    ("policy_reactive_with_targets", "$.policy: a reactive policy takes no targets"),
-    ("policy_min_fidelity_low", "$.policy: min_fidelity must lie in [0.25, 1], got 0.2"),
-    ("op_unknown", "$.ops[0]: unknown op 'teleport'"),
-    ("mobility_static_with_waypoints",
-     "$.nodes[1].mobility: static mobility takes no waypoints"),
-    ("mobility_waypoint_with_period",
-     "$.nodes[1].mobility: waypoint mobility takes no pass_start, pass_duration "
-     "or period"),
-    ("mobility_waypoint_object",
-     "$.nodes[1].mobility.waypoints[0][1]: expected list, got object"),
-    ("link_unknown_endpoint", "$.classical_links[0].b: unknown node id 'GHOST'"),
-    ("duplicate_node_id", "$.nodes[2].id: duplicate node id 'QUE1'"),
-    ("quantum_link_on_classical_ue",
-     "$.quantum_links[1].b: 'CUE9' has no quantum hardware"),
-    # Roles: each of these passed validation and then failed mid-run.
-    ("qkd_alice_is_bob",
-     "$.apps[0].bob: 'QUE1' is alice too; a pair needs two distinct holders"),
-    ("qkd_alice_base_station", "$.apps[0].alice: 'QBS1' is not user equipment"),
-    ("ubqc_client_is_server",
-     "$.apps[0].server: 'QUE1' is client too; a pair needs two distinct holders"),
-    ("policy_target_not_station", "$.policy.targets[0][0]: 'QUE1' is not a base station"),
-    ("sensing_ghz_sensor_no_quantum_link",
-     "$.apps[0].sensors[1]: no quantum link to the fusion node 'QBS1'"),
-    ("op_ue_is_station", "$.ops[0].ue: 'QBS1' is not user equipment"),
-    ("op_to_is_ue", "$.ops[0].to: 'QUE2' is not a base station"),
-    ("attachment_ue_is_station", "$.attachments[0].ue: 'QBS1' is not user equipment"),
-    ("attachment_ue_twice",
-     "$.attachments[2].ue: 'QUE1' is already attached at $.attachments[0]"),
-]
 
 
 def _baseline_doc():
     return json.loads(BASELINE.read_text(encoding="utf-8"))
 
 
-# A fixed pool of bad values: arbitrary floats are valid input but can make a
-# run take forever (attempt_period_s: 1e-300).
-_POOL = ["x", True, None, [], {}, 0, -1, 2.5, math.nan, math.inf, -math.inf]
 _DELETE = "<delete>"
 _SHIPPED = {p.stem: json.loads(p.read_text(encoding="utf-8")) for p in SCENARIOS}
+_STEP = re.compile(r"\.(\w+)|\[(\d+|-)\]")
 
 
-def _json_paths(node, path=()):
-    """The path of every value under node: each key and each list element."""
+def _edited(doc, edits):
+    """A copy of doc with edits made, each a "$.a[0].b" path and a value.
+
+    The value replaces the one at the path, or is appended to the list when
+    the path ends in [-]; the value _DELETE removes the key or element.
+    """
+    doc = copy.deepcopy(doc)
+    for path, value in edits.items():
+        *keys, last = [name or (index if index == "-" else int(index))
+                       for name, index in _STEP.findall(path)]
+        parent = doc
+        for key in keys:
+            parent = parent[key]
+        if value is _DELETE:
+            del parent[last]
+        elif last == "-":
+            parent.append(copy.deepcopy(value))
+        else:
+            parent[last] = copy.deepcopy(value)
+    return doc
+
+
+def _json_paths(node, path="$"):
+    """(path, value) of every value under node: each key and each list element."""
     items = node.items() if isinstance(node, dict) else (
         enumerate(node) if isinstance(node, list) else ())
     for key, value in items:
-        yield path + (key,)
-        yield from _json_paths(value, path + (key,))
+        inner = f"{path}[{key}]" if isinstance(key, int) else f"{path}.{key}"
+        yield inner, value
+        yield from _json_paths(value, inner)
 
 
 _PATHS = {stem: list(_json_paths(doc)) for stem, doc in _SHIPPED.items()}
+
+# Every kind of bad scenario: (name, shipped scenario, the edits that make
+# it bad, the one violation load_scenario reports).  A new case is a row.
+_METRO, _SENSING = "metro_with_satellite", "sensing_sql"
+FAULTS = [
+    ("app_start_negative", _METRO, {"$.apps[0].start_s": -0.05},
+     "$.apps[0]: start_s must be nonnegative, got -0.05"),
+    ("app_unknown_node", "qkd_baseline", {"$.apps[0].bob": "NOPE"},
+     "$.apps[0].bob: unknown node id 'NOPE'"),
+    ("attachment_ue_is_station", "qkd_baseline", {"$.attachments[0].ue": "QBS1"},
+     "$.attachments[0].ue: 'QBS1' is not user equipment"),
+    ("attachment_ue_twice", _METRO, {"$.attachments[2].ue": "QUE1"},
+     "$.attachments[2].ue: 'QUE1' is already attached at $.attachments[0]"),
+    ("cue_with_memory_slots", _METRO, {"$.nodes[7].memory_slots": 4},
+     "$.nodes[7]: node CUE5: a CUE has no quantum memory slots"),
+    ("defaults_f_min_above_one", "qkd_local_vs_swapped", {"$.defaults.f_min": 1.5},
+     "$.defaults: f_min must lie in [0.25, 1], got 1.5"),
+    ("defaults_retry_cap_zero", "ubqc_chain", {"$.defaults.retry_cap": 0},
+     "$.defaults: retry_cap must be at least 1, got 0"),
+    ("defaults_timeout_negative", "ubqc_chain", {"$.defaults.inactivity_timeout_s": -1},
+     "$.defaults: inactivity_timeout_s must be positive, got -1.0"),
+    ("defaults_timeout_zero", "ubqc_chain", {"$.defaults.inactivity_timeout_s": 0},
+     "$.defaults: inactivity_timeout_s must be positive, got 0.0"),
+    # renaming a node would also leave its links without an end
+    ("duplicate_node_id", "qkd_baseline",
+     {"$.nodes[-]": {"id": "QUE1", "kind": "QUE", "position": [0, 0, 0], "memory_slots": 4}},
+     "$.nodes[3].id: duplicate node id 'QUE1'"),
+    ("empty_nodes", "qkd_baseline", {"$.nodes": []},
+     "$.nodes: at least one node is required"),
+    ("link_unknown_endpoint", "qkd_baseline", {"$.classical_links[0].b": "GHOST"},
+     "$.classical_links[0].b: unknown node id 'GHOST'"),
+    ("missing_schema_version", "qkd_baseline", {"$.schema_version": _DELETE},
+     "$.schema_version: missing required field"),
+    ("mobility_static_with_waypoints", _METRO, {"$.nodes[4].mobility.kind": "static"},
+     "$.nodes[4].mobility: static mobility takes no waypoints"),
+    ("mobility_waypoint_object", _METRO, {"$.nodes[4].mobility.waypoints[0][1]": {}},
+     "$.nodes[4].mobility.waypoints[0][1]: expected list, got object"),
+    ("mobility_waypoint_with_period", _METRO, {"$.nodes[4].mobility.period": 1.0},
+     "$.nodes[4].mobility: waypoint mobility takes no pass_start, pass_duration "
+     "or period"),
+    ("negative_duration", "qkd_baseline", {"$.duration_s": -2.0},
+     "$.duration_s: must be positive, got -2.0"),
+    ("op_at_negative", _METRO, {"$.ops[0].at_s": -0.9},
+     "$.ops[0]: at_s must be nonnegative, got -0.9"),
+    ("op_to_is_ue", _METRO, {"$.ops[0].to": "QUE2"},
+     "$.ops[0].to: 'QUE2' is not a base station"),
+    ("op_ue_is_station", _METRO, {"$.ops[0].ue": "QBS1"},
+     "$.ops[0].ue: 'QBS1' is not user equipment"),
+    ("op_unknown", _METRO, {"$.ops[0].op": "teleport"}, "$.ops[0]: unknown op 'teleport'"),
+    ("orbit_pass_longer_than_period", _METRO, {"$.nodes[2].mobility.pass_duration": 2.0},
+     "$.nodes[2].mobility: pass_duration must lie in (0, period]"),
+    ("policy_buffer_target_zero", _METRO, {"$.policy.buffer_target": 0},
+     "$.policy: a proactive policy needs buffer_target >= 1, got 0"),
+    ("policy_check_period_zero", _METRO, {"$.policy.check_period_s": 0},
+     "$.policy: check_period_s must be positive, got 0.0"),
+    ("policy_min_fidelity_low", _METRO, {"$.policy.min_fidelity": 0.2},
+     "$.policy: min_fidelity must lie in [0.25, 1], got 0.2"),
+    ("policy_proactive_without_targets", _METRO, {"$.policy.targets": []},
+     "$.policy: a proactive policy needs at least one target"),
+    ("policy_reactive_with_targets", _METRO, {"$.policy.mode": "reactive"},
+     "$.policy: a reactive policy takes no targets"),
+    ("policy_target_not_station", _METRO, {"$.policy.targets[0][0]": "QUE1"},
+     "$.policy.targets[0][0]: 'QUE1' is not a base station"),
+    ("policy_target_twice", _METRO, {"$.policy.targets[-]": ["SAT1", "QUE3"]},
+     "$.policy.targets[1]: ['SAT1', 'QUE3'] is already listed at $.policy.targets[0]"),
+    ("qkd_alice_base_station", "qkd_baseline", {"$.apps[0].alice": "QBS1"},
+     "$.apps[0].alice: 'QBS1' is not user equipment"),
+    ("qkd_alice_is_bob", "qkd_baseline", {"$.apps[0].bob": "QUE1"},
+     "$.apps[0].bob: 'QUE1' is alice too; a pair needs two distinct holders"),
+    ("qkd_alice_list", "qkd_baseline", {"$.apps[0].alice": []},
+     "$.apps[0].alice: expected str, got list"),
+    ("qkd_latency_negative", "qkd_baseline", {"$.apps[0].max_latency_s": -1},
+     "$.apps[0]: max_latency_s must be positive, got -1.0"),
+    ("qkd_max_rounds_zero", "qkd_retry_sweetspot", {"$.apps[0].max_rounds": 0},
+     "$.apps[0]: max_rounds must be positive, got 0"),
+    ("qkd_min_fidelity_above_one", "qkd_baseline", {"$.apps[0].min_fidelity": 2.0},
+     "$.apps[0]: min_fidelity must lie in [0.25, 1], got 2.0"),
+    ("qkd_min_fidelity_string", "qkd_baseline", {"$.apps[0].min_fidelity": "hi"},
+     "$.apps[0].min_fidelity: expected float, got str"),
+    ("qkd_n_pairs_exceeds_memory", "qkd_baseline", {"$.nodes[1].memory_slots": 8},
+     "$.apps[0].n_pairs: alice 'QUE1' has 8 memory slots, a batch holds 24 pairs"),
+    ("qkd_n_pairs_fractional", "qkd_baseline", {"$.apps[0].n_pairs": 2.5},
+     "$.apps[0].n_pairs: expected int, got float"),
+    ("quantum_link_on_classical_ue", _METRO, {"$.quantum_links[1].b": "CUE5"},
+     "$.quantum_links[1].b: 'CUE5' has no quantum hardware"),
+    ("quantum_radius_exceeds_classical", "qkd_baseline",
+     {"$.cells[0].quantum_radius": 3000},
+     "$.cells[0]: cell QBS1: quantum_radius 3000.0 exceeds classical_radius 2000.0"),
+    # no shipped app is a GHZ one, and every GHZ app has two sensors or more
+    ("sensing_ghz_sensor_no_quantum_link", _METRO,
+     {"$.apps[0].mode": "ghz", "$.apps[0].sensors[1]": "CUE5"},
+     "$.apps[0].sensors[1]: no quantum link to the fusion node 'QBS1'"),
+    ("sensing_phi_nan", _SENSING, {"$.apps[0].phi_true": math.nan},
+     "$.apps[0].phi_true: expected a finite number, got nan"),
+    ("sensing_reinit_negative", _SENSING, {"$.apps[0].reinit_delay_s": -0.01},
+     "$.apps[0]: reinit_delay_s must be nonnegative, got -0.01"),
+    ("sensing_sensor_unlinked", _SENSING, {"$.classical_links[0]": _DELETE},
+     "$.apps[0].sensors[0]: no classical link to the fusion node 'QBS1'"),
+    ("sensing_sensors_string", _SENSING, {"$.apps[0].sensors": "S5"},
+     "$.apps[0].sensors: expected list, got str"),
+    ("sensing_shots_bool", _SENSING, {"$.apps[0].shots": True},
+     "$.apps[0].shots: expected int, got bool"),
+    ("sensing_shots_fractional", _SENSING, {"$.apps[0].shots": 2.5},
+     "$.apps[0].shots: expected int, got float"),
+    ("sensing_t2_nan", _SENSING, {"$.apps[0].t2_s": math.nan},
+     "$.apps[0].t2_s: expected a finite number, got nan"),
+    ("sensing_tau_infinite", _SENSING, {"$.apps[0].tau_interrogate_s": math.inf},
+     "$.apps[0].tau_interrogate_s: expected a finite number, got inf"),
+    ("ubqc_client_is_server", "ubqc_chain", {"$.apps[0].server": "QUE1"},
+     "$.apps[0].server: 'QUE1' is client too; a pair needs two distinct holders"),
+    ("ubqc_exact_int", "ubqc_chain", {"$.apps[0].exact": 0},
+     "$.apps[0].exact: expected bool, got int"),
+    ("ubqc_latency_zero", "ubqc_chain", {"$.apps[0].max_latency_s": 0},
+     "$.apps[0]: max_latency_s must be positive, got 0.0"),
+    ("ubqc_min_fidelity_low", "ubqc_chain", {"$.apps[0].min_fidelity": 0.1},
+     "$.apps[0]: min_fidelity must lie in [0.25, 1], got 0.1"),
+    ("ubqc_shot_exceeds_memory", "ubqc_chain", {"$.nodes[1].memory_slots": 2},
+     "$.apps[0].phi_eighths: client 'QUE1' has 2 memory slots, a shot holds 4 pairs"),
+    ("unknown_node_kind", "ubqc_chain", {"$.nodes[1].kind": "ROUTER"},
+     "$.nodes[1].kind: expected one of 'CBS', 'QBS', 'CUE', 'QUE', 'SAT_QBS', "
+     "got 'ROUTER'"),
+    ("wrong_schema_version", "ubqc_chain", {"$.schema_version": 2},
+     "$.schema_version: unsupported version 2, expected 1"),
+]
+
+
+_each_fault = pytest.mark.parametrize("name,stem,edits,violation", FAULTS,
+                                      ids=[row[0] for row in FAULTS])
+
+
+def _fault_file(tmp_path, name, stem, edits):
+    """The row's edited scenario, written to tmp_path."""
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(_edited(_SHIPPED[stem], edits)), encoding="utf-8")
+    return path
+
+
+# A fixed pool of bad values: arbitrary floats are valid input but can make a
+# run take forever (attempt_period_s: 1e-300).
+_POOL = ["x", True, None, [], {}, 0, -1, 2.5, math.nan, math.inf, -math.inf]
 
 
 @st.composite
 def _mutants(draw):
     """A shipped scenario with one value replaced from the pool, or deleted."""
     stem = draw(st.sampled_from(sorted(_SHIPPED)))
-    path = draw(st.sampled_from(_PATHS[stem]))
-    value = draw(st.sampled_from(_POOL + [_DELETE]))
-    doc = copy.deepcopy(_SHIPPED[stem])
-    parent = doc
-    for key in path[:-1]:
-        parent = parent[key]
-    if value == _DELETE:
-        del parent[path[-1]]
-    else:
-        parent[path[-1]] = copy.deepcopy(value)
-    return doc
+    path, _ = draw(st.sampled_from(_PATHS[stem]))
+    return _edited(_SHIPPED[stem], {path: draw(st.sampled_from(_POOL + [_DELETE]))})
 
 
 class TestLoadScenario:
@@ -138,35 +233,10 @@ class TestLoadScenario:
         assert scenario.duration_s > 0
         assert scenario.topology.nodes
 
-    @pytest.mark.parametrize("path", MALFORMED, ids=lambda p: p.stem)
-    def test_malformed_files_are_rejected_with_a_path(self, path):
+    @_each_fault
+    def test_fault_is_rejected_with_its_path(self, name, stem, edits, violation):
         with pytest.raises(SchemaError) as err:
-            load_scenario_file(str(path))
-        assert len(err.value.violations) == 1
-        assert err.value.violations[0].startswith("$")
-
-    @pytest.mark.parametrize("stem,violation", [
-        ("sensing_shots_fractional", "$.apps[0].shots: expected int, got float"),
-        ("sensing_shots_bool", "$.apps[0].shots: expected int, got bool"),
-        ("sensing_sensors_string", "$.apps[0].sensors: expected list, got str"),
-        ("sensing_reinit_negative",
-         "$.apps[0]: reinit_delay_s must be nonnegative, got -0.01"),
-        ("sensing_phi_nan", "$.apps[0].phi_true: expected a finite number, got nan"),
-        ("sensing_t2_nan", "$.apps[0].t2_s: expected a finite number, got nan"),
-        ("sensing_tau_infinite",
-         "$.apps[0].tau_interrogate_s: expected a finite number, got inf"),
-        ("sensing_sensor_unlinked",
-         "$.apps[0].sensors[0]: no classical link to the fusion node 'QBS1'"),
-    ])
-    def test_bad_sensing_blocks_name_their_field(self, stem, violation):
-        with pytest.raises(SchemaError) as err:
-            load_scenario_file(str(REPO / "tests" / "data" / "malformed" / f"{stem}.json"))
-        assert err.value.violations == [violation]
-
-    @pytest.mark.parametrize("stem,violation", BAD_BLOCKS, ids=[c[0] for c in BAD_BLOCKS])
-    def test_bad_blocks_name_their_field(self, stem, violation):
-        with pytest.raises(SchemaError) as err:
-            load_scenario_file(str(REPO / "tests" / "data" / "malformed" / f"{stem}.json"))
+            load_scenario(_edited(_SHIPPED[stem], edits))
         assert err.value.violations == [violation]
 
     def test_every_topology_fault_is_reported(self):
@@ -279,33 +349,23 @@ class TestSingleGate:
         doc = _SHIPPED[stem]
         ids = [node["id"] for node in doc["nodes"]]
         failures = []
-        for path in _PATHS[stem]:
-            parent = doc
-            for key in path[:-1]:
-                parent = parent[key]
-            if not (isinstance(parent[path[-1]], str) and parent[path[-1]] in ids):
+        for path, value in _PATHS[stem]:
+            if value not in ids:
                 continue
             for other in ids:
-                if other == parent[path[-1]]:
+                if other == value:
                     continue
-                varied = set_by_path(doc, _dotted(path), other)
                 try:
-                    scenario, _ = load_scenario(varied)
+                    scenario, _ = load_scenario(_edited(doc, {path: other}))
                 except SchemaError:
                     continue
                 try:
                     art = run_scenario(scenario)
                 except OneQError as err:
-                    failures.append(f"{_dotted(path)}={other}: {type(err).__name__}: {err}")
+                    failures.append(f"{path}={other}: {type(err).__name__}: {err}")
                     continue
                 assert art.summary["t_end"] == pytest.approx(scenario.duration_s)
         assert failures == []
-
-
-def _dotted(path) -> str:
-    """A _json_paths path in set_by_path's notation."""
-    return "".join(f"[{key}]" if isinstance(key, int) else f".{key}"
-                   for key in path).lstrip(".")
 
 
 class TestRunner:
@@ -476,12 +536,22 @@ class TestCli:
         assert main(["validate", str(path), "--strict"]) == 0
         assert capsys.readouterr().out.startswith("ok:")
 
-    @pytest.mark.parametrize("path", MALFORMED, ids=lambda p: p.stem)
-    def test_validate_rejects_malformed(self, path, capsys):
+    @_each_fault
+    def test_validate_rejects_fault(self, name, stem, edits, violation,
+                                    tmp_path, capsys):
+        path = _fault_file(tmp_path, name, stem, edits)
         assert main(["validate", str(path)]) == 2
-        out = capsys.readouterr().out
-        assert "1 problem(s)" in out
-        assert out.startswith("error: $")
+        assert capsys.readouterr().out == (
+            f"error: {violation}\ninvalid: {path} (1 problem(s))\n")
+
+    @_each_fault
+    def test_run_refuses_fault_before_starting(self, name, stem, edits, violation,
+                                               tmp_path, capsys):
+        path = _fault_file(tmp_path, name, stem, edits)
+        out_dir = tmp_path / "artifacts"
+        assert main(["run", str(path), "--out", str(out_dir)]) == 2
+        assert capsys.readouterr() == ("", f"error: {violation}\n")
+        assert not out_dir.exists()
 
     def test_validate_warns_loose_fails_strict(self, tmp_path, capsys):
         doc = _baseline_doc()
