@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .. import qcore
+from .. import qcore, records
 from ..protocol import (
     EntanglementRequest,
     SessionOutcome,
@@ -157,7 +157,7 @@ class QkdApp:
         cfg = self.config
         sim = stack.sim
         t0 = sim.now
-        sim.trace.emit(sim.now, cfg.alice, "app-start", app=cfg.app_id, type="qkd")
+        records.app_start_qkd(sim.trace, sim.now, cfg.alice, app=cfg.app_id)
         ok_a = yield from stack.ensure_connected(cfg.alice)
         ok_b = yield from stack.ensure_connected(cfg.bob)
         if not (ok_a and ok_b):
@@ -306,6 +306,6 @@ class QkdApp:
         sim.metrics.set_gauge(f"{prefix}.sift_discard_rate", result.sift_discard_rate)
         sim.metrics.set_gauge(f"{prefix}.qber", result.qber_estimate)
         sim.metrics.set_gauge(f"{prefix}.elapsed_s", result.elapsed_s, unit="s")
-        sim.trace.emit(sim.now, self.config.alice, "app-end", app=self.config.app_id,
-                       type="qkd", outcome=result.outcome, key_bits=result.key_bits)
+        records.app_end_qkd(sim.trace, sim.now, self.config.alice, app=self.config.app_id,
+                            outcome=result.outcome, key_bits=result.key_bits)
         return result

@@ -28,6 +28,7 @@ from itertools import compress
 
 import numpy as np
 
+from .. import records
 from ..errors import ConfigurationError
 from ..protocol import Stack
 
@@ -141,8 +142,7 @@ class SensingApp:
         cfg = self.config
         sim = stack.sim
         t0 = sim.now
-        sim.trace.emit(sim.now, cfg.fusion, "app-start", app=cfg.app_id,
-                       type="sensing", mode=cfg.mode)
+        records.app_start_sensing(sim.trace, sim.now, cfg.fusion, app=cfg.app_id, mode=cfg.mode)
         for s in cfg.sensors:
             if stack.topo.classical_link(s, cfg.fusion) is None:
                 raise ConfigurationError(f"sensor {s} has no classical link to "
@@ -311,11 +311,11 @@ class SensingApp:
 
     def _trace_report(self, sim, sensor: str, covered: bool, delivered: bool) -> None:
         if covered:
-            sim.trace.emit(sim.now, sensor, "sensing-report", app=self.config.app_id,
-                           delivered=delivered)
+            records.sensing_report(sim.trace, sim.now, sensor, app=self.config.app_id,
+                                   delivered=delivered)
         else:
-            sim.trace.emit(sim.now, sensor, "sensing-report", app=self.config.app_id,
-                           delivered=False, reason="no-coverage")
+            records.sensing_report_uncovered(sim.trace, sim.now, sensor,
+                                             app=self.config.app_id)
 
     @staticmethod
     def _batch_se(per_shot: list[tuple[int, int]], visibility: float,
@@ -350,7 +350,6 @@ class SensingApp:
         sim.metrics.set_gauge(f"{prefix}.bits_used", float(result.bits_used))
         sim.metrics.set_gauge(f"{prefix}.discarded", float(result.discarded))
         sim.metrics.set_gauge(f"{prefix}.elapsed_s", result.elapsed_s, unit="s")
-        sim.trace.emit(sim.now, self.config.fusion, "app-end", app=self.config.app_id,
-                       type="sensing", outcome=result.outcome,
-                       bits=result.bits_used)
+        records.app_end_sensing(sim.trace, sim.now, self.config.fusion, app=self.config.app_id,
+                                outcome=result.outcome, bits=result.bits_used)
         return result

@@ -47,7 +47,7 @@ from typing import Optional
 
 import numpy as np
 
-from .. import qcore
+from .. import qcore, records
 from ..protocol import Stack, check_request_bounds
 
 __all__ = [
@@ -221,7 +221,7 @@ class UbqcApp:
         cfg = self.config
         sim = stack.sim
         t0 = sim.now
-        sim.trace.emit(sim.now, cfg.client, "app-start", app=cfg.app_id, type="ubqc")
+        records.app_start_ubqc(sim.trace, sim.now, cfg.client, app=cfg.app_id)
         ok = yield from stack.ensure_connected(cfg.client, cfg.server)
         if not ok:
             return self._finish(stack, UbqcResult(cfg.app_id, "aborted-attach"), t0)
@@ -326,7 +326,6 @@ class UbqcApp:
         sim.metrics.set_gauge(f"{prefix}.shots", float(result.shots_done))
         sim.metrics.set_gauge(f"{prefix}.pairs_consumed", float(result.pairs_consumed))
         sim.metrics.set_gauge(f"{prefix}.elapsed_s", result.elapsed_s, unit="s")
-        sim.trace.emit(sim.now, self.config.client, "app-end",
-                       app=self.config.app_id, type="ubqc",
-                       outcome=result.outcome, shots=result.shots_done)
+        records.app_end_ubqc(sim.trace, sim.now, self.config.client, app=self.config.app_id,
+                             outcome=result.outcome, shots=result.shots_done)
         return result

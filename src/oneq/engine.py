@@ -64,10 +64,6 @@ def _json_value(value: Any) -> str:
 
 _BLOCK_LINES = 256
 
-# Per tuple of detail keys, as a call passes them: each key in sorted
-# order with its encoded '"key":' head.
-_DETAIL_HEADS: dict[tuple[str, ...], list[tuple[str, str]]] = {}
-
 
 class Trace:
     """Append-only run log; one record per domain happening.
@@ -85,14 +81,15 @@ class Trace:
         self._count = 0
 
     def emit(self, t: float, node: str, kind: str, **details: Any) -> None:
-        heads = _DETAIL_HEADS.get(tuple(details))
-        if heads is None:
-            heads = _DETAIL_HEADS[tuple(details)] = [
-                (k, f"{_json_str(k)}:") for k in sorted(details)]
-        body = ",".join([head + _json_value(details[k]) for k, head in heads])
+        """Write one record; the reference encoder for the writers of oneq.records."""
+        body = ",".join([f"{_json_str(k)}:{_json_value(details[k])}" for k in sorted(details)])
+        self._add(f'{{"t":{_json_value(t)},"node":{_json_value(node)},'
+                  f'"kind":{_json_value(kind)},"details":{{{body}}}}}\n')
+
+    def _add(self, line: str) -> None:
+        """Append one encoded line; every _BLOCK_LINES lines are joined into a block."""
         tail = self._tail
-        tail.append(f'{{"t":{_json_value(t)},"node":{_json_value(node)},'
-                    f'"kind":{_json_value(kind)},"details":{{{body}}}}}\n')
+        tail.append(line)
         self._count += 1
         if len(tail) == _BLOCK_LINES:
             self._blocks.append("".join(tail))

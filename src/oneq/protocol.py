@@ -22,7 +22,7 @@ from functools import partial
 from itertools import islice
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from . import qcore
+from . import qcore, records
 from .engine import EventKind, Simulator
 from .errors import CoverageError, PermanentLossError, ProtocolError, ResourceError
 from .netmodel import (
@@ -312,10 +312,8 @@ class Stack:
             )
         old = ctx.state
         ctx.state = new_state
-        self.sim.trace.emit(
-            self.sim.now, ctx.node_id, "state-transition",
-            frm=old.value, to=new_state.value, reason=reason,
-        )
+        records.state_transition(self.sim.trace, self.sim.now, ctx.node_id,
+                                 frm=old.value, to=new_state.value, reason=reason)
         if new_state == QueState.CONNECTED:
             self._touch_activity(self.sim.now, ctx.node_id)
             if not ctx.timer_queued:
@@ -408,9 +406,12 @@ class Stack:
             self._touch_activity(t0 + latency, src, dst)
         if tx:
             yield (latency, EventKind.MESSAGE_DELIVERY)
-        failure = {"failed_at": src, "reason": reason} if reason else {}
-        self.sim.trace.emit(self.sim.now, route[0], "msg", route="+".join(route),
-                            msg=msg_kind, delivered=not reason, tx=tx, **failure)
+        if reason:
+            records.msg_failed(self.sim.trace, self.sim.now, route[0], route="+".join(route),
+                               msg=msg_kind, tx=tx, failed_at=src, reason=reason)
+        else:
+            records.msg(self.sim.trace, self.sim.now, route[0], route="+".join(route),
+                        msg=msg_kind, tx=tx)
         return not reason
 
     def _anchored(self, src: str, dst: str,
@@ -441,7 +442,7 @@ class Stack:
         """Generator: deliver src to dst over classical_route; see send_message."""
         route = self.classical_route(src, dst)
         if route is None:
-            self.sim.trace.emit(self.sim.now, src, "msg-no-route", dst=dst, msg=msg_kind)
+            records.msg_no_route(self.sim.trace, self.sim.now, src, dst=dst, msg=msg_kind)
             return False
         return (yield from self.send_message(route, msg_kind, bits))
 
@@ -461,8 +462,8 @@ class Stack:
             src, dst = (ue_id, bs_id) if i % 2 == 0 else (bs_id, ue_id)
             ok = yield from self.send_message((src, dst), "registration")
             if not ok:
-                self.sim.trace.emit(self.sim.now, ue_id, "registration-failed",
-                                    bs=bs_id, at_message=i + 1)
+                records.registration_failed(self.sim.trace, self.sim.now, ue_id,
+                                            bs=bs_id, at_message=i + 1)
                 return False
         ctx.serving_bs = bs_id
         self._set_state(ctx, QueState.CONNECTED, "registered")
@@ -559,11 +560,9 @@ class Stack:
         for h in pair.holders:
             if self.topo.nodes[h].kind in UE_KINDS:
                 self.sim.metrics.incr(f"pairs_created.{h}")
-        self.sim.trace.emit(
-            self.sim.now, pair.holders[0], "pair-created",
-            id=pair.id, holders="+".join(pair.holders), w=round(pair.w, 9),
-            via=link_note,
-        )
+        records.pair_created(self.sim.trace, self.sim.now, pair.holders[0], id=pair.id,
+                             holders="+".join(pair.holders), w=round(pair.w, 9),
+                             via=link_note)
         return pair
 
     def _hand_over(self, resource: WernerPair | GhzResource) -> None:
@@ -575,12 +574,11 @@ class Stack:
                 if ctx.state == QueState.CONNECTED:
                     self._set_state(ctx, QueState.ENTANGLED, "session-delivered")
 
-    def _retire(self, resource_id: str, terminal: str, reason: str, record: str = "",
-                /, **details) -> WernerPair | GhzResource:
+    def _retire(self, resource_id: str, terminal: str,
+                reason: str) -> WernerPair | GhzResource:
         """The one exit of a live resource: ledger, pairs_<terminal>, UE buffers.
 
-        When record is given, that trace record is written at the first
-        holder with the resource id and details.
+        The caller writes the resource's ending record, if it has one.
         """
         res = self.ledger.finish(resource_id, terminal, reason)
         self.sim.metrics.incr(f"pairs_{terminal}")
@@ -588,12 +586,12 @@ class Stack:
             ctx = self.ues.get(h)
             if ctx is not None:
                 ctx.stored.discard(resource_id)
-        if record:
-            self.sim.trace.emit(self.sim.now, res.holders[0], record, id=resource_id, **details)
         return res
 
     def discard_pair(self, resource_id: str, reason: str) -> None:
-        res = self._retire(resource_id, "discarded", reason, "pair-discarded", reason=reason)
+        res = self._retire(resource_id, "discarded", reason)
+        records.pair_discarded(self.sim.trace, self.sim.now, res.holders[0], id=resource_id,
+                               reason=reason)
         if reason == "below-threshold":
             self.sim.metrics.incr("pairs_discarded_below_threshold")
             for h in res.holders:
@@ -622,8 +620,9 @@ class Stack:
         if isinstance(res, WernerPair):
             self.age_pair(res)
             self.sim.metrics.observe("fidelity_at_consumption", fidelity_of(res.w))
-        self._retire(resource_id, "consumed", purpose, "pair-consumed", purpose=purpose,
-                     holder_states="+".join(holder_states) or "bs-only")
+        self._retire(resource_id, "consumed", purpose)
+        records.pair_consumed(self.sim.trace, self.sim.now, res.holders[0], id=resource_id,
+                              purpose=purpose, holder_states="+".join(holder_states) or "bs-only")
         for h in res.holders:
             self._maybe_exit_entangled(h)
         return res
@@ -644,7 +643,8 @@ class Stack:
     def finalize(self) -> None:
         """Expire whatever is still live; call once at end of run."""
         for rid in self.ledger.live_ids():
-            self._retire(rid, "expired", "run-end", "pair-expired")
+            res = self._retire(rid, "expired", "run-end")
+            records.pair_expired(self.sim.trace, self.sim.now, res.holders[0], id=rid)
 
     # ------------------------------------------------------------------
     # Entanglement swapping
@@ -688,8 +688,8 @@ class Stack:
         self.ledger.register(out)
         self.sim.metrics.incr("pairs_swapped")
         self.sim.metrics.incr("swaps", len(repeaters))
-        self.sim.trace.emit(t, repeaters[0], "swap", ins="+".join(pair_ids),
-                            at="+".join(repeaters), out=out.id, w_out=round(w, 9))
+        records.swap(self.sim.trace, t, repeaters[0], ins="+".join(pair_ids),
+                     at="+".join(repeaters), out=out.id, w_out=round(w, 9))
         return out
 
     def mark_correction_delivered(self, pair: WernerPair) -> None:
@@ -776,7 +776,7 @@ class Stack:
         ctx = self.ue(requester)
 
         def reject(reason: str) -> SessionResult:
-            self.sim.trace.emit(self.sim.now, requester, "session-rejected", reason=reason)
+            records.session_rejected(self.sim.trace, self.sim.now, requester, reason=reason)
             self.sim.metrics.incr("sessions_rejected")
             return SessionResult(
                 outcome=SessionOutcome.REJECTED, delivered=(),
@@ -806,9 +806,8 @@ class Stack:
         if not _meets_fidelity(w_max, request.min_fidelity):
             return reject("fidelity-unreachable")
 
-        self.sim.trace.emit(self.sim.now, requester, "session-start",
-                            target=target, count=request.count,
-                            chain="+".join(chain))
+        records.session_start(self.sim.trace, self.sim.now, requester, target=target,
+                              count=request.count, chain="+".join(chain))
         ok = yield from self.send_message((requester, bs_a), "request")
         if not ok:
             return reject("request-undeliverable")
@@ -854,8 +853,8 @@ class Stack:
                         delivered.append(self.ledger.resources[pair_id])
             except CoverageError as err:
                 aborted = "coverage-lost"
-                self.sim.trace.emit(self.sim.now, requester, "session-coverage-lost",
-                                    detail=str(err))
+                records.session_coverage_lost(self.sim.trace, self.sim.now, requester,
+                                              detail=str(err))
 
             # Step 3: ACK, then the freshness screen at ACK time.
             yield from self.send_message((requester, bs_a), "ack")
@@ -871,8 +870,8 @@ class Stack:
                 requester, bs_a, self.sim.now):
             # the confirmation was in flight when coverage lapsed (orbit
             # windows can close mid-message), so nothing was handed over
-            self.sim.trace.emit(self.sim.now, requester, "session-coverage-lost",
-                                detail=f"ack finished outside {bs_a} coverage")
+            records.session_coverage_lost(self.sim.trace, self.sim.now, requester,
+                                          detail=f"ack finished outside {bs_a} coverage")
             for pair in survivors:
                 self.discard_pair(pair.id, "coverage-lost-at-ack")
             survivors = []
@@ -898,12 +897,9 @@ class Stack:
         )
         self.sim.metrics.incr(f"sessions_{outcome.value}")
         self.sim.metrics.observe("session_latency_s", elapsed, unit="s")
-        self.sim.trace.emit(
-            self.sim.now, requester, "session-end",
-            outcome=outcome.value, delivered=len(survivors),
-            requested=request.count, discarded=discarded_below,
-            elapsed=round(elapsed, 9),
-        )
+        records.session_end(self.sim.trace, self.sim.now, requester, outcome=outcome.value,
+                            delivered=len(survivors), requested=request.count,
+                            discarded=discarded_below, elapsed=round(elapsed, 9))
         return result
 
     # ------------------------------------------------------------------
@@ -932,7 +928,7 @@ class Stack:
             w = yield from self._attempt_loop(period, self.sim.now + max_latency_s, holders,
                                               herald)
         except CoverageError as err:
-            self.sim.trace.emit(self.sim.now, bs_id, "ghz-coverage-lost", detail=str(err))
+            records.ghz_coverage_lost(self.sim.trace, self.sim.now, bs_id, detail=str(err))
             return None
         if w is None:
             return None
@@ -941,8 +937,8 @@ class Stack:
         self.ledger.register(ghz)
         self._hand_over(ghz)
         self.sim.metrics.incr("ghz_created")
-        self.sim.trace.emit(self.sim.now, bs_id, "ghz-created",
-                            id=ghz.id, holders="+".join(holders), w=round(w, 9))
+        records.ghz_created(self.sim.trace, self.sim.now, bs_id, id=ghz.id,
+                            holders="+".join(holders), w=round(w, 9))
         return ghz.id
 
     # ------------------------------------------------------------------
@@ -987,8 +983,8 @@ class Stack:
         ok = yield from self.send_routed(sender, receiver, "correction")
         elapsed = self.sim.now - t0
         if not ok:
-            self.sim.trace.emit(self.sim.now, sender, "teleport",
-                                payload=payload.id, pair=pair_id, delivered=False)
+            records.teleport_lost(self.sim.trace, self.sim.now, sender, payload=payload.id,
+                                  pair=pair_id)
             self.sim.metrics.incr("teleport_lost")
             return TeleportResult(delivered=False, fidelity=0.0,
                                   elapsed_s=elapsed, pair_id=pair_id)
@@ -1001,9 +997,8 @@ class Stack:
         payload.destroyed = False
         payload.location = receiver
         payload.state = new_token_state
-        self.sim.trace.emit(self.sim.now, sender, "teleport",
-                            payload=payload.id, pair=pair_id, delivered=True,
-                            fidelity=round(fidelity, 12))
+        records.teleport(self.sim.trace, self.sim.now, sender, payload=payload.id,
+                         pair=pair_id, fidelity=round(fidelity, 12))
         self.sim.metrics.incr("teleport_ok")
         return TeleportResult(delivered=True, fidelity=fidelity,
                               elapsed_s=elapsed, pair_id=pair_id)
@@ -1041,8 +1036,8 @@ class Stack:
                    else None if self.topo.in_classical_coverage(ue_id, bs_new, self.sim.now)
                    else "outside-classical-coverage")
         if refused:
-            self.sim.trace.emit(self.sim.now, ue_id, "handover-rejected",
-                                frm=bs_old, to=bs_new, reason=refused)
+            records.handover_rejected(self.sim.trace, self.sim.now, ue_id, frm=bs_old,
+                                      to=bs_new, reason=refused)
             self.sim.metrics.incr("handover_rejected")
             return None
         f_min = self.defaults.f_min
@@ -1051,9 +1046,8 @@ class Stack:
         bridgeable = (bridge_link is not None
                       and frozenset((bs_old, bs_new)) in self.topo.repeater_edges)
         if mode == HandoverMode.SOFT and not bridgeable:
-            self.sim.trace.emit(self.sim.now, ue_id, "warn",
-                                msg="soft-handover-infeasible-falling-back-hard",
-                                bs_old=bs_old, bs_new=bs_new)
+            records.warn_soft_infeasible(self.sim.trace, self.sim.now, ue_id,
+                                         bs_old=bs_old, bs_new=bs_new)
             mode = HandoverMode.HARD
 
         bridges = len(self._buffered(ue_id, bs_old))
@@ -1075,10 +1069,9 @@ class Stack:
                 else:
                     failure = f"no bridge heralded within {HANDOVER_BUDGET_S} s"
                 if bridge is None:
-                    self.sim.trace.emit(self.sim.now, ue_id, "warn",
-                                        msg="soft-handover-bridge-failed-falling-back-hard",
-                                        bs_old=bs_old, bs_new=bs_new, detail=failure,
-                                        pairs=len(self._buffered(ue_id, bs_old)))
+                    records.warn_bridge_failed(self.sim.trace, self.sim.now, ue_id,
+                                               bs_old=bs_old, bs_new=bs_new, detail=failure,
+                                               pairs=len(self._buffered(ue_id, bs_old)))
                     mode = HandoverMode.HARD
                     break
                 buffered = self._buffered(ue_id, bs_old)
@@ -1108,10 +1101,9 @@ class Stack:
                 if was_entangled:
                     downtime += self.sim.now - t_gap0
 
-        self.sim.trace.emit(self.sim.now, ue_id, "handover",
-                            frm=bs_old, to=bs_new, mode=mode.value,
-                            fell_back=requested != mode, migrated=len(migrated),
-                            downtime=round(downtime, 9))
+        records.handover(self.sim.trace, self.sim.now, ue_id, frm=bs_old, to=bs_new,
+                         mode=mode.value, fell_back=requested != mode,
+                         migrated=len(migrated), downtime=round(downtime, 9))
         self.sim.metrics.incr(f"handover_{mode.value}")
         return HandoverResult(
             mode_requested=requested, mode_used=mode, fell_back=requested != mode,
@@ -1206,16 +1198,16 @@ class Stack:
         while True:
             if not bs.available_at(self.sim.now):
                 start, _ = orbit_next_window(bs.mobility, self.sim.now)
-                self.sim.trace.emit(self.sim.now, bs_id, "provision-wait-pass",
-                                    ue=ue_id, pass_start=start)
+                records.provision_wait_pass(self.sim.trace, self.sim.now, bs_id, ue=ue_id,
+                                            pass_start=start)
                 yield (max(start - self.sim.now, 0.0), EventKind.TIMER)
             if (ctx.serving_bs in (None, bs_id)
                     and self.topo.in_quantum_coverage(ue_id, bs_id, self.sim.now)):
                 _, result = yield from self.acquire_pairs(
                     ue_id, bs_id, buffer_target, f_min, max(check_period_s, 0.1))
                 if result is not None and result.delivered:
-                    self.sim.trace.emit(self.sim.now, bs_id, "provision",
-                                        ue=ue_id, delivered=len(result.delivered))
+                    records.provision(self.sim.trace, self.sim.now, bs_id, ue=ue_id,
+                                      delivered=len(result.delivered))
             yield (check_period_s, EventKind.DECOHERENCE_CHECK)
 
 

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Optional
 
+from . import records
 from .apps import APPS
 from .engine import EventKind, Simulator
 from .errors import InternalError, OneQError
@@ -73,7 +74,7 @@ def run_scenario(scenario: Scenario, seed: Optional[int] = None,
         for ue, bs in scenario.attachments:
             ok = yield from stack.register(ue, bs)
             if not ok:
-                sim.trace.emit(sim.now, ue, "warn", msg="attachment-failed", bs=bs)
+                records.warn_attachment_failed(sim.trace, sim.now, ue, bs=bs)
         stack.start_policy(
             scenario.policy.mode, scenario.policy.targets,
             buffer_target=scenario.policy.buffer_target,

@@ -69,6 +69,24 @@ class TestStateMachine:
         # alternating directions, UE-initiated
         assert msgs[0]["node"] == "QUE1" and msgs[1]["node"] == "QBS1"
 
+    def test_lost_registration_message_is_recorded(self, make_stack):
+        sim, stack = make_stack(one_cell_topology(p_err_c=1.0))
+        assert drive(sim, stack.register("QUE1", "QBS1")) is False
+        assert stack.ue("QUE1").state == QueState.IDLE
+        (failed,) = [r for r in sim.trace if r["kind"] == "registration-failed"]
+        assert failed["node"] == "QUE1"
+        assert failed["details"] == {"bs": "QBS1", "at_message": 1}
+
+    def test_failed_attachment_warns_and_the_run_goes_on(self):
+        doc = json.loads((REPO / "scenarios" / "qkd_baseline.json").read_text(encoding="utf-8"))
+        doc["classical_links"][1]["p_err_c"] = 1.0  # QBS1-QUE2 loses every message
+        art = run_scenario(load_scenario(doc, strict=True)[0], until=0.1)
+        records = [json.loads(line) for line in art.trace_jsonl.splitlines()]
+        (warn,) = [r for r in records if r["kind"] == "warn"]
+        assert warn["node"] == "QUE2"
+        assert warn["details"] == {"msg": "attachment-failed", "bs": "QBS1"}
+        assert art.summary["t_end"] == pytest.approx(0.1)
+
     def test_illegal_transition_raises(self, make_stack):
         sim, stack = make_stack(one_cell_topology())
         with pytest.raises(ProtocolError):
@@ -748,6 +766,10 @@ class TestTeleport:
         res = drive(sim, stack.teleport(payload, pair.id))
         assert res.delivered is True
         assert res.fidelity == pytest.approx(1.0, abs=1e-9)
+        (record,) = [r for r in sim.trace if r["kind"] == "teleport"]
+        assert record["node"] == "QUE1"
+        assert record["details"] == {"payload": payload.id, "pair": pair.id, "delivered": True,
+                                     "fidelity": round(res.fidelity, 12)}
         assert payload.location == "QUE2"
         assert state_fidelity(payload.state, equatorial_state(0.7)) == pytest.approx(1.0)
         with pytest.raises(ResourceError):
@@ -765,6 +787,9 @@ class TestTeleport:
         payload = stack.new_payload("QUE1", equatorial_state(0.2))
         res = drive(sim, stack.teleport(payload, pairs[0].id))
         assert res.delivered is False and payload.destroyed and payload.state is None
+        (record,) = [r for r in sim.trace if r["kind"] == "teleport"]
+        assert record["details"] == {"payload": payload.id, "pair": pairs[0].id,
+                                     "delivered": False}
         with pytest.raises(PermanentLossError):
             drive(sim, stack.teleport(payload, pairs[1].id))
         assert stack.ledger.live(pairs[1].id) is pairs[1]
@@ -1194,6 +1219,27 @@ class TestAttemptDeadline:
         assert draws and max(draws) < deadline
         assert max(draws) > deadline - self.PERIOD  # the slots ran up to the deadline
 
+    def test_last_slot_of_a_session_that_never_heralds_ends_at_the_deadline(self, make_stack):
+        sim, stack = make_stack(two_cell_topology(q_attempt=0.0, attempt_period_s=self.PERIOD))
+        loop, loop_ends = stack._attempt_loop, []
+
+        def spy(*args):
+            result = yield from loop(*args)
+            loop_ends.append(sim.now)
+            return result
+
+        stack._attempt_loop = spy
+        deadline = sim.now + self.BUDGET
+        res = drive(sim, _deadline_session(stack, self.BUDGET))
+        # the set-up messages take microseconds, so three full slots fit
+        # before the deadline and a fourth, shortened one ends on it
+        assert res.outcome == SessionOutcome.EXPIRED and res.attempts == 3
+        assert loop_ends == [pytest.approx(deadline, abs=1e-12)]
+        link = stack.topo.classical_link("QUE1", "QBS1")
+        ack_s = stack.bits("ack") / link.rate_bps + link.prop_delay_s
+        (end,) = [r for r in sim.trace if r["kind"] == "session-end"]
+        assert end["t"] == pytest.approx(deadline + ack_s, abs=1e-12)
+
 
 class TestAcquireAndPolicy:
     def test_acquire_uses_buffer_before_sessions(self, make_stack):
@@ -1443,6 +1489,13 @@ class TestRoutedMessage:
             inactivity_timeout_s=1e9, retry_cap=retry_cap))
         ok = drive(sim, stack.send_routed(src, dst, "correction"))
         return sim, ok
+
+    def test_unattached_end_has_no_route(self, make_stack):
+        # no station serves QUE2, so nothing anchors a route to it
+        sim, ok = self._routed(make_stack, one_cell_topology(), 0, "QUE1", "QUE2")
+        assert ok is False
+        assert list(sim.trace) == [{"t": 0.0, "node": "QUE1", "kind": "msg-no-route",
+                                    "details": {"dst": "QUE2", "msg": "correction"}}]
 
     @pytest.mark.parametrize("case", ["backbone", "ue-hops", "orbit", "ue-leaves", "gap"])
     def test_one_record_matches_per_hop_reference(self, make_stack, case):
