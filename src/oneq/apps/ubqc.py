@@ -31,11 +31,11 @@ not the logical output distribution.
 
 Since the server never holds more than two qubits, exact mode carries its
 register as plain Python complex amplitudes (2 for one qubit, 4 for two)
-rather than as ``qcore.PureState`` arrays: CZ negates the |11> amplitude,
-and an equatorial measurement of the front qubit at grid angle k pi/4 is
-the closed-form projection H Rz(-k pi/4) with one uniform draw, as in
-``qcore.oracle_measure``.  The tests check this kernel against the
-``qcore`` oracle within 1e-12.
+rather than as arrays: CZ negates the |11> amplitude, and an equatorial
+measurement of the front qubit at grid angle k pi/4 is the closed-form
+projection H Rz(-k pi/4) with one uniform draw.  The tests check this
+kernel against the statevector circuits of ``tests/oracles.py`` within
+1e-12.
 """
 
 from __future__ import annotations
@@ -111,12 +111,11 @@ def ideal_chain_p_zero(phi_eighths: tuple[int, ...]) -> float:
     Each pattern angle contributes one step H Rz(-phi) to |+>, and the
     final qubit is read out along X.
     """
-    state = qcore.equatorial_state(0.0)
+    a0 = a1 = complex(_S)
     for e in phi_eighths:
-        state = qcore.oracle_apply(state, "RZ", (0,), theta=-_angle(e))
-        state = qcore.oracle_apply(state, "H", (0,))
-    amp_plus = (state.amplitudes[0] + state.amplitudes[1]) / math.sqrt(2.0)
-    return float(abs(amp_plus) ** 2)
+        b1 = a1 * _PHASE[e % GRID]
+        a0, a1 = (a0 + b1) * _S, (a0 - b1) * _S
+    return abs((a0 + a1) * _S) ** 2
 
 
 def rsp_collapse(w: float, theta_eighths: int, rng) -> tuple[int, tuple[complex, complex]]:

@@ -147,40 +147,45 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _parse_triple(text: str, label: str) -> Optional[tuple]:
+def _parse_triple(text: str, label: str, names: tuple[str, str, str],
+                  counts: set[str]) -> tuple:
+    """Three comma-separated JSON numbers; those named in counts must be integers."""
     parts = text.split(",")
     if len(parts) != 3:
-        print(f"error: --{label} expects three comma-separated numbers",
-              file=sys.stderr)
-        return None
-    return tuple(_parse_value(p) for p in parts)
+        raise ValueError(f"--{label} expects three comma-separated numbers")
+    values = tuple(_parse_value(p) for p in parts)
+    for name, value in zip(names, values):
+        kind = int if name in counts else (int, float)
+        if isinstance(value, bool) or not isinstance(value, kind):
+            noun = "an integer" if name in counts else "a number"
+            raise ValueError(f"--{label}: {name} must be {noun}, got {value!r}")
+    return values
 
 
 def _cmd_plan(args) -> int:
-    did_anything = False
-    if args.sequence:
-        triple = _parse_triple(args.sequence, "sequence")
-        if triple is None:
-            return 2
-        q, c, k_max = triple
-        print(f"sequential delivery, per-block error rates q={q} c={c}:")
-        print(f"  {'K':>3}  {'p_block':>10}  {'p_success':>10}")
-        for k in range(1, int(k_max) + 1):
-            print(f"  {k:>3}  {analytic.p_block(q, c):>10.6f}  "
-                  f"{analytic.p_succ_iid(q, c, k):>10.6f}")
-        did_anything = True
-    if args.match:
-        triple = _parse_triple(args.match, "match")
-        if triple is None:
-            return 2
-        n, k, p = triple
-        prob = analytic.qkd_match_success(int(n), int(k), float(p))
-        print(f"key-match success for N={n} pairs, K={k} sifted, "
-              f"p_deliver={p}: {prob:.9f}")
-        did_anything = True
-    if not did_anything:
+    if not (args.sequence or args.match):
         print("nothing to plan; pass --sequence and/or --match", file=sys.stderr)
         return 2
+    lines = []
+    try:
+        if args.sequence:
+            q, c, k_max = _parse_triple(args.sequence, "sequence", ("q", "c", "K"), {"K"})
+            if k_max < 1:
+                raise ValueError(f"--sequence: K must be at least 1, got {k_max}")
+            block = analytic.p_block(q, c)
+            lines.append(f"sequential delivery, per-block error rates q={q} c={c}:")
+            lines.append(f"  {'K':>3}  {'p_block':>10}  {'p_success':>10}")
+            lines.extend(f"  {k:>3}  {block:>10.6f}  {analytic.p_succ_iid(q, c, k):>10.6f}"
+                         for k in range(1, k_max + 1))
+        if args.match:
+            n, k, p = _parse_triple(args.match, "match", ("N", "K", "p"), {"N", "K"})
+            prob = analytic.qkd_match_success(n, k, p)
+            lines.append(f"key-match success for N={n} pairs, K={k} sifted, "
+                         f"p_deliver={p}: {prob:.9f}")
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
+    print("\n".join(lines))
     return 0
 
 

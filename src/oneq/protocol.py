@@ -946,8 +946,6 @@ class Stack:
     # ------------------------------------------------------------------
 
     def new_payload(self, location: str, state: Optional[PureState] = None) -> QubitToken:
-        if state is not None and state.n_qubits != 1:
-            raise ValueError("payload tokens carry exactly one qubit")
         self._payload_counter += 1
         return QubitToken(id=f"q{self._payload_counter:04d}", location=location, state=state)
 
@@ -1212,15 +1210,17 @@ class Stack:
 
 
 def _teleport_exact(state: PureState, w: float, rng) -> PureState:
-    """Run the 3-qubit teleport circuit through a Bell state sampled from w."""
+    """Teleport one qubit through a pair whose Bell label is sampled from w.
+
+    A pair with label (x, z) leaves the corrected payload as Z^z X^x psi, up
+    to a global phase, whatever the sender's two Bell-measurement outcomes
+    (Bennett et al., PRL 70, 1895, 1993).  Those outcomes are uniform and
+    are still drawn, one uniform each, as the circuit measures them.
+    """
     x, z = qcore.sample_bell_label(w, rng)
-    reg = state.tensor(qcore.bell_state(x, z))
-    reg = qcore.oracle_apply(reg, "CNOT", (0, 1))
-    reg = qcore.oracle_apply(reg, "H", (0,))
-    m0, reg = qcore.oracle_measure(reg, 0, qcore.Z_BASIS, rng)
-    m1, reg = qcore.oracle_measure(reg, 0, qcore.Z_BASIS, rng)
-    if m1:
-        reg = qcore.oracle_apply(reg, "X", (0,))
-    if m0:
-        reg = qcore.oracle_apply(reg, "Z", (0,))
-    return reg
+    rng.random()
+    rng.random()
+    a0, a1 = state.amplitudes
+    if x:
+        a0, a1 = a1, a0
+    return PureState((a0, -a1 if z else a1))

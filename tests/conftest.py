@@ -1,8 +1,11 @@
-"""Shared topology builders and a tiny driver for generator protocols."""
+"""Shared topology builders, a tiny driver for generator protocols, and the
+scenario edit helper."""
 
 from __future__ import annotations
 
+import copy
 import os
+import re
 
 import pytest
 from hypothesis import settings
@@ -24,6 +27,31 @@ if os.environ.get("CI"):
     settings.load_profile("ci")
 
 QUIET = Defaults(inactivity_timeout_s=1e9)
+
+_DELETE = "<delete>"
+_STEP = re.compile(r"\.(\w+)|\[(\d+|-)\]")
+
+
+def _edited(doc, edits):
+    """A copy of doc with edits made, each a "$.a[0].b" path and a value.
+
+    The value replaces the one at the path, or is appended to the list when
+    the path ends in [-]; the value _DELETE removes the key or element.
+    """
+    doc = copy.deepcopy(doc)
+    for path, value in edits.items():
+        *keys, last = [name or (index if index == "-" else int(index))
+                       for name, index in _STEP.findall(path)]
+        parent = doc
+        for key in keys:
+            parent = parent[key]
+        if value is _DELETE:
+            del parent[last]
+        elif last == "-":
+            parent.append(copy.deepcopy(value))
+        else:
+            parent[last] = copy.deepcopy(value)
+    return doc
 
 
 def one_cell_topology(

@@ -6,6 +6,7 @@ import math
 import statistics
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
@@ -23,15 +24,16 @@ from oneq.protocol import (
     QueState,
     SessionOutcome,
     Stack,
+    _teleport_exact,
 )
 from oneq.runner import run_scenario
 from oneq.scenario import load_scenario
 from oneq.qcore import (
     GhzResource,
+    PureState,
     WernerPair,
     X_BASIS,
     Z_BASIS,
-    equatorial_state,
     fidelity_of,
     state_fidelity,
 )
@@ -53,6 +55,10 @@ def _register_pair(stack, a, b, w, pid=None):
                       created_at=stack.sim.now, last_touched=stack.sim.now)
     stack.ledger.register(pair)
     return pair
+
+
+def _equatorial(theta):
+    return PureState(np.array([1.0, np.exp(1j * theta)]) / math.sqrt(2.0))
 
 
 class TestStateMachine:
@@ -762,7 +768,7 @@ class TestTeleport:
     def test_perfect_pair_preserves_state_and_destroys_sender(self, make_stack):
         sim, stack = make_stack(one_cell_topology(t_coh_s=1e9))
         pair = self._entangled_pair(sim, stack, w=1.0)
-        payload = stack.new_payload("QUE1", equatorial_state(0.7))
+        payload = stack.new_payload("QUE1", _equatorial(0.7))
         res = drive(sim, stack.teleport(payload, pair.id))
         assert res.delivered is True
         assert res.fidelity == pytest.approx(1.0, abs=1e-9)
@@ -771,7 +777,7 @@ class TestTeleport:
         assert record["details"] == {"payload": payload.id, "pair": pair.id, "delivered": True,
                                      "fidelity": round(res.fidelity, 12)}
         assert payload.location == "QUE2"
-        assert state_fidelity(payload.state, equatorial_state(0.7)) == pytest.approx(1.0)
+        assert state_fidelity(payload.state, _equatorial(0.7)) == pytest.approx(1.0)
         with pytest.raises(ResourceError):
             stack.ledger.live(pair.id)
 
@@ -784,7 +790,7 @@ class TestTeleport:
             _attach(stack, ue, "QBS1")
             stack.ue(ue).stored.update(pair.id for pair in pairs)
             stack._set_state(stack.ue(ue), QueState.ENTANGLED, "test")
-        payload = stack.new_payload("QUE1", equatorial_state(0.2))
+        payload = stack.new_payload("QUE1", _equatorial(0.2))
         res = drive(sim, stack.teleport(payload, pairs[0].id))
         assert res.delivered is False and payload.destroyed and payload.state is None
         (record,) = [r for r in sim.trace if r["kind"] == "teleport"]
@@ -807,6 +813,52 @@ class TestTeleport:
         res = drive(sim, stack.teleport(payload, pair.id))
         assert res.delivered is True
         assert res.fidelity == pytest.approx(fidelity_of(0.8))
+
+    @staticmethod
+    def _circuit(psi, w, rng):
+        """The 3-qubit teleport circuit through a Bell state drawn from w.
+
+        Qubits are (payload, sender half, receiver half).  One draw picks the
+        Bell label from the Werner weights, one draw per Z measurement picks
+        its outcome, and X^{m1} then Z^{m0} correct the receiver half.
+        """
+        u, acc = rng.random(), 0.0
+        for label, p in oracles._werner_weights(w).items():
+            acc += p
+            if u < acc:
+                break
+        else:
+            label = (1, 1)
+        reg = np.kron(psi, oracles.bell_vec(*label))
+        reg = oracles._apply_cnot(reg, 0, 1, 3)
+        reg = oracles._apply_1q(reg, oracles.H, 0, 3)
+        outcomes = []
+        for n in (3, 2):
+            p0, _ = oracles._project(reg, 0, 0, n)
+            m = int(rng.random() >= p0)
+            _, reg = oracles._project(reg, 0, m, n)
+            outcomes.append(m)
+        m0, m1 = outcomes
+        if m1:
+            reg = oracles.X @ reg
+        if m0:
+            reg = oracles.Z @ reg
+        return reg
+
+    def test_closed_form_matches_the_circuit(self):
+        inputs = np.random.default_rng(1895)
+        for _ in range(500):
+            psi = inputs.normal(size=2) + 1j * inputs.normal(size=2)
+            psi /= np.linalg.norm(psi)
+            w, seed = float(inputs.random()), int(inputs.integers(2**32))
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = _teleport_exact(PureState(psi), w, rng).amplitudes
+            ref = self._circuit(psi, w, ref_rng)
+            assert abs(np.vdot(psi, got)) ** 2 == pytest.approx(
+                abs(np.vdot(psi, ref)) ** 2, abs=1e-12)
+            assert abs(np.vdot(ref, got)) == pytest.approx(1.0, abs=1e-12)
+            # Both made the same draws: the label and two outcomes.
+            assert rng.random() == ref_rng.random()
 
 
 FIXTURE = REPO / "tests" / "data" / "handover_migrates_buffer.json"

@@ -1,4 +1,5 @@
-"""Unit tests for the quantum resource primitives and the statevector oracle."""
+"""Unit tests for the quantum resource primitives, and for the reference
+statevector simulator of tests/oracles.py that the exact kernels are checked against."""
 
 import math
 
@@ -8,19 +9,14 @@ import pytest
 import oracles
 from oneq.errors import ResourceError
 from oneq.qcore import (
-    MAX_QUBITS,
     MeasurementBasis,
     PureState,
     WernerPair,
     X_BASIS,
     Z_BASIS,
-    bell_state,
     decay,
-    equatorial_state,
     fidelity_of,
     measure_pair,
-    oracle_apply,
-    oracle_measure,
     sample_bell_label,
     state_fidelity,
     touch,
@@ -138,98 +134,31 @@ class TestBellMixture:
             sigma = math.sqrt(p * (1 - p) / n)
             assert abs(counts[label] / n - p) <= 4 * sigma
 
-    def test_bell_state_convention_matches_reference(self):
-        # (x, z) means X^x Z^z on the first qubit; same table as the oracle
-        # module builds its swap circuit from.
-        for x in (0, 1):
-            for z in (0, 1):
-                mine = bell_state(x, z).amplitudes
-                ref = oracles.bell_vec(x, z)
-                assert abs(abs(np.vdot(mine, ref)) - 1.0) < 1e-12
 
-
-class TestStatevector:
-    def test_purestate_validation(self):
-        with pytest.raises(ValueError):
-            PureState([1.0, 0.0, 0.0])  # not a power of two
-        with pytest.raises(ValueError):
-            PureState([0.9, 0.1])  # not normalized
-        assert abs(PureState.zeros(3).amplitudes[0]) ** 2 == 1.0
-
-    def test_h_is_involutive(self):
-        state = PureState.zeros(1)
-        once = oracle_apply(state, "H", (0,))
-        twice = oracle_apply(once, "H", (0,))
-        assert state_fidelity(twice, state) == pytest.approx(1.0)
-
-    def test_cnot_truth_table(self):
-        # |10> -> |11>
-        amps = np.zeros(4, dtype=complex)
-        amps[2] = 1.0
-        out = oracle_apply(PureState(amps), "CNOT", (0, 1))
-        assert abs(out.amplitudes[3]) ** 2 == pytest.approx(1.0)
-
-    def test_rz_needs_theta_and_unknown_gate_rejected(self):
-        state = PureState.zeros(1)
-        with pytest.raises(ValueError):
-            oracle_apply(state, "RZ", (0,))
-        with pytest.raises(ValueError):
-            oracle_apply(state, "SWAP", (0,))
-
-    def test_cz_is_symmetric(self):
-        rng = np.random.default_rng(5)
-        amps = rng.normal(size=8) + 1j * rng.normal(size=8)
-        amps /= np.linalg.norm(amps)
-        ab = oracles.apply_cz(amps, 0, 2, 3)
-        ba = oracles.apply_cz(amps, 2, 0, 3)
-        assert abs(np.vdot(ab, ba)) ** 2 == pytest.approx(1.0)
-
-    def test_measure_removes_qubit_and_collapses(self):
-        rng = np.random.default_rng(9)
-        outcome, rest = oracle_measure(PureState.zeros(2), 0, Z_BASIS, rng)
-        assert outcome == 0 and rest.n_qubits == 1
-
-    def test_equatorial_eigenstate_is_deterministic(self):
-        rng = np.random.default_rng(10)
-        theta = 1.234
-        state = equatorial_state(theta)
-        for _ in range(20):
-            outcome, _ = oracle_measure(state, 0, MeasurementBasis.equatorial(theta), rng)
-            assert outcome == 0
-
-    def test_born_statistics_match_probabilities(self):
-        rng = np.random.default_rng(13)
-        amps = np.array([0.6, 0.0, 0.0, 0.8], dtype=complex)
-        state = PureState(amps)
-        n = 20_000
-        ones = sum(oracle_measure(state, 0, Z_BASIS, rng)[0] for _ in range(n))
-        assert abs(ones / n - 0.64) <= 3 * math.sqrt(0.64 * 0.36 / n)
+class TestPureState:
+    def test_purestate_keeps_its_checks(self):
+        with pytest.raises(ValueError, match="not normalized"):
+            PureState([1.0, 1.0])
+        with pytest.raises(ValueError, match="not normalized"):
+            PureState([math.nan, 0.0])
+        for size in (1, 3, 4):
+            with pytest.raises(ValueError, match="one-qubit state takes 2 amplitudes"):
+                PureState(np.ones(size) / math.sqrt(size))
+        # The 1e-7 norm tolerance is unchanged.
+        PureState(np.array([1.0 + 5e-8, 0.0]))
+        with pytest.raises(ValueError, match="not normalized"):
+            PureState(np.array([1.0 + 2e-7, 0.0]))
 
     def test_state_fidelity_edges(self):
-        zero = PureState.zeros(1)
-        one = oracle_apply(zero, "X", (0,))
+        zero, one = PureState([1.0, 0.0]), PureState([0.0, 1.0])
+        plus = PureState(np.array([1.0, 1.0]) / math.sqrt(2.0))
         assert state_fidelity(zero, one) == pytest.approx(0.0)
-        with pytest.raises(ValueError):
-            state_fidelity(zero, PureState.zeros(2))
-
-
-class TestGhz:
-    def test_x_reduce_statevector_semantics(self):
-        # X-measuring one leg of a 3-party GHZ leaves |phi+> up to a Z
-        # keyed by the outcome, which is what the correction bit encodes.
-        ghz = PureState(np.array([1, 0, 0, 0, 0, 0, 0, 1]) / math.sqrt(2.0))
-        rng = np.random.default_rng(17)
-        seen = set()
-        for _ in range(40):
-            outcome, rest = oracle_measure(ghz, 0, X_BASIS, rng)
-            target = bell_state(0, outcome)
-            assert state_fidelity(rest, target) == pytest.approx(1.0)
-            seen.add(outcome)
-        assert seen == {0, 1}
+        assert state_fidelity(zero, plus) == pytest.approx(0.5)
+        assert state_fidelity(plus, PureState(-plus.amplitudes)) == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------
-# Statevector kernel against full matrices and explicit projectors
+# The reference simulator against full matrices and explicit projectors
 # ---------------------------------------------------------------------------
 
 P0 = np.array([[1, 0], [0, 0]], dtype=complex)
@@ -253,52 +182,45 @@ def _cnot_matrix(control, target, n):
     return _on_qubit(P0, control, n) + oracles.kron(*flipped)
 
 
-class _FixedDraw:
-    """Stands in for a Generator: random() always returns ``u``."""
-
-    def __init__(self, u):
-        self.u = u
-
-    def random(self):
-        return self.u
-
-
 class TestKernelCrossCheck:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_single_qubit_gates_match_full_matrices(self, n):
         amps = _random_state(n, 100 + n)
         theta = 0.7 + n
-        gates = [("H", None, oracles.H), ("X", None, oracles.X),
-                 ("Z", None, oracles.Z), ("RZ", theta, oracles.rz(theta))]
         for q in range(n):
-            for name, angle, matrix in gates:
-                state = PureState(amps.copy())
-                out = oracle_apply(state, name, (q,), theta=angle)
+            for matrix in (oracles.H, oracles.X, oracles.Z, oracles.rz(theta)):
+                state = amps.copy()
+                out = oracles._apply_1q(state, matrix, q, n)
                 expected = _on_qubit(matrix, q, n) @ amps
-                np.testing.assert_allclose(out.amplitudes, expected, atol=1e-12)
-                np.testing.assert_array_equal(state.amplitudes, amps)
+                np.testing.assert_allclose(out, expected, atol=1e-12)
+                np.testing.assert_array_equal(state, amps)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_cnot_matches_full_matrix_on_every_ordered_pair(self, n):
         amps = _random_state(n, 200 + n)
         pairs = [(c, t) for c in range(n) for t in range(n) if c != t]
         for control, target in pairs:
-            state = PureState(amps.copy())
-            out = oracle_apply(state, "CNOT", (control, target))
+            state = amps.copy()
+            out = oracles._apply_cnot(state, control, target, n)
             expected = _cnot_matrix(control, target, n) @ amps
-            np.testing.assert_allclose(out.amplitudes, expected, atol=1e-12)
-            np.testing.assert_array_equal(state.amplitudes, amps)
+            np.testing.assert_allclose(out, expected, atol=1e-12)
+            np.testing.assert_array_equal(state, amps)
+
+    def test_cz_is_symmetric(self):
+        amps = _random_state(3, 5)
+        ab = oracles.apply_cz(amps, 0, 2, 3)
+        ba = oracles.apply_cz(amps, 2, 0, 3)
+        assert abs(np.vdot(ab, ba)) ** 2 == pytest.approx(1.0)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_measure_matches_explicit_projectors(self, n):
         amps = _random_state(n, 300 + n)
-        bases = [Z_BASIS, X_BASIS] + [MeasurementBasis.equatorial(k * math.pi / 4)
-                                      for k in range(8)]
-        for basis in bases:
-            phase = np.exp(1j * basis.theta)
-            if basis.kind == "Z":
+        # None is the Z basis; an angle theta is {|0> +/- e^{i theta}|1>}/sqrt(2).
+        for theta in [None] + [k * math.pi / 4 for k in range(8)]:
+            if theta is None:
                 vectors = (np.array([1, 0], dtype=complex), np.array([0, 1], dtype=complex))
             else:
+                phase = np.exp(1j * theta)
                 vectors = (np.array([1, phase]) / math.sqrt(2),
                            np.array([1, -phase]) / math.sqrt(2))
             for q in range(n):
@@ -310,44 +232,11 @@ class TestKernelCrossCheck:
                     # <vec| on qubit q keeps the other qubits in order.
                     bra = _on_qubit(vec.conj()[None, :], q, n)
                     post = bra @ amps / math.sqrt(prob)
-                    draw = 0.0 if outcome == 0 else np.nextafter(1.0, 0.0)
-                    got, rest = oracle_measure(PureState(amps), q, basis, _FixedDraw(draw))
-                    assert got == outcome
-                    assert rest.n_qubits == n - 1
-                    np.testing.assert_allclose(rest.amplitudes, post, atol=1e-12)
+                    if theta is None:
+                        got, rest = oracles._project(amps, q, outcome, n)
+                    else:
+                        got, rest = oracles._project_eq(amps, q, theta, outcome, n)
+                    assert got == pytest.approx(prob, abs=1e-12)
+                    assert rest.size == 1 << (n - 1)
+                    np.testing.assert_allclose(rest, post, atol=1e-12)
                 assert sum(probs) == pytest.approx(1.0, abs=1e-12)
-                # The outcome flips where the draw crosses P(0).
-                for draw, outcome in ((probs[0] - 1e-9, 0), (probs[0] + 1e-9, 1)):
-                    assert oracle_measure(PureState(amps), q, basis,
-                                          _FixedDraw(draw))[0] == outcome
-
-    def test_purestate_keeps_its_checks(self):
-        with pytest.raises(ValueError, match="not normalized"):
-            PureState([1.0, 1.0])
-        with pytest.raises(ValueError, match="not normalized"):
-            PureState([math.nan, 0.0])
-        with pytest.raises(ValueError, match="power of two"):
-            PureState(np.ones(6) / math.sqrt(6))
-        over = np.zeros(1 << (MAX_QUBITS + 1), dtype=complex)
-        over[0] = 1.0
-        with pytest.raises(ValueError, match="cap"):
-            PureState(over)
-        # The 1e-7 norm tolerance is unchanged.
-        PureState(np.array([1.0 + 5e-8, 0.0]))
-        with pytest.raises(ValueError, match="not normalized"):
-            PureState(np.array([1.0 + 2e-7, 0.0]))
-
-    def test_tensor_products_are_validated(self):
-        with pytest.raises(ValueError, match="cap"):
-            PureState.zeros(MAX_QUBITS // 2 + 1).tensor(PureState.zeros(MAX_QUBITS // 2))
-        unnormalised = PureState.zeros(1)
-        unnormalised.amplitudes = np.array([1.0, 1.0], dtype=complex)
-        with pytest.raises(ValueError, match="not normalized"):
-            unnormalised.tensor(PureState.zeros(1))
-        ragged = PureState.zeros(1)
-        ragged.amplitudes = np.array([1.0, 0.0, 0.0], dtype=complex)
-        with pytest.raises(ValueError, match="power of two"):
-            ragged.tensor(PureState.zeros(1))
-        pair = PureState(_random_state(1, 1)).tensor(PureState(_random_state(2, 2)))
-        np.testing.assert_allclose(
-            pair.amplitudes, np.kron(_random_state(1, 1), _random_state(2, 2)), atol=1e-15)

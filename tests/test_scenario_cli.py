@@ -15,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import _DELETE, _edited
 from oneq.apps import APPS
 from oneq.cli import main
 from oneq.errors import InternalError, OneQError, SchemaError
@@ -37,31 +38,7 @@ def _baseline_doc():
     return json.loads(BASELINE.read_text(encoding="utf-8"))
 
 
-_DELETE = "<delete>"
 _SHIPPED = {p.stem: json.loads(p.read_text(encoding="utf-8")) for p in SCENARIOS}
-_STEP = re.compile(r"\.(\w+)|\[(\d+|-)\]")
-
-
-def _edited(doc, edits):
-    """A copy of doc with edits made, each a "$.a[0].b" path and a value.
-
-    The value replaces the one at the path, or is appended to the list when
-    the path ends in [-]; the value _DELETE removes the key or element.
-    """
-    doc = copy.deepcopy(doc)
-    for path, value in edits.items():
-        *keys, last = [name or (index if index == "-" else int(index))
-                       for name, index in _STEP.findall(path)]
-        parent = doc
-        for key in keys:
-            parent = parent[key]
-        if value is _DELETE:
-            del parent[last]
-        elif last == "-":
-            parent.append(copy.deepcopy(value))
-        else:
-            parent[last] = copy.deepcopy(value)
-    return doc
 
 
 def _json_paths(node, path="$"):
@@ -530,6 +507,19 @@ class TestSweepPlumbing:
             run_sweep(_baseline_doc(), "seed", [1], replications=0)
 
 
+PLAN_FAULTS = [
+    ("--sequence", "0.2,0.1,abc", "--sequence: K must be an integer, got 'abc'"),
+    ("--sequence", "2,0.1,3", "p_err_q must lie in [0, 1], got 2.0"),
+    ("--sequence", "0.2,0.1,0", "--sequence: K must be at least 1, got 0"),
+    ("--sequence", "0.2,0.1,2.5", "--sequence: K must be an integer, got 2.5"),
+    ("--sequence", "0.2,x,3", "--sequence: c must be a number, got 'x'"),
+    ("--sequence", "0.2,0.1", "--sequence expects three comma-separated numbers"),
+    ("--match", "5,10,0.5", "k_target 10 exceeds n_pairs 5"),
+    ("--match", "10.5,5,0.5", "--match: N must be an integer, got 10.5"),
+    ("--match", "10,true,0.5", "--match: K must be an integer, got True"),
+]
+
+
 class TestCli:
     @pytest.mark.parametrize("path", SCENARIOS, ids=lambda p: p.stem)
     def test_validate_ok(self, path, capsys):
@@ -599,6 +589,12 @@ class TestCli:
 
     def test_plan_without_arguments_fails(self, capsys):
         assert main(["plan"]) == 2
+
+    @pytest.mark.parametrize("option,value,message", PLAN_FAULTS,
+                             ids=[f"{option}={value}" for option, value, _ in PLAN_FAULTS])
+    def test_plan_rejects_bad_numbers(self, option, value, message, capsys):
+        assert main(["plan", option, value]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_sweep_command(self, tmp_path, capsys):
         out_dir = tmp_path / "sweep"

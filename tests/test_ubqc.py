@@ -53,7 +53,8 @@ class TestRsp:
             m, amps = rsp_collapse(1.0, theta8, rng)
             server = qcore.PureState(amps)
             assert m in (0, 1)
-            target = qcore.equatorial_state(-theta8 * math.pi / 4 + m * math.pi)
+            phase = np.exp(1j * (-theta8 * math.pi / 4 + m * math.pi))
+            target = qcore.PureState(np.array([1.0, phase]) / math.sqrt(2.0))
             assert qcore.state_fidelity(server, target) == pytest.approx(1.0)
 
     def test_outcome_is_fair(self):
@@ -84,10 +85,6 @@ class _Draws:
 FORCE = (0.0, float(np.nextafter(1.0, 0.0)))
 
 
-def _eq_basis(eighths):
-    return qcore.MeasurementBasis.equatorial(eighths * math.pi / 4)
-
-
 def _p_zero(amps, eighths):
     """P(0) of an equatorial measurement of qubit 0, from the explicit bra."""
     bra = np.array([1.0, np.exp(-1j * eighths * math.pi / 4)]) / math.sqrt(2.0)
@@ -95,34 +92,35 @@ def _p_zero(amps, eighths):
     return float(np.vdot(kept, kept).real)
 
 
+def _reference_measure(amps, eighths, u):
+    """The outcome a draw u picks, and what is left, from tests/oracles.py."""
+    amps = np.asarray(amps, dtype=complex)
+    n = amps.size.bit_length() - 1
+    theta = eighths * math.pi / 4
+    outcome = int(u >= oracles._project_eq(amps, 0, theta, 0, n)[0])
+    return outcome, oracles._project_eq(amps, 0, theta, outcome, n)[1]
+
+
 def _random_qubit(rng):
     amps = rng.normal(size=2) + 1j * rng.normal(size=2)
     return tuple(complex(a) for a in amps / np.linalg.norm(amps))
 
 
-def _oracle_push(reg, qubit):
-    """The qcore circuit for push: tensor, then CZ as H, CNOT, H."""
-    out = reg.tensor(qcore.PureState(qubit))
-    for gate, targets in (("H", (1,)), ("CNOT", (0, 1)), ("H", (1,))):
-        out = qcore.oracle_apply(out, gate, targets)
-    return out
-
-
 class TestServerKernel:
-    """The complex-amplitude server register against the qcore oracle."""
+    """The complex-amplitude server register against the circuits of tests/oracles.py."""
 
     @pytest.mark.parametrize("label", [(0, 0), (0, 1), (1, 0), (1, 1)])
     def test_rsp_matches_oracle_measurement(self, label):
         # At w = 0 every Bell label has weight 1/4; this draw picks ``label``.
         u_label = 0.125 + 0.25 * (2 * label[0] + label[1])
-        shared = qcore.bell_state(*label)
+        shared = oracles.bell_vec(*label)
         for theta8 in range(GRID):
-            p0 = _p_zero(shared.amplitudes, theta8)
+            p0 = _p_zero(shared, theta8)
             for want, u in enumerate(FORCE):
                 m, amps = rsp_collapse(0.0, theta8, _Draws(u_label, u))
-                ref_m, ref = qcore.oracle_measure(shared, 0, _eq_basis(theta8), _Draws(u))
+                ref_m, ref = _reference_measure(shared, theta8, u)
                 assert m == ref_m == want
-                np.testing.assert_allclose(amps, ref.amplitudes, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(amps, ref, rtol=0, atol=1e-12)
             for u, want in ((p0 - 1e-12, 0), (p0 + 1e-12, 1)):
                 assert rsp_collapse(0.0, theta8, _Draws(u_label, u))[0] == want
 
@@ -130,32 +128,32 @@ class TestServerKernel:
     def test_push_and_measure_match_oracle_circuit(self, seed):
         rng = np.random.default_rng(seed)
         front, back = _random_qubit(rng), _random_qubit(rng)
-        linked = _oracle_push(qcore.PureState(front), back)
+        # CZ as H, CNOT, H on the pushed qubit
+        linked = oracles.apply_cz(np.kron(front, back), 0, 1, 2)
         shot = _ServerShot(True, _Draws())
         shot.push(front)
         shot.push(back)
-        np.testing.assert_allclose(shot.reg, linked.amplitudes, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(shot.reg, linked, rtol=0, atol=1e-12)
         # A pushed register, and any normalized two-qubit register.
         entangled = rng.normal(size=4) + 1j * rng.normal(size=4)
-        entangled = qcore.PureState(entangled / np.linalg.norm(entangled))
+        entangled /= np.linalg.norm(entangled)
         for reg in (linked, entangled):
             for delta8 in range(GRID):
-                p0 = _p_zero(reg.amplitudes, delta8)
+                p0 = _p_zero(reg, delta8)
                 for u in (*FORCE, p0 - 1e-12, p0 + 1e-12):
                     shot = _ServerShot(True, _Draws(u))
-                    shot.reg = tuple(reg.amplitudes)
-                    ref_s, ref = qcore.oracle_measure(reg, 0, _eq_basis(delta8), _Draws(u))
+                    shot.reg = tuple(reg)
+                    ref_s, ref = _reference_measure(reg, delta8, u)
                     assert shot.measure_front(delta8) == ref_s == int(u >= p0)
-                    np.testing.assert_allclose(shot.reg, ref.amplitudes, rtol=0, atol=1e-12)
+                    np.testing.assert_allclose(shot.reg, ref, rtol=0, atol=1e-12)
                     # The qubit left behind is measured alone and leaves no qubit.
                     last8 = (delta8 + 3) % GRID
-                    p_last = _p_zero(ref.amplitudes, last8)
+                    p_last = _p_zero(ref, last8)
                     for draw in (*FORCE, p_last - 1e-12, p_last + 1e-12):
                         shot.rng = _Draws(draw)
-                        shot.reg = tuple(ref.amplitudes)
-                        ref_last, _ = qcore.oracle_measure(ref, 0, _eq_basis(last8),
-                                                           _Draws(draw))
-                        assert shot.measure_front(last8) == ref_last
+                        shot.reg = tuple(ref)
+                        assert shot.measure_front(last8) == _reference_measure(
+                            ref, last8, draw)[0]
                         assert shot.reg == ()
 
     def test_guards_raise_like_the_oracle(self):
@@ -169,12 +167,12 @@ class TestServerKernel:
                 qcore.PureState(bad)
         # |-> measured along X has P(0) = 0; a draw below it picks that branch.
         minus = (s + 0j, -s + 0j)
+        assert oracles._project_eq(np.array(minus), 0, 0.0, 0, 1)[0] == pytest.approx(
+            0.0, abs=1e-15)
         shot = _ServerShot(True, _Draws(-1.0))
         shot.push(minus)
         with pytest.raises(ValueError, match="zero-probability"):
             shot.measure_front(0)
-        with pytest.raises(ValueError, match="zero-probability"):
-            qcore.oracle_measure(qcore.PureState(minus), 0, _eq_basis(0), _Draws(-1.0))
         shot = _ServerShot(True, _Draws())
         shot.push(minus)
         shot.push(minus)
