@@ -14,6 +14,7 @@ every node's draws independent of scheduling jitter elsewhere.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import heapq
 import json
@@ -181,6 +182,28 @@ class Metrics:
         return rows
 
 
+@functools.cache
+def _key_seed() -> type:
+    """A seed sequence whose state is the key given; built at the first stream,
+    as it imports numpy.random."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class KeySeed(ISeedSequence):
+        def __init__(self, key: np.ndarray) -> None:
+            self.key = key
+
+        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+            return self.key  # Philox asks for its two 64-bit key words
+
+    return KeySeed
+
+
+def _philox(key: np.ndarray) -> np.random.Generator:
+    """Generator(Philox(key=key)), to the state, minus the SeedSequence that
+    Philox(key=key) builds from OS entropy and then ignores."""
+    return np.random.Generator(np.random.Philox(_key_seed()(key)))
+
+
 _MAX_BLOCK = 256
 _RANDOM = "random"  # the run of scalar random() draws; integers runs are (low, high)
 _F64, _I64 = np.float64, np.int64
@@ -212,7 +235,7 @@ class RngStream:
     def __init__(self, key: np.ndarray) -> None:
         self._key = key
         self._fresh = True  # _gen has not moved since it was built from _key
-        self._gen = np.random.Generator(np.random.Philox(key=key))
+        self._gen = _philox(key)
 
     def random(self, size=None, dtype=_F64, out=None):
         if size is None and dtype is _F64 and out is None:
@@ -267,7 +290,7 @@ class RngStream:
         if run is not None:
             served = self._drawn - len(self._block)
             if self._origin is None:
-                gen = self._gen = np.random.Generator(np.random.Philox(key=self._key))
+                gen = self._gen = _philox(self._key)
             else:
                 gen = self._gen
                 gen.bit_generator.state = self._origin

@@ -27,6 +27,7 @@ from .engine import EventKind, Simulator
 from .errors import CoverageError, PermanentLossError, ProtocolError, ResourceError
 from .netmodel import (
     BS_KINDS,
+    ClassicalLinkSpec,
     NodeKind,
     QuantumLinkSpec,
     Topology,
@@ -203,11 +204,11 @@ class ResourceLedger:
     """Lifecycle and memory-slot accounting for every entangled resource."""
 
     def __init__(self, topo: Topology):
-        self.topo = topo
         self.resources: dict[str, WernerPair | GhzResource] = {}
         self.state: dict[str, str] = {}
         self.reason: dict[str, str] = {}
-        self._slots_used: dict[str, int] = {}
+        self._free = {node_id: node.memory_slots  # free memory slots per node
+                      for node_id, node in topo.nodes.items()}
         self._counter = 0
 
     def new_id(self) -> str:
@@ -215,10 +216,14 @@ class ResourceLedger:
         return f"p{self._counter:06d}"
 
     def slots_free(self, node_id: str) -> int:
-        return self.topo.nodes[node_id].memory_slots - self._slots_used.get(node_id, 0)
+        return self._free[node_id]
 
     def can_store(self, holders: Iterable[str]) -> bool:
-        return all(self.slots_free(h) >= 1 for h in holders)
+        free = self._free
+        for h in holders:
+            if free[h] < 1:
+                return False
+        return True
 
     def register(self, resource: WernerPair | GhzResource) -> None:
         if resource.id in self.resources:
@@ -226,7 +231,7 @@ class ResourceLedger:
         if not self.can_store(resource.holders):
             raise ResourceError(f"no free memory slot for {resource.id} at {resource.holders}")
         for h in resource.holders:
-            self._slots_used[h] = self._slots_used.get(h, 0) + 1
+            self._free[h] -= 1
         self.resources[resource.id] = resource
         self.state[resource.id] = "live"
 
@@ -246,7 +251,7 @@ class ResourceLedger:
         self.state[resource_id] = terminal
         self.reason[resource_id] = reason
         for h in res.holders:
-            self._slots_used[h] -= 1
+            self._free[h] += 1
         return res
 
     def live_ids(self) -> list[str]:
@@ -278,6 +283,35 @@ class _Segment(NamedTuple):
     w: float
 
 
+class _Hop:
+    """A classical link as its sender uses it, resolved once per run (Stack._hop)."""
+
+    __slots__ = ("src", "link", "ends", "route", "rng")
+
+    def __init__(self, src: str, link: ClassicalLinkSpec, ends: tuple[QueContext, ...],
+                 route: str):
+        self.src, self.link, self.ends, self.route = src, link, ends, route
+        self.rng = None  # src's classical stream, fetched at the first draw
+
+
+class _Holders(NamedTuple):
+    """What a resource's holders tuple fixes for a run (Stack._holder)."""
+
+    t_coh: float  # effective_t_coh(holders)
+    ues: tuple[QueContext, ...]  # the UE holders' contexts, in holder order
+    created: tuple[str, ...]  # their pairs_created.<ue> metric names
+
+
+class _Plan(NamedTuple):
+    """A session's chain, the segments it heralds and what they fix (Stack._plan)."""
+
+    chain: Optional[tuple[str, ...]]  # None: no delivery chain
+    segments: Optional[tuple[_Segment, ...]] = None  # None: a quantum link is missing
+    setup: tuple[str, ...] = ()  # the chain's stations, which the request crosses
+    period: float = 0.0  # the slowest leg's attempt period
+    w_max: float = 0.0  # the product of every leg's w0 (see entanglement_session)
+
+
 class Stack:
     """Protocol engine tying the topology, the event kernel, and the ledger."""
 
@@ -292,6 +326,11 @@ class Stack:
             if node.kind in UE_KINDS
         }
         self._payload_counter = 0
+        # Per-run lookups by name, each resolved at its first use: the UE
+        # contexts they hold belong to this run.
+        self._hops: dict[tuple[str, str], Optional[_Hop]] = {}
+        self._holders: dict[tuple[str, ...], _Holders] = {}
+        self._plans: dict[tuple, _Plan] = {}
 
     # ------------------------------------------------------------------
     # State machine
@@ -302,6 +341,9 @@ class Stack:
         if ctx is None:
             raise ProtocolError(f"{node_id} is not user equipment")
         return ctx
+
+    def _ue_contexts(self, node_ids: Iterable[str]) -> tuple[QueContext, ...]:
+        return tuple(self.ues[n] for n in node_ids if n in self.ues)
 
     def _set_state(self, ctx: QueContext, new_state: QueState, reason: str) -> None:
         if new_state == ctx.state:
@@ -315,7 +357,7 @@ class Stack:
         records.state_transition(self.sim.trace, self.sim.now, ctx.node_id,
                                  frm=old.value, to=new_state.value, reason=reason)
         if new_state == QueState.CONNECTED:
-            self._touch_activity(self.sim.now, ctx.node_id)
+            ctx.last_activity = max(ctx.last_activity, self.sim.now)
             if not ctx.timer_queued:
                 self._arm_inactivity(ctx, self.defaults.inactivity_timeout_s)
 
@@ -333,16 +375,8 @@ class Stack:
         else:
             self._arm_inactivity(ctx, remaining)
 
-    def _touch_activity(self, t: float, *node_ids: str) -> None:
-        """Count t as activity for the UEs among node_ids; t may lie ahead."""
-        for node_id in node_ids:
-            ctx = self.ues.get(node_id)
-            if ctx is not None:
-                ctx.last_activity = max(ctx.last_activity, t)
-
-    def _maybe_exit_entangled(self, node_id: str) -> None:
-        ctx = self.ues.get(node_id)
-        if ctx is not None and ctx.state == QueState.ENTANGLED and not ctx.stored:
+    def _maybe_exit_entangled(self, ctx: QueContext) -> None:
+        if ctx.state == QueState.ENTANGLED and not ctx.stored:
             self._set_state(ctx, QueState.CONNECTED, "resources-exhausted")
 
     # ------------------------------------------------------------------
@@ -353,6 +387,22 @@ class Stack:
         """Size of a message of this kind, from the scenario's defaults."""
         return float(self.defaults.message_bits.get(msg_kind, 256.0))
 
+    def _hop(self, src: str, dst: str) -> Optional[_Hop]:
+        """The src-dst classical link with its UE ends, for src to send on; None if none."""
+        try:
+            return self._hops[src, dst]
+        except KeyError:
+            link = self.topo.classical_link(src, dst)
+            hop = self._hops[src, dst] = None if link is None else _Hop(
+                src, link, self._ue_contexts((src, dst)), f"{src}+{dst}")
+            return hop
+
+    def _send(self, hop: _Hop, bits: float) -> tuple[bool, float]:
+        """classical_send over hop: the one loss draw, from the sender's classical stream."""
+        if hop.rng is None:
+            hop.rng = self.sim.rng_stream(hop.src, "classical")
+        return classical_send(hop.link, bits, hop.rng)
+
     def transmit(self, src: str, dst: str, msg_kind: str,
                  bits: Optional[float] = None) -> tuple[bool, float]:
         """One transmission over the direct src-dst link: (delivered, latency).
@@ -361,12 +411,10 @@ class Stack:
         event and no trace record: the caller decides what a loss means and
         when the latency elapses.
         """
-        link = self.topo.classical_link(src, dst)
-        if link is None:
+        hop = self._hop(src, dst)
+        if hop is None:
             raise ProtocolError(f"no classical link {src}-{dst}")
-        if bits is None:
-            bits = self.bits(msg_kind)
-        return classical_send(link, bits, self.sim.rng_stream(src, "classical"))
+        return self._send(hop, self.bits(msg_kind) if bits is None else bits)
 
     def send_message(self, route: Sequence[str], msg_kind: str,
                      bits: Optional[float] = None):
@@ -384,17 +432,20 @@ class Stack:
         """
         if len(route) < 2:
             return True
+        if bits is None:
+            bits = self.bits(msg_kind)
         t0 = self.sim.now
         latency, tx, reason = 0.0, 0, ""
         for src, dst in zip(route, route[1:]):
-            if self.topo.classical_link(src, dst) is None:
+            hop = self._hop(src, dst)
+            if hop is None:
                 reason = "no-link"
                 break
             for _ in range(self.defaults.retry_cap):
                 if not self.topo.classical_reachable(src, dst, t0 + latency):
                     reason = "no-coverage"
                     break
-                delivered, hop_latency = self.transmit(src, dst, msg_kind, bits)
+                delivered, hop_latency = self._send(hop, bits)
                 latency += hop_latency
                 tx += 1
                 if delivered:
@@ -403,14 +454,16 @@ class Stack:
                 reason = "retries"
             if reason:
                 break
-            self._touch_activity(t0 + latency, src, dst)
+            for ctx in hop.ends:
+                ctx.last_activity = max(ctx.last_activity, t0 + latency)
         if tx:
             yield (latency, EventKind.MESSAGE_DELIVERY)
+        joined = hop.route if hop is not None and len(route) == 2 else "+".join(route)
         if reason:
-            records.msg_failed(self.sim.trace, self.sim.now, route[0], route="+".join(route),
+            records.msg_failed(self.sim.trace, self.sim.now, route[0], route=joined,
                                msg=msg_kind, tx=tx, failed_at=src, reason=reason)
         else:
-            records.msg(self.sim.trace, self.sim.now, route[0], route="+".join(route),
+            records.msg(self.sim.trace, self.sim.now, route[0], route=joined,
                         msg=msg_kind, tx=tx)
         return not reason
 
@@ -433,7 +486,7 @@ class Stack:
 
     def classical_route(self, src: str, dst: str) -> Optional[list[str]]:
         """Hop list src..dst: the direct link if present, else over the backbone."""
-        if self.topo.classical_link(src, dst) is not None:
+        if self._hop(src, dst) is not None:
             return [src, dst]
         return self._anchored(src, dst, self.topo.bs_route)
 
@@ -517,8 +570,18 @@ class Stack:
         rate = sum(1.0 / self.topo.nodes[h].t_coh_s for h in holders)
         return 1.0 / rate
 
+    def _holder(self, holders: tuple[str, ...]) -> _Holders:
+        """The per-run constants of a resource held by holders."""
+        entry = self._holders.get(holders)
+        if entry is None:
+            ues = self._ue_contexts(holders)
+            entry = self._holders[holders] = _Holders(
+                self.effective_t_coh(holders), ues,
+                tuple(f"pairs_created.{ctx.node_id}" for ctx in ues))
+        return entry
+
     def age_pair(self, pair: WernerPair | GhzResource) -> float:
-        return qcore.touch(pair, self.sim.now, self.effective_t_coh(pair.holders))
+        return qcore.touch(pair, self.sim.now, self._holder(pair.holders).t_coh)
 
     # ------------------------------------------------------------------
     # Resource creation and consumption
@@ -551,28 +614,25 @@ class Stack:
             return None
         return seg.w
 
-    def _register_pair(self, holders: tuple[str, str], w: float, link_note: str) -> WernerPair:
+    def _register_pair(self, seg: _Segment, w: float) -> WernerPair:
+        """The pair seg heralded with w: registered, counted and recorded via seg.via."""
         t = self.sim.now
-        pair = WernerPair(id=self.ledger.new_id(), holders=holders, w=w,
+        pair = WernerPair(id=self.ledger.new_id(), holders=seg.holders, w=w,
                           created_at=t, last_touched=t)
         self.ledger.register(pair)
         self.sim.metrics.incr("pairs_created")
-        for h in pair.holders:
-            if self.topo.nodes[h].kind in UE_KINDS:
-                self.sim.metrics.incr(f"pairs_created.{h}")
-        records.pair_created(self.sim.trace, self.sim.now, pair.holders[0], id=pair.id,
-                             holders="+".join(pair.holders), w=round(pair.w, 9),
-                             via=link_note)
+        for name in self._holder(seg.holders).created:
+            self.sim.metrics.incr(name)
+        records.pair_created(self.sim.trace, t, seg.holders[0], id=pair.id,
+                             holders="+".join(seg.holders), w=round(w, 9), via=seg.via)
         return pair
 
     def _hand_over(self, resource: WernerPair | GhzResource) -> None:
         """Store the resource at each UE holder; a Connected holder turns Entangled."""
-        for h in resource.holders:
-            ctx = self.ues.get(h)
-            if ctx is not None:
-                ctx.stored.add(resource.id)
-                if ctx.state == QueState.CONNECTED:
-                    self._set_state(ctx, QueState.ENTANGLED, "session-delivered")
+        for ctx in self._holder(resource.holders).ues:
+            ctx.stored.add(resource.id)
+            if ctx.state == QueState.CONNECTED:
+                self._set_state(ctx, QueState.ENTANGLED, "session-delivered")
 
     def _retire(self, resource_id: str, terminal: str,
                 reason: str) -> WernerPair | GhzResource:
@@ -582,23 +642,21 @@ class Stack:
         """
         res = self.ledger.finish(resource_id, terminal, reason)
         self.sim.metrics.incr(f"pairs_{terminal}")
-        for h in res.holders:
-            ctx = self.ues.get(h)
-            if ctx is not None:
-                ctx.stored.discard(resource_id)
+        for ctx in self._holder(res.holders).ues:
+            ctx.stored.discard(resource_id)
         return res
 
     def discard_pair(self, resource_id: str, reason: str) -> None:
         res = self._retire(resource_id, "discarded", reason)
         records.pair_discarded(self.sim.trace, self.sim.now, res.holders[0], id=resource_id,
                                reason=reason)
+        ues = self._holder(res.holders).ues
         if reason == "below-threshold":
             self.sim.metrics.incr("pairs_discarded_below_threshold")
-            for h in res.holders:
-                if self.topo.nodes[h].kind in UE_KINDS:
-                    self.sim.metrics.incr(f"pairs_discarded_below_threshold.{h}")
-        for h in res.holders:
-            self._maybe_exit_entangled(h)
+            for ctx in ues:
+                self.sim.metrics.incr(f"pairs_discarded_below_threshold.{ctx.node_id}")
+        for ctx in ues:
+            self._maybe_exit_entangled(ctx)
 
     def _corrected(self, pair: WernerPair) -> bool:
         """Whether the pair's correction has arrived, within 1e-12 s."""
@@ -609,22 +667,20 @@ class Stack:
         res = self.ledger.live(resource_id)
         if isinstance(res, WernerPair) and not self._corrected(res):
             raise ResourceError(f"pair {res.id} is not usable before its correction arrives")
-        holder_states = []
-        for h in res.holders:
-            ctx = self.ues.get(h)
-            if ctx is not None:
-                holder_states.append(f"{h}:{ctx.state.value}")
-                if ctx.state != QueState.ENTANGLED:
-                    raise ProtocolError(
-                        f"cannot consume {res.id}: holder {h} is {ctx.state.value}")
+        ues = self._holder(res.holders).ues
+        for ctx in ues:
+            if ctx.state != QueState.ENTANGLED:
+                raise ProtocolError(
+                    f"cannot consume {res.id}: holder {ctx.node_id} is {ctx.state.value}")
+        holder_states = "+".join([f"{ctx.node_id}:{ctx.state.value}" for ctx in ues])
         if isinstance(res, WernerPair):
             self.age_pair(res)
             self.sim.metrics.observe("fidelity_at_consumption", fidelity_of(res.w))
         self._retire(resource_id, "consumed", purpose)
         records.pair_consumed(self.sim.trace, self.sim.now, res.holders[0], id=resource_id,
-                              purpose=purpose, holder_states="+".join(holder_states) or "bs-only")
-        for h in res.holders:
-            self._maybe_exit_entangled(h)
+                              purpose=purpose, holder_states=holder_states or "bs-only")
+        for ctx in ues:
+            self._maybe_exit_entangled(ctx)
         return res
 
     def measure_stored_pair(self, pair_id: str, basis_a: qcore.MeasurementBasis,
@@ -722,8 +778,8 @@ class Stack:
         """Delivery chain [requester, bs..., target] over repeater edges; None when unservable."""
         return self._anchored(requester, target, self.topo.repeater_path)
 
-    def _session_plan(self, chain: list[str]) -> Optional[list[_Segment]]:
-        """The segments a session heralds; None when a quantum link is missing.
+    def _session_plan(self, chain: Sequence[str]) -> _Plan:
+        """The segments a session heralds on chain; segments None when a quantum link is missing.
 
         Same-cell UE-to-UE delivery is one dual downlink from the shared
         station; any other chain is one segment per link, sourced at its
@@ -731,33 +787,66 @@ class Stack:
         """
         links = [self.topo.quantum_link(a, b) for a, b in zip(chain, chain[1:])]
         if None in links:
-            return None
+            return _Plan(tuple(chain))
         kinds = [self.topo.nodes[n].kind for n in chain]
         if len(chain) == 3 and kinds[1] in BS_KINDS and kinds[2] in UE_KINDS:
-            return [self._segment(chain[1], links, (chain[0], chain[2]), f"src:{chain[1]}")]
-        via = "direct" if len(links) == 1 else "segment"
-        return [self._segment(a if kind in BS_KINDS else b, (link,), (a, b), via)
-                for a, b, kind, link in zip(chain, chain[1:], kinds, links)]
+            segments = (self._segment(chain[1], links, (chain[0], chain[2]), f"src:{chain[1]}"),)
+        else:
+            via = "direct" if len(links) == 1 else "segment"
+            segments = tuple(self._segment(a if kind in BS_KINDS else b, (link,), (a, b), via)
+                             for a, b, kind, link in zip(chain, chain[1:], kinds, links))
+        return _Plan(tuple(chain), segments,
+                     tuple(n for n, kind in zip(chain, kinds) if kind in BS_KINDS),
+                     max(link.attempt_period_s for link in links),
+                     math.prod(seg.w for seg in segments))
 
-    def _attempt_loop(self, period: float, deadline: float, holders: Sequence[str],
-                      attempt: Callable[[], object]):
-        """Generator: call attempt() once per slot; its first non-None result, or None.
+    def _plan(self, requester: str, target: str, bs_a: str,
+              target_ctx: Optional[QueContext]) -> _Plan:
+        """_session_chain and _session_plan, once per run for these ends and stations.
 
-        A slot lasts min(period, deadline - now), so the last one ends at the
-        deadline, and no attempt is made once now >= deadline.  Every slot
-        counts as activity for the UEs among holders.  An exception from
-        attempt() ends the loop and reaches the caller.
+        Both depend only on the two ends, the stations serving them and the
+        static graphs, so the serving stations are part of the key.
         """
-        while self.sim.now < deadline:
+        key = (requester, target, bs_a, None if target_ctx is None else target_ctx.serving_bs)
+        plan = self._plans.get(key)
+        if plan is None:
+            chain = self._session_chain(requester, target)
+            plan = self._plans[key] = _Plan(None) if chain is None else self._session_plan(chain)
+        return plan
+
+    def _attempt_loop(self, period: float, deadline: float, plan: Sequence[_Segment],
+                      held: dict, on_herald: Callable[[_Segment, float], object]):
+        """Generator: herald plan's segments by deadline; (slots run, CoverageError or None).
+
+        The one herald loop, of sessions, GHZ resources and bridges.  A slot
+        lasts min(period, deadline - now), so the last one ends at the
+        deadline, and no attempt is made once now >= deadline.  Each slot is
+        activity for the UEs among the holders, then calls _herald once per
+        segment missing from held, in plan order; segment i heralding w sets
+        held[i] = on_herald(segment, w).  The caller's held keeps what was
+        heralded when the loop ends at the deadline or on a CoverageError,
+        which is returned so that the slot count survives it.
+        """
+        served = [ctx for seg in plan for ctx in self._holder(seg.holders).ues]
+        slots = 0
+        while len(held) < len(plan) and self.sim.now < deadline:
             yield (min(period, max(deadline - self.sim.now, 1e-12)),
                    EventKind.ENTANGLEMENT_ATTEMPT)
-            if self.sim.now >= deadline:
+            now = self.sim.now
+            if now >= deadline:
                 break
-            self._touch_activity(self.sim.now, *holders)
-            result = attempt()
-            if result is not None:
-                return result
-        return None
+            slots += 1
+            for ctx in served:
+                ctx.last_activity = max(ctx.last_activity, now)
+            for i, seg in enumerate(plan):
+                if i not in held:
+                    try:
+                        w = self._herald(seg)
+                    except CoverageError as lost:
+                        return slots, lost
+                    if w is not None:
+                        held[i] = on_herald(seg, w)
+        return slots, None
 
     def entanglement_session(self, request: EntanglementRequest):
         """Generator returning a SessionResult.
@@ -791,10 +880,9 @@ class Stack:
         bs_a = ctx.serving_bs
         if bs_a is None or self.topo.nodes[bs_a].kind not in (NodeKind.QBS, NodeKind.SAT_QBS):
             return reject("serving-bs-not-quantum")
-        chain = self._session_chain(requester, target)
+        chain, plan, setup, period, w_max = self._plan(requester, target, bs_a, target_ctx)
         if chain is None:
             return reject("no-delivery-chain")
-        plan = self._session_plan(chain)
         if plan is None:
             return reject("missing-quantum-link")
         if not self.topo.in_quantum_coverage(requester, bs_a, self.sim.now):
@@ -802,7 +890,6 @@ class Stack:
         # A herald delivers the product of its legs' w0, a swap multiplies
         # its inputs' w and storage only lowers it: no pair of this chain
         # can beat the product over every leg.
-        w_max = math.prod(seg.w for seg in plan)
         if not _meets_fidelity(w_max, request.min_fidelity):
             return reject("fidelity-unreachable")
 
@@ -811,58 +898,44 @@ class Stack:
         ok = yield from self.send_message((requester, bs_a), "request")
         if not ok:
             return reject("request-undeliverable")
-        ok = yield from self.send_message(
-            [n for n in chain if self.topo.nodes[n].kind in BS_KINDS], "request")
+        ok = yield from self.send_message(setup, "request")
         if not ok:
             return reject("setup-undeliverable")
 
-        period = max(link.attempt_period_s for seg in plan for link in seg.legs)
         deadline = t_start + request.max_latency_s
-        # Every attempt slot counts as activity for every UE the session serves.
-        served = [h for seg in plan for h in seg.holders if h in self.ues]
 
         survivors: list[WernerPair] = []
-        segments: dict[int, WernerPair] = {}
+        held: dict[int, WernerPair] = {}  # segment pairs by plan index
         attempts = 0
         discarded_below = 0
         aborted = ""
-
-        def slot() -> Optional[bool]:
-            """One heralding attempt per missing segment; True once all are held."""
-            nonlocal attempts
-            attempts += 1
-            for i, seg in enumerate(plan):
-                if i not in segments:
-                    w = self._herald(seg)
-                    if w is not None:
-                        segments[i] = self._register_pair(seg.holders, w, seg.via)
-            return True if len(segments) == len(plan) else None
 
         # The first pass, then at most one regeneration round that keeps the
         # survivors of the first screen and generates against the same deadline.
         for _ in range(2):
             delivered = survivors
-            try:
-                while len(delivered) < request.count:
-                    held = yield from self._attempt_loop(period, deadline, served, slot)
-                    if held is None:
-                        break
-                    pair_id = yield from self._swap_chain(
-                        [segments.pop(i).id for i in range(len(plan))], chain)
-                    if pair_id is not None:
-                        delivered.append(self.ledger.resources[pair_id])
-            except CoverageError as err:
-                aborted = "coverage-lost"
-                records.session_coverage_lost(self.sim.trace, self.sim.now, requester,
-                                              detail=str(err))
+            while len(delivered) < request.count:
+                slots, lost = yield from self._attempt_loop(period, deadline, plan, held,
+                                                            self._register_pair)
+                attempts += slots
+                if lost is not None:
+                    aborted = "coverage-lost"
+                    records.session_coverage_lost(self.sim.trace, self.sim.now, requester,
+                                                  detail=str(lost))
+                if len(held) < len(plan):
+                    break
+                pair_id = yield from self._swap_chain(
+                    [held.pop(i).id for i in range(len(plan))], chain)
+                if pair_id is not None:
+                    delivered.append(self.ledger.resources[pair_id])
 
             # Step 3: ACK, then the freshness screen at ACK time.
             yield from self.send_message((requester, bs_a), "ack")
             survivors = list(self._screen(delivered, request.min_fidelity))
             discarded_below += len(delivered) - len(survivors)
-            for leftover in segments.values():
+            for leftover in held.values():
                 self.discard_pair(leftover.id, "segment-unused")
-            segments.clear()
+            held.clear()
             if aborted or len(survivors) >= request.count or self.sim.now >= deadline:
                 break
 
@@ -923,23 +996,24 @@ class Stack:
                 raise ProtocolError(f"no quantum link {bs_id}-{h}")
             legs.append(link)
         period = max(l.attempt_period_s for l in legs)
-        herald = partial(self._herald, self._segment(bs_id, legs, holders))
-        try:
-            w = yield from self._attempt_loop(period, self.sim.now + max_latency_s, holders,
-                                              herald)
-        except CoverageError as err:
-            records.ghz_coverage_lost(self.sim.trace, self.sim.now, bs_id, detail=str(err))
-            return None
-        if w is None:
-            return None
-        ghz = GhzResource(id=self.ledger.new_id(), holders=holders, w=w,
+        held: dict[int, GhzResource] = {}
+        _, lost = yield from self._attempt_loop(
+            period, self.sim.now + max_latency_s, (self._segment(bs_id, legs, holders),),
+            held, self._register_ghz)
+        if lost is not None:
+            records.ghz_coverage_lost(self.sim.trace, self.sim.now, bs_id, detail=str(lost))
+        return held[0].id if held else None
+
+    def _register_ghz(self, seg: _Segment, w: float) -> GhzResource:
+        """The GHZ resource seg heralded with w, handed over to its holders."""
+        ghz = GhzResource(id=self.ledger.new_id(), holders=seg.holders, w=w,
                           created_at=self.sim.now)
         self.ledger.register(ghz)
         self._hand_over(ghz)
         self.sim.metrics.incr("ghz_created")
-        records.ghz_created(self.sim.trace, self.sim.now, bs_id, id=ghz.id,
-                            holders="+".join(holders), w=round(w, 9))
-        return ghz.id
+        records.ghz_created(self.sim.trace, self.sim.now, seg.source, id=ghz.id,
+                            holders="+".join(seg.holders), w=round(w, 9))
+        return ghz
 
     # ------------------------------------------------------------------
     # Teleportation
@@ -1060,13 +1134,10 @@ class Stack:
             for _ in range(bridges):
                 if not list(self._screen(self._buffered(ue_id, bs_old), f_min)):
                     break
-                try:
-                    bridge = yield from self._bridge(bs_old, bs_new, bridge_link, deadline)
-                except CoverageError as err:
-                    bridge, failure = None, str(err)
-                else:
-                    failure = f"no bridge heralded within {HANDOVER_BUDGET_S} s"
+                bridge, lost = yield from self._bridge(bs_old, bs_new, bridge_link, deadline)
                 if bridge is None:
+                    failure = (f"no bridge heralded within {HANDOVER_BUDGET_S} s"
+                               if lost is None else str(lost))
                     records.warn_bridge_failed(self.sim.trace, self.sim.now, ue_id,
                                                bs_old=bs_old, bs_new=bs_new, detail=failure,
                                                pairs=len(self._buffered(ue_id, bs_old)))
@@ -1109,17 +1180,18 @@ class Stack:
         )
 
     def _bridge(self, bs_old: str, bs_new: str, link: QuantumLinkSpec, deadline: float):
-        """Generator: herald one bs_old-bs_new bridge pair by deadline; None if none.
+        """Generator: herald one bs_old-bs_new bridge pair by deadline.
 
-        The slots are those of _attempt_loop; the pair is held by two
-        stations, so they touch no UE's activity.  CoverageError reaches
-        the caller.
+        Returns (pair or None, the CoverageError that ended the loop or
+        None).  The slots are those of _attempt_loop; the pair is held by
+        two stations, so they touch no UE's activity.
         """
-        holders = (bs_old, bs_new)
-        w = yield from self._attempt_loop(
-            link.attempt_period_s, deadline, holders,
-            partial(self._herald, self._segment(bs_old, (link,), holders)))
-        return None if w is None else self._register_pair(holders, w, "bridge")
+        held: dict[int, WernerPair] = {}
+        _, lost = yield from self._attempt_loop(
+            link.attempt_period_s, deadline,
+            (self._segment(bs_old, (link,), (bs_old, bs_new), "bridge"),),
+            held, self._register_pair)
+        return held.get(0), lost
 
     # ------------------------------------------------------------------
     # Pair buffer and distribution policies

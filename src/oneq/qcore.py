@@ -70,19 +70,13 @@ def decay(w0: float, dt: float, t_coh: float) -> float:
 
 @dataclass(frozen=True)
 class MeasurementBasis:
-    """Z, X, or an equatorial basis {|0> + e^{i theta}|1>, |0> - e^{i theta}|1>}/sqrt(2)."""
+    """The Z or the X basis, the two a stored pair is measured in."""
 
-    kind: str  # "Z" | "X" | "EQ"
-    theta: float = 0.0
+    kind: str  # "Z" | "X"
 
     def __post_init__(self) -> None:
-        if self.kind not in ("Z", "X", "EQ"):
+        if self.kind not in ("Z", "X"):
             raise ValueError(f"unknown basis kind {self.kind!r}")
-        object.__setattr__(self, "theta", float(self.theta) % (2.0 * math.pi))
-
-    @staticmethod
-    def equatorial(theta: float) -> "MeasurementBasis":
-        return MeasurementBasis("EQ", theta)
 
 
 Z_BASIS = MeasurementBasis("Z")
@@ -183,9 +177,6 @@ def measure_pair(
     """
     if pair.measured:
         raise ResourceError(f"pair {pair.id} was already measured")
-    for basis in (basis_a, basis_b):
-        if basis.kind not in ("Z", "X"):
-            raise ValueError(f"measure_pair supports Z and X bases only, got {basis.kind}")
     pair.measured = True
     bit_a = int(rng.random() < 0.5)
     if basis_a.kind == basis_b.kind:

@@ -14,7 +14,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
-from oneq.engine import EventKind, Metrics, Simulator, Trace, _percentile, eval_timing
+from oneq.engine import (
+    EventKind, Metrics, RngStream, Simulator, Trace, _percentile, eval_timing,
+)
 
 
 class TestScheduling:
@@ -346,6 +348,22 @@ class TestStreamExactness:
             else:
                 assert _same(got, want), op
         assert repr(stream.bit_generator.state) == repr(plain.bit_generator.state)
+
+
+class TestKeySeededStreams:
+    """A stream is built from its key alone, as Philox(key=key) builds it."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(words=st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1)))
+    def test_state_and_first_draws_match_philox_with_the_key(self, words):
+        key = np.array(words, dtype="<u8")
+        assert repr(RngStream(key).bit_generator.state) == repr(np.random.Philox(key=key).state)
+        for draw in (lambda gen: gen.random(), lambda gen: gen.integers(0, 2)):
+            stream = RngStream(key)
+            plain = np.random.Generator(np.random.Philox(key=key))
+            assert [draw(stream) for _ in range(64)] == [draw(plain) for _ in range(64)]
+            # reading the state rebuilds the generator from the key and replays the draws
+            assert repr(stream.bit_generator.state) == repr(plain.bit_generator.state)
 
 
 class TestTraceAndMetrics:

@@ -2099,3 +2099,89 @@ class TestResourceExitProperties:
         assert ended == len(stack.ledger.state)
         assert set(stack.ledger.state.values()) <= {"consumed", "discarded", "expired"}
         assert all(ctx.stored == set() for ctx in stack.ues.values())
+
+
+class TestRunTables:
+    """The hop, holder and plan tables belong to one run and follow the stations."""
+
+    def test_stacks_on_one_topology_share_no_entry(self, make_stack):
+        topo = two_cell_topology()  # one topology, as a sweep's runs share it
+        stacks = []
+        for seed in (1, 2):
+            sim, stack = make_stack(topo, seed=seed)
+            for ue, bs in (("QUE1", "QBS1"), ("QUE2", "QBS2")):
+                _attach(stack, ue, bs)
+            res = drive(sim, stack.entanglement_session(_request(count=1)))
+            assert res.outcome == SessionOutcome.FULFILLED
+            stacks.append(stack)
+            if seed == 1:
+                first = [(ctx.last_activity, set(ctx.stored), ctx.state)
+                         for ctx in stack.ues.values()]
+        a, b = stacks
+        # the second run left the first run's UEs as they were
+        assert first == [(ctx.last_activity, set(ctx.stored), ctx.state)
+                         for ctx in a.ues.values()]
+        for stack in stacks:
+            held = [ctx for hop in stack._hops.values() if hop for ctx in hop.ends]
+            held += [ctx for entry in stack._holders.values() for ctx in entry.ues]
+            assert held and all(stack.ues[ctx.node_id] is ctx for ctx in held)
+            assert stack._plans
+        for table in ("_hops", "_holders", "_plans"):
+            ids_a = {id(entry) for entry in getattr(a, table).values()}
+            ids_b = {id(entry) for entry in getattr(b, table).values()}
+            assert not (ids_a & ids_b) - {id(None)}, table
+
+    @pytest.mark.parametrize("mode", [HandoverMode.HARD, HandoverMode.SOFT])
+    def test_next_session_after_a_handover_takes_the_fresh_chain(self, make_stack, mode):
+        sim, stack = make_stack(_handover_topology())
+        drive(sim, stack.register("QUE1", "QBS1"))
+        for _ in range(2):
+            res = drive(sim, stack.entanglement_session(
+                _request(peer="QBS1", count=1, max_latency_s=0.5)))
+            assert res.outcome == SessionOutcome.FULFILLED
+        assert drive(sim, stack.handover("QUE1", "QBS2", mode)).mode_used == mode
+        res = drive(sim, stack.entanglement_session(
+            _request(peer="QBS1", count=1, max_latency_s=0.5)))
+        assert res.outcome == SessionOutcome.FULFILLED
+        fresh = stack._session_chain("QUE1", "QBS1")
+        assert fresh == ["QUE1", "QBS2", "QBS1"]
+        chains = [r["details"]["chain"] for r in sim.trace if r["kind"] == "session-start"]
+        assert chains[:2] == ["QUE1+QBS1"] * 2 and chains[-1] == "+".join(fresh)
+
+    @pytest.mark.parametrize("mode", ["soft", "hard"])
+    def test_fixture_sessions_take_fresh_chains(self, monkeypatch, mode):
+        doc = json.loads(FIXTURE.read_text(encoding="utf-8"))
+        doc["ops"][0]["mode"] = mode  # QUE2 moves from QBS1 to QBS2 at 0.415 s
+        qkd = doc["apps"][2]  # QUE1 and QUE2 from 1.0 s; a copy runs before the handover
+        doc["apps"].append({**qkd, "id": "qkd_early", "start_s": 0.1})
+        plan, seen = Stack._plan, set()
+
+        def spy(stack, requester, target, bs_a, target_ctx):
+            got = plan(stack, requester, target, bs_a, target_ctx)
+            fresh = stack._session_chain(requester, target)
+            assert got.chain == (None if fresh is None else tuple(fresh))
+            seen.add((requester, target, bs_a, target_ctx and target_ctx.serving_bs))
+            return got
+
+        monkeypatch.setattr(Stack, "_plan", spy)
+        run_scenario(load_scenario(doc, strict=True)[0])
+        # QUE2's buffer is topped up from QBS1 before the handover, and QKD
+        # sessions reach QUE2 through QBS1 before it and through QBS2 after it
+        assert ("QUE2", "QBS1", "QBS1", None) in seen
+        assert {("QUE1", "QUE2", "QBS1", "QBS1"), ("QUE1", "QUE2", "QBS1", "QBS2")} <= seen
+
+    def test_ue_ends_of_a_routed_message_take_their_hop_arrival_times(self, make_stack):
+        topo, route = _route_case("ue-hops")  # lossless UE hops, lossy backbone
+        first_hop = topo.classical_link("QUEA", "QBS0").latency(64.0)
+        outcomes = set()
+        for seed in range(20):
+            sim, stack = make_stack(topo, seed=seed, defaults=Defaults(
+                inactivity_timeout_s=1e9, retry_cap=2))
+            ok = drive(sim, stack.send_message(route, "correction"))
+            delivered, _, _, _, t_ref = _replay_route(topo, seed, route, 64.0, retry_cap=2)
+            assert ok is delivered
+            assert stack.ue("QUEA").last_activity == first_hop
+            assert stack.ue("QUEB").last_activity == (
+                pytest.approx(t_ref, abs=1e-12) if delivered else 0.0)
+            outcomes.add(ok)
+        assert outcomes == {True, False}

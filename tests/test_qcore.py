@@ -86,10 +86,9 @@ class TestPairMeasurement:
             measure_pair(pair, Z_BASIS, Z_BASIS, rng)
 
     def test_rejects_equatorial_basis(self):
-        rng = np.random.default_rng(0)
-        pair = WernerPair(id="p", holders=("a", "b"), w=1.0, created_at=0.0)
+        # a pair is measured in Z or X only; no other basis can be built
         with pytest.raises(ValueError):
-            measure_pair(pair, MeasurementBasis.equatorial(0.3), Z_BASIS, rng)
+            MeasurementBasis("EQ")
 
     @pytest.mark.parametrize("w", [0.7, 1.0])
     def test_same_basis_disagreement_matches_born_rule(self, w):
