@@ -257,7 +257,7 @@ class QkdApp:
                                           "report", bits=float(result.sampled_bits))
         if not ok:
             result.outcome = "aborted-classical"
-            result.key_bits = 0
+            result.key_bits, result.alice_key, result.bob_key = 0, "", ""
 
     def _distill(self, alice_bits, bob_bits, match_flags, sift_rng) -> QkdResult:
         cfg = self.config

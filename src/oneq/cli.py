@@ -5,7 +5,9 @@ artifacts), sweep (one parameter, several values, replicated seeds), and
 plan (closed-form feasibility tables without running the simulator).
 validate prints loader warnings as "warning: ..." lines on stdout and run
 on stderr; sweep logs them through the oneq.runner logger, which Python
-writes to stderr while no logging is configured.
+writes to stderr while no logging is configured.  A scenario file that
+run or sweep cannot read, parse or validate prints one "error: ..." line
+per violation on stderr and exits 2.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Optional
 from . import analytic
 from .errors import OneQError, SchemaError
 from .runner import run_scenario, run_sweep, sweep_csv, write_artifacts
-from .scenario import load_scenario_file
+from .scenario import load_scenario_file, read_document
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -91,12 +93,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    try:
-        scenario, warnings = load_scenario_file(args.scenario, strict=args.strict)
-    except SchemaError as err:
-        for violation in err.violations:
-            print(f"error: {violation}", file=sys.stderr)
-        return 2
+    scenario, warnings = load_scenario_file(args.scenario, strict=args.strict)
     for warning in warnings:
         print(f"warning: {warning}", file=sys.stderr)
     artifacts = run_scenario(scenario, seed=args.seed, until=args.until)
@@ -114,12 +111,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    try:
-        with open(args.scenario, "r", encoding="utf-8") as fh:
-            document = json.load(fh)
-    except (OSError, json.JSONDecodeError) as err:
-        print(f"error: cannot load {args.scenario}: {err}", file=sys.stderr)
-        return 2
+    document = read_document(args.scenario)
     values = [_parse_value(v) for v in args.values.split(",") if v != ""]
     if not values:
         print("error: --values is empty", file=sys.stderr)
@@ -127,12 +119,8 @@ def _cmd_sweep(args) -> int:
     try:
         rows = run_sweep(document, args.param, values,
                          replications=args.replications, strict=args.strict)
-    except (SchemaError, ValueError) as err:
-        if isinstance(err, SchemaError):
-            for violation in err.violations:
-                print(f"error: {violation}", file=sys.stderr)
-        else:
-            print(f"error: {err}", file=sys.stderr)
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
         return 2
     for row in rows:
         print(f"{row['param']}={row['value']} rep={row['replicate']} "
@@ -199,6 +187,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.command == "sweep":
             return _cmd_sweep(args)
         return _cmd_plan(args)
+    except SchemaError as err:
+        for violation in err.violations:
+            print(f"error: {violation}", file=sys.stderr)
+        return 2
     except OneQError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

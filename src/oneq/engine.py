@@ -21,7 +21,6 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from json.encoder import encode_basestring_ascii as _json_str
 from typing import Any, Callable, Generator, Iterable, Optional, Sequence
 
 import numpy as np
@@ -45,24 +44,6 @@ class EventKind(str, Enum):
     APP_STEP = "app-step"
 
 
-def _json_value(value: Any) -> str:
-    """value as json.dumps(value, separators=(",", ":"), allow_nan=False) writes it.
-
-    Exact str, bool, int and finite float are written directly; anything
-    else (subclasses, lists, None, NaN) goes to json.dumps itself.
-    """
-    cls = type(value)
-    if cls is str:
-        return _json_str(value)
-    if cls is float and math.isfinite(value):
-        return float.__repr__(value)
-    if cls is bool:
-        return "true" if value else "false"
-    if cls is int:
-        return int.__repr__(value)
-    return json.dumps(value, separators=(",", ":"), allow_nan=False)
-
-
 _BLOCK_LINES = 256
 
 
@@ -83,9 +64,9 @@ class Trace:
 
     def emit(self, t: float, node: str, kind: str, **details: Any) -> None:
         """Write one record; the reference encoder for the writers of oneq.records."""
-        body = ",".join([f"{_json_str(k)}:{_json_value(details[k])}" for k in sorted(details)])
-        self._add(f'{{"t":{_json_value(t)},"node":{_json_value(node)},'
-                  f'"kind":{_json_value(kind)},"details":{{{body}}}}}\n')
+        self._add(json.dumps({"t": t, "node": node, "kind": kind,
+                              "details": {k: details[k] for k in sorted(details)}},
+                             separators=(",", ":"), allow_nan=False) + "\n")
 
     def _add(self, line: str) -> None:
         """Append one encoded line; every _BLOCK_LINES lines are joined into a block."""

@@ -133,20 +133,18 @@ class NodeSpec:
         if self.kind in QUANTUM_KINDS and self.memory_slots < 1:
             raise ConfigurationError(f"node {self.id}: quantum nodes need at least 1 memory slot")
 
-    def position_at(self, t: float) -> np.ndarray:
+    def position_at(self, t: float) -> tuple[float, ...]:
         if self.mobility.kind == "waypoint":
             pts = self.mobility.waypoints
             if t <= pts[0][0]:
-                return np.asarray(pts[0][1], dtype=float)
+                return pts[0][1]
             if t >= pts[-1][0]:
-                return np.asarray(pts[-1][1], dtype=float)
+                return pts[-1][1]
             for (t0, p0), (t1, p1) in zip(pts, pts[1:]):
                 if t0 <= t <= t1:
                     frac = (t - t0) / (t1 - t0)
-                    a = np.asarray(p0, dtype=float)
-                    b = np.asarray(p1, dtype=float)
-                    return a + frac * (b - a)
-        return np.asarray(self.position, dtype=float)
+                    return tuple(a + frac * (b - a) for a, b in zip(p0, p1))
+        return self.position
 
     def available_at(self, t: float) -> bool:
         """False only while an orbit node is outside its pass window."""
@@ -245,10 +243,10 @@ def _adjacency(edges: Iterable[tuple[str, str]]) -> dict[str, tuple[str, ...]]:
     return {node: tuple(sorted(p)) for node, p in peers.items()}
 
 
-def _bfs_path(adjacency: dict, a: str, b: str) -> Optional[tuple[str, ...]]:
+def _bfs_path(adjacency: dict, a: str, b: str) -> Optional[list[str]]:
     """Shortest hop path a..b, endpoints included; ties go to lower ids."""
     if a == b:
-        return (a,)
+        return [a]
     frontier = [a]
     parents: dict[str, str] = {a: a}
     while frontier:
@@ -261,7 +259,7 @@ def _bfs_path(adjacency: dict, a: str, b: str) -> Optional[tuple[str, ...]]:
                         path = [b]
                         while path[-1] != a:
                             path.append(parents[path[-1]])
-                        return tuple(path[::-1])
+                        return path[::-1]
                     nxt.append(peer)
         frontier = nxt
     return None
@@ -333,13 +331,12 @@ class Topology:
         if faults:
             raise SchemaError(faults)
         # The topology never changes after load, so both routing graphs are
-        # built here and every path found in them is kept.
+        # built here.
         self._graphs = {
             "bs": _adjacency((link.a, link.b) for link in self.classical_links.values()
                              if {self.nodes[link.a].kind, self.nodes[link.b].kind} <= BS_KINDS),
             "repeater": _adjacency(tuple(edge) for edge in self.repeater_edges),
         }
-        self._paths: dict[tuple[str, str, str], Optional[tuple]] = {}
         # Coverage and reachability between two static nodes are the same at
         # every t, so each such answer is kept from its first use, keyed by
         # (node, node, quantum).
@@ -354,8 +351,7 @@ class Topology:
     # -- geometry ----------------------------------------------------------
 
     def _coords(self, node_id: str, t: float) -> Sequence[float]:
-        node = self._require(node_id)
-        return node.position_at(t) if node.mobility.kind == "waypoint" else node.position
+        return self._require(node_id).position_at(t)
 
     def distance(self, a: str, b: str, t: float) -> float:
         return math.dist(self._coords(a, t), self._coords(b, t))
@@ -423,17 +419,10 @@ class Topology:
         """True when a and b can herald over their quantum link at time t."""
         return self._reachable(a, b, t, quantum=True)
 
-    def _path(self, graph: str, a: str, b: str) -> Optional[list[str]]:
-        key = (graph, a, b)
-        if key not in self._paths:
-            self._paths[key] = _bfs_path(self._graphs[graph], a, b)
-        path = self._paths[key]
-        return None if path is None else list(path)
-
     def bs_route(self, a: str, b: str) -> Optional[list[str]]:
         """Shortest hop path over BS-to-BS classical links, endpoints included."""
-        return self._path("bs", a, b)
+        return _bfs_path(self._graphs["bs"], a, b)
 
     def repeater_path(self, a: str, b: str) -> Optional[list[str]]:
         """Shortest hop path over repeater edges, endpoints included."""
-        return self._path("repeater", a, b)
+        return _bfs_path(self._graphs["repeater"], a, b)

@@ -385,7 +385,7 @@ class Stack:
 
     def bits(self, msg_kind: str) -> float:
         """Size of a message of this kind, from the scenario's defaults."""
-        return float(self.defaults.message_bits.get(msg_kind, 256.0))
+        return float(self.defaults.message_bits[msg_kind])
 
     def _hop(self, src: str, dst: str) -> Optional[_Hop]:
         """The src-dst classical link with its UE ends, for src to send on; None if none."""
@@ -568,7 +568,7 @@ class Stack:
     def effective_t_coh(self, holders: Sequence[str]) -> float:
         """Both memories dephase independently; rates add."""
         rate = sum(1.0 / self.topo.nodes[h].t_coh_s for h in holders)
-        return 1.0 / rate
+        return 1.0 / rate if rate else math.inf
 
     def _holder(self, holders: tuple[str, ...]) -> _Holders:
         """The per-run constants of a resource held by holders."""

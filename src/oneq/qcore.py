@@ -116,10 +116,6 @@ class WernerPair:
         if self.usable_at < self.created_at:
             self.usable_at = self.created_at
 
-    @property
-    def fidelity(self) -> float:
-        return fidelity_of(self.w)
-
 
 @dataclass
 class GhzResource:

@@ -14,9 +14,9 @@ encoder, so the line is the same and NaN still raises.
 
 from __future__ import annotations
 
+import json
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import Any, Callable
-
-from .engine import _json_str, _json_value
 
 
 class Row:
@@ -88,7 +88,7 @@ def _writer(row: Row) -> Callable[..., None]:
     args = [k for k in keys if isinstance(row.keys[k], type)]
     typed = [("t", float), ("node", str)] + [(k, row.keys[k]) for k in args]
     guard = " and ".join(_TYPES[cls][0].format(k) for k, cls in typed)
-    fields = {k: _TYPES[v][1].format(k) if isinstance(v, type) else _lit(_json_value(v))
+    fields = {k: _TYPES[v][1].format(k) if isinstance(v, type) else _lit(json.dumps(v))
               for k, v in row.keys.items()}
     line = (_lit('{"t":') + "{t!r}" + _lit(',"node":') + "{_s(node)}"
             + _lit(',"kind":' + _json_str(row.kind) + ',"details":{')

@@ -37,7 +37,7 @@ from .netmodel import (
 from .protocol import Defaults, HandoverMode, PolicyMode, check_fidelity
 
 __all__ = ["AppSpec", "OpSpec", "PolicySpec", "Scenario", "load_scenario",
-           "load_scenario_file", "SCHEMA_VERSION"]
+           "load_scenario_file", "read_document", "SCHEMA_VERSION"]
 
 SCHEMA_VERSION = 1
 
@@ -401,12 +401,16 @@ def load_scenario(data: Any, strict: bool = False) -> tuple[Scenario, list[str]]
     return scenario, check.warnings
 
 
-def load_scenario_file(path: str, strict: bool = False) -> tuple[Scenario, list[str]]:
+def read_document(path: str) -> Any:
+    """The parsed JSON document at path; SchemaError if unreadable or not JSON."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except OSError as err:
         raise SchemaError([f"$: cannot read {path}: {err}"]) from err
     except json.JSONDecodeError as err:
         raise SchemaError([f"$: invalid JSON: {err}"]) from err
-    return load_scenario(data, strict=strict)
+
+
+def load_scenario_file(path: str, strict: bool = False) -> tuple[Scenario, list[str]]:
+    return load_scenario(read_document(path), strict=strict)

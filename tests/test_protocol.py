@@ -392,6 +392,45 @@ class TestSessions:
         pair = stack.ledger.live(res.delivered[0])
         assert set(pair.holders) == {"QUE1", "QBS1"}
 
+    def test_rejected_when_served_by_a_cbs(self, make_stack):
+        # A CBS has no quantum cell: the session ends before any message or draw.
+        from oneq.netmodel import CellSpec, ClassicalLinkSpec, NodeSpec, Topology
+        topo = Topology(
+            nodes=[NodeSpec(id="CBS1", kind="CBS", position=(0.0, 0.0, 10.0)),
+                   NodeSpec(id="QUE1", kind="QUE", position=(100.0, 0.0, 0.0),
+                            memory_slots=4),
+                   NodeSpec(id="QUE2", kind="QUE", position=(120.0, 0.0, 0.0),
+                            memory_slots=4)],
+            cells=[CellSpec(bs_id="CBS1", classical_radius=2000.0)],
+            classical_links=[ClassicalLinkSpec(a="CBS1", b=ue, rate_bps=1e9)
+                             for ue in ("QUE1", "QUE2")],
+        )
+        sim, stack = make_stack(topo)
+        assert drive(sim, stack.register("QUE1", "CBS1"))
+        streams = [sim.rng_stream(node, purpose) for node in ("QUE1", "CBS1")
+                   for purpose in ("entanglement", "classical")]
+        before = [_rng_state(rng) for rng in streams]
+        n_records, t_start = len(sim.trace), sim.now
+        res = drive(sim, stack.entanglement_session(_request()))
+        assert res.outcome == SessionOutcome.REJECTED
+        assert res.reason == "serving-bs-not-quantum"
+        assert [r["kind"] for r in list(sim.trace)[n_records:]] == ["session-rejected"]
+        assert sim.now == t_start
+        assert [_rng_state(rng) for rng in streams] == before
+        assert stack.ue("QUE1").state == QueState.CONNECTED
+
+    def test_infinite_coherence_never_decays(self, make_stack):
+        # t_coh_s = inf at both holders: the summed dephasing rate is 0
+        sim, stack = make_stack(one_cell_topology(t_coh_s=math.inf, q_attempt=1.0))
+        drive(sim, stack.register("QUE1", "QBS1"))
+        res = drive(sim, stack.entanglement_session(_request(peer="QBS1", count=1)))
+        assert res.outcome == SessionOutcome.FULFILLED
+        assert stack.effective_t_coh(("QUE1", "QBS1")) == math.inf
+        sim.run_until(sim.now + 5.0)
+        pair = stack.consume_pair(res.delivered[0], "test")
+        assert pair.last_touched == sim.now
+        assert pair.w == stack.topo.quantum_link("QBS1", "QUE1").w0
+
     def test_expired_when_deadline_too_tight(self, make_stack):
         sim, stack = make_stack(one_cell_topology(q_attempt=0.0))
         self._connect_both(sim, stack)

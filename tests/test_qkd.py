@@ -276,3 +276,18 @@ class TestEveryOutcomeInBothModes:
         # every accepted session here delivers all of its pairs
         assert res.pairs_measured == len(measured) == cfg.n_pairs * sessions
         assert (res.key_bits > 0) == (outcome == "key")
+
+    def test_lost_sample_report_voids_the_key(self, make_stack):
+        # seed 13: every batch and both basis announcements arrive, then
+        # Bob's report of his sampled bits is lost
+        topo = one_cell_topology(q_attempt=0.9, w0=1.0, t_coh_s=1e9, p_err_c=0.1)
+        sim, stack = make_stack(topo, seed=13,
+                                defaults=dataclasses.replace(QUIET, retry_cap=1))
+        res = drive(sim, QkdApp(self.CONFIGS["rounds"]).run(stack))
+        failed = [r["details"]["msg"] for r in sim.trace
+                  if r["kind"] == "msg" and not r["details"]["delivered"]]
+        assert failed == ["report"]
+        assert (res.outcome, res.sessions) == ("aborted-classical", 4)
+        assert res.sampled_bits > 0 and res.sifted_bits > res.sampled_bits
+        assert res.key_bits == 0
+        assert res.alice_key == res.bob_key == ""

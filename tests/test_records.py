@@ -1,6 +1,7 @@
 """The record catalogue's writers: each writes what Trace.emit writes."""
 
 import enum
+import json
 import math
 import os
 import subprocess
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oneq import records
-from oneq.engine import Trace, _json_value
+from oneq.engine import Trace
 from oneq.records import CATALOGUE
 
 REPO = Path(__file__).resolve().parent.parent
@@ -117,7 +118,7 @@ def record_table() -> str:
     """The README's table of trace records, rendered from the catalogue."""
     lines = ["| kind | writer | detail keys | ledger role |", "|---|---|---|---|"]
     for row in CATALOGUE:
-        keys = ", ".join(f"`{k}: {v.__name__ if isinstance(v, type) else _json_value(v)}`"
+        keys = ", ".join(f"`{k}: {v.__name__ if isinstance(v, type) else json.dumps(v)}`"
                          for k, v in row.keys.items())
         lines.append(f"| `{row.kind}` | `{row.name}` | {keys} | {row.role} |")
     return "\n".join(lines) + "\n"

@@ -2,9 +2,10 @@
 
 Reruns inside one process share one ``PYTHONHASHSEED``, so they cannot see
 output that depends on set iteration order.  Here every shipped scenario,
-a soft handover that migrates buffered pairs over bridges, and a generated
-line of cells whose messages cross the backbone in one record each, is run
-by ``oneq run`` in two fresh interpreters whose hash seeds differ.
+a soft handover that migrates buffered pairs over bridges, a GHZ sensing
+run that distributes GHZ resources, and a generated line of cells whose
+messages cross the backbone in one record each, is run by ``oneq run`` in
+two fresh interpreters whose hash seeds differ.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ import pytest
 
 REPO = Path(__file__).resolve().parent.parent
 SCENARIOS = sorted((REPO / "scenarios").glob("*.json")) + [
-    REPO / "tests" / "data" / "handover_migrates_buffer.json"]
+    REPO / "tests" / "data" / "handover_migrates_buffer.json",
+    REPO / "tests" / "data" / "sensing_ghz.json"]
 ARTIFACTS = ("trace.jsonl", "metrics.csv", "app_results.csv")
 HASH_SEEDS = ("0", "5")
 

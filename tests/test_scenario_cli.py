@@ -15,10 +15,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import _DELETE, _edited
+from conftest import _DELETE, _edited, drive
 from oneq.apps import APPS
 from oneq.cli import main
+from oneq.engine import Simulator
 from oneq.errors import InternalError, OneQError, SchemaError
+from oneq.protocol import MESSAGE_BITS, Stack
 from oneq.runner import (
     derive_seed,
     run_scenario,
@@ -57,6 +59,8 @@ _PATHS = {stem: list(_json_paths(doc)) for stem, doc in _SHIPPED.items()}
 # it bad, the one violation load_scenario reports).  A new case is a row.
 _METRO, _SENSING = "metro_with_satellite", "sensing_sql"
 FAULTS = [
+    ("app_duplicate_id", "qkd_local_vs_swapped", {"$.apps[1].id": "local"},
+     "$.apps[1].id: duplicate app id 'local'"),
     ("app_start_negative", _METRO, {"$.apps[0].start_s": -0.05},
      "$.apps[0]: start_s must be nonnegative, got -0.05"),
     ("app_unknown_node", "qkd_baseline", {"$.apps[0].bob": "NOPE"},
@@ -69,6 +73,9 @@ FAULTS = [
      "$.nodes[7]: node CUE5: a CUE has no quantum memory slots"),
     ("defaults_f_min_above_one", "qkd_local_vs_swapped", {"$.defaults.f_min": 1.5},
      "$.defaults: f_min must lie in [0.25, 1], got 1.5"),
+    ("defaults_message_bits_string", "qkd_baseline",
+     {"$.defaults": {"message_bits": {"ack": "x"}}},
+     "$.defaults.message_bits.ack: expected float, got str"),
     ("defaults_retry_cap_zero", "ubqc_chain", {"$.defaults.retry_cap": 0},
      "$.defaults: retry_cap must be at least 1, got 0"),
     ("defaults_timeout_negative", "ubqc_chain", {"$.defaults.inactivity_timeout_s": -1},
@@ -267,6 +274,24 @@ class TestLoadScenario:
         with pytest.raises(SchemaError) as err:
             load_scenario_file(str(bad))
         assert "invalid JSON" in err.value.violations[0]
+
+    def test_message_bits_override_sets_that_message_latency(self):
+        # Same seed, so the same loss draws: only the registration size differs.
+        doc = _baseline_doc()
+        doc["defaults"] = {"message_bits": {"registration": 4096}}
+        elapsed, tries = [], []
+        for scenario in (load_scenario(_baseline_doc())[0], load_scenario(doc)[0]):
+            sim = Simulator(seed=3)
+            stack = Stack(sim, scenario.topology, scenario.defaults)
+            assert drive(sim, stack.register("QUE1", "QBS1"))
+            elapsed.append(sim.now)
+            tries.append(sum(r["details"]["tx"] for r in sim.trace if r["kind"] == "msg"))
+        assert stack.bits("registration") == 4096.0
+        assert stack.bits("ack") == MESSAGE_BITS["ack"]
+        assert tries[0] == tries[1]
+        rate = scenario.topology.classical_link("QUE1", "QBS1").rate_bps
+        assert elapsed[1] - elapsed[0] == pytest.approx(
+            tries[1] * (4096 - MESSAGE_BITS["registration"]) / rate, rel=1e-9)
 
     def test_multiple_problems_all_reported(self):
         doc = _baseline_doc()
@@ -627,6 +652,31 @@ class TestCli:
     def test_sweep_rejects_bad_param(self, capsys):
         assert main(["sweep", str(BASELINE), "--param", "apps[0].bogus",
                      "--values", "1"]) == 2
+
+    @pytest.mark.parametrize("command", [["run"], ["sweep", "--param", "seed", "--values", "1"]],
+                             ids=["run", "sweep"])
+    def test_unreadable_file_prints_one_error_line(self, command, tmp_path, capsys):
+        missing = tmp_path / "nope.json"
+        assert main([command[0], str(missing), *command[1:]]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: $: cannot read {missing}: ")
+        assert err.count("\n") == 1
+        bad = tmp_path / "bad.json"
+        bad.write_text("{not json", encoding="utf-8")
+        assert main([command[0], str(bad), *command[1:]]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: $: invalid JSON: ")
+        assert err.count("\n") == 1
+
+    def test_sweep_refuses_a_bad_document(self, tmp_path, capsys):
+        path = _fault_file(tmp_path, "v2", "qkd_baseline", {"$.schema_version": 2})
+        assert main(["sweep", str(path), "--param", "seed", "--values", "1,2"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: $.schema_version: unsupported version 2, expected 1\n")
+
+    def test_sweep_with_no_values_fails(self, capsys):
+        assert main(["sweep", str(BASELINE), "--param", "seed", "--values", ""]) == 2
+        assert capsys.readouterr() == ("", "error: --values is empty\n")
 
 
 class TestReadme:

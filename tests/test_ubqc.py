@@ -264,6 +264,32 @@ class TestAppOnEngine:
         assert res.outcome == "starved"
         assert res.shots_done == 0
 
+    @pytest.mark.parametrize("kind, nth, shots_done", [
+        ("angle", 4, 1),    # the first angle of shot 2
+        ("outcome", 8, 2),  # the second outcome of shot 3
+    ])
+    def test_lost_message_starves_the_shot(self, make_stack, kind, nth, shots_done):
+        # Pattern (1, 6): three pairs a shot, each with an angle and an outcome.
+        # The lost shot has prepared, so consumed, all of its pairs.
+        cfg = UbqcConfig("blind0", "QUE1", "QBS1", phi_eighths=(1, 6), shots=5, exact=True)
+        sim, stack = make_stack(_ideal_topology(), seed=3)
+        send_routed, sent = stack.send_routed, []
+
+        def lossy(src, dst, msg_kind, bits=None):
+            sent.append(msg_kind)
+            if msg_kind == kind and sent.count(kind) == nth:
+                return False
+            return (yield from send_routed(src, dst, msg_kind, bits))
+
+        stack.send_routed = lossy
+        res = drive(sim, UbqcApp(cfg).run(stack), until=1e7)
+        assert res.outcome == "starved"
+        assert res.shots_done == shots_done
+        assert res.pairs_consumed == 3 * (shots_done + 1)
+        assert sent[-1] == kind and sent.count(kind) == nth  # nothing is sent after the loss
+        consumed = [rid for rid, st in stack.ledger.state.items() if st == "consumed"]
+        assert len(consumed) == res.pairs_consumed
+
     def test_metrics_and_determinism(self, make_stack):
         cfg = UbqcConfig("blind0", "QUE1", "QBS1", phi_eighths=(2, 7),
                         shots=50, exact=True)
