@@ -125,6 +125,8 @@ class QkdConfig:
             raise ValueError(f"max_rounds must be positive, got {self.max_rounds}")
         if not 0.0 <= self.sample_fraction <= 1.0:
             raise ValueError(f"sample_fraction out of range: {self.sample_fraction}")
+        if not 0.0 <= self.qber_abort <= 1.0:
+            raise ValueError(f"qber_abort out of range: {self.qber_abort}")
         if self.k_target < 0:
             raise ValueError(f"k_target must be nonnegative, got {self.k_target}")
         check_request_bounds(self.max_latency_s, self.min_fidelity)

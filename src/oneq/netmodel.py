@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Optional, Sequence
 
-import numpy as np
-
 from .errors import ConfigurationError, SchemaError
 
 __all__ = [
@@ -222,7 +220,7 @@ class QuantumLinkSpec:
 def classical_send(
     link: ClassicalLinkSpec,
     size_bits: float,
-    rng: np.random.Generator,
+    rng,
 ) -> tuple[bool, float]:
     """One transmission attempt: (delivered, latency).
 

@@ -191,6 +191,14 @@ class Defaults:
                 f"inactivity_timeout_s must be positive, got {self.inactivity_timeout_s}")
         if self.retry_cap < 1:
             raise ValueError(f"retry_cap must be at least 1, got {self.retry_cap}")
+        if self.registration_messages < 1:
+            raise ValueError(
+                f"registration_messages must be at least 1, got {self.registration_messages}")
+        for kind, bits in self.message_bits.items():
+            if kind not in MESSAGE_BITS:
+                raise ValueError(f"message_bits.{kind}: unknown message kind")
+            if not bits >= 0.0:
+                raise ValueError(f"message_bits.{kind} must be nonnegative, got {bits}")
         object.__setattr__(self, "message_bits", {**MESSAGE_BITS, **self.message_bits})
 
 

@@ -21,8 +21,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .errors import ResourceError
 
 __all__ = [
@@ -162,7 +160,7 @@ def measure_pair(
     pair: WernerPair,
     basis_a: MeasurementBasis,
     basis_b: MeasurementBasis,
-    rng: np.random.Generator,
+    rng,
 ) -> tuple[int, int]:
     """Measure both halves of a pair in Z or X bases, once.
 
@@ -190,7 +188,7 @@ def werner_bell_weights(w: float) -> list[float]:
     return [w + rest, rest, rest, rest]
 
 
-def sample_bell_label(w: float, rng: np.random.Generator) -> tuple[int, int]:
+def sample_bell_label(w: float, rng) -> tuple[int, int]:
     """Draw a Bell label (x, z) from the Werner mixture of rho(w)."""
     u = rng.random()
     acc = 0.0
@@ -206,15 +204,15 @@ def sample_bell_label(w: float, rng: np.random.Generator) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 class PureState:
-    """Normalized pure state of one qubit, amplitudes (a0, a1) of |0> and |1>."""
+    """Normalized pure state of one qubit: the complex amplitudes (a0, a1) of |0> and |1>."""
 
     __slots__ = ("amplitudes",)
 
-    def __init__(self, amplitudes: Sequence[complex] | np.ndarray):
-        amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
-        if amps.size != 2:
-            raise ValueError(f"a one-qubit state takes 2 amplitudes, got {amps.size}")
-        norm = math.sqrt(np.vdot(amps, amps).real)
+    def __init__(self, amplitudes: Sequence[complex]):
+        amps = tuple(complex(a) for a in amplitudes)
+        if len(amps) != 2:
+            raise ValueError(f"a one-qubit state takes 2 amplitudes, got {len(amps)}")
+        norm = math.sqrt(sum(a.real * a.real + a.imag * a.imag for a in amps))
         if not abs(norm - 1.0) <= 1e-7:  # also rejects NaN
             raise ValueError(f"state is not normalized (norm {norm})")
         self.amplitudes = amps
@@ -222,4 +220,5 @@ class PureState:
 
 def state_fidelity(a: PureState, b: PureState) -> float:
     """|<a|b>|^2 of two one-qubit states."""
-    return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
+    (a0, a1), (b0, b1) = a.amplitudes, b.amplitudes
+    return abs(a0.conjugate() * b0 + a1.conjugate() * b1) ** 2

@@ -153,7 +153,25 @@ class TestPureState:
         plus = PureState(np.array([1.0, 1.0]) / math.sqrt(2.0))
         assert state_fidelity(zero, one) == pytest.approx(0.0)
         assert state_fidelity(zero, plus) == pytest.approx(0.5)
-        assert state_fidelity(plus, PureState(-plus.amplitudes)) == pytest.approx(1.0)
+        assert state_fidelity(plus, PureState([-a for a in plus.amplitudes])) == pytest.approx(1.0)
+
+    def test_amplitudes_are_a_tuple_of_complex(self):
+        s = 1 / math.sqrt(2.0)
+        for amps in ([s, 1j * s], (s, 1j * s), np.array([s, 1j * s]),
+                     np.array([s, 1j * s], dtype=np.complex64)):
+            state = PureState(amps)
+            assert type(state.amplitudes) is tuple
+            assert [type(a) for a in state.amplitudes] == [complex, complex]
+            assert state.amplitudes == pytest.approx((s, 1j * s), abs=1e-7)
+        assert PureState(np.array([0, 1])).amplitudes == (0j, 1 + 0j)
+
+    def test_state_fidelity_matches_vdot(self):
+        rng = np.random.default_rng(225)
+        for _ in range(200):
+            a, b = (rng.normal(size=2) + 1j * rng.normal(size=2) for _ in range(2))
+            a, b = a / np.linalg.norm(a), b / np.linalg.norm(b)
+            assert state_fidelity(PureState(a), PureState(b)) == pytest.approx(
+                abs(np.vdot(a, b)) ** 2, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------

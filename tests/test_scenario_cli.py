@@ -76,6 +76,15 @@ FAULTS = [
     ("defaults_message_bits_string", "qkd_baseline",
      {"$.defaults": {"message_bits": {"ack": "x"}}},
      "$.defaults.message_bits.ack: expected float, got str"),
+    ("defaults_message_bits_negative", "qkd_baseline",
+     {"$.defaults": {"message_bits": {"registration": -100}}},
+     "$.defaults: message_bits.registration must be nonnegative, got -100.0"),
+    ("defaults_message_bits_unknown_kind", "qkd_baseline",
+     {"$.defaults": {"message_bits": {"ackk": 128}}},
+     "$.defaults: message_bits.ackk: unknown message kind"),
+    ("defaults_registration_messages_zero", "qkd_baseline",
+     {"$.defaults": {"registration_messages": 0}},
+     "$.defaults: registration_messages must be at least 1, got 0"),
     ("defaults_retry_cap_zero", "ubqc_chain", {"$.defaults.retry_cap": 0},
      "$.defaults: retry_cap must be at least 1, got 0"),
     ("defaults_timeout_negative", "ubqc_chain", {"$.defaults.inactivity_timeout_s": -1},
@@ -142,6 +151,8 @@ FAULTS = [
      "$.apps[0].n_pairs: alice 'QUE1' has 8 memory slots, a batch holds 24 pairs"),
     ("qkd_n_pairs_fractional", "qkd_baseline", {"$.apps[0].n_pairs": 2.5},
      "$.apps[0].n_pairs: expected int, got float"),
+    ("qkd_qber_abort_negative", "qkd_baseline", {"$.apps[0].qber_abort": -0.1},
+     "$.apps[0]: qber_abort out of range: -0.1"),
     ("quantum_link_on_classical_ue", _METRO, {"$.quantum_links[1].b": "CUE5"},
      "$.quantum_links[1].b: 'CUE5' has no quantum hardware"),
     ("quantum_radius_exceeds_classical", "qkd_baseline",
@@ -431,8 +442,19 @@ class TestRunner:
         return proc.stdout.strip()
 
     def test_import_leaves_scipy_stats_out(self):
-        code = "import sys, oneq.runner, oneq.cli; print('scipy.stats' in sys.modules)"
-        assert self._fresh_python(code) == "False"
+        # scipy is a test dependency only: with it blocked, a run and the
+        # blindness statistic still work.
+        code = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "import oneq.runner, oneq.cli\n"
+            "from oneq.apps.ubqc import blindness_pvalue\n"
+            "from oneq.scenario import load_scenario_file\n"
+            "scenario = load_scenario_file('scenarios/ubqc_chain.json')[0]\n"
+            "oneq.runner.run_scenario(scenario, until=0.2)\n"
+            "print(blindness_pvalue(list(range(8))))\n"
+        )
+        assert self._fresh_python(code) == "1.0"
 
     def test_import_leaves_numpy_random_out(self):
         # A run imports numpy.random at its first draw; importing it with

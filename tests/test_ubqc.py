@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import stats
 
 import oracles
 from conftest import drive, one_cell_topology
@@ -188,6 +189,28 @@ class TestBlindnessStatistics:
 
     def test_constant_transcript_rejected(self):
         assert blindness_pvalue([3] * 400) < 1e-6
+
+    def test_closed_form_matches_scipy_chisquare(self):
+        # scipy is an independent reference for the closed-form chi-square tail.
+        rng = np.random.default_rng(2009)
+        transcripts = [list(range(GRID)) * 5, [-1, 8, 15, -9] * 3, [5], [3] * 7 + [4],
+                       np.array([0, 0, 1, 7, 7, 7], dtype=np.int32)]
+        for _ in range(300):
+            low, high = int(rng.integers(-20, 1)), int(rng.integers(1, 30))
+            deltas = rng.integers(low, high, size=int(rng.integers(1, 300)))
+            transcripts += [deltas, deltas.tolist()]
+        for deltas in transcripts:
+            counts = np.bincount(np.asarray(deltas) % GRID, minlength=GRID)
+            want = stats.chisquare(counts).pvalue
+            assert math.isclose(blindness_pvalue(deltas), want, rel_tol=1e-12), deltas
+        assert blindness_pvalue(list(range(GRID)) * 5) == 1.0
+        assert blindness_pvalue([-3, 13, 5]) == blindness_pvalue([5, 5, 5])
+
+    def test_empty_transcript_is_an_error(self):
+        with pytest.raises(ValueError, match="no announced angles"):
+            blindness_pvalue([])
+        with pytest.raises(ValueError, match="no announced angles"):
+            blindness_pvalue(np.array([], dtype=int))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
