@@ -275,8 +275,7 @@ class QkdApp:
         if n_sift and cfg.sample_fraction > 0.0:
             sample_k = max(1, round(cfg.sample_fraction * n_sift))
             sample_k = min(sample_k, n_sift)
-            order = sift_rng.permutation(n_sift)
-            sample_idx = set(int(i) for i in order[:sample_k])
+            sample_idx = set(sift_rng.permutation(n_sift)[:sample_k])
             sample_err = sum(1 for i in sample_idx if sifted_a[i] != sifted_b[i])
             qber = sample_err / sample_k
             keep_a = [sifted_a[i] for i in range(n_sift) if i not in sample_idx]
@@ -307,6 +306,7 @@ class QkdApp:
                               unit="bit")
         sim.metrics.set_gauge(f"{prefix}.sift_discard_rate", result.sift_discard_rate)
         sim.metrics.set_gauge(f"{prefix}.qber", result.qber_estimate)
+        sim.metrics.set_gauge(f"{prefix}.disagreements", float(result.disagreements))
         sim.metrics.set_gauge(f"{prefix}.elapsed_s", result.elapsed_s, unit="s")
         records.app_end_qkd(sim.trace, sim.now, self.config.alice, app=self.config.app_id,
                             outcome=result.outcome, key_bits=result.key_bits)

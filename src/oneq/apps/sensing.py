@@ -21,12 +21,9 @@ spread over shot chunks is included as a cross-check.
 
 from __future__ import annotations
 
+import bisect
 import math
-import operator
 from dataclasses import dataclass, field
-from itertools import compress
-
-import numpy as np
 
 from .. import records
 from ..errors import ConfigurationError
@@ -42,9 +39,15 @@ __all__ = [
     "delta_method_se",
 ]
 
-# Shots whose draws a separable run makes at once.  Bounds its arrays at
-# two floats per sensor per block shot, however many shots it runs.
-_BLOCK_SHOTS = 256
+def _binomial_cdf(g: int, p: float) -> list[float]:
+    """P(X <= k) for X ~ Binomial(g, p) and k = 0..g, the last entry set to 1
+    so that every draw in [0, 1) falls inside."""
+    cdf, total = [], 0.0
+    for k in range(g + 1):
+        total += math.comb(g, k) * p ** k * (1.0 - p) ** (g - k)
+        cdf.append(total)
+    cdf[-1] = 1.0
+    return cdf
 
 
 def probe_probability(phi: float, contrast: float) -> float:
@@ -167,66 +170,63 @@ class SensingApp:
         A shot reads only classical coverage, a pure function of time, and
         the app's stream, so nothing else in the run can observe the shots
         one by one.  The app keeps its own clock with the engine's float
-        arithmetic and yields once at the end.  When the fusion station and
-        every sensor are static, coverage is fixed and a block of shots is
-        a few array operations; otherwise one loop walks the shot times and
-        reads coverage at each.  With ``trace_reports`` that loop steps the
-        engine along instead, so that report records keep their place in
-        the trace.
+        arithmetic and yields once at the end; with ``trace_reports`` it
+        steps the engine along instead, so that report records keep their
+        place in the trace.
+
+        Per shot, each covered sensor whose report can either arrive or be
+        lost draws its loss, in sensor order; then one draw reads the number
+        of zeros among the g reports that arrived off the inverse CDF of
+        Binomial(g, p0).  When the fusion station and every sensor are
+        static, coverage and the reports sure to arrive are worked out once.
         """
         cfg = self.config
         sim = stack.sim
         topo = stack.topo
         rng = sim.rng_stream(cfg.fusion, f"sensing/{cfg.app_id}")
         p0 = probe_probability(cfg.phi_true, self.contrast)
+        cdfs = [_binomial_cdf(g, p0) for g in range(len(cfg.sensors) + 1)]
         links = [topo.classical_link(s, cfg.fusion) for s in cfg.sensors]
         bits_report = stack.bits("report")
         latencies = [link.latency(bits_report) for link in links]
         step = cfg.reinit_delay_s + cfg.tau_interrogate_s
 
-        def coverage(t: float) -> list[bool]:
-            return [topo.in_classical_coverage(s, cfg.fusion, t) for s in cfg.sensors]
+        def reports(t: float) -> tuple[list[bool], list[int], float, list[int]]:
+            """Coverage at t, the sensors sure to report and the slowest of
+            their latencies, and the sensors whose report may be lost."""
+            cover = [topo.in_classical_coverage(s, cfg.fusion, t) for s in cfg.sensors]
+            sure = [i for i, link in enumerate(links) if cover[i] and link.p_err_c == 0.0]
+            maybe = [i for i, link in enumerate(links)
+                     if cover[i] and 0.0 < link.p_err_c < 1.0]
+            return cover, sure, max([latencies[i] for i in sure], default=0.0), maybe
 
         static = all(topo.nodes[n].mobility.kind == "static"
                      for n in (cfg.fusion,) + cfg.sensors)
-        fixed_cover = coverage(sim.now) if static else None
+        if static:
+            cover, sure, sure_latency, maybe = reports(sim.now)
 
+        draw, trace = rng.random, cfg.trace_reports
         per_shot: list[tuple[int, int]] = []
         t = sim.now
-        for first in range(0, cfg.shots, _BLOCK_SHOTS):
-            size = min(_BLOCK_SHOTS, cfg.shots - first)
-            zero = rng.random((size, len(links))) < p0
-            loss = rng.random((len(links), size))
-            arrived = np.array([link.delivered(draws)
-                                for link, draws in zip(links, loss)]).T
-            if static and not cfg.trace_reports:
-                got = arrived & np.array(fixed_cover)
-                # t, step, latency, step, latency, ...: summed left to right,
-                # as the loop below adds them.
-                clock = np.empty(2 * size + 1)
-                clock[0] = t
-                clock[1::2] = step
-                clock[2::2] = np.where(got, latencies, 0.0).max(axis=1)
-                t = float(np.add.accumulate(clock)[-1])
-            else:
-                got_rows = []
-                for arrived_row in arrived.tolist():
-                    t += step
-                    cover = fixed_cover if static else coverage(t)
-                    got_row = list(map(operator.and_, cover, arrived_row))
-                    latency = max(compress(latencies, got_row), default=0.0)
-                    if cfg.trace_reports:
-                        yield step
-                        for s, c, g in zip(cfg.sensors, cover, got_row):
-                            self._trace_report(sim, s, c, g)
-                        if latency > 0.0:
-                            yield latency
-                    t += latency
-                    got_rows.append(got_row)
-                got = np.array(got_rows, dtype=bool)
-            per_shot.extend(zip((got & zero).sum(axis=1).tolist(),
-                                got.sum(axis=1).tolist()))
-        if not cfg.trace_reports:
+        for _ in range(cfg.shots):
+            t += step
+            if not static:
+                cover, sure, sure_latency, maybe = reports(t)
+            got, latency = sure, sure_latency
+            if maybe:
+                arrived = [i for i in maybe if links[i].delivered(draw())]
+                got = sure + arrived
+                latency = max([latency] + [latencies[i] for i in arrived])
+            if trace:
+                yield step
+                for i, s in enumerate(cfg.sensors):
+                    self._trace_report(sim, s, cover[i], i in got)
+                if latency > 0.0:
+                    yield latency
+            t += latency
+            g = len(got)
+            per_shot.append((bisect.bisect_right(cdfs[g], draw()), g))
+        if not trace:
             yield t - sim.now
         return per_shot
 

@@ -7,23 +7,27 @@ next step.  A step due within the current run_until horizon and strictly
 before every queued event is the one the queue would hand out next, so the
 process continues at once, without a trip through the queue; a step due at
 the same instant as a queued event runs after it, as its later sequence
-number says, and every other step is queued.  Randomness is drawn from
-named substreams derived from (master seed, node id, purpose), which keeps
-every node's draws independent of scheduling jitter elsewhere.
+number says, and every other step is queued.
+
+Randomness is drawn from named substreams, one per (master seed, node id,
+purpose), which keeps every node's draws independent of scheduling jitter
+elsewhere.  A substream is the standard library's Mersenne Twister seeded
+with the sha256 digest of those three, so it needs nothing outside the
+standard library, and Python's promise that random() repeats for a seed
+makes its draws the same on every supported version.
 """
 
 from __future__ import annotations
 
-import functools
+import bisect
 import hashlib
 import heapq
 import json
 import math
+import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, Generator, Iterable, Optional, Sequence
-
-import numpy as np
+from typing import Any, Callable, Generator, Optional, Sequence
 
 __all__ = [
     "EventKind",
@@ -91,27 +95,19 @@ class Trace:
         return text
 
 
-def _percentile(values: np.ndarray, p: float) -> float:
-    """np.percentile(values, p), to the bit.
-
-    numpy's linear rule: virtual index (n-1)*p/100, interpolated from the
-    upper neighbour when its fraction is at least 0.5, and clamped at the
-    last value, which numpy addresses as index -1.  The neighbours are read
-    after np.partition at the index set numpy partitions at, so of equal
-    values (0.0 and -0.0) the same one is picked.  np.percentile itself
-    imports numpy.ma on first use.
+def _percentile(ordered: Sequence[float], p: float) -> float:
+    """The p-th percentile of sorted values free of NaN, by np.percentile's
+    linear rule: virtual index (n-1)*p/100, interpolated from the upper
+    neighbour when its fraction is at least 0.5, and clamped at the last value.
     """
-    n = len(values)
+    n = len(ordered)
     v = (n - 1) * (p / 100)
     if v >= n - 1:
-        lo, hi, gamma = -1, -1, v + 1
+        lo, hi, gamma = n - 1, n - 1, v + 1
     else:
         lo = math.floor(v)
         hi, gamma = lo + 1, v - lo
-    part = np.partition(values, sorted({0, lo % n, hi % n, n - 1}))
-    if math.isnan(part[-1]):  # the partition puts NaN last
-        return math.nan
-    a, b = float(part[lo]), float(part[hi])
+    a, b = ordered[lo], ordered[hi]
     diff = b - a
     return b - diff * (1 - gamma) if gamma >= 0.5 else a + diff * gamma
 
@@ -134,7 +130,10 @@ class Metrics:
         self._units[name] = unit
 
     def observe(self, name: str, value: float, unit: str = "") -> None:
-        self.series.setdefault(name, []).append(float(value))
+        value = float(value)
+        if math.isnan(value):
+            raise ValueError(f"series {name} cannot hold NaN")
+        self.series.setdefault(name, []).append(value)
         self._units.setdefault(name, unit)
 
     def to_rows(self, run_id: str, seed: int) -> list[tuple]:
@@ -146,15 +145,17 @@ class Metrics:
             rows.append((run_id, seed, name, value, self._units.get(name, "")))
         for name, values in self.series.items():
             unit = self._units.get(name, "")
-            arr = np.asarray(values, dtype=float)
+            n = len(values)
+            ordered = sorted(values)
+            mean = math.fsum(values) / n
             stats = {
-                "count": float(arr.size),
-                "mean": float(arr.mean()),
-                "std": float(arr.std()),
-                "min": float(arr.min()),
-                "p50": _percentile(arr, 50),
-                "p90": _percentile(arr, 90),
-                "max": float(arr.max()),
+                "count": float(n),
+                "mean": mean,
+                "std": math.sqrt(math.fsum((v - mean) * (v - mean) for v in values) / n),
+                "min": ordered[0],
+                "p50": _percentile(ordered, 50),
+                "p90": _percentile(ordered, 90),
+                "max": ordered[-1],
             }
             for suffix, value in stats.items():
                 rows.append((run_id, seed, f"{name}.{suffix}", value,
@@ -163,125 +164,34 @@ class Metrics:
         return rows
 
 
-@functools.cache
-def _key_seed() -> type:
-    """A seed sequence whose state is the key given; built at the first stream,
-    as it imports numpy.random."""
-    from numpy.random.bit_generator import ISeedSequence
+class RngStream(random.Random):
+    """A Mersenne Twister keyed by one integer, drawn only through random()
+    and getrandbits().
 
-    class KeySeed(ISeedSequence):
-        def __init__(self, key: np.ndarray) -> None:
-            self.key = key
-
-        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-            return self.key  # Philox asks for its two 64-bit key words
-
-    return KeySeed
-
-
-def _philox(key: np.ndarray) -> np.random.Generator:
-    """Generator(Philox(key=key)), to the state, minus the SeedSequence that
-    Philox(key=key) builds from OS entropy and then ignores."""
-    return np.random.Generator(np.random.Philox(_key_seed()(key)))
-
-
-_MAX_BLOCK = 256
-_RANDOM = "random"  # the run of scalar random() draws; integers runs are (low, high)
-_F64, _I64 = np.float64, np.int64
-
-
-class RngStream:
-    """The random, integers and permutation draws of a Philox Generator.
-
-    A run of scalar random() calls, or of scalar integers(low, high) calls
-    with one pair of int bounds, is served from blocks of 2, 4, ... up to
-    _MAX_BLOCK values drawn with random(n) or integers(low, high, size=n),
-    which numpy fills with the values the scalar calls would return, in the
-    same order (scalar integers come back as Python int).  Any other use (an
-    array draw, a permutation, a different kind or bounds, a bit_generator
-    read) first rebuilds the generator at the served position: back to the
-    state where the run began, then one replay of the values served.  That
-    state is read once per run, and not at all for the first run of a new
-    stream, so draws never differ from a plain Generator.  A deepcopy copies
-    the open block with the generator, so the twin draws on from the same
-    position.
+    Python keeps the random() sequence of a seed the same across versions;
+    randrange, choice, shuffle and the distribution methods carry no such
+    promise, so integers and permutation are built here on getrandbits.
     """
 
-    _run: Any = None  # None: _gen stands at the served position
-    _origin: Any = None  # _gen's state where the run began; None: as built from _key
-    _block: Any = ()  # the run's unserved values, last one first
-    _size = 0  # length of the run's last block
-    _drawn = 0  # values the run has drawn
+    def integers(self, low: int, high: int) -> int:
+        """A uniform int in [low, high): one getrandbits(k) draw, redrawn
+        while it falls outside the range."""
+        n = high - low
+        if n < 1:
+            raise ValueError(f"empty range [{low}, {high})")
+        k = (n - 1).bit_length()
+        r = self.getrandbits(k)
+        while r >= n:
+            r = self.getrandbits(k)
+        return low + r
 
-    def __init__(self, key: np.ndarray) -> None:
-        self._key = key
-        self._fresh = True  # _gen has not moved since it was built from _key
-        self._gen = _philox(key)
-
-    def random(self, size=None, dtype=_F64, out=None):
-        if size is None and dtype is _F64 and out is None:
-            if self._run is _RANDOM and self._block:
-                return self._block.pop()
-            return self._scalar(_RANDOM)
-        return self._synced().random(size, dtype, out)
-
-    def integers(self, low, high=None, size=None, dtype=_I64, endpoint=False):
-        if (size is None and dtype is _I64 and not endpoint
-                and type(low) is int and type(high) is int):
-            if self._run == (low, high) and self._block:
-                return self._block.pop()
-            return self._scalar((low, high))
-        return self._synced().integers(low, high, size, dtype, endpoint)
-
-    @property
-    def bit_generator(self) -> np.random.BitGenerator:
-        return self._synced().bit_generator
-
-    def permutation(self, x):
-        return self._synced().permutation(x)
-
-    def _scalar(self, run):
-        """The next value of run, from a new block; starts the run if it is new."""
-        new = run != self._run
-        if new:
-            gen = self._sync()
-            origin = None if self._fresh else gen.bit_generator.state
-            size = 2
-        else:
-            gen = self._gen
-            size = min(2 * self._size, _MAX_BLOCK)
-        block = (gen.random(size) if run is _RANDOM
-                 else gen.integers(run[0], run[1], size=size)).tolist()
-        if new:
-            self._run, self._origin, self._drawn, self._fresh = run, origin, 0, False
-        block.reverse()
-        self._block, self._size = block, size
-        self._drawn += size
-        return block.pop()
-
-    def _synced(self) -> np.random.Generator:
-        """The generator at the served position, for any use but a block."""
-        gen = self._sync()
-        self._fresh = False
-        return gen
-
-    def _sync(self) -> np.random.Generator:
-        """Rebuild the generator at the served position if a run is open."""
-        run = self._run
-        if run is not None:
-            served = self._drawn - len(self._block)
-            if self._origin is None:
-                gen = self._gen = _philox(self._key)
-            else:
-                gen = self._gen
-                gen.bit_generator.state = self._origin
-            if run is _RANDOM:
-                gen.random(served)
-            else:
-                gen.integers(run[0], run[1], size=served)
-            self._run = self._origin = None
-            self._block, self._drawn = (), 0
-        return self._gen
+    def permutation(self, n: int) -> list[int]:
+        """range(n) shuffled by Fisher-Yates, each swap drawn with integers."""
+        items = list(range(n))
+        for i in range(n - 1, 0, -1):
+            j = self.integers(0, i + 1)
+            items[i], items[j] = items[j], items[i]
+        return items
 
 
 class Simulator:
@@ -302,13 +212,11 @@ class Simulator:
     # -- randomness ---------------------------------------------------------
 
     def rng_stream(self, node_id: str, purpose: str) -> RngStream:
-        """Counter-based generator keyed by (seed, node, purpose).
+        """The stream keyed by sha256(seed|node|purpose), read as one integer.
 
         Repeated calls return the same stream object, so draws continue
         where they left off; a fresh simulator with the same seed replays
-        the identical sequence.  Scalar random() and integers(low, high)
-        are served from blocks of the same values (see RngStream); every
-        draw equals what a plain Philox Generator with this key returns.
+        the identical sequence.
         """
         stream = self._streams.get((node_id, purpose))
         if stream is None:
@@ -316,7 +224,7 @@ class Simulator:
                 f"{self.seed}|{node_id}|{purpose}".encode("utf-8")
             ).digest()
             stream = self._streams[node_id, purpose] = RngStream(
-                np.frombuffer(digest[:16], dtype="<u8"))
+                int.from_bytes(digest, "big"))
         return stream
 
     # -- scheduling ---------------------------------------------------------
@@ -439,32 +347,31 @@ def eval_timing(
     for t seconds.  Because both factors are nonincreasing in L, the joint
     always lies between the product of the marginals and their minimum.
     """
-    samples = np.asarray(list(latency_samples), dtype=float)
-    if samples.size == 0:
+    samples = [float(t) for t in latency_samples]
+    if not samples:
         raise ValueError("eval_timing needs at least one latency sample")
-    if np.any(samples < 0.0):
+    if not all(t >= 0.0 for t in samples):
         raise ValueError("latency samples must be nonnegative")
     if budget < 0.0:
         raise ValueError(f"budget must be nonnegative, got {budget}")
-    survival = np.array([float(coherence_survival(t)) for t in samples])
-    if np.any(survival < -1e-12) or np.any(survival > 1.0 + 1e-12):
+    survival = [float(coherence_survival(t)) for t in samples]
+    if any(s < -1e-12 or s > 1.0 + 1e-12 for s in survival):
         raise ValueError("coherence_survival must map into [0, 1]")
-    survival = np.clip(survival, 0.0, 1.0)
-    within = samples <= budget
-    joint = float(np.mean(within * survival))
-    p_latency = float(np.mean(within))
-    mean_survival = float(np.mean(survival))
+    survival = [min(max(s, 0.0), 1.0) for s in survival]
+    n = len(samples)
+    joint = math.fsum(s for t, s in zip(samples, survival) if t <= budget) / n
+    p_latency = sum(t <= budget for t in samples) / n
+    mean_survival = math.fsum(survival) / n
 
-    if samples.size > 512:
-        grid = np.unique(np.percentile(samples, np.linspace(0.0, 100.0, 513)))
+    ordered = sorted(samples)
+    if n > 512:
+        grid = {_percentile(ordered, 100.0 * i / 512) for i in range(513)}
     else:
-        grid = np.unique(samples)
-    grid = np.unique(np.append(grid, budget))
-    sorted_samples = np.sort(samples)
-    cdf = np.searchsorted(sorted_samples, grid, side="right") / samples.size
-    latency_curve = tuple((float(t), float(c)) for t, c in zip(grid, cdf))
+        grid = set(ordered)
+    grid = sorted(grid | {float(budget)})
+    latency_curve = tuple((t, bisect.bisect_right(ordered, t) / n) for t in grid)
     survival_curve = tuple(
-        (float(t), float(np.clip(coherence_survival(t), 0.0, 1.0))) for t in grid
+        (t, min(max(float(coherence_survival(t)), 0.0), 1.0)) for t in grid
     )
     return TimingEval(
         budget=float(budget),

@@ -190,11 +190,8 @@ class ClassicalLinkSpec:
     def latency(self, size_bits: float) -> float:
         return size_bits / self.rate_bps + self.prop_delay_s
 
-    def delivered(self, draw):
-        """Whether a transmission whose uniform loss draw is ``draw`` arrives.
-
-        Takes one draw or an array of them, for senders that draw in bulk.
-        """
+    def delivered(self, draw: float) -> bool:
+        """Whether a transmission whose uniform loss draw is ``draw`` arrives."""
         return draw >= self.p_err_c
 
 
@@ -229,7 +226,7 @@ def classical_send(
     """
     if size_bits < 0:
         raise ValueError(f"message size must be nonnegative, got {size_bits}")
-    return bool(link.delivered(rng.random())), link.latency(size_bits)
+    return link.delivered(rng.random()), link.latency(size_bits)
 
 
 def _adjacency(edges: Iterable[tuple[str, str]]) -> dict[str, tuple[str, ...]]:

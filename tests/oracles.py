@@ -463,29 +463,33 @@ def link_usable(nodes: dict, cells: dict, a: str, b: str, t: float, quantum: boo
 # Separable sensing shots, one shot at a time
 # ---------------------------------------------------------------------------
 
-def separable_shots(rng: np.random.Generator, shots: int, p0: float,
-                    p_err: list[float], latencies: list[float], step: float,
-                    t0: float, coverage, block: int) -> tuple[list[tuple[int, int]], float]:
+def separable_shots(rng, shots: int, p0: float, p_err: list[float],
+                    latencies: list[float], step: float, t0: float,
+                    coverage) -> tuple[list[tuple[int, int]], float]:
     """Each shot's (zeros, bits used) and the clock after the last shot.
 
-    Shots are drawn ``block`` at a time from ``rng``: first a (shots,
-    sensors) array of probe draws, a bit reading 0 when its draw is below
-    p0, then a (sensors, shots) array of loss draws, a report arriving when
-    its draw is at least the link's p_err.  A shot takes ``step``, then
-    waits for the slowest report that arrived from a sensor that
-    ``coverage(t)`` says is covered; only those reports count.
+    A shot takes ``step``.  Then each sensor that ``coverage(t)`` says is
+    covered gets its report through: surely at p_err 0, never at p_err 1,
+    and otherwise when one draw from ``rng`` is at least p_err.  The shot
+    waits for the slowest report that got through.  One more draw u picks
+    the number of zeros among the g reports: the least k whose binomial
+    probability P(X <= k), summed term by term, exceeds u.
     """
     n = len(latencies)
     per_shot = []
     t = t0
-    for first in range(0, shots, block):
-        size = min(block, shots - first)
-        zero = rng.random((size, n)) < p0
-        loss = rng.random((n, size))
-        for i in range(size):
-            t += step
-            cover = coverage(t)
-            got = [bool(cover[j] and loss[j, i] >= p_err[j]) for j in range(n)]
-            t += max((lat for lat, g in zip(latencies, got) if g), default=0.0)
-            per_shot.append((sum(1 for j in range(n) if got[j] and zero[i, j]), sum(got)))
+    for _ in range(shots):
+        t += step
+        cover = coverage(t)
+        got = [cover[j] and (p_err[j] == 0.0
+                             or (p_err[j] < 1.0 and rng.random() >= p_err[j]))
+               for j in range(n)]
+        t += max((lat for lat, g in zip(latencies, got) if g), default=0.0)
+        g = sum(got)
+        u = rng.random()
+        k, cumulative = 0, (1.0 - p0) ** g
+        while k < g and u >= cumulative:
+            k += 1
+            cumulative += math.comb(g, k) * p0 ** k * (1.0 - p0) ** (g - k)
+        per_shot.append((k, g))
     return per_shot, t

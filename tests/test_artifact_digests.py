@@ -10,8 +10,8 @@ file with
 
     PYTHONPATH=src python tests/test_artifact_digests.py
 
-Digests depend on numpy's random streams and float kernels, so the test
-skips when the installed numpy's major.minor differs from the recorded one.
+The runs draw from the standard library alone, so the digests hold on
+every supported Python.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from conftest import _edited
@@ -35,10 +34,20 @@ SCENARIOS = sorted((REPO / "scenarios").glob("*.json")) + [
     REPO / "tests" / "data" / "sensing_ghz.json"]
 SEEDS = range(4)
 
-# (name, shipped stem, edits, seeds)
+# (name, shipped stem, edits, seeds, the outcome its one app must reach or None)
 VARIANTS = [
     # 15.15 attempt periods of 2e-4 s: sessions expire partway through a slot.
-    ("qkd_baseline_deadline", "qkd_baseline", {"$.apps[0].max_latency_s": 0.00303}, SEEDS),
+    ("qkd_baseline_deadline", "qkd_baseline", {"$.apps[0].max_latency_s": 0.00303},
+     SEEDS, None),
+    # One batch of 8 pairs almost never sifts the 8 bits k_target asks for.
+    ("qkd_retry_one_round", "qkd_retry_sweetspot",
+     {"$.apps[0].max_rounds": 1, "$.apps[0].n_pairs": 8}, SEEDS, "exhausted"),
+    # Links at w0 0.6 swap to w 0.36, a QBER near 0.32 against qber_abort 0.11;
+    # half the sifted bits are sampled, chosen by the sift stream's permutation.
+    ("qkd_baseline_noisy", "qkd_baseline",
+     {"$.quantum_links[0].w0": 0.6, "$.quantum_links[1].w0": 0.6,
+      "$.apps[0].min_fidelity": 0.5, "$.apps[0].sample_fraction": 0.5},
+     SEEDS, "aborted-qber"),
 ]
 
 
@@ -49,16 +58,15 @@ def _document(path: Path) -> dict:
 CASES = {path.stem: (_document(path), SEEDS) for path in SCENARIOS}
 CASES.update({
     name: (_edited(_document(REPO / "scenarios" / f"{stem}.json"), edits), seeds)
-    for name, stem, edits, seeds in VARIANTS})
+    for name, stem, edits, seeds, _ in VARIANTS})
 
 
-def _major_minor(version: str) -> str:
-    return ".".join(version.split(".")[:2])
+def _run(document: dict, seed: int):
+    return run_scenario(load_scenario(document)[0], seed=seed)
 
 
 def artifact_digests(document: dict, seed: int) -> dict[str, str]:
-    scenario, _ = load_scenario(document)
-    art = run_scenario(scenario, seed=seed)
+    art = _run(document, seed)
     texts = {
         "trace.jsonl": art.trace_jsonl,
         "metrics.csv": metrics_csv(art.metrics_rows),
@@ -74,21 +82,25 @@ def _recorded() -> dict:
 
 @pytest.mark.parametrize("name", CASES)
 def test_artifacts_match_pinned_digests(name):
-    recorded = _recorded()
-    if _major_minor(np.__version__) != _major_minor(recorded["numpy"]):
-        pytest.skip(f"digests were recorded with numpy {recorded['numpy']}, "
-                    f"this is numpy {np.__version__}")
     document, seeds = CASES[name]
-    pinned = recorded["digests"][name]
+    pinned = _recorded()["digests"][name]
     assert sorted(pinned) == [str(seed) for seed in seeds]
     for seed in seeds:
         assert artifact_digests(document, seed) == pinned[str(seed)], \
             f"{name} seed {seed}: artifacts differ from the pinned digests"
 
 
+@pytest.mark.parametrize("name, outcome", [(name, outcome) for name, _, _, _, outcome
+                                            in VARIANTS if outcome is not None])
+def test_variant_reaches_its_outcome(name, outcome):
+    document, seeds = CASES[name]
+    for seed in seeds:
+        (app,) = _run(document, seed).summary["apps"].values()
+        assert app["outcome"] == outcome, f"{name} seed {seed}"
+
+
 def main() -> int:
     document = {
-        "numpy": np.__version__,
         "digests": {name: {str(seed): artifact_digests(document, seed) for seed in seeds}
                     for name, (document, seeds) in CASES.items()},
     }

@@ -1,22 +1,19 @@
 """Unit tests for the event kernel, RNG streams, trace/metrics, eval_timing."""
 
-import copy
 import enum
 import hashlib
 import heapq
 import itertools
 import json
 import math
-import struct
+import random
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
-from oneq.engine import (
-    EventKind, Metrics, RngStream, Simulator, Trace, _percentile, eval_timing,
-)
+from oneq.engine import EventKind, Metrics, Simulator, Trace, _percentile, eval_timing
 
 
 class TestScheduling:
@@ -256,114 +253,85 @@ class TestRngStreams:
     def test_same_key_same_sequence(self):
         a = Simulator(seed=42).rng_stream("n1", "basis")
         b = Simulator(seed=42).rng_stream("n1", "basis")
-        assert np.array_equal(a.random(64), b.random(64))
+        assert [a.random() for _ in range(64)] == [b.random() for _ in range(64)]
 
     def test_stream_is_cached_within_a_run(self):
         sim = Simulator(seed=42)
         first = sim.rng_stream("n1", "basis")
-        first.random(8)
+        first.random()
         assert sim.rng_stream("n1", "basis") is first
 
     def test_distinct_purposes_and_nodes_differ(self):
-        sim = Simulator(seed=42)
-        base = sim.rng_stream("n1", "basis").random(32)
-        other_purpose = sim.rng_stream("n1", "sift").random(32)
-        other_node = sim.rng_stream("n2", "basis").random(32)
-        other_seed = Simulator(seed=43).rng_stream("n1", "basis").random(32)
-        assert not np.array_equal(base, other_purpose)
-        assert not np.array_equal(base, other_node)
-        assert not np.array_equal(base, other_seed)
+        def draws(seed, node, purpose):
+            stream = Simulator(seed=seed).rng_stream(node, purpose)
+            return [stream.random() for _ in range(32)]
+
+        base = draws(42, "n1", "basis")
+        assert base != draws(42, "n1", "sift")
+        assert base != draws(42, "n2", "basis")
+        assert base != draws(43, "n1", "basis")
+
+    def test_stream_is_a_keyed_mersenne_twister(self):
+        digest = hashlib.sha256(b"42|n1|basis").digest()
+        plain = random.Random(int.from_bytes(digest, "big"))
+        stream = Simulator(seed=42).rng_stream("n1", "basis")
+        assert [stream.random() for _ in range(100)] == [plain.random() for _ in range(100)]
 
     def test_stream_uniformity(self):
-        draws = Simulator(seed=7).rng_stream("n1", "uniformity").random(100_000)
-        counts, _ = np.histogram(draws, bins=20, range=(0.0, 1.0))
+        stream = Simulator(seed=7).rng_stream("n1", "uniformity")
+        counts = [0] * 20
+        for _ in range(100_000):
+            counts[int(stream.random() * 20)] += 1
         assert stats.chisquare(counts).pvalue > 0.01
 
+    @pytest.mark.parametrize("low,high", [(0, 2), (0, 5), (0, 8), (3, 2**40 + 3)])
+    def test_integers_stay_in_range_and_are_uniform(self, low, high):
+        stream = Simulator(seed=8).rng_stream("n1", "integers")
+        draws = [stream.integers(low, high) for _ in range(20_000)]
+        assert all(type(d) is int and low <= d < high for d in draws)
+        if high - low <= 8:
+            counts = [draws.count(low + i) for i in range(high - low)]
+            assert stats.chisquare(counts).pvalue > 0.01
 
-_BOUNDS = [(0, 2), (0, 8), (3, 2**40)]
-_OPS = st.one_of(
-    st.tuples(st.just("random"), st.integers(1, 600)),
-    st.tuples(st.just("integers"), st.integers(0, len(_BOUNDS) - 1), st.integers(1, 600)),
-    st.tuples(st.just("random(k)"), st.integers(0, 40)),
-    st.tuples(st.just("integers(size=k)"), st.integers(0, len(_BOUNDS) - 1),
-              st.integers(0, 40)),
-    st.tuples(st.just("permutation"), st.integers(0, 30)),
-    st.tuples(st.just("state")),
-    st.tuples(st.just("deepcopy"), st.integers(0, 5)),
-)
+    def test_empty_range_is_rejected(self):
+        with pytest.raises(ValueError):
+            Simulator(seed=8).rng_stream("n1", "integers").integers(3, 3)
 
-
-def _plain_twin(seed: int, node: str, purpose: str) -> np.random.Generator:
-    digest = hashlib.sha256(f"{seed}|{node}|{purpose}".encode("utf-8")).digest()
-    return np.random.Generator(np.random.Philox(key=np.frombuffer(digest[:16], dtype="<u8")))
-
-
-def _same(a, b) -> bool:
-    if isinstance(b, np.ndarray):
-        return a.dtype == b.dtype and np.array_equal(a, b)
-    return type(a) is type(b) and a == b
+    def test_permutations_are_uniform(self):
+        stream = Simulator(seed=9).rng_stream("n1", "permutation")
+        orders = [tuple(stream.permutation(4)) for _ in range(24_000)]
+        assert set(orders) == set(itertools.permutations(range(4)))
+        counts = [orders.count(order) for order in itertools.permutations(range(4))]
+        assert stats.chisquare(counts).pvalue > 0.01
+        assert stream.permutation(0) == [] and stream.permutation(1) == [0]
 
 
-class TestStreamExactness:
-    """An RngStream returns what a plain Philox Generator with its key returns."""
+class TestPinnedDraws:
+    """The first draws of one key, as recorded.  Python promises that
+    random() repeats for a seed; a Python that changed any of these would
+    shift every trace, and fails here first."""
 
     @staticmethod
-    def _apply(op, stream, plain):
-        """(stream's answer, plain Generator's answer) for one op."""
-        kind = op[0]
-        if kind == "random":
-            return ([stream.random() for _ in range(op[1])],
-                    [plain.random() for _ in range(op[1])])
-        if kind == "integers":
-            low, high = _BOUNDS[op[1]]
-            return ([stream.integers(low, high) for _ in range(op[2])],
-                    [int(plain.integers(low, high)) for _ in range(op[2])])
-        if kind == "random(k)":
-            return stream.random(op[1]), plain.random(op[1])
-        if kind == "integers(size=k)":
-            low, high = _BOUNDS[op[1]]
-            return (stream.integers(low, high, size=op[2]),
-                    plain.integers(low, high, size=op[2]))
-        if kind == "permutation":
-            return stream.permutation(op[1]), plain.permutation(op[1])
-        if kind == "state":
-            return repr(stream.bit_generator.state), repr(plain.bit_generator.state)
-        twin, plain_twin = copy.deepcopy(stream), copy.deepcopy(plain)
-        return ([twin.random() for _ in range(op[1])] + [twin.integers(0, 8)],
-                [plain_twin.random() for _ in range(op[1])]
-                + [int(plain_twin.integers(0, 8))])
+    def _fresh():
+        return Simulator(seed=2025).rng_stream("QUE1", "measurement")
 
-    @settings(max_examples=200, deadline=None)
-    @given(seed=st.integers(0, 2**32), ops=st.lists(_OPS, max_size=12))
-    @example(seed=0, ops=[("integers", 0, 3), ("random", 1), ("integers", 0, 3)])
-    @example(seed=1, ops=[("random", 300), ("state",), ("random", 300),
-                          ("integers", 2, 5), ("deepcopy", 3), ("random(k)", 3)])
-    def test_every_draw_matches_a_plain_generator(self, seed, ops):
-        stream = Simulator(seed=seed).rng_stream("QUE1", "measurement")
-        plain = _plain_twin(seed, "QUE1", "measurement")
-        for op in ops:
-            got, want = self._apply(op, stream, plain)
-            if isinstance(want, list):
-                assert len(got) == len(want) and all(map(_same, got, want)), op
-            else:
-                assert _same(got, want), op
-        assert repr(stream.bit_generator.state) == repr(plain.bit_generator.state)
+    def test_random(self):
+        stream = self._fresh()
+        assert [stream.random() for _ in range(3)] == [
+            0.09585918072671262, 0.10030199415362362, 0.9080939244711641]
 
+    def test_integers(self):
+        stream = self._fresh()
+        assert [stream.integers(0, 2) for _ in range(16)] == [
+            0, 0, 0, 1, 1, 0, 1, 1, 0, 1, 1, 1, 1, 1, 1, 1]
+        stream = self._fresh()
+        assert [stream.integers(0, 8) for _ in range(16)] == [
+            0, 3, 0, 6, 7, 2, 7, 4, 0, 4, 6, 4, 4, 5, 5, 7]
 
-class TestKeySeededStreams:
-    """A stream is built from its key alone, as Philox(key=key) builds it."""
-
-    @settings(max_examples=100, deadline=None)
-    @given(words=st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1)))
-    def test_state_and_first_draws_match_philox_with_the_key(self, words):
-        key = np.array(words, dtype="<u8")
-        assert repr(RngStream(key).bit_generator.state) == repr(np.random.Philox(key=key).state)
-        for draw in (lambda gen: gen.random(), lambda gen: gen.integers(0, 2)):
-            stream = RngStream(key)
-            plain = np.random.Generator(np.random.Philox(key=key))
-            assert [draw(stream) for _ in range(64)] == [draw(plain) for _ in range(64)]
-            # reading the state rebuilds the generator from the key and replays the draws
-            assert repr(stream.bit_generator.state) == repr(plain.bit_generator.state)
+    def test_permutation(self):
+        stream = self._fresh()
+        assert stream.permutation(5) == [2, 3, 4, 1, 0]
+        assert stream.permutation(5) == [1, 0, 4, 3, 2]
 
 
 class TestTraceAndMetrics:
@@ -408,6 +376,24 @@ class TestTraceAndMetrics:
         assert by_name["lat.max"] == 4.0
         names = [row[2] for row in rows]
         assert names == sorted(names)
+        with pytest.raises(ValueError):
+            m.observe("lat", math.nan)
+
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=50))
+    def test_series_statistics_match_numpy(self, values):
+        m = Metrics()
+        for v in values:
+            m.observe("x", v)
+        got = {row[2]: row[3] for row in m.to_rows("r", 1)}
+        arr = np.asarray(values, dtype=float)
+        assert got["x.count"] == len(values)
+        assert got["x.min"] == arr.min() and got["x.max"] == arr.max()
+        assert got["x.p50"] == np.percentile(arr, 50)
+        assert got["x.p90"] == np.percentile(arr, 90)
+        assert got["x.mean"] == pytest.approx(arr.mean(), rel=1e-12, abs=1e-9)
+        assert got["x.std"] == pytest.approx(arr.std(), rel=1e-9, abs=1e-6)
 
 
 class _Float(float):
@@ -507,7 +493,7 @@ class TestCompactTrace:
 
 _SERIES = st.lists(
     st.floats(min_value=-1e3, max_value=1e3)
-    | st.sampled_from([0.0, -0.0, 1e-9, -1e-9, 1e3, 0.5, math.nan])
+    | st.sampled_from([0.0, -0.0, 1e-9, -1e-9, 1e3, 0.5])
     | st.floats(min_value=1e-9, max_value=1e-6),
     min_size=1, max_size=40,
 )
@@ -520,16 +506,10 @@ class TestPercentile:
     @example([-0.0], 50)
     @example([1.0, 2.0, 2.0, 2.0], 50)
     @example([1.0, 2.0, 3.0, 4.0], 90)
-    @example([0.5, math.nan, 1e-9], 50)
     @example([0.0, -0.0, 0.0, 0.0, 0.0, 0.0, 0.0, -0.0, 0.0, 0.0], 50)
-    def test_matches_numpy_to_the_bit(self, values, p):
-        arr = np.asarray(values, dtype=float)
-        ours = _percentile(arr, p)
-        want = float(np.percentile(arr, p))
-        if math.isnan(want):
-            assert math.isnan(ours)
-        else:
-            assert struct.pack("<d", ours) == struct.pack("<d", want)
+    def test_matches_numpy(self, values, p):
+        ours = _percentile(sorted(values), p)
+        assert ours == np.percentile(np.asarray(values, dtype=float), p)
 
 
 class TestEvalTiming:
@@ -563,6 +543,8 @@ class TestEvalTiming:
             eval_timing([], lambda t: 1.0, budget=1.0)
         with pytest.raises(ValueError):
             eval_timing([-1.0], lambda t: 1.0, budget=1.0)
+        with pytest.raises(ValueError):
+            eval_timing([math.nan], lambda t: 1.0, budget=1.0)
         with pytest.raises(ValueError):
             eval_timing([1.0], lambda t: 2.0, budget=1.0)
         with pytest.raises(ValueError):

@@ -222,6 +222,14 @@ class TestAppOnEngine:
         kinds = [r["kind"] for r in sim.trace]
         assert kinds.count("app-start") == 1 and kinds.count("app-end") == 1
 
+    def test_disagreements_gauge_counts_every_sifted_mismatch(self, make_stack):
+        topo = one_cell_topology(q_attempt=0.9, w0=0.8, t_coh_s=1e9)
+        cfg = QkdConfig("qkd0", "QUE1", "QUE2", n_pairs=64, rounds=1,
+                        min_fidelity=0.5, sample_fraction=0.0)
+        sim, stack, res = _run_app(make_stack, topo, cfg)
+        assert res.disagreements > 0
+        assert sim.metrics.gauges["app.qkd0.disagreements"] == float(res.disagreements)
+
     def test_same_seed_reproduces_keys(self, make_stack):
         topo = one_cell_topology(q_attempt=0.5, w0=0.95, t_coh_s=1e9)
         cfg = QkdConfig("qkd0", "QUE1", "QUE2", n_pairs=24, rounds=2,
@@ -254,14 +262,14 @@ class TestEveryOutcomeInBothModes:
 
     @pytest.mark.parametrize("mode, seed, outcome, sessions", [
         ("rounds", 1, "aborted-attach", 0),
-        ("rounds", 31, "aborted-session", 2),
-        ("rounds", 11, "aborted-classical", 4),
-        ("rounds", 2, "key", 4),
+        ("rounds", 0, "aborted-session", 1),
+        ("rounds", 18, "aborted-classical", 4),
+        ("rounds", 6, "key", 4),
         ("first-key", 1, "aborted-attach", 0),
-        ("first-key", 31, "aborted-session", 4),
-        ("first-key", 5, "aborted-classical", 1),
-        ("first-key", 98, "exhausted", 6),
-        ("first-key", 2, "key", 5),
+        ("first-key", 10, "aborted-session", 2),
+        ("first-key", 0, "aborted-classical", 1),
+        ("first-key", 9, "exhausted", 6),
+        ("first-key", 6, "key", 1),
     ])
     def test_outcome_counts_every_pair_measured(self, make_stack, mode, seed,
                                                 outcome, sessions):
@@ -278,10 +286,10 @@ class TestEveryOutcomeInBothModes:
         assert (res.key_bits > 0) == (outcome == "key")
 
     def test_lost_sample_report_voids_the_key(self, make_stack):
-        # seed 13: every batch and both basis announcements arrive, then
+        # seed 5: every batch and both basis announcements arrive, then
         # Bob's report of his sampled bits is lost
         topo = one_cell_topology(q_attempt=0.9, w0=1.0, t_coh_s=1e9, p_err_c=0.1)
-        sim, stack = make_stack(topo, seed=13,
+        sim, stack = make_stack(topo, seed=5,
                                 defaults=dataclasses.replace(QUIET, retry_cap=1))
         res = drive(sim, QkdApp(self.CONFIGS["rounds"]).run(stack))
         failed = [r["details"]["msg"] for r in sim.trace

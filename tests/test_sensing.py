@@ -6,12 +6,12 @@ import math
 from pathlib import Path
 
 import pytest
+from scipy import stats
 
 import oracles
 import tracecheck
 from conftest import drive, one_cell_topology
 from oneq.apps.sensing import (
-    _BLOCK_SHOTS,
     SensingApp,
     SensingConfig,
     delta_method_se,
@@ -362,7 +362,7 @@ class TestSeparableTimeline:
 class TestSeparableAgainstReference:
     """Static, untraced runs against the shot-by-shot reference loop."""
 
-    @pytest.mark.parametrize("shots", [1, 255, 256, 257, 1500])
+    @pytest.mark.parametrize("shots", [1, 257, 1500])
     @pytest.mark.parametrize("p_err_c", [0.0, 0.3, 1.0])
     @pytest.mark.parametrize("n_sensors", [1, 9])
     def test_result_and_end_time_equal_the_reference(self, make_stack, n_sensors,
@@ -380,13 +380,32 @@ class TestSeparableAgainstReference:
             oracles.ramsey_p_zero(1.0, math.exp(-cfg.tau_interrogate_s / cfg.t2_s)),
             [link.p_err_c for link in links],
             [link.latency(stack.bits("report")) for link in links],
-            cfg.reinit_delay_s + cfg.tau_interrogate_s, 0.0, lambda t: cover,
-            _BLOCK_SHOTS)
+            cfg.reinit_delay_s + cfg.tau_interrogate_s, 0.0, lambda t: cover)
         want = SensingApp(cfg)._estimate(per_shot, 0.0)
         want.elapsed_s = t_end
         assert res == want
         assert sim.now == t_end
         assert res.outcome == ("no-data" if p_err_c == 1.0 else "done")
+
+
+class TestSeparableZeroCounts:
+    def test_counts_follow_the_binomial_of_the_reports_that_arrived(self, make_stack):
+        # 4 sensors at p_err_c 0.3: g ~ Binomial(4, 0.7) reports arrive, and
+        # given g the zero count is Binomial(g, p0).
+        topo = one_cell_topology(n_ues=4, p_err_c=0.3)
+        cfg = SensingConfig("sense0", "QBS1", ("QUE1", "QUE2", "QUE3", "QUE4"),
+                            phi_true=1.0, shots=20_000)
+        sim, stack = make_stack(topo, seed=77)
+        app = SensingApp(cfg)
+        per_shot = drive(sim, app._run_separable(stack), until=1e7)
+        p0 = probe_probability(cfg.phi_true, app.contrast)
+        cells = [(k, g) for g in range(5) for k in range(g + 1)]
+        observed = [per_shot.count(cell) for cell in cells]
+        expected = [cfg.shots * stats.binom.pmf(g, 4, 0.7) * stats.binom.pmf(k, g, p0)
+                    for k, g in cells]
+        assert sum(observed) == cfg.shots
+        assert min(expected) >= 5.0
+        assert stats.chisquare(observed, expected).pvalue > 1e-3
 
 
 class TestChronologicalTraces:

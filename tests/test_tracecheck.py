@@ -159,9 +159,9 @@ FAULTS = [
     (_drop_swap_input, "ins p000144 for at QBS1"),
     (_consume_while_connected, "consumed while its holders are QUE2:Connected"),
     (_idle_to_entangled, "Idle -> Entangled is not an allowed edge"),
-    (_drop_line, "1205 trace records, but summary.json counts 1206"),
+    (_drop_line, "1220 trace records, but summary.json counts 1221"),
     (_exchange_times, "t steps back"),
-    (_discard_one_more, "metrics: 210 resources made"),
+    (_discard_one_more, "metrics: 215 resources made"),
 ]
 
 
@@ -178,7 +178,7 @@ def test_each_fault_is_reported(fault, message):
 
 def test_ends_reports_an_id_that_ends_twice():
     records = _records(_handover_run())
-    assert len(tracecheck.ends(records)) == 210
+    assert len(tracecheck.ends(records)) == 215
     _duplicate_consume(records, [])
     with pytest.raises(ValueError, match="ends twice"):
         tracecheck.ends(records)
@@ -190,7 +190,7 @@ def test_command_reads_a_run_directory(tmp_path, capsys):
     trace = tmp_path / "trace.jsonl"
     trace.write_text("".join(trace.read_text("utf-8").splitlines(True)[1:]), "utf-8")
     assert tracecheck.main([str(tmp_path)]) == 1
-    assert "1205 trace records" in capsys.readouterr().out
+    assert "1220 trace records" in capsys.readouterr().out
 
 
 def test_events_by_kind_must_sum_to_events():
