@@ -103,6 +103,8 @@ def simulate_match_rate(n_pairs: int, k_target: int, p_deliver: float,
 
 @dataclass(frozen=True)
 class QkdConfig:
+    """One BBM92 key-distribution app: its two UEs, batches and abort rules."""
+
     app_id: str = field(metadata={"key": "id"})
     alice: str
     bob: str
@@ -134,6 +136,8 @@ class QkdConfig:
 
 @dataclass
 class QkdResult:
+    """How a QKD app ended, with its sifting, QBER and key counts."""
+
     app_id: str
     outcome: str
     sessions: int = 0

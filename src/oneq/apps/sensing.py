@@ -81,6 +81,8 @@ def delta_method_se(p_hat: float, n_bits: int, visibility: float,
 
 @dataclass(frozen=True)
 class SensingConfig:
+    """One phase-sensing app: its fusion node, sensors, shots and noise."""
+
     app_id: str = field(metadata={"key": "id"})
     fusion: str
     sensors: tuple[str, ...]
@@ -119,6 +121,8 @@ class SensingConfig:
 
 @dataclass
 class SensingResult:
+    """How a sensing app ended, with its phase estimate and the bits it used."""
+
     app_id: str
     outcome: str
     mode: str = "separable"

@@ -144,6 +144,8 @@ def blindness_pvalue(deltas_eighths) -> float:
 
 @dataclass(frozen=True)
 class UbqcConfig:
+    """One blind-computation app: its client, server, angle pattern and shots."""
+
     app_id: str = field(metadata={"key": "id"})
     client: str
     server: str
@@ -168,6 +170,8 @@ class UbqcConfig:
 
 @dataclass
 class UbqcResult:
+    """How a blind-computation app ended, with its zero rate and pairs used."""
+
     app_id: str
     outcome: str
     shots_done: int = 0

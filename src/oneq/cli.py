@@ -7,7 +7,8 @@ validate prints loader warnings as "warning: ..." lines on stdout and run
 on stderr; sweep logs them through the oneq.runner logger, which Python
 writes to stderr while no logging is configured.  A scenario file that
 run or sweep cannot read, parse or validate prints one "error: ..." line
-per violation on stderr and exits 2.
+per violation on stderr and exits 2, and so does a run whose --until is
+negative or not a finite number.
 """
 
 from __future__ import annotations
@@ -96,7 +97,11 @@ def _cmd_run(args) -> int:
     scenario, warnings = load_scenario_file(args.scenario, strict=args.strict)
     for warning in warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    artifacts = run_scenario(scenario, seed=args.seed, until=args.until)
+    try:
+        artifacts = run_scenario(scenario, seed=args.seed, until=args.until)
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
     print(f"run {artifacts.run_id}: t_end={artifacts.summary['t_end']:.6f} "
           f"events={artifacts.summary['events']}")
     for app_id, info in artifacts.summary["apps"].items():

@@ -327,6 +327,8 @@ class Simulator:
 
 @dataclass(frozen=True)
 class TimingEval:
+    """eval_timing's result: the joint probability and the curves behind it."""
+
     budget: float
     joint: float
     p_latency: float

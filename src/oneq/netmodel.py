@@ -110,6 +110,8 @@ def orbit_next_window(mobility: Mobility, t: float) -> tuple[float, float]:
 
 @dataclass
 class NodeSpec:
+    """A station or UE: its kind, position, memory and mobility."""
+
     id: str
     kind: NodeKind
     position: tuple[float, float, float]
@@ -153,6 +155,8 @@ class NodeSpec:
 
 @dataclass(frozen=True)
 class CellSpec:
+    """A base station's classical and quantum coverage radii."""
+
     bs_id: str = field(metadata={"key": "bs"})
     classical_radius: float
     quantum_radius: float = 0.0
@@ -171,6 +175,8 @@ class CellSpec:
 
 @dataclass(frozen=True)
 class ClassicalLinkSpec:
+    """An undirected classical link: rate, propagation delay and loss."""
+
     a: str
     b: str
     rate_bps: float
@@ -197,6 +203,8 @@ class ClassicalLinkSpec:
 
 @dataclass(frozen=True)
 class QuantumLinkSpec:
+    """An undirected heralded link: success per attempt, period and w0."""
+
     a: str
     b: str
     q_attempt: float

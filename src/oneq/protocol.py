@@ -109,6 +109,8 @@ def check_request_bounds(max_latency_s: float, min_fidelity: float) -> None:
 
 @dataclass(frozen=True)
 class EntanglementRequest:
+    """What a session asks for: a pair count, a deadline and a fidelity floor."""
+
     requester: str
     target: str
     count: int
@@ -123,6 +125,8 @@ class EntanglementRequest:
 
 @dataclass
 class SessionResult:
+    """How a session ended and the pairs it delivered."""
+
     outcome: SessionOutcome
     delivered: tuple[str, ...]
     elapsed_s: float
@@ -133,6 +137,8 @@ class SessionResult:
 
 @dataclass
 class HandoverResult:
+    """How a handover went: the mode used, downtime and pairs migrated."""
+
     mode_requested: HandoverMode
     mode_used: HandoverMode
     fell_back: bool
@@ -143,6 +149,8 @@ class HandoverResult:
 
 @dataclass
 class TeleportResult:
+    """Whether a teleported qubit arrived, and at what fidelity."""
+
     delivered: bool
     fidelity: float
     elapsed_s: float
@@ -268,6 +276,8 @@ class ResourceLedger:
 
 @dataclass
 class QueContext:
+    """A UE's control-plane state, serving station and stored pairs."""
+
     node_id: str
     state: QueState = QueState.IDLE
     serving_bs: Optional[str] = None

@@ -15,13 +15,11 @@ each run is independent yet reproducible.
 
 from __future__ import annotations
 
-import copy
 import csv
 import hashlib
 import io
 import json
-import logging
-import re
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Optional
@@ -36,14 +34,14 @@ from .scenario import Scenario, load_scenario
 __all__ = ["RunArtifacts", "run_scenario", "write_artifacts", "run_sweep",
            "set_by_path", "derive_seed"]
 
-log = logging.getLogger("oneq.runner")
-
 APP_RESULT_COLUMNS = ("app_type", "app_id", "run_id", "outcome", "result",
                       "elapsed_s", "resources_consumed")
 
 
 @dataclass
 class RunArtifacts:
+    """The outputs of one run, as write_artifacts writes them."""
+
     run_id: str
     seed: int
     summary: dict
@@ -63,6 +61,12 @@ def _headline(kind: str, result) -> tuple[str, float, float]:
 
 def run_scenario(scenario: Scenario, seed: Optional[int] = None,
                  until: Optional[float] = None) -> RunArtifacts:
+    """Run the scenario to its duration, or to until seconds if given.
+
+    Raises ValueError when until is negative or not a finite number.
+    """
+    if until is not None and not (math.isfinite(until) and until >= 0.0):
+        raise ValueError(f"until must be a finite nonnegative time, got {until}")
     run_seed = scenario.seed if seed is None else seed
     horizon = scenario.duration_s if until is None else until
     run_id = f"{scenario.name}-s{run_seed}"
@@ -182,13 +186,11 @@ def write_artifacts(artifacts: RunArtifacts, out_dir: str) -> dict[str, str]:
 
 # -- sweeps -----------------------------------------------------------------
 
-_PATH_TOKEN = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)|\[(\d+)\]")
-
-
 def _tokenize_path(path: str) -> list:
+    import re
     tokens: list = []
     pos = 0
-    for m in _PATH_TOKEN.finditer(path):
+    for m in re.finditer(r"([A-Za-z_][A-Za-z0-9_]*)|\[(\d+)\]", path):
         if m.start() != pos:
             raise ValueError(f"cannot parse parameter path {path!r}")
         tokens.append(m.group(1) if m.group(1) is not None else int(m.group(2)))
@@ -207,6 +209,7 @@ def set_by_path(document: dict, path: str, value: Any) -> dict:
 
     Paths look like "apps[0].n_pairs" or "quantum_links[1].q_attempt".
     """
+    import copy
     doc = copy.deepcopy(document)
     tokens = _tokenize_path(path)
     target: Any = doc
@@ -233,6 +236,7 @@ def derive_seed(base_seed: int, param: str, value: Any, replicate: int) -> int:
 def run_sweep(document: dict, param: str, values: list, replications: int = 1,
               strict: bool = False) -> list[dict]:
     """Run the scenario once per (value, replicate); returns headline rows."""
+    import logging
     if replications < 1:
         raise ValueError(f"replications must be positive, got {replications}")
     base_seed = document.get("seed", 0)
@@ -241,7 +245,7 @@ def run_sweep(document: dict, param: str, values: list, replications: int = 1,
         varied = set_by_path(document, param, value)
         scenario, warnings = load_scenario(varied, strict=strict)
         for warning in warnings:
-            log.warning("warning: %s", warning)
+            logging.getLogger("oneq.runner").warning("warning: %s", warning)
         for rep in range(replications):
             seed = derive_seed(base_seed, param, value, rep)
             artifacts = run_scenario(scenario, seed=seed)

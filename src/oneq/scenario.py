@@ -44,6 +44,8 @@ SCHEMA_VERSION = 1
 
 @dataclass(frozen=True)
 class AppSpec:
+    """An app block: its type, its built config and its start time."""
+
     kind: str = field(metadata={"key": "type"})
     config: Any  # QkdConfig | UbqcConfig | SensingConfig, built from the same block
     start_s: float = 0.0
@@ -55,6 +57,8 @@ class AppSpec:
 
 @dataclass(frozen=True)
 class OpSpec:
+    """A scheduled operation; a handover is the only kind."""
+
     op: str
     at_s: float
     ue: str
@@ -70,6 +74,8 @@ class OpSpec:
 
 @dataclass(frozen=True)
 class PolicySpec:
+    """The provisioning policy: reactive, or proactive with buffer targets."""
+
     mode: PolicyMode = PolicyMode.REACTIVE
     targets: tuple[tuple[str, str], ...] = ()
     buffer_target: int = 1
@@ -93,6 +99,8 @@ class PolicySpec:
 
 @dataclass
 class Scenario:
+    """A validated scenario, ready for run_scenario."""
+
     name: str
     seed: int
     duration_s: float
@@ -106,6 +114,8 @@ class Scenario:
 
 @dataclass(frozen=True)
 class _Attachment:
+    """One initial attachment of a UE to a base station."""
+
     ue: str
     bs: str
 

@@ -48,6 +48,11 @@ VARIANTS = [
      {"$.quantum_links[0].w0": 0.6, "$.quantum_links[1].w0": 0.6,
       "$.apps[0].min_fidelity": 0.5, "$.apps[0].sample_fraction": 0.5},
      SEEDS, "aborted-qber"),
+    # The provisioner screens the SAT1-QUE3 buffer at defaults.f_min, set at
+    # that link's w0 0.9 (fresh fidelity 0.925), instead of the policy's own
+    # floor: shipped runs never screen a pair at f_min.
+    ("metro_f_min_at_w0", "metro_with_satellite",
+     {"$.policy.min_fidelity": None, "$.defaults.f_min": 0.9}, SEEDS, None),
 ]
 
 
@@ -97,6 +102,13 @@ def test_variant_reaches_its_outcome(name, outcome):
     for seed in seeds:
         (app,) = _run(document, seed).summary["apps"].values()
         assert app["outcome"] == outcome, f"{name} seed {seed}"
+
+
+def test_f_min_variant_discards_below_threshold():
+    document, seeds = CASES["metro_f_min_at_w0"]
+    for seed in seeds:
+        gauges = {row[2]: row[3] for row in _run(document, seed).metrics_rows}
+        assert gauges.get("pairs_discarded_below_threshold", 0) > 0, f"seed {seed}"
 
 
 def main() -> int:

@@ -93,6 +93,46 @@ class TestStateMachine:
         assert warn["details"] == {"msg": "attachment-failed", "bs": "QBS1"}
         assert art.summary["t_end"] == pytest.approx(0.1)
 
+    @staticmethod
+    def _alice_unattached(station=None, alice_x=200.0):
+        """qkd_baseline with alice (QUE1) unattached and at alice_x.
+
+        station, if given, is (id, x) of a second QBS 10 m up, whose cell
+        and classical link cover alice as QBS1's do.
+        """
+        doc = json.loads((REPO / "scenarios" / "qkd_baseline.json").read_text("utf-8"))
+        doc["nodes"][1]["position"] = [alice_x, 0, 0]
+        del doc["attachments"][0]
+        if station is not None:
+            bs, x = station
+            doc["nodes"].append({"id": bs, "kind": "QBS", "position": [x, 0, 10],
+                                 "t_coh_s": 5.0, "memory_slots": 128})
+            doc["cells"].append({"bs": bs, "classical_radius": 2000,
+                                 "quantum_radius": 1500})
+            doc["classical_links"].append({"a": bs, "b": "QUE1", "rate_bps": 1e8,
+                                           "prop_delay_s": 1e-5, "p_err_c": 0.0})
+        art = run_scenario(load_scenario(doc, strict=True)[0], until=0.05)
+        records = [json.loads(line) for line in art.trace_jsonl.splitlines()]
+        return art, [r["details"]["route"] for r in records
+                     if r["kind"] == "msg" and r["node"] == "QUE1"
+                     and r["details"]["msg"] == "registration"]
+
+    @pytest.mark.parametrize("station, expected", [
+        (("QBS2", 300.0), "QBS2"),  # 100.5 m away, QBS1 200.2 m
+        (("QBS2", 100.0), "QBS2"),  # 100.5 m, on the other side
+        (("QBS0", 400.0), "QBS0"),  # 200.2 m from both: the lower id
+        (("QBS2", 400.0), "QBS1"),
+        (("QBS2", 500.0), "QBS1"),
+    ])
+    def test_unattached_ue_registers_with_the_closest_station(self, station, expected):
+        _, routes = self._alice_unattached(station)
+        assert routes and set(routes) == {f"QUE1+{expected}"}
+
+    def test_unattached_ue_out_of_every_cell_aborts_its_app(self):
+        art, routes = self._alice_unattached(alice_x=5000.0)  # QBS1 reaches 2 km
+        assert routes == []
+        assert art.summary["apps"]["qkd0"]["outcome"] == "aborted-attach"
+
     def test_illegal_transition_raises(self, make_stack):
         sim, stack = make_stack(one_cell_topology())
         with pytest.raises(ProtocolError):

@@ -381,6 +381,20 @@ class TestSingleGate:
         assert failures == []
 
 
+# Horizons a run must refuse.  Before run_scenario checked its horizon, nan
+# ran no event, -1 raised a bare ValueError from the engine, and inf never
+# returned on the metro scenario, whose provisioner wakes forever.
+_BAD_HORIZONS = [("nan", "qkd_baseline"), ("-1", "qkd_baseline"),
+                 ("inf", "metro_with_satellite")]
+
+
+def _no_event_loop(monkeypatch):
+    """Make entering the event loop fail the test, so no refused run can spin."""
+    def refuse(sim, t_end):
+        raise AssertionError(f"the event loop was entered with t_end={t_end}")
+    monkeypatch.setattr(Simulator, "run_until", refuse)
+
+
 class TestRunner:
     def test_baseline_run_produces_key_and_artifacts(self):
         scenario, _ = load_scenario_file(str(BASELINE))
@@ -414,6 +428,13 @@ class TestRunner:
         scenario, _ = load_scenario_file(str(BASELINE))
         art = run_scenario(scenario, until=1e-4)
         assert art.summary["apps"]["qkd0"]["outcome"] == "unfinished"
+
+    @pytest.mark.parametrize("until, stem", _BAD_HORIZONS)
+    def test_horizon_must_be_finite_and_nonnegative(self, until, stem, monkeypatch):
+        _no_event_loop(monkeypatch)
+        scenario, _ = load_scenario_file(str(REPO / "scenarios" / f"{stem}.json"))
+        with pytest.raises(ValueError, match="until must be a finite nonnegative time"):
+            run_scenario(scenario, until=float(until))
 
     def test_finished_runs_leave_no_cycles(self):
         # Reference counting alone frees a finished run, so peak memory does
@@ -455,6 +476,13 @@ class TestRunner:
             "print(blindness_pvalue(list(range(8))))\n"
         )
         assert self._fresh_python(code) == "1.0"
+
+    def test_a_run_imports_only_the_apps_it_names(self):
+        # -S: no site hook imports a module on the program's behalf.
+        proc = subprocess.run(
+            [sys.executable, "-S", str(REPO / "tests" / "import_guard.py"),
+             str(REPO / "src")], cwd=REPO, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
 
     def test_runs_and_tables_need_no_numpy(self):
         # numpy is a test dependency only: with it blocked, the package and
@@ -612,6 +640,14 @@ class TestCli:
     def test_run_cut_short_reports_unfinished_and_exits_zero(self, capsys):
         assert main(["run", str(BASELINE), "--until", "1e-4"]) == 0
         assert "app qkd0 [qkd]: unfinished" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("until, stem", _BAD_HORIZONS)
+    def test_run_rejects_a_bad_horizon(self, until, stem, monkeypatch, capsys):
+        _no_event_loop(monkeypatch)
+        path = REPO / "scenarios" / f"{stem}.json"
+        assert main(["run", "--until", until, str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: until must be a finite nonnegative time, got {float(until)}\n")
 
     def test_run_reports_an_internal_fault(self, monkeypatch, capsys):
         _fail_qkd_midway(monkeypatch)
