@@ -42,6 +42,7 @@ __all__ = [
     "SessionOutcome",
     "HandoverMode",
     "PolicyMode",
+    "PolicySpec",
     "EntanglementRequest",
     "check_fidelity",
     "check_request_bounds",
@@ -93,6 +94,31 @@ def check_fidelity(name: str, value: float) -> None:
     """Raise ValueError unless value is a fidelity a request may ask for."""
     if not 0.25 <= value <= 1.0:
         raise ValueError(f"{name} must lie in [0.25, 1], got {value}")
+
+
+@dataclass(frozen=True)
+class PolicySpec:
+    """The provisioning policy: reactive, or proactive with buffer targets."""
+
+    mode: PolicyMode = PolicyMode.REACTIVE
+    targets: tuple[tuple[str, str], ...] = ()
+    buffer_target: int = 1
+    check_period_s: float = 0.5
+    min_fidelity: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        if self.check_period_s <= 0.0:
+            raise ValueError(f"check_period_s must be positive, got {self.check_period_s}")
+        if self.min_fidelity is not None:
+            check_fidelity("min_fidelity", self.min_fidelity)
+        if self.mode == PolicyMode.PROACTIVE:
+            if not self.targets:
+                raise ValueError("a proactive policy needs at least one target")
+            if self.buffer_target < 1:
+                raise ValueError(
+                    f"a proactive policy needs buffer_target >= 1, got {self.buffer_target}")
+        elif self.targets:
+            raise ValueError("a reactive policy takes no targets")
 
 
 def _meets_fidelity(w: float, f: float) -> bool:
@@ -997,7 +1023,7 @@ class Stack:
     # GHZ distribution
     # ------------------------------------------------------------------
 
-    def ghz_session(self, bs_id: str, holders: Sequence[str], max_latency_s: float = 1.0):
+    def ghz_session(self, bs_id: str, holders: Sequence[str], max_latency_s: float):
         """Generator: distribute one GHZ resource from bs_id to the holders.
 
         Each attempt slot of _attempt_loop is one joint heralding over every
@@ -1261,9 +1287,7 @@ class Stack:
                 taken.extend(result.delivered)
         return taken, result
 
-    def start_policy(self, mode: PolicyMode, targets: Sequence[tuple[str, str]] = (),
-                     buffer_target: int = 1, check_period_s: float = 0.5,
-                     min_fidelity: Optional[float] = None) -> None:
+    def start_policy(self, policy: PolicySpec) -> None:
         """Launch the distribution policy.
 
         Reactive does nothing ahead of requests.  Proactive runs one
@@ -1272,12 +1296,12 @@ class Stack:
         disk, tops ue's buffer of bs pairs up to buffer_target with
         acquire_pairs.  It wakes at pass starts predicted by orbit_next_window.
         """
-        if mode == PolicyMode.REACTIVE:
+        if policy.mode == PolicyMode.REACTIVE:
             return
-        f_min = self.defaults.f_min if min_fidelity is None else min_fidelity
-        for bs_id, ue_id in targets:
-            self.sim.spawn(self._provisioner(bs_id, ue_id, buffer_target,
-                                             check_period_s, f_min),
+        f_min = self.defaults.f_min if policy.min_fidelity is None else policy.min_fidelity
+        for bs_id, ue_id in policy.targets:
+            self.sim.spawn(self._provisioner(bs_id, ue_id, policy.buffer_target,
+                                             policy.check_period_s, f_min),
                            kind=EventKind.DECOHERENCE_CHECK)
 
     def _provisioner(self, bs_id: str, ue_id: str, buffer_target: int,

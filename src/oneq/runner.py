@@ -25,7 +25,6 @@ from pathlib import Path
 from typing import Any, Optional
 
 from . import records
-from .apps import APPS
 from .engine import EventKind, Simulator
 from .errors import InternalError, OneQError
 from .protocol import Stack
@@ -63,8 +62,11 @@ def run_scenario(scenario: Scenario, seed: Optional[int] = None,
                  until: Optional[float] = None) -> RunArtifacts:
     """Run the scenario to its duration, or to until seconds if given.
 
-    Raises ValueError when until is negative or not a finite number.
+    Raises ValueError when seed is negative, or when until is negative or
+    not a finite number.
     """
+    if seed is not None and seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     if until is not None and not (math.isfinite(until) and until >= 0.0):
         raise ValueError(f"until must be a finite nonnegative time, got {until}")
     run_seed = scenario.seed if seed is None else seed
@@ -75,22 +77,16 @@ def run_scenario(scenario: Scenario, seed: Optional[int] = None,
     results: dict[str, Any] = {}
 
     def startup():
-        for ue, bs in scenario.attachments:
-            ok = yield from stack.register(ue, bs)
+        for a in scenario.attachments:
+            ok = yield from stack.register(a.ue, a.bs)
             if not ok:
-                records.warn_attachment_failed(sim.trace, sim.now, ue, bs=bs)
-        stack.start_policy(
-            scenario.policy.mode, scenario.policy.targets,
-            buffer_target=scenario.policy.buffer_target,
-            check_period_s=scenario.policy.check_period_s,
-            min_fidelity=scenario.policy.min_fidelity,
-        )
+                records.warn_attachment_failed(sim.trace, sim.now, a.ue, bs=a.bs)
+        stack.start_policy(scenario.policy)
         return True
 
     def launch(_started) -> None:
         for spec in scenario.apps:
-            _, app_cls = APPS[spec.kind]
-            app = app_cls(spec.config)
+            app = spec.app(spec.config)
             delay = max(spec.start_s - sim.now, 0.0)
             sim.spawn(app.run(stack), delay=delay,
                       on_done=lambda r, s=spec: results.__setitem__(s.config.app_id,

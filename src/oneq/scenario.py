@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Optional
 
-from .apps import APPS
+from .apps import APPS, app_classes
 from .errors import ConfigurationError, SchemaError
 from .netmodel import (
     BS_KINDS,
@@ -34,9 +34,9 @@ from .netmodel import (
     QuantumLinkSpec,
     Topology,
 )
-from .protocol import Defaults, HandoverMode, PolicyMode, check_fidelity
+from .protocol import Defaults, HandoverMode, PolicySpec
 
-__all__ = ["AppSpec", "OpSpec", "PolicySpec", "Scenario", "load_scenario",
+__all__ = ["AppSpec", "OpSpec", "Scenario", "load_scenario",
            "load_scenario_file", "read_document", "SCHEMA_VERSION"]
 
 SCHEMA_VERSION = 1
@@ -44,10 +44,11 @@ SCHEMA_VERSION = 1
 
 @dataclass(frozen=True)
 class AppSpec:
-    """An app block: its type, its built config and its start time."""
+    """An app block: its type, its built config, its app class and its start time."""
 
     kind: str = field(metadata={"key": "type"})
     config: Any  # QkdConfig | UbqcConfig | SensingConfig, built from the same block
+    app: type  # the class that runs config: QkdApp | UbqcApp | SensingApp
     start_s: float = 0.0
 
     def __post_init__(self) -> None:
@@ -73,46 +74,6 @@ class OpSpec:
 
 
 @dataclass(frozen=True)
-class PolicySpec:
-    """The provisioning policy: reactive, or proactive with buffer targets."""
-
-    mode: PolicyMode = PolicyMode.REACTIVE
-    targets: tuple[tuple[str, str], ...] = ()
-    buffer_target: int = 1
-    check_period_s: float = 0.5
-    min_fidelity: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.check_period_s <= 0.0:
-            raise ValueError(f"check_period_s must be positive, got {self.check_period_s}")
-        if self.min_fidelity is not None:
-            check_fidelity("min_fidelity", self.min_fidelity)
-        if self.mode == PolicyMode.PROACTIVE:
-            if not self.targets:
-                raise ValueError("a proactive policy needs at least one target")
-            if self.buffer_target < 1:
-                raise ValueError(
-                    f"a proactive policy needs buffer_target >= 1, got {self.buffer_target}")
-        elif self.targets:
-            raise ValueError("a reactive policy takes no targets")
-
-
-@dataclass
-class Scenario:
-    """A validated scenario, ready for run_scenario."""
-
-    name: str
-    seed: int
-    duration_s: float
-    topology: Topology
-    defaults: Defaults
-    attachments: tuple[tuple[str, str], ...] = ()
-    policy: PolicySpec = field(default_factory=PolicySpec)
-    apps: tuple[AppSpec, ...] = ()
-    ops: tuple[OpSpec, ...] = ()
-
-
-@dataclass(frozen=True)
 class _Attachment:
     """One initial attachment of a UE to a base station."""
 
@@ -120,9 +81,13 @@ class _Attachment:
     bs: str
 
 
-@dataclass(frozen=True)
-class _Document:
-    """The top level of a scenario file; load_scenario checks its ranges."""
+@dataclass
+class Scenario:
+    """The top level of a scenario file, validated and ready for run_scenario.
+
+    load_scenario checks the ranges of the top-level numbers; topology is
+    built from the node, cell, link and edge blocks.
+    """
 
     schema_version: int
     name: str
@@ -136,8 +101,15 @@ class _Document:
     repeater_edges: tuple[tuple[str, str], ...] = ()
     attachments: tuple[_Attachment, ...] = ()
     policy: PolicySpec = field(default_factory=PolicySpec)
-    apps: tuple[dict, ...] = ()  # each built by _build_app from its "type"
+    apps: tuple[AppSpec, ...] = ()  # each built by _build_app from its "type"
     ops: tuple[OpSpec, ...] = ()
+    topology: Topology = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.topology = Topology(nodes=self.nodes, cells=self.cells,
+                                 classical_links=self.classical_links,
+                                 quantum_links=self.quantum_links,
+                                 repeater_edges=self.repeater_edges)
 
 
 class _Check:
@@ -165,10 +137,10 @@ def _json_name(value: Any) -> str:
 
 @functools.cache
 def _schema(cls: type) -> tuple[tuple[str, dataclasses.Field, Any], ...]:
-    """(JSON key, field, resolved type) of each field of a dataclass."""
+    """(JSON key, field, resolved type) of each init field of a dataclass."""
     hints = typing.get_type_hints(cls)
     return tuple((f.metadata.get("key", f.name), f, hints[f.name])
-                 for f in dataclasses.fields(cls))
+                 for f in dataclasses.fields(cls) if f.init)
 
 
 def _convert(hint: Any, value: Any, path: str, check: _Check) -> Any:
@@ -200,6 +172,8 @@ def _convert(hint: Any, value: Any, path: str, check: _Check) -> Any:
             items = {k: _convert(args[1], v, f"{path}.{k}", check)
                      for k, v in value.items()}
             return _BAD if _BAD in items.values() else items
+    elif hint is AppSpec:
+        return _build_app(value, path, check)
     elif dataclasses.is_dataclass(hint):
         return _build(hint, value, path, check)
     elif isinstance(hint, type) and issubclass(hint, Enum):
@@ -265,27 +239,30 @@ def _build(cls: type, data: Any, path: str, check: _Check, **given: Any) -> Any:
         return _BAD
 
 
-def _build_app(item: dict, path: str, check: _Check) -> Any:
+def _build_app(item: Any, path: str, check: _Check) -> Any:
     """Build an app block: its "type" picks the config class for its other keys."""
+    if not isinstance(item, dict):
+        check.fail(path, f"expected object, got {_json_name(item)}")
+        return _BAD
     kind = item.get("type")
     if kind not in tuple(APPS):  # a tuple, since kind may be unhashable
         check.fail(f"{path}.type", "missing required field" if "type" not in item
                    else f"unknown app type {kind!r}")
         return _BAD
-    cls, _ = APPS[kind]
+    cls, app = app_classes(kind)
     own = {key for key, _, _ in _schema(cls)}
     config = _build(cls, {k: v for k, v in item.items() if k in own}, path, check)
     return _build(AppSpec, {k: v for k, v in item.items() if k not in own},
-                  path, check, config=config)
+                  path, check, config=config, app=app)
 
 
 _UE = (UE_KINDS, "is not user equipment")
 _BS = (BS_KINDS, "is not a base station")
 
 
-def _cross_reference(topology: Topology, apps: tuple[AppSpec, ...],
-                     attachments: tuple[tuple[str, str], ...], policy: PolicySpec,
-                     ops: tuple[OpSpec, ...], check: _Check) -> None:
+def _cross_reference(scenario: Scenario, check: _Check) -> None:
+    topology = scenario.topology
+
     def known(node_id: str, path: str, role: Optional[tuple] = None) -> None:
         """Report a node id that is unknown, or not of the role's kinds."""
         node = topology.nodes.get(node_id)
@@ -295,26 +272,26 @@ def _cross_reference(topology: Topology, apps: tuple[AppSpec, ...],
             check.fail(path, f"{node_id!r} {role[1]}")
 
     attached: dict[str, int] = {}
-    for i, (ue, bs) in enumerate(attachments):
-        known(ue, f"$.attachments[{i}].ue", _UE)
-        known(bs, f"$.attachments[{i}].bs", _BS)
-        if ue in attached:
+    for i, a in enumerate(scenario.attachments):
+        known(a.ue, f"$.attachments[{i}].ue", _UE)
+        known(a.bs, f"$.attachments[{i}].bs", _BS)
+        if a.ue in attached:
             check.fail(f"$.attachments[{i}].ue",
-                       f"{ue!r} is already attached at $.attachments[{attached[ue]}]")
-        attached.setdefault(ue, i)
+                       f"{a.ue!r} is already attached at $.attachments[{attached[a.ue]}]")
+        attached.setdefault(a.ue, i)
     listed: dict[tuple[str, str], int] = {}
-    for i, target in enumerate(policy.targets):
+    for i, target in enumerate(scenario.policy.targets):
         known(target[0], f"$.policy.targets[{i}][0]", _BS)
         known(target[1], f"$.policy.targets[{i}][1]", _UE)
         j = listed.setdefault(target, i)
         if j != i:
             check.fail(f"$.policy.targets[{i}]",
                        f"{list(target)} is already listed at $.policy.targets[{j}]")
-    for i, op in enumerate(ops):
+    for i, op in enumerate(scenario.ops):
         known(op.ue, f"$.ops[{i}].ue", _UE)
         known(op.to, f"$.ops[{i}].to", _BS)
     seen_ids: set[str] = set()
-    for i, spec in enumerate(apps):
+    for i, spec in enumerate(scenario.apps):
         path = f"$.apps[{i}]"
         cfg = spec.config
         if cfg.app_id in seen_ids:
@@ -369,7 +346,7 @@ def load_scenario(data: Any, strict: bool = False) -> tuple[Scenario, list[str]]
     check = _Check()
     if not isinstance(data, dict):
         raise SchemaError(["$: scenario must be a JSON object"])
-    values, _ = _values(_Document, data, "$", check, {})
+    values, _ = _values(Scenario, data, "$", check, {})
     version = values.get("schema_version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
         check.fail("$.schema_version",
@@ -380,8 +357,6 @@ def load_scenario(data: Any, strict: bool = False) -> tuple[Scenario, list[str]]
         check.fail("$.seed", f"must be nonnegative, got {values['seed']}")
     if values.get("nodes") == ():
         check.fail("$.nodes", "at least one node is required")
-    apps = tuple(_build_app(item, f"$.apps[{i}]", check)
-                 for i, item in enumerate(values.get("apps", ())))
 
     if strict and check.warnings:
         check.violations.extend(check.warnings)
@@ -389,25 +364,14 @@ def load_scenario(data: Any, strict: bool = False) -> tuple[Scenario, list[str]]
     if check.violations:
         raise SchemaError(sorted(check.violations))
 
-    doc = _Document(**values)
     try:
-        topology = Topology(nodes=doc.nodes, cells=doc.cells,
-                            classical_links=doc.classical_links,
-                            quantum_links=doc.quantum_links,
-                            repeater_edges=doc.repeater_edges)
+        scenario = Scenario(**values)
     except SchemaError as err:
         raise SchemaError(sorted(f"$.{fault}" for fault in err.violations)) from err
 
-    attachments = tuple((a.ue, a.bs) for a in doc.attachments)
-    _cross_reference(topology, apps, attachments, doc.policy, doc.ops, check)
+    _cross_reference(scenario, check)
     if check.violations:
         raise SchemaError(sorted(check.violations))
-
-    scenario = Scenario(
-        name=doc.name, seed=doc.seed, duration_s=doc.duration_s, topology=topology,
-        defaults=doc.defaults, attachments=attachments, policy=doc.policy,
-        apps=apps, ops=doc.ops,
-    )
     return scenario, check.warnings
 
 

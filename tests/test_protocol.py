@@ -21,6 +21,7 @@ from oneq.protocol import (
     EntanglementRequest,
     HandoverMode,
     PolicyMode,
+    PolicySpec,
     QueState,
     SessionOutcome,
     Stack,
@@ -1285,7 +1286,7 @@ class TestGhz:
     def test_ghz_needs_two_parties(self, make_stack):
         sim, stack = make_stack(one_cell_topology())
         with pytest.raises(ProtocolError):
-            drive(sim, stack.ghz_session("QBS1", ("QUE1",)))
+            drive(sim, stack.ghz_session("QBS1", ("QUE1",), max_latency_s=1.0))
 
     def test_reach_is_judged_when_the_shot_lands(self, make_stack):
         # QUE1 leaves the 1500 m quantum disk half-way through the first slot
@@ -1304,7 +1305,8 @@ class TestGhz:
                                            attempt_period_s=2e-4, w0=0.97)
                            for ue in ("QUE1", "QUE2")])
         sim, stack = make_stack(topo)
-        assert drive(sim, stack.ghz_session("QBS1", ("QUE1", "QUE2"))) is None
+        assert drive(sim, stack.ghz_session("QBS1", ("QUE1", "QUE2"),
+                                            max_latency_s=1.0)) is None
         assert sim.now == pytest.approx(2e-4)
         (lost,) = [r for r in sim.trace if r["kind"] == "ghz-coverage-lost"]
         assert lost["t"] == pytest.approx(2e-4) and "QUE1" in lost["details"]["detail"]
@@ -1388,8 +1390,8 @@ class TestAcquireAndPolicy:
 
     def test_proactive_policy_fills_buffer(self, make_stack):
         sim, stack = make_stack(one_cell_topology(q_attempt=0.9, t_coh_s=1e9))
-        stack.start_policy(PolicyMode.PROACTIVE, targets=[("QBS1", "QUE1")],
-                           buffer_target=2, check_period_s=0.05)
+        stack.start_policy(PolicySpec(PolicyMode.PROACTIVE, targets=(("QBS1", "QUE1"),),
+                                      buffer_target=2, check_period_s=0.05))
         sim.run_until(1.0)
         stored = stack.ue("QUE1").stored
         assert len(stored) >= 2
@@ -1405,8 +1407,9 @@ class TestAcquireAndPolicy:
         pair = _register_pair(stack, "QUE1", "QBS1", oracles.w_for_fidelity(0.8 - 5e-13))
         assert 0.8 - 1e-12 <= fidelity_of(pair.w) < 0.8
         stack._hand_over(pair)
-        stack.start_policy(PolicyMode.PROACTIVE, targets=[("QBS1", "QUE1")],
-                           buffer_target=1, check_period_s=0.05, min_fidelity=0.8)
+        stack.start_policy(PolicySpec(PolicyMode.PROACTIVE, targets=(("QBS1", "QUE1"),),
+                                      buffer_target=1, check_period_s=0.05,
+                                      min_fidelity=0.8))
         sim.run_until(sim.now + 0.2)
         assert stack.ledger.state[pair.id] == "live"
         assert not any(r["kind"] == "pair-discarded" for r in sim.trace)
@@ -1497,7 +1500,7 @@ class TestAcquireAndPolicy:
 
     def test_reactive_policy_is_inert(self, make_stack):
         sim, stack = make_stack(one_cell_topology())
-        stack.start_policy(PolicyMode.REACTIVE)
+        stack.start_policy(PolicySpec(PolicyMode.REACTIVE))
         sim.run_until(0.5)
         assert stack.ue("QUE1").stored == set()
         assert stack.ue("QUE1").state == QueState.IDLE
@@ -1883,8 +1886,9 @@ class TestFidelityAdmission:
     def test_infeasible_provisioner_target_asks_once_per_check_period(self, make_stack):
         # one hop at w0 0.7 gives F 0.775 at best, under the 0.8 floor
         sim, stack = make_stack(one_cell_topology(w0=0.7))
-        stack.start_policy(PolicyMode.PROACTIVE, targets=[("QBS1", "QUE1")],
-                           buffer_target=1, check_period_s=0.5, min_fidelity=0.8)
+        stack.start_policy(PolicySpec(PolicyMode.PROACTIVE, targets=(("QBS1", "QUE1"),),
+                                      buffer_target=1, check_period_s=0.5,
+                                      min_fidelity=0.8))
         sim.run_until(2.0)
         rejected = [r for r in sim.trace if r["kind"] == "session-rejected"]
         assert {r["details"]["reason"] for r in rejected} == {"fidelity-unreachable"}

@@ -16,7 +16,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import _DELETE, _edited, drive
-from oneq.apps import APPS
 from oneq.cli import main
 from oneq.engine import Simulator
 from oneq.errors import InternalError, OneQError, SchemaError
@@ -61,10 +60,14 @@ _METRO, _SENSING = "metro_with_satellite", "sensing_sql"
 FAULTS = [
     ("app_duplicate_id", "qkd_local_vs_swapped", {"$.apps[1].id": "local"},
      "$.apps[1].id: duplicate app id 'local'"),
+    ("app_not_object", "qkd_baseline", {"$.apps[0]": 3},
+     "$.apps[0]: expected object, got int"),
     ("app_start_negative", _METRO, {"$.apps[0].start_s": -0.05},
      "$.apps[0]: start_s must be nonnegative, got -0.05"),
     ("app_unknown_node", "qkd_baseline", {"$.apps[0].bob": "NOPE"},
      "$.apps[0].bob: unknown node id 'NOPE'"),
+    ("attachment_not_object", "qkd_baseline", {"$.attachments[0]": ["QUE1", "QBS1"]},
+     "$.attachments[0]: expected object, got list"),
     ("attachment_ue_is_station", "qkd_baseline", {"$.attachments[0].ue": "QBS1"},
      "$.attachments[0].ue: 'QBS1' is not user equipment"),
     ("attachment_ue_twice", _METRO, {"$.attachments[2].ue": "QUE1"},
@@ -330,8 +333,7 @@ def _fail_qkd_midway(monkeypatch):
             faults.append(stack.sim.now)
             raise TypeError("unsupported operand in the key tally")
 
-    config_cls, _ = APPS["qkd"]
-    monkeypatch.setitem(APPS, "qkd", (config_cls, FaultyQkd))
+    monkeypatch.setattr("oneq.apps.qkd.QkdApp", FaultyQkd)
     return faults
 
 
@@ -387,6 +389,10 @@ class TestSingleGate:
 _BAD_HORIZONS = [("nan", "qkd_baseline"), ("-1", "qkd_baseline"),
                  ("inf", "metro_with_satellite")]
 
+# Seeds a run must refuse, as the loader refuses them in a file.  Before
+# run_scenario checked its seed, --seed -1 ran as qkd_baseline-s-1.
+_BAD_SEEDS = [-1, -(2 ** 64)]
+
 
 def _no_event_loop(monkeypatch):
     """Make entering the event loop fail the test, so no refused run can spin."""
@@ -435,6 +441,13 @@ class TestRunner:
         scenario, _ = load_scenario_file(str(REPO / "scenarios" / f"{stem}.json"))
         with pytest.raises(ValueError, match="until must be a finite nonnegative time"):
             run_scenario(scenario, until=float(until))
+
+    @pytest.mark.parametrize("seed", _BAD_SEEDS)
+    def test_seed_must_be_nonnegative(self, seed, monkeypatch):
+        _no_event_loop(monkeypatch)
+        scenario, _ = load_scenario_file(str(BASELINE))
+        with pytest.raises(ValueError, match="seed must be nonnegative"):
+            run_scenario(scenario, seed=seed)
 
     def test_finished_runs_leave_no_cycles(self):
         # Reference counting alone frees a finished run, so peak memory does
@@ -648,6 +661,12 @@ class TestCli:
         assert main(["run", "--until", until, str(path)]) == 2
         assert capsys.readouterr().err == (
             f"error: until must be a finite nonnegative time, got {float(until)}\n")
+
+    @pytest.mark.parametrize("seed", _BAD_SEEDS)
+    def test_run_rejects_a_negative_seed(self, seed, monkeypatch, capsys):
+        _no_event_loop(monkeypatch)
+        assert main(["run", "--seed", str(seed), str(BASELINE)]) == 2
+        assert capsys.readouterr().err == f"error: seed must be nonnegative, got {seed}\n"
 
     def test_run_reports_an_internal_fault(self, monkeypatch, capsys):
         _fail_qkd_midway(monkeypatch)
