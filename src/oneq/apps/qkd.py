@@ -171,7 +171,6 @@ class QkdApp:
 
         basis_rng_a = sim.rng_stream(cfg.alice, "basis")
         basis_rng_b = sim.rng_stream(cfg.bob, "basis")
-        sift_rng = sim.rng_stream(cfg.alice, "sift")
 
         # First-key mode keeps only the last batch and stops at the first
         # that sifts k_target bits alone, which makes the batch size a real
@@ -209,7 +208,7 @@ class QkdApp:
                 outcome = None
                 break
         if outcome is None:
-            result = self._distill(alice_bits, bob_bits, match_flags, sift_rng)
+            result = self._distill(sim, alice_bits, bob_bits, match_flags)
         else:
             result = QkdResult(cfg.app_id, outcome)
         result.sessions = sessions
@@ -265,7 +264,7 @@ class QkdApp:
             result.outcome = "aborted-classical"
             result.key_bits, result.alice_key, result.bob_key = 0, "", ""
 
-    def _distill(self, alice_bits, bob_bits, match_flags, sift_rng) -> QkdResult:
+    def _distill(self, sim, alice_bits, bob_bits, match_flags) -> QkdResult:
         cfg = self.config
         sifted_a = [a for a, m in zip(alice_bits, match_flags) if m]
         sifted_b = [b for b, m in zip(bob_bits, match_flags) if m]
@@ -279,6 +278,7 @@ class QkdApp:
         if n_sift and cfg.sample_fraction > 0.0:
             sample_k = max(1, round(cfg.sample_fraction * n_sift))
             sample_k = min(sample_k, n_sift)
+            sift_rng = sim.rng_stream(cfg.alice, "sift")  # opened only when it samples
             sample_idx = set(sift_rng.permutation(n_sift)[:sample_k])
             sample_err = sum(1 for i in sample_idx if sifted_a[i] != sifted_b[i])
             qber = sample_err / sample_k

@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 from typing import Optional
 
 from . import analytic
@@ -132,6 +131,7 @@ def _cmd_sweep(args) -> int:
               f"app={row['app_id']}: {row['outcome']} result={row['result']:.6g} "
               f"elapsed={row['elapsed_s']:.6g}s")
     if args.out:
+        from pathlib import Path
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         path = out / "sweep.csv"

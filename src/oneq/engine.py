@@ -121,9 +121,8 @@ class Metrics:
         self.series: dict[str, list[float]] = {}
         self._units: dict[str, str] = {}
 
-    def incr(self, name: str, amount: float = 1.0, unit: str = "count") -> None:
+    def incr(self, name: str, amount: float = 1.0) -> None:
         self.counters[name] = self.counters.get(name, 0.0) + amount
-        self._units.setdefault(name, unit)
 
     def set_gauge(self, name: str, value: float, unit: str = "") -> None:
         self.gauges[name] = float(value)
@@ -140,7 +139,7 @@ class Metrics:
         """Rows (run_id, seed, metric, value, unit), sorted by metric name."""
         rows: list[tuple] = []
         for name, value in self.counters.items():
-            rows.append((run_id, seed, name, value, self._units.get(name, "")))
+            rows.append((run_id, seed, name, value, "count"))
         for name, value in self.gauges.items():
             rows.append((run_id, seed, name, value, self._units.get(name, "")))
         for name, values in self.series.items():

@@ -243,12 +243,14 @@ HANDOVER_BUDGET_S = 5.0
 
 
 class ResourceLedger:
-    """Lifecycle and memory-slot accounting for every entangled resource."""
+    """Lifecycle and memory-slot accounting for every entangled resource.
+
+    resources holds the live ones; state keeps an ended one's terminal state.
+    """
 
     def __init__(self, topo: Topology):
         self.resources: dict[str, WernerPair | GhzResource] = {}
         self.state: dict[str, str] = {}
-        self.reason: dict[str, str] = {}
         self._free = {node_id: node.memory_slots  # free memory slots per node
                       for node_id, node in topo.nodes.items()}
         self._counter = 0
@@ -268,7 +270,7 @@ class ResourceLedger:
         return True
 
     def register(self, resource: WernerPair | GhzResource) -> None:
-        if resource.id in self.resources:
+        if resource.id in self.state:
             raise ResourceError(f"duplicate resource id {resource.id}")
         if not self.can_store(resource.holders):
             raise ResourceError(f"no free memory slot for {resource.id} at {resource.holders}")
@@ -280,24 +282,22 @@ class ResourceLedger:
     def live(self, resource_id: str) -> WernerPair | GhzResource:
         res = self.resources.get(resource_id)
         if res is None:
-            raise ResourceError(f"unknown resource {resource_id}")
-        if self.state[resource_id] != "live":
-            raise ResourceError(
-                f"resource {resource_id} is {self.state[resource_id]}, not live"
-            )
+            state = self.state.get(resource_id)
+            raise ResourceError(f"unknown resource {resource_id}" if state is None
+                                else f"resource {resource_id} is {state}, not live")
         return res
 
-    def finish(self, resource_id: str, terminal: str, reason: str) -> WernerPair | GhzResource:
+    def finish(self, resource_id: str, terminal: str) -> WernerPair | GhzResource:
         """End a live resource as consumed, discarded or expired; its slots free now."""
         res = self.live(resource_id)
+        del self.resources[resource_id]
         self.state[resource_id] = terminal
-        self.reason[resource_id] = reason
         for h in res.holders:
             self._free[h] += 1
         return res
 
     def live_ids(self) -> list[str]:
-        return [rid for rid, st in self.state.items() if st == "live"]
+        return list(self.resources)
 
 
 @dataclass
@@ -678,20 +678,19 @@ class Stack:
             if ctx.state == QueState.CONNECTED:
                 self._set_state(ctx, QueState.ENTANGLED, "session-delivered")
 
-    def _retire(self, resource_id: str, terminal: str,
-                reason: str) -> WernerPair | GhzResource:
+    def _retire(self, resource_id: str, terminal: str) -> WernerPair | GhzResource:
         """The one exit of a live resource: ledger, pairs_<terminal>, UE buffers.
 
-        The caller writes the resource's ending record, if it has one.
+        The caller writes the resource's ending record, which says why.
         """
-        res = self.ledger.finish(resource_id, terminal, reason)
+        res = self.ledger.finish(resource_id, terminal)
         self.sim.metrics.incr(f"pairs_{terminal}")
         for ctx in self._holder(res.holders).ues:
             ctx.stored.discard(resource_id)
         return res
 
     def discard_pair(self, resource_id: str, reason: str) -> None:
-        res = self._retire(resource_id, "discarded", reason)
+        res = self._retire(resource_id, "discarded")
         records.pair_discarded(self.sim.trace, self.sim.now, res.holders[0], id=resource_id,
                                reason=reason)
         ues = self._holder(res.holders).ues
@@ -720,7 +719,7 @@ class Stack:
         if isinstance(res, WernerPair):
             self.age_pair(res)
             self.sim.metrics.observe("fidelity_at_consumption", fidelity_of(res.w))
-        self._retire(resource_id, "consumed", purpose)
+        self._retire(resource_id, "consumed")
         records.pair_consumed(self.sim.trace, self.sim.now, res.holders[0], id=resource_id,
                               purpose=purpose, holder_states=holder_states or "bs-only")
         for ctx in ues:
@@ -743,7 +742,7 @@ class Stack:
     def finalize(self) -> None:
         """Expire whatever is still live; call once at end of run."""
         for rid in self.ledger.live_ids():
-            res = self._retire(rid, "expired", "run-end")
+            res = self._retire(rid, "expired")
             records.pair_expired(self.sim.trace, self.sim.now, res.holders[0], id=rid)
 
     # ------------------------------------------------------------------
@@ -781,7 +780,7 @@ class Stack:
             raise ResourceError("swap would produce a pair with identical holders")
         w = math.prod(self.age_pair(p) for p in pairs)
         for p in pairs:
-            self._retire(p.id, "consumed", "swap")
+            self._retire(p.id, "consumed")
         t = self.sim.now
         out = WernerPair(id=self.ledger.new_id(), holders=(left, right), w=w,
                          created_at=t, last_touched=t, usable_at=math.inf)
@@ -1242,9 +1241,9 @@ class Stack:
     # ------------------------------------------------------------------
 
     def _buffered(self, ue_id: str, bs_id: str) -> list[WernerPair]:
-        """The UE's stored pairs held by exactly ue_id and bs_id, by id."""
+        """The UE's stored pairs held by exactly ue_id and bs_id, oldest id first."""
         pairs = []
-        for rid in sorted(self.ue(ue_id).stored):
+        for rid in sorted(self.ue(ue_id).stored, key=lambda rid: int(rid[1:])):
             res = self.ledger.live(rid)
             if isinstance(res, WernerPair) and set(res.holders) == {ue_id, bs_id}:
                 pairs.append(res)

@@ -21,7 +21,6 @@ import io
 import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Any, Optional
 
 from . import records
@@ -162,6 +161,7 @@ def app_results_csv(rows: list[tuple]) -> str:
 
 
 def write_artifacts(artifacts: RunArtifacts, out_dir: str) -> dict[str, str]:
+    from pathlib import Path
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = {

@@ -460,7 +460,7 @@ class TestLinks:
         untouched = copy.deepcopy(rng)
         assert stack._herald(seg) is None
         assert rng.random() == untouched.random()
-        stack.ledger.finish("p000001", "discarded", "test")
+        stack.ledger.finish("p000001", "discarded")
         assert stack._herald(seg) == 0.91
 
     def test_repeater_path_bfs(self):

@@ -58,6 +58,14 @@ def _register_pair(stack, a, b, w, pid=None):
     return pair
 
 
+def _ending(trace, rid):
+    """Why rid ended, from its ending record: a discard's reason, a
+    consumption's purpose, else the record's kind (swap, pair-expired)."""
+    record = tracecheck.ends(trace)[rid]
+    details = record["details"]
+    return details.get("reason") or details.get("purpose") or record["kind"]
+
+
 def _equatorial(theta):
     return PureState(np.array([1.0, np.exp(1j * theta)]) / math.sqrt(2.0))
 
@@ -587,12 +595,16 @@ class TestLedger:
     def test_terminal_states_are_final(self, make_stack):
         sim, stack = make_stack(one_cell_topology())
         pair = _register_pair(stack, "QUE1", "QBS1", 0.9)
-        assert stack.ledger.finish(pair.id, "consumed", "test") is pair
-        with pytest.raises(ResourceError):
+        assert stack.ledger.finish(pair.id, "consumed") is pair
+        assert pair.id not in stack.ledger.resources
+        assert stack.ledger.state[pair.id] == "consumed"
+        with pytest.raises(ResourceError, match=f"resource {pair.id} is consumed, not live"):
             stack.ledger.live(pair.id)
-        with pytest.raises(ResourceError):
-            stack.ledger.finish(pair.id, "discarded", "again")
-        with pytest.raises(ResourceError):
+        with pytest.raises(ResourceError, match="is consumed, not live"):
+            stack.ledger.finish(pair.id, "discarded")
+        with pytest.raises(ResourceError, match=f"duplicate resource id {pair.id}"):
+            stack.ledger.register(pair)
+        with pytest.raises(ResourceError, match="unknown resource p999999"):
             stack.ledger.live("p999999")
 
     def test_consume_requires_entangled_holders(self, make_stack):
@@ -741,11 +753,12 @@ class TestSwap:
         sim, stack, ids = build()
         out_id = drive(sim, stack._swap_chain(ids, stations))
         assert out_id is not None
-        assert list(stack.ledger.resources) == [*ids, out_id]
+        assert list(stack.ledger.resources) == [out_id]
         assert stack.ledger.resources[out_id].holders == ("QUE1", "QUE2")
-        assert [(stack.ledger.state[p], stack.ledger.reason[p]) for p in ids] \
-            == [("consumed", "swap")] * k
-        assert tracecheck.ends(sim.trace).keys() == set(ids)
+        assert [stack.ledger.state[p] for p in ids] == ["consumed"] * k
+        ends = tracecheck.ends(sim.trace)
+        assert ends.keys() == set(ids)
+        assert {r["kind"] for r in ends.values()} == {"swap"}
         assert sim.metrics.counters["swaps"] == k - 1
         (swap,) = [r for r in sim.trace if r["kind"] == "swap"]
         assert swap["node"] == "QBS1"
@@ -1080,18 +1093,19 @@ class TestHandover:
         if mode == HandoverMode.SOFT:
             # the remaining pair is swapped onto the first bridge; the
             # buffer is then empty, so no second bridge is heralded
-            assert stack.ledger.reason[kept] == "swap"
-            assert [stack.ledger.reason[b["details"]["id"]] for b in bridges] == ["swap"]
+            assert _ending(sim.trace, kept) == "swap"
+            assert [_ending(sim.trace, b["details"]["id"]) for b in bridges] == ["swap"]
         else:
             # the remaining pair is released and one replacement provisioned
-            assert stack.ledger.reason[kept] == "handover-released"
+            assert _ending(sim.trace, kept) == "handover-released"
             assert ho.session.delivered == ho.migrated
             (start,) = [r for r in records if r["kind"] == "session-start"
                         and r["details"]["target"] == "QBS2"]
             assert start["details"]["count"] == 1
         stack.finalize()
         assert tracecheck.violations(sim.trace) == []
-        assert tracecheck.ends(sim.trace).keys() == stack.ledger.resources.keys()
+        assert stack.ledger.resources == {}
+        assert tracecheck.ends(sim.trace).keys() == stack.ledger.state.keys()
 
     @pytest.mark.parametrize("seed", range(3))
     def test_bridge_whose_pair_is_consumed_meanwhile_is_discarded(self, make_stack, seed):
@@ -1112,7 +1126,7 @@ class TestHandover:
         (bridge,) = [r["details"]["id"] for r in sim.trace if r["kind"] == "pair-created"
                      and r["details"]["via"] == "bridge"]
         assert stack.ledger.state[pair_id] == "consumed"
-        assert stack.ledger.reason[bridge] == "segment-unused"
+        assert _ending(sim.trace, bridge) == "segment-unused"
         assert ho.mode_used == HandoverMode.SOFT and ho.migrated == ()
         assert stack.ue("QUE1").serving_bs == "QBS2"
 
@@ -1185,7 +1199,7 @@ class TestHandover:
         ho = drive(sim, stack.handover("QUE1", "QBS2", HandoverMode.SOFT))
         (swap,) = [r["details"] for r in sim.trace if r["kind"] == "swap"]
         assert fidelity_of(swap["w_out"]) < 0.8
-        assert stack.ledger.reason[swap["out"]] == "below-threshold"
+        assert _ending(sim.trace, swap["out"]) == "below-threshold"
         assert ho.mode_used == HandoverMode.SOFT and ho.migrated == ()
         assert stack.ue("QUE1").stored == set()
         assert stack.ue("QUE1").state == QueState.CONNECTED
@@ -1388,6 +1402,19 @@ class TestAcquireAndPolicy:
         assert sorted(ids2) == sorted(ids1)
         assert session2 is None
 
+    def test_buffered_pairs_come_oldest_first_past_six_digit_ids(self, make_stack):
+        sim, stack = make_stack(one_cell_topology(memory_slots=4, t_coh_s=1e9))
+        drive(sim, stack.register("QUE1", "QBS1"))
+        stack.ledger._counter = 999_998
+        pairs = [_register_pair(stack, "QUE1", "QBS1", 0.95) for _ in range(3)]
+        for pair in pairs:
+            stack._hand_over(pair)
+        assert [p.id for p in pairs] == ["p999999", "p1000000", "p1000001"]
+        assert stack._buffered("QUE1", "QBS1") == pairs
+        taken, session = drive(sim, stack.acquire_pairs(
+            "QUE1", "QBS1", count=1, min_fidelity=0.8, max_latency_s=1.0))
+        assert taken == ["p999999"] and session is None
+
     def test_proactive_policy_fills_buffer(self, make_stack):
         sim, stack = make_stack(one_cell_topology(q_attempt=0.9, t_coh_s=1e9))
         stack.start_policy(PolicySpec(PolicyMode.PROACTIVE, targets=(("QBS1", "QUE1"),),
@@ -1454,7 +1481,7 @@ class TestAcquireAndPolicy:
         taken, session = drive(sim, stack.acquire_pairs(
             "QUE1", "QBS1", count=1, min_fidelity=0.8, max_latency_s=1.0))
         assert stack.ledger.state[stale.id] == "discarded"
-        assert stack.ledger.reason[stale.id] == "below-threshold"
+        assert _ending(sim.trace, stale.id) == "below-threshold"
         assert session is not None and taken == list(session.delivered) != []
 
     @pytest.mark.parametrize("seed", range(4))
@@ -1813,7 +1840,7 @@ class TestBridgeBound:
         assert ho.mode_requested == HandoverMode.SOFT
         assert ho.mode_used == HandoverMode.HARD and ho.fell_back is True
         assert stack.ledger.state[old_pair] == "discarded"
-        assert stack.ledger.reason[old_pair] == "handover-released"
+        assert _ending(stack.sim.trace, old_pair) == "handover-released"
         assert stack.ue("QUE1").serving_bs == bs_new
         assert ho.session is not None and ho.migrated == ho.session.delivered
         for pid in ho.migrated:
@@ -1881,7 +1908,7 @@ class TestFidelityAdmission:
         assert [(r["kind"], r["details"]) for r in records] == [
             ("session-rejected", {"reason": "fidelity-unreachable"})]
         assert streams_unchanged
-        assert stack.ledger.resources == {}
+        assert stack.ledger.state == {}
 
     def test_infeasible_provisioner_target_asks_once_per_check_period(self, make_stack):
         # one hop at w0 0.7 gives F 0.775 at best, under the 0.8 floor
@@ -2006,22 +2033,28 @@ class TestChainProperties:
         assert (res.outcome == SessionOutcome.REJECTED) == unreachable
         if unreachable:
             assert res.reason == "fidelity-unreachable"
-            assert stack.ledger.resources == {}
+            assert stack.ledger.state == {}
 
         # every pair a herald or a swap makes stays under the product of the
         # w0 of the links it spans: the premise of the admission bound
         records = list(sim.trace)
-        made = [(r["details"]["holders"].split("+"), r["details"]["w"])
-                for r in records if r["kind"] == "pair-created"]
-        made += [(stack.ledger.resources[r["details"]["out"]].holders, r["details"]["w_out"])
-                 for r in records if r["kind"] == "swap"]
-        for holders, w in made:
-            i, j = sorted(chain.index(h) for h in holders)
-            assert w <= math.prod(case["w0s"][i:j]) + 1e-9
+        holders, made = {}, []
+        for r in records:
+            d = r["details"]
+            if r["kind"] == "pair-created":
+                holders[d["id"]] = d["holders"].split("+")
+                made.append((d["id"], d["w"]))
+            elif r["kind"] == "swap":  # the out spans the nodes its inputs span
+                holders[d["out"]] = [h for rid in d["ins"].split("+") for h in holders[rid]]
+                made.append((d["out"], d["w_out"]))
+        for rid, w in made:
+            span = [chain.index(h) for h in holders[rid]]
+            assert w <= math.prod(case["w0s"][min(span):max(span)]) + 1e-9
 
         # exactly one terminal record per resource, matching the ledger
         assert tracecheck.violations(records) == []
-        assert tracecheck.ends(records).keys() == stack.ledger.resources.keys()
+        assert stack.ledger.resources == {}
+        assert tracecheck.ends(records).keys() == stack.ledger.state.keys()
         assert all(state in ("consumed", "discarded", "expired")
                    for state in stack.ledger.state.values())
         assert all(stack.ledger.slots_free(n.id) == n.memory_slots

@@ -115,6 +115,16 @@ class TestAppOnEngine:
         assert res.alice_key == res.bob_key
         assert len(res.alice_key) == res.key_bits
 
+    @pytest.mark.parametrize("sample_fraction", [0.0, 0.5])
+    def test_sift_stream_opens_only_to_sample(self, make_stack, sample_fraction):
+        topo = one_cell_topology(q_attempt=0.9, w0=1.0, t_coh_s=1e9)
+        cfg = QkdConfig("qkd0", "QUE1", "QUE2", n_pairs=16, rounds=2,
+                        sample_fraction=sample_fraction)
+        sim, stack, res = _run_app(make_stack, topo, cfg)
+        assert res.sifted_bits > 0
+        assert (res.sampled_bits > 0) is (sample_fraction > 0)
+        assert (("QUE1", "sift") in sim._streams) is (sample_fraction > 0)
+
     def test_sift_keeps_about_half(self, make_stack):
         topo = one_cell_topology(q_attempt=0.9, w0=1.0, t_coh_s=1e9,
                                  memory_slots=512)

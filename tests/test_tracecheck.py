@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import tracecheck
+from oneq import runner
 from oneq.records import CATALOGUE
 from oneq.runner import run_scenario, write_artifacts
 from oneq.scenario import load_scenario_file
@@ -109,6 +110,58 @@ def test_ledger_kinds_match_the_catalogue_roles():
     assert set(tracecheck.CREATED) == kinds["creates"]
     assert set(tracecheck.ENDED) == kinds["ends"]
     assert kinds["swaps"] == {"swap"}
+
+
+# The terminal state the ledger keeps for a resource, by the kind of its ending record.
+TERMINAL_OF = {"pair-consumed": "consumed", "swap": "consumed",
+               "pair-discarded": "discarded", "pair-expired": "expired"}
+
+
+def _run_keeping_stack(path, seed, monkeypatch, on_stack=lambda stack: None):
+    """run_scenario at seed, and the one Stack it built, passed to on_stack first."""
+    stacks = []
+
+    class Kept(runner.Stack):
+        def __init__(self, *args):
+            super().__init__(*args)
+            on_stack(self)
+            stacks.append(self)
+
+    monkeypatch.setattr(runner, "Stack", Kept)
+    run_scenario(_scenario(path), seed=seed)
+    (stack,) = stacks
+    return stack
+
+
+@pytest.mark.parametrize("path", RUNS, ids=lambda p: p.stem)
+def test_the_closed_ledger_agrees_with_the_trace(path, monkeypatch):
+    stack = _run_keeping_stack(path, 0, monkeypatch)
+    ends = tracecheck.ends(stack.sim.trace)
+    assert stack.ledger.resources == {}
+    assert stack.ledger.state == {rid: TERMINAL_OF[r["kind"]] for rid, r in ends.items()}
+
+
+def test_the_ledger_holds_exactly_its_live_resources(monkeypatch):
+    calls = []
+
+    def check_each_call(stack):
+        ledger = stack.ledger
+
+        def checked(method):
+            def call(*args):
+                out = method(*args)
+                calls.append(method.__name__)
+                assert ledger.resources.keys() == {
+                    rid for rid, state in ledger.state.items() if state == "live"}
+                return out
+            return call
+
+        ledger.register = checked(ledger.register)
+        ledger.finish = checked(ledger.finish)
+
+    stack = _run_keeping_stack(REPO / "scenarios" / "metro_with_satellite.json", 0,
+                               monkeypatch, check_each_call)
+    assert calls.count("register") == calls.count("finish") == len(stack.ledger.state) > 0
 
 
 @functools.lru_cache(maxsize=None)

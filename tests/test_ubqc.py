@@ -8,6 +8,7 @@ import pytest
 from scipy import stats
 
 import oracles
+import tracecheck
 from conftest import drive, one_cell_topology
 from oneq import qcore
 from oneq.apps.ubqc import (
@@ -346,7 +347,8 @@ class TestShotProvisioning:
                    for st in ledger.state.values())
         partial = [rid for rid, st in ledger.state.items() if st == "discarded"]
         assert 0 < len(partial) < 4
-        assert {ledger.reason[rid] for rid in partial} == {"shot-starved"}
+        ends = tracecheck.ends(sim.trace)
+        assert {ends[rid]["details"]["reason"] for rid in partial} == {"shot-starved"}
         for node_id in ("QUE1", "QBS1"):
             assert ledger.slots_free(node_id) == topo.nodes[node_id].memory_slots
 
@@ -358,17 +360,19 @@ class TestShotProvisioning:
                         shots=1, max_latency_s=0.01)
         sim, stack, res = _run_app(make_stack, topo, cfg)
         assert res.outcome == "done"
-        pairs = [stack.ledger.resources[rid] for rid in sorted(stack.ledger.state)]
-        assert len(pairs) == 4
-        assert all(stack.ledger.reason[p.id] == "rsp" for p in pairs)
-        t_prepare = pairs[0].last_touched
-        assert all(p.last_touched == t_prepare for p in pairs)
+        records = list(sim.trace)
+        created = {r["details"]["id"]: r["t"] for r in records if r["kind"] == "pair-created"}
+        ends = tracecheck.ends(records)
+        assert len(ends) == 4 and list(ends) == sorted(created)
+        assert {r["details"]["purpose"] for r in ends.values()} == {"rsp"}
+        (t_prepare,) = {r["t"] for r in ends.values()}
         t_coh = stack.effective_t_coh(("QUE1", "QBS1"))
-        for p in pairs:
-            assert p.w == pytest.approx(qcore.decay(1.0, t_prepare - p.created_at, t_coh),
-                                        rel=1e-12)
-        ws = [p.w for p in pairs]
-        assert ws == sorted(ws) and ws[0] < ws[-1] < 1.0
+        # each pair's fidelity at consumption, in the order the pairs ended
+        fs = sim.metrics.series["fidelity_at_consumption"]
+        for rid, f in zip(ends, fs, strict=True):
+            w = qcore.decay(1.0, t_prepare - created[rid], t_coh)
+            assert f == pytest.approx(qcore.fidelity_of(w), rel=1e-12)
+        assert fs == sorted(fs) and fs[0] < fs[-1] < 1.0
 
 
 class TestShippedChain:
