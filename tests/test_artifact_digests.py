@@ -24,6 +24,7 @@ from pathlib import Path
 import pytest
 
 from conftest import _edited
+from oneq.protocol import ResourceLedger
 from oneq.runner import app_results_csv, metrics_csv, run_scenario
 from oneq.scenario import load_scenario
 
@@ -53,6 +54,14 @@ VARIANTS = [
     # floor: shipped runs never screen a pair at f_min.
     ("metro_f_min_at_w0", "metro_with_satellite",
      {"$.policy.min_fidelity": None, "$.defaults.f_min": 0.9}, SEEDS, None),
+    # QUE3 has one memory slot and the provisioner asks for two pairs: once
+    # the first is held, every SAT1-QUE3 slot skips its draw on a full memory.
+    ("metro_que3_one_slot", "metro_with_satellite", {"$.nodes[5].memory_slots": 1},
+     SEEDS, None),
+    # A lossy backbone and two transmissions a hop: messages fail on retries,
+    # some on the backbone hop of a UE-to-UE route, past its first station.
+    ("qkd_swapped_lossy_backbone", "qkd_local_vs_swapped",
+     {"$.classical_links[4].p_err_c": 0.25, "$.defaults.retry_cap": 2}, SEEDS, None),
 ]
 
 
@@ -109,6 +118,39 @@ def test_f_min_variant_discards_below_threshold():
     for seed in seeds:
         gauges = {row[2]: row[3] for row in _run(document, seed).metrics_rows}
         assert gauges.get("pairs_discarded_below_threshold", 0) > 0, f"seed {seed}"
+
+
+def test_full_memory_variant_skips_slots_in_the_attempt_loop(monkeypatch):
+    can_store, full = ResourceLedger.can_store, []
+
+    def spy(ledger, holders):
+        ok = can_store(ledger, holders)
+        frame = sys._getframe(1)
+        while not ok and frame is not None:
+            if frame.f_code.co_name == "_attempt_loop":
+                full.append(tuple(holders))
+                break
+            frame = frame.f_back
+        return ok
+
+    monkeypatch.setattr(ResourceLedger, "can_store", spy)
+    document, seeds = CASES["metro_que3_one_slot"]
+    for seed in seeds:
+        full.clear()
+        _run(document, seed)
+        assert full and set(full) == {("QUE3", "SAT1")}, f"seed {seed}"
+
+
+def test_lossy_backbone_variant_fails_messages_on_retries_past_the_first_hop():
+    document, seeds = CASES["qkd_swapped_lossy_backbone"]
+    later = 0
+    for seed in seeds:
+        failed = [json.loads(line)["details"] for line in
+                  _run(document, seed).trace_jsonl.splitlines()
+                  if '"kind":"msg"' in line and '"delivered":false' in line]
+        assert any(msg["reason"] == "retries" for msg in failed), f"seed {seed}"
+        later += sum(msg["failed_at"] != msg["route"].split("+")[0] for msg in failed)
+    assert later > 0
 
 
 def main() -> int:
