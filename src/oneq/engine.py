@@ -132,8 +132,10 @@ class Metrics:
         value = float(value)
         if math.isnan(value):
             raise ValueError(f"series {name} cannot hold NaN")
-        self.series.setdefault(name, []).append(value)
-        self._units.setdefault(name, unit)
+        if name not in self.series:  # the first sample registers the series; the first unit stays
+            self.series[name] = []
+            self._units.setdefault(name, unit)
+        self.series[name].append(value)
 
     def to_rows(self, run_id: str, seed: int) -> list[tuple]:
         """Rows (run_id, seed, metric, value, unit), sorted by metric name."""

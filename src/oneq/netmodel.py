@@ -194,6 +194,8 @@ class ClassicalLinkSpec:
             raise ConfigurationError(f"link {self.a}-{self.b}: p_err_c must lie in [0, 1]")
 
     def latency(self, size_bits: float) -> float:
+        if size_bits < 0:
+            raise ValueError(f"message size must be nonnegative, got {size_bits}")
         return size_bits / self.rate_bps + self.prop_delay_s
 
     def delivered(self, draw: float) -> bool:
@@ -232,9 +234,8 @@ def classical_send(
     Latency is deterministic (size/rate + propagation); delivery fails with
     probability p_err_c.  Retransmission is the caller's business.
     """
-    if size_bits < 0:
-        raise ValueError(f"message size must be nonnegative, got {size_bits}")
-    return link.delivered(rng.random()), link.latency(size_bits)
+    latency = link.latency(size_bits)  # a negative size raises before the draw
+    return link.delivered(rng.random()), latency
 
 
 def _adjacency(edges: Iterable[tuple[str, str]]) -> dict[str, tuple[str, ...]]:
@@ -413,6 +414,11 @@ class Topology:
         if na.mobility.kind == nb.mobility.kind == "static":
             self._links[key] = usable
         return usable
+
+    def fixed_reach(self, a: str, b: str, quantum: bool) -> Optional[bool]:
+        """_reachable's verdict for a-b if it holds at every t (both ends static), else None."""
+        self._reachable(a, b, 0.0, quantum)
+        return self._links.get((a, b, quantum))
 
     def classical_reachable(self, a: str, b: str, t: float) -> bool:
         """True when a and b can exchange a message over their link at time t."""

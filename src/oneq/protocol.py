@@ -8,9 +8,11 @@ or expired at run end); the ledger enforces both.
 
 All protocol steps are generator processes driven by the event engine.  A
 yielded float is the simulated delay until the step resumes.  Every
-classical transmission is one Stack.transmit over the lossy channel model.
-A message crosses its whole hop list in one yield, each hop retrying within
-a bounded budget, and writes one msg record.
+classical message is one Stack.send_message: it crosses its whole hop list
+in one yield, each hop retrying within a bounded budget, and writes one msg
+record.  Each transmission is one loss draw from the sender's classical
+stream under the link's channel rule; Stack.transmit makes one transmission
+with no retry, event or record.
 """
 
 from __future__ import annotations
@@ -78,6 +80,12 @@ class SessionOutcome(str, Enum):
     PARTIALLY_FULFILLED = "PartiallyFulfilled"
     EXPIRED = "Expired"
     REJECTED = "Rejected"
+
+
+# The labels records and metrics carry, read once here rather than per event.
+_STATE_LABEL = {state: state.value for state in QueState}
+_SESSION_LABEL = {o: (o.value, f"sessions_{o.value}") for o in SessionOutcome}
+_PAIRS_METRIC = {end: f"pairs_{end}" for end in ("consumed", "discarded", "expired")}
 
 
 class HandoverMode(str, Enum):
@@ -312,38 +320,52 @@ class QueContext:
     timer_queued: bool = False  # an inactivity check is queued for this UE
 
 
+class _Table(dict):
+    """A per-run lookup whose entry for a key is build(key), made at the key's first use."""
+
+    def __init__(self, build: Callable):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, key):
+        entry = self[key] = self.build(key)
+        return entry
+
+
+class _Holders(NamedTuple):
+    """What a resource's holders tuple fixes for a run (Stack._holders)."""
+
+    t_coh: float  # both memories dephase independently, so their rates add
+    ues: tuple[QueContext, ...]  # the UE holders' contexts, in holder order
+    created: tuple[str, ...]  # their pairs_created.<ue> metric names
+    joined: str  # the holders as records name them, "a+b"
+    consumed: str  # holder_states of a pair-consumed record: every UE Entangled
+
+
 class _Segment(NamedTuple):
     """One resource a process heralds: every leg from source in the same slot.
 
-    p and w, the products of the legs' q_attempt and w0, are fixed for the
-    segment, so Stack._segment computes them once for all its slots.
+    Its fields are fixed for all its slots, so Stack._segment works them out once.
     """
 
     source: str
     legs: tuple[QuantumLinkSpec, ...]
     holders: tuple[str, ...]
     via: str
-    p: float
-    w: float
+    p: float  # the product of the legs' q_attempt
+    w: float  # the product of the legs' w0
+    held: _Holders  # the holders' table entry
+    check: tuple[QuantumLinkSpec, ...]  # the legs whose quantum reach can change
 
 
-class _Hop:
-    """A classical link as its sender uses it, resolved once per run (Stack._hop)."""
+class _Hop(NamedTuple):
+    """A classical link as its sender uses it, resolved once per run (Stack._hops)."""
 
-    __slots__ = ("src", "link", "ends", "route", "rng")
-
-    def __init__(self, src: str, link: ClassicalLinkSpec, ends: tuple[QueContext, ...],
-                 route: str):
-        self.src, self.link, self.ends, self.route = src, link, ends, route
-        self.rng = None  # src's classical stream, fetched at the first draw
-
-
-class _Holders(NamedTuple):
-    """What a resource's holders tuple fixes for a run (Stack._holder)."""
-
-    t_coh: float  # effective_t_coh(holders)
-    ues: tuple[QueContext, ...]  # the UE holders' contexts, in holder order
-    created: tuple[str, ...]  # their pairs_created.<ue> metric names
+    link: ClassicalLinkSpec
+    ends: tuple[QueContext, ...]  # the UE ends, whose activity a delivery refreshes
+    route: str  # "src+dst", as a one-hop msg record names it
+    reach: Optional[bool]  # the link's classical reach when fixed for the run, else None
+    latency: dict  # message size -> link.latency(size), filled at first use
 
 
 class _Plan(NamedTuple):
@@ -354,6 +376,29 @@ class _Plan(NamedTuple):
     setup: tuple[str, ...] = ()  # the chain's stations, which the request crosses
     period: float = 0.0  # the slowest leg's attempt period
     w_max: float = 0.0  # the product of every leg's w0 (see entanglement_session)
+
+
+# The builders of a stack's per-run tables.  They take the topology and the
+# run's UE contexts, not the stack, so that no table refers back to it.
+
+def _new_hop(topo: Topology, ues: dict[str, QueContext], key: tuple[str, str]) -> Optional[_Hop]:
+    """The src-dst classical link with its UE ends, for src to send on; None if none."""
+    src, dst = key
+    link = topo.classical_link(src, dst)
+    return None if link is None else _Hop(
+        link, tuple(ues[n] for n in key if n in ues), f"{src}+{dst}",
+        topo.fixed_reach(src, dst, quantum=False), _Table(link.latency))
+
+
+def _new_holders(topo: Topology, ues: dict[str, QueContext], holders: tuple[str, ...]) -> _Holders:
+    """The per-run constants of a resource held by holders."""
+    rate = sum(1.0 / topo.nodes[h].t_coh_s for h in holders)
+    contexts = tuple(ues[n] for n in holders if n in ues)
+    return _Holders(1.0 / rate if rate else math.inf, contexts,
+                    tuple(f"pairs_created.{ctx.node_id}" for ctx in contexts),
+                    "+".join(holders),
+                    "+".join(f"{ctx.node_id}:{QueState.ENTANGLED.value}" for ctx in contexts)
+                    or "bs-only")
 
 
 class Stack:
@@ -370,10 +415,16 @@ class Stack:
             if node.kind in UE_KINDS
         }
         self._payload_counter = 0
+        self._bits = {kind: float(bits) for kind, bits in self.defaults.message_bits.items()}
         # Per-run lookups by name, each resolved at its first use: the UE
         # contexts they hold belong to this run.
-        self._hops: dict[tuple[str, str], Optional[_Hop]] = {}
-        self._holders: dict[tuple[str, ...], _Holders] = {}
+        self._hops: dict[tuple[str, str], Optional[_Hop]] = _Table(
+            partial(_new_hop, topo, self.ues))
+        self._holders: dict[tuple[str, ...], _Holders] = _Table(
+            partial(_new_holders, topo, self.ues))
+        # Each node's stream of loss draws as a sender and of herald draws as a source.
+        self._loss = _Table(partial(sim.rng_stream, purpose="classical"))
+        self._heralds = _Table(partial(sim.rng_stream, purpose="entanglement"))
         self._plans: dict[tuple, _Plan] = {}
 
     # ------------------------------------------------------------------
@@ -386,9 +437,6 @@ class Stack:
             raise ProtocolError(f"{node_id} is not user equipment")
         return ctx
 
-    def _ue_contexts(self, node_ids: Iterable[str]) -> tuple[QueContext, ...]:
-        return tuple(self.ues[n] for n in node_ids if n in self.ues)
-
     def _set_state(self, ctx: QueContext, new_state: QueState, reason: str) -> None:
         if new_state == ctx.state:
             return
@@ -399,7 +447,7 @@ class Stack:
         old = ctx.state
         ctx.state = new_state
         records.state_transition(self.sim.trace, self.sim.now, ctx.node_id,
-                                 frm=old.value, to=new_state.value, reason=reason)
+                                 frm=_STATE_LABEL[old], to=_STATE_LABEL[new_state], reason=reason)
         if new_state == QueState.CONNECTED:
             ctx.last_activity = max(ctx.last_activity, self.sim.now)
             if not ctx.timer_queued:
@@ -429,23 +477,7 @@ class Stack:
 
     def bits(self, msg_kind: str) -> float:
         """Size of a message of this kind, from the scenario's defaults."""
-        return float(self.defaults.message_bits[msg_kind])
-
-    def _hop(self, src: str, dst: str) -> Optional[_Hop]:
-        """The src-dst classical link with its UE ends, for src to send on; None if none."""
-        try:
-            return self._hops[src, dst]
-        except KeyError:
-            link = self.topo.classical_link(src, dst)
-            hop = self._hops[src, dst] = None if link is None else _Hop(
-                src, link, self._ue_contexts((src, dst)), f"{src}+{dst}")
-            return hop
-
-    def _send(self, hop: _Hop, bits: float) -> tuple[bool, float]:
-        """classical_send over hop: the one loss draw, from the sender's classical stream."""
-        if hop.rng is None:
-            hop.rng = self.sim.rng_stream(hop.src, "classical")
-        return classical_send(hop.link, bits, hop.rng)
+        return self._bits[msg_kind]
 
     def transmit(self, src: str, dst: str, msg_kind: str,
                  bits: Optional[float] = None) -> tuple[bool, float]:
@@ -455,10 +487,11 @@ class Stack:
         event and no trace record: the caller decides what a loss means and
         when the latency elapses.
         """
-        hop = self._hop(src, dst)
+        hop = self._hops[src, dst]
         if hop is None:
             raise ProtocolError(f"no classical link {src}-{dst}")
-        return self._send(hop, self.bits(msg_kind) if bits is None else bits)
+        return classical_send(hop.link, self._bits[msg_kind] if bits is None else bits,
+                              self._loss[src])
 
     def send_message(self, route: Sequence[str], msg_kind: str,
                      bits: Optional[float] = None):
@@ -477,22 +510,23 @@ class Stack:
         if len(route) < 2:
             return True
         if bits is None:
-            bits = self.bits(msg_kind)
+            bits = self._bits[msg_kind]
         t0 = self.sim.now
         latency, tx, reason = 0.0, 0, ""
-        for src, dst in zip(route, route[1:]):
-            hop = self._hop(src, dst)
+        src = route[0]
+        for dst in islice(route, 1, None):
+            hop = self._hops[src, dst]
             if hop is None:
                 reason = "no-link"
                 break
             for _ in range(self.defaults.retry_cap):
-                if not self.topo.classical_reachable(src, dst, t0 + latency):
+                if not (hop.reach if hop.reach is not None
+                        else self.topo.classical_reachable(src, dst, t0 + latency)):
                     reason = "no-coverage"
                     break
-                delivered, hop_latency = self._send(hop, bits)
-                latency += hop_latency
+                latency += hop.latency[bits]
                 tx += 1
-                if delivered:
+                if hop.link.delivered(self._loss[src].random()):
                     break
             else:
                 reason = "retries"
@@ -500,6 +534,7 @@ class Stack:
                 break
             for ctx in hop.ends:
                 ctx.last_activity = max(ctx.last_activity, t0 + latency)
+            src = dst
         if tx:
             yield (latency, EventKind.MESSAGE_DELIVERY)
         joined = hop.route if hop is not None and len(route) == 2 else "+".join(route)
@@ -530,7 +565,7 @@ class Stack:
 
     def classical_route(self, src: str, dst: str) -> Optional[list[str]]:
         """Hop list src..dst: the direct link if present, else over the backbone."""
-        if self._hop(src, dst) is not None:
+        if self._hops[src, dst] is not None:
             return [src, dst]
         return self._anchored(src, dst, self.topo.bs_route)
 
@@ -539,9 +574,13 @@ class Stack:
         """Generator: deliver src to dst over classical_route; see send_message."""
         route = self.classical_route(src, dst)
         if route is None:
-            records.msg_no_route(self.sim.trace, self.sim.now, src, dst=dst, msg=msg_kind)
-            return False
-        return (yield from self.send_message(route, msg_kind, bits))
+            return self._no_route(src, dst, msg_kind)
+        return self.send_message(route, msg_kind, bits)  # its own generator: no frame between
+
+    def _no_route(self, src: str, dst: str, msg_kind: str):
+        records.msg_no_route(self.sim.trace, self.sim.now, src, dst=dst, msg=msg_kind)
+        return False
+        yield  # a generator, as send_message is
 
     # ------------------------------------------------------------------
     # Registration and connection management
@@ -611,21 +650,10 @@ class Stack:
 
     def effective_t_coh(self, holders: Sequence[str]) -> float:
         """Both memories dephase independently; rates add."""
-        rate = sum(1.0 / self.topo.nodes[h].t_coh_s for h in holders)
-        return 1.0 / rate if rate else math.inf
-
-    def _holder(self, holders: tuple[str, ...]) -> _Holders:
-        """The per-run constants of a resource held by holders."""
-        entry = self._holders.get(holders)
-        if entry is None:
-            ues = self._ue_contexts(holders)
-            entry = self._holders[holders] = _Holders(
-                self.effective_t_coh(holders), ues,
-                tuple(f"pairs_created.{ctx.node_id}" for ctx in ues))
-        return entry
+        return self._holders[tuple(holders)].t_coh
 
     def age_pair(self, pair: WernerPair | GhzResource) -> float:
-        return qcore.touch(pair, self.sim.now, self._holder(pair.holders).t_coh)
+        return qcore.touch(pair, self.sim.now, self._holders[pair.holders].t_coh)
 
     # ------------------------------------------------------------------
     # Resource creation and consumption
@@ -633,9 +661,12 @@ class Stack:
 
     def _segment(self, source: str, legs: Sequence[QuantumLinkSpec],
                  holders: Sequence[str], via: str = "") -> _Segment:
-        return _Segment(source, tuple(legs), tuple(holders), via,
+        holders = tuple(holders)
+        return _Segment(source, tuple(legs), holders, via,
                         math.prod(link.q_attempt for link in legs),
-                        math.prod(link.w0 for link in legs))
+                        math.prod(link.w0 for link in legs), self._holders[holders],
+                        tuple(link for link in legs
+                              if self.topo.fixed_reach(link.a, link.b, quantum=True) is not True))
 
     def _herald(self, seg: _Segment) -> Optional[float]:
         """One heralded attempt slot at seg.source; the delivered w, or None.
@@ -650,11 +681,11 @@ class Stack:
         if not self.ledger.can_store(seg.holders):
             return None
         t = self.sim.now
-        for link in seg.legs:
+        for link in seg.check:
             if not self.topo.quantum_reachable(link.a, link.b, t):
                 raise CoverageError(
                     f"no quantum coverage between {link.a} and {link.b} at t={t}")
-        if self.sim.rng_stream(seg.source, "entanglement").random() >= seg.p:
+        if self._heralds[seg.source].random() >= seg.p:
             return None
         return seg.w
 
@@ -665,15 +696,15 @@ class Stack:
                           created_at=t, last_touched=t)
         self.ledger.register(pair)
         self.sim.metrics.incr("pairs_created")
-        for name in self._holder(seg.holders).created:
+        for name in seg.held.created:
             self.sim.metrics.incr(name)
         records.pair_created(self.sim.trace, t, seg.holders[0], id=pair.id,
-                             holders="+".join(seg.holders), w=round(w, 9), via=seg.via)
+                             holders=seg.held.joined, w=round(w, 9), via=seg.via)
         return pair
 
     def _hand_over(self, resource: WernerPair | GhzResource) -> None:
         """Store the resource at each UE holder; a Connected holder turns Entangled."""
-        for ctx in self._holder(resource.holders).ues:
+        for ctx in self._holders[resource.holders].ues:
             ctx.stored.add(resource.id)
             if ctx.state == QueState.CONNECTED:
                 self._set_state(ctx, QueState.ENTANGLED, "session-delivered")
@@ -684,8 +715,8 @@ class Stack:
         The caller writes the resource's ending record, which says why.
         """
         res = self.ledger.finish(resource_id, terminal)
-        self.sim.metrics.incr(f"pairs_{terminal}")
-        for ctx in self._holder(res.holders).ues:
+        self.sim.metrics.incr(_PAIRS_METRIC[terminal])
+        for ctx in self._holders[res.holders].ues:
             ctx.stored.discard(resource_id)
         return res
 
@@ -693,7 +724,7 @@ class Stack:
         res = self._retire(resource_id, "discarded")
         records.pair_discarded(self.sim.trace, self.sim.now, res.holders[0], id=resource_id,
                                reason=reason)
-        ues = self._holder(res.holders).ues
+        ues = self._holders[res.holders].ues
         if reason == "below-threshold":
             self.sim.metrics.incr("pairs_discarded_below_threshold")
             for ctx in ues:
@@ -710,19 +741,18 @@ class Stack:
         res = self.ledger.live(resource_id)
         if isinstance(res, WernerPair) and not self._corrected(res):
             raise ResourceError(f"pair {res.id} is not usable before its correction arrives")
-        ues = self._holder(res.holders).ues
-        for ctx in ues:
+        held = self._holders[res.holders]
+        for ctx in held.ues:
             if ctx.state != QueState.ENTANGLED:
                 raise ProtocolError(
                     f"cannot consume {res.id}: holder {ctx.node_id} is {ctx.state.value}")
-        holder_states = "+".join([f"{ctx.node_id}:{ctx.state.value}" for ctx in ues])
         if isinstance(res, WernerPair):
             self.age_pair(res)
             self.sim.metrics.observe("fidelity_at_consumption", fidelity_of(res.w))
         self._retire(resource_id, "consumed")
         records.pair_consumed(self.sim.trace, self.sim.now, res.holders[0], id=resource_id,
-                              purpose=purpose, holder_states=holder_states or "bs-only")
-        for ctx in ues:
+                              purpose=purpose, holder_states=held.consumed)
+        for ctx in held.ues:
             self._maybe_exit_entangled(ctx)
         return res
 
@@ -870,7 +900,7 @@ class Stack:
         heralded when the loop ends at the deadline or on a CoverageError,
         which is returned so that the slot count survives it.
         """
-        served = [ctx for seg in plan for ctx in self._holder(seg.holders).ues]
+        served = [ctx for seg in plan for ctx in seg.held.ues]
         slots = 0
         while len(held) < len(plan) and self.sim.now < deadline:
             yield (min(period, max(deadline - self.sim.now, 1e-12)),
@@ -1011,9 +1041,10 @@ class Stack:
             attempts=attempts,
             reason=aborted,
         )
-        self.sim.metrics.incr(f"sessions_{outcome.value}")
+        label, metric = _SESSION_LABEL[outcome]
+        self.sim.metrics.incr(metric)
         self.sim.metrics.observe("session_latency_s", elapsed, unit="s")
-        records.session_end(self.sim.trace, self.sim.now, requester, outcome=outcome.value,
+        records.session_end(self.sim.trace, self.sim.now, requester, outcome=label,
                             delivered=len(survivors), requested=request.count,
                             discarded=discarded_below, elapsed=round(elapsed, 9))
         return result
@@ -1055,7 +1086,7 @@ class Stack:
         self._hand_over(ghz)
         self.sim.metrics.incr("ghz_created")
         records.ghz_created(self.sim.trace, self.sim.now, seg.source, id=ghz.id,
-                            holders="+".join(seg.holders), w=round(w, 9))
+                            holders=seg.held.joined, w=round(w, 9))
         return ghz
 
     # ------------------------------------------------------------------

@@ -379,6 +379,23 @@ class TestTraceAndMetrics:
         with pytest.raises(ValueError):
             m.observe("lat", math.nan)
 
+    def test_a_series_keeps_the_first_unit_it_was_given(self):
+        m = Metrics()
+        m.observe("lat", 1.0, unit="s")
+        m.observe("lat", 2.0, unit="ms")
+        m.observe("lat", 3.0)
+        m.set_gauge("rss", 1.0, unit="MB")  # a gauge's unit comes first here
+        m.observe("rss", 2.0, unit="kB")
+        with pytest.raises(ValueError):
+            m.observe("idle", math.nan, unit="s")  # a rejected sample gives no unit
+        m.observe("idle", 0.5, unit="ms")
+        units = {row[2]: row[4] for row in m.to_rows("r", 1)}
+        stats = ("mean", "std", "min", "p50", "p90", "max")
+        assert units["lat.count"] == "count" and m.series["lat"] == [1.0, 2.0, 3.0]
+        assert {units[f"lat.{s}"] for s in stats} == {"s"}
+        assert units["rss"] == "MB" and {units[f"rss.{s}"] for s in stats} == {"MB"}
+        assert {units[f"idle.{s}"] for s in stats} == {"ms"}
+
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=50))
