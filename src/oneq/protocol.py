@@ -830,11 +830,8 @@ class Stack:
         Pair i is held by stations[i] and stations[i+1].  Every inner
         station measures at this instant (_measure_chain); one correction
         then walks back from the last repeater to stations[0], collecting
-        every outcome.  A lost correction discards the end pair.  A
-        one-pair chain is returned as is.
+        every outcome.  A lost correction discards the end pair.
         """
-        if len(pair_ids) == 1:
-            return pair_ids[0]
         out = self._measure_chain(pair_ids, stations[1:-1])
         ok = yield from self.send_message(stations[-2::-1], "correction")
         if not ok:
@@ -997,6 +994,9 @@ class Stack:
                                                   detail=str(lost))
                 if len(held) < len(plan):
                     break
+                if len(plan) == 1:  # one segment: its pair needs no swap
+                    delivered.append(held.pop(0))
+                    continue
                 pair_id = yield from self._swap_chain(
                     [held.pop(i).id for i in range(len(plan))], chain)
                 if pair_id is not None:
