@@ -269,7 +269,7 @@ class UbqcApp:
         """
         cfg = self.config
         pair = stack.consume_pair(pair_id, "rsp")
-        theta8 = int(theta_rng.integers(0, GRID)) if cfg.blinding == "uniform" else 0
+        theta8 = theta_rng.integers(0, GRID) if cfg.blinding == "uniform" else 0
         if cfg.exact:
             m, server_qubit = rsp_collapse(pair.w, theta8, client_meas)
         else:
@@ -304,7 +304,7 @@ class UbqcApp:
         for n, theta_eff8 in enumerate(thetas):
             if n + 1 < n_steps:
                 server.push(qubits[n + 1])
-            r = int(r_rng.integers(0, 2)) if cfg.blinding == "uniform" else 0
+            r = r_rng.getrandbits(1) if cfg.blinding == "uniform" else 0  # = integers(0, 2)
             if n < len(cfg.phi_eighths):
                 phi8 = cfg.phi_eighths[n]
                 lam8 = phi8 if x == 0 else (-phi8) % GRID

@@ -3,11 +3,11 @@
 Events are ordered by (time, insertion sequence), so simultaneous events
 fire in schedule order and a scenario plus a seed fully pins the run.
 Protocol logic runs as generator processes that yield the delay until their
-next step.  A step due within the current run_until horizon and strictly
-before every queued event is the one the queue would hand out next, so the
-process continues at once, without a trip through the queue; a step due at
-the same instant as a queued event runs after it, as its later sequence
-number says, and every other step is queued.
+next step.  Simulator.advance is the one inline rule, which the kernel applies
+to each yielded step and the message and attempt steps ask before yielding:
+a step due within the run_until horizon and strictly before every queued
+event runs at once, without a trip through the queue; a step due with a
+queued event runs after it, as its later sequence number says.
 
 Randomness is drawn from named substreams, one per (master seed, node id,
 purpose), which keeps every node's draws independent of scheduling jitter
@@ -73,11 +73,11 @@ class Trace:
                              separators=(",", ":"), allow_nan=False) + "\n")
 
     def _add(self, line: str) -> None:
-        """Append one encoded line; every _BLOCK_LINES lines are joined into a block."""
+        """Append one encoded line; at each _BLOCK_LINES-th line the tail becomes a block."""
         tail = self._tail
         tail.append(line)
         self._count += 1
-        if len(tail) == _BLOCK_LINES:
+        if not self._count % _BLOCK_LINES:
             self._blocks.append("".join(tail))
             tail.clear()
 
@@ -203,7 +203,6 @@ class Simulator:
         self.now = 0.0
         self.trace = Trace()
         self.metrics = Metrics()
-        self.events_processed = 0
         self._kind_counts = dict.fromkeys(sorted(EventKind), 0)  # str order: by value
         self._heap: list[tuple[float, int, EventKind, Callable[[], None]]] = []
         self._next_seq = 0
@@ -264,7 +263,7 @@ class Simulator:
         self.schedule_call(delay, lambda: self._resume(gen, on_done), kind)
 
     def _resume(self, gen: Generator, on_done: Optional[Callable[[Any], None]]) -> None:
-        heap, counts, send = self._heap, self._kind_counts, gen.send
+        send, advance = gen.send, self.advance
         while True:
             try:
                 item = send(None)
@@ -272,21 +271,23 @@ class Simulator:
                 if on_done is not None:
                     on_done(stop.value)
                 return
-            if isinstance(item, tuple):
-                delay, kind = item
-            else:
-                delay, kind = item, EventKind.TIMER
+            delay, kind = item if isinstance(item, tuple) else (item, EventKind.TIMER)
             if delay < 0.0:
                 raise ValueError(f"process yielded a negative delay {delay}")
             delay = float(delay)
-            t = self.now + delay
-            if not (t <= self._horizon and (not heap or t < heap[0][0])):
+            if not advance(delay, kind):
                 self.schedule_call(delay, lambda: self._resume(gen, on_done), kind)
                 return
-            # The queue would hand this step out next: run it now.
+
+    def advance(self, delay: float, kind: EventKind) -> bool:
+        """If a step due after delay falls within the run_until horizon and strictly before
+        every queued event, move now to it, count it as one event of kind and return True."""
+        t = self.now + delay
+        if t <= self._horizon and (not self._heap or t < self._heap[0][0]):
             self.now = t
-            self.events_processed += 1
-            counts[kind] += 1
+            self._kind_counts[kind] += 1
+            return True
+        return False
 
     # -- execution ----------------------------------------------------------
 
@@ -298,11 +299,14 @@ class Simulator:
         heap, counts = self._heap, self._kind_counts
         while heap and heap[0][0] <= t_end:
             self.now, _, kind, fn = heapq.heappop(heap)
-            self.events_processed += 1
             counts[kind] += 1
             fn()
         self.now = max(self.now, t_end)
         return self.metrics, self.trace
+
+    @property
+    def events_processed(self) -> int:
+        return sum(self._kind_counts.values())
 
     @property
     def events_by_kind(self) -> dict[str, int]:

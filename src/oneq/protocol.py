@@ -86,6 +86,9 @@ class SessionOutcome(str, Enum):
 _STATE_LABEL = {state: state.value for state in QueState}
 _SESSION_LABEL = {o: (o.value, f"sessions_{o.value}") for o in SessionOutcome}
 _PAIRS_METRIC = {end: f"pairs_{end}" for end in ("consumed", "discarded", "expired")}
+# Members read per event, bound once: EnumType.__getattr__ slows class reads on 3.11.
+_CONNECTED, _ENTANGLED = QueState.CONNECTED, QueState.ENTANGLED
+_ATTEMPT, _DELIVERY = EventKind.ENTANGLEMENT_ATTEMPT, EventKind.MESSAGE_DELIVERY
 
 
 class HandoverMode(str, Enum):
@@ -304,9 +307,6 @@ class ResourceLedger:
             self._free[h] += 1
         return res
 
-    def live_ids(self) -> list[str]:
-        return list(self.resources)
-
 
 @dataclass
 class QueContext:
@@ -376,6 +376,7 @@ class _Plan(NamedTuple):
     setup: tuple[str, ...] = ()  # the chain's stations, which the request crosses
     period: float = 0.0  # the slowest leg's attempt period
     w_max: float = 0.0  # the product of every leg's w0 (see entanglement_session)
+    served: tuple[QueContext, ...] = ()  # the segments' UE holders, as _attempt_loop takes them
 
 
 # The builders of a stack's per-run tables.  They take the topology and the
@@ -397,7 +398,7 @@ def _new_holders(topo: Topology, ues: dict[str, QueContext], holders: tuple[str,
     return _Holders(1.0 / rate if rate else math.inf, contexts,
                     tuple(f"pairs_created.{ctx.node_id}" for ctx in contexts),
                     "+".join(holders),
-                    "+".join(f"{ctx.node_id}:{QueState.ENTANGLED.value}" for ctx in contexts)
+                    "+".join(f"{ctx.node_id}:{_ENTANGLED.value}" for ctx in contexts)
                     or "bs-only")
 
 
@@ -448,7 +449,7 @@ class Stack:
         ctx.state = new_state
         records.state_transition(self.sim.trace, self.sim.now, ctx.node_id,
                                  frm=_STATE_LABEL[old], to=_STATE_LABEL[new_state], reason=reason)
-        if new_state == QueState.CONNECTED:
+        if new_state == _CONNECTED:
             ctx.last_activity = max(ctx.last_activity, self.sim.now)
             if not ctx.timer_queued:
                 self._arm_inactivity(ctx, self.defaults.inactivity_timeout_s)
@@ -459,7 +460,7 @@ class Stack:
 
     def _check_inactivity(self, ctx: QueContext) -> None:
         ctx.timer_queued = False
-        if ctx.state is not QueState.CONNECTED:
+        if ctx.state is not _CONNECTED:
             return
         remaining = ctx.last_activity + self.defaults.inactivity_timeout_s - self.sim.now
         if remaining <= 1e-12:
@@ -468,8 +469,8 @@ class Stack:
             self._arm_inactivity(ctx, remaining)
 
     def _maybe_exit_entangled(self, ctx: QueContext) -> None:
-        if ctx.state == QueState.ENTANGLED and not ctx.stored:
-            self._set_state(ctx, QueState.CONNECTED, "resources-exhausted")
+        if ctx.state == _ENTANGLED and not ctx.stored:
+            self._set_state(ctx, _CONNECTED, "resources-exhausted")
 
     # ------------------------------------------------------------------
     # Classical messaging
@@ -532,11 +533,13 @@ class Stack:
                 reason = "retries"
             if reason:
                 break
+            arrived = t0 + latency
             for ctx in hop.ends:
-                ctx.last_activity = max(ctx.last_activity, t0 + latency)
+                if ctx.last_activity < arrived:
+                    ctx.last_activity = arrived
             src = dst
-        if tx:
-            yield (latency, EventKind.MESSAGE_DELIVERY)
+        if tx and not self.sim.advance(latency, _DELIVERY):
+            yield (latency, _DELIVERY)
         joined = hop.route if hop is not None and len(route) == 2 else "+".join(route)
         if reason:
             records.msg_failed(self.sim.trace, self.sim.now, route[0], route=joined,
@@ -602,7 +605,7 @@ class Stack:
                                             bs=bs_id, at_message=i + 1)
                 return False
         ctx.serving_bs = bs_id
-        self._set_state(ctx, QueState.CONNECTED, "registered")
+        self._set_state(ctx, _CONNECTED, "registered")
         return True
 
     def resume(self, ue_id: str):
@@ -618,13 +621,13 @@ class Stack:
             ok = yield from self.send_message((bs, ue_id), "resume")
         if not ok:
             return False
-        self._set_state(ctx, QueState.CONNECTED, "resumed")
+        self._set_state(ctx, _CONNECTED, "resumed")
         return True
 
     def ensure_connected(self, ue_id: str, bs_id: Optional[str] = None):
         """Generator: bring the UE to Connected, registering or resuming."""
         ctx = self.ue(ue_id)
-        if ctx.state in (QueState.CONNECTED, QueState.ENTANGLED):
+        if ctx.state in (_CONNECTED, _ENTANGLED):
             return True
         if ctx.state == QueState.INACTIVE:
             ok = yield from self.resume(ue_id)
@@ -706,25 +709,26 @@ class Stack:
         """Store the resource at each UE holder; a Connected holder turns Entangled."""
         for ctx in self._holders[resource.holders].ues:
             ctx.stored.add(resource.id)
-            if ctx.state == QueState.CONNECTED:
-                self._set_state(ctx, QueState.ENTANGLED, "session-delivered")
+            if ctx.state == _CONNECTED:
+                self._set_state(ctx, _ENTANGLED, "session-delivered")
 
-    def _retire(self, resource_id: str, terminal: str) -> WernerPair | GhzResource:
+    def _retire(self, res: WernerPair | GhzResource, terminal: str, held=None) -> _Holders:
         """The one exit of a live resource: ledger, pairs_<terminal>, UE buffers.
 
-        The caller writes the resource's ending record, which says why.
+        Returns held, the holders' entry (looked up when None); the caller writes its end record.
         """
-        res = self.ledger.finish(resource_id, terminal)
+        held = held or self._holders[res.holders]
+        self.ledger.finish(res.id, terminal)
         self.sim.metrics.incr(_PAIRS_METRIC[terminal])
-        for ctx in self._holders[res.holders].ues:
-            ctx.stored.discard(resource_id)
-        return res
+        for ctx in held.ues:
+            ctx.stored.discard(res.id)
+        return held
 
     def discard_pair(self, resource_id: str, reason: str) -> None:
-        res = self._retire(resource_id, "discarded")
+        res = self.ledger.live(resource_id)
+        ues = self._retire(res, "discarded").ues
         records.pair_discarded(self.sim.trace, self.sim.now, res.holders[0], id=resource_id,
                                reason=reason)
-        ues = self._holders[res.holders].ues
         if reason == "below-threshold":
             self.sim.metrics.incr("pairs_discarded_below_threshold")
             for ctx in ues:
@@ -743,13 +747,13 @@ class Stack:
             raise ResourceError(f"pair {res.id} is not usable before its correction arrives")
         held = self._holders[res.holders]
         for ctx in held.ues:
-            if ctx.state != QueState.ENTANGLED:
+            if ctx.state != _ENTANGLED:
                 raise ProtocolError(
                     f"cannot consume {res.id}: holder {ctx.node_id} is {ctx.state.value}")
         if isinstance(res, WernerPair):
-            self.age_pair(res)
-            self.sim.metrics.observe("fidelity_at_consumption", fidelity_of(res.w))
-        self._retire(resource_id, "consumed")
+            self.sim.metrics.observe("fidelity_at_consumption",
+                                     fidelity_of(qcore.touch(res, self.sim.now, held.t_coh)))
+        self._retire(res, "consumed", held)
         records.pair_consumed(self.sim.trace, self.sim.now, res.holders[0], id=resource_id,
                               purpose=purpose, holder_states=held.consumed)
         for ctx in held.ues:
@@ -771,9 +775,9 @@ class Stack:
 
     def finalize(self) -> None:
         """Expire whatever is still live; call once at end of run."""
-        for rid in self.ledger.live_ids():
-            res = self._retire(rid, "expired")
-            records.pair_expired(self.sim.trace, self.sim.now, res.holders[0], id=rid)
+        for res in list(self.ledger.resources.values()):
+            self._retire(res, "expired")
+            records.pair_expired(self.sim.trace, self.sim.now, res.holders[0], id=res.id)
 
     # ------------------------------------------------------------------
     # Entanglement swapping
@@ -810,7 +814,7 @@ class Stack:
             raise ResourceError("swap would produce a pair with identical holders")
         w = math.prod(self.age_pair(p) for p in pairs)
         for p in pairs:
-            self._retire(p.id, "consumed")
+            self._retire(p, "consumed")
         t = self.sim.now
         out = WernerPair(id=self.ledger.new_id(), holders=(left, right), w=w,
                          created_at=t, last_touched=t, usable_at=math.inf)
@@ -868,7 +872,8 @@ class Stack:
         return _Plan(tuple(chain), segments,
                      tuple(n for n, kind in zip(chain, kinds) if kind in BS_KINDS),
                      max(link.attempt_period_s for link in links),
-                     math.prod(seg.w for seg in segments))
+                     math.prod(seg.w for seg in segments),
+                     tuple(ctx for seg in segments for ctx in seg.held.ues))
 
     def _plan(self, requester: str, target: str, bs_a: str,
               target_ctx: Optional[QueContext]) -> _Plan:
@@ -885,30 +890,34 @@ class Stack:
         return plan
 
     def _attempt_loop(self, period: float, deadline: float, plan: Sequence[_Segment],
-                      held: dict, on_herald: Callable[[_Segment, float], object]):
-        """Generator: herald plan's segments by deadline; (slots run, CoverageError or None).
+                      served: Sequence[QueContext], held: dict,
+                      on_herald: Callable[[_Segment, float], object], count: int = 1):
+        """Generator: herald plan count times by deadline; (slots run, CoverageError or None).
 
         The one herald loop, of sessions, GHZ resources and bridges.  A slot
         lasts min(period, deadline - now), so the last one ends at the
         deadline, and no attempt is made once now >= deadline.  Each slot is
-        activity for the UEs among the holders, then calls _herald once per
-        segment missing from held, in plan order; segment i heralding w sets
-        held[i] = on_herald(segment, w).  The caller's held keeps what was
-        heralded when the loop ends at the deadline or on a CoverageError,
-        which is returned so that the slot count survives it.
+        activity for served, then calls _herald once per segment missing from
+        held's round r, in plan order; segment i heralding w sets held[r *
+        len(plan) + i] = on_herald(segment, w).  A one-segment session's count
+        is its missing pairs, so one run heralds them all.  The caller's held
+        keeps what was heralded when the loop ends at the deadline or on a
+        CoverageError, returned so that the slot count survives it.
         """
-        served = [ctx for seg in plan for ctx in seg.held.ues]
+        sim, n = self.sim, len(plan)
         slots = 0
-        while len(held) < len(plan) and self.sim.now < deadline:
-            yield (min(period, max(deadline - self.sim.now, 1e-12)),
-                   EventKind.ENTANGLEMENT_ATTEMPT)
-            now = self.sim.now
+        while (got := len(held)) < n * count and sim.now < deadline:
+            slot = min(period, max(deadline - sim.now, 1e-12))
+            if not sim.advance(slot, _ATTEMPT):
+                yield (slot, _ATTEMPT)
+            now = sim.now
             if now >= deadline:
                 break
             slots += 1
             for ctx in served:
-                ctx.last_activity = max(ctx.last_activity, now)
-            for i, seg in enumerate(plan):
+                if ctx.last_activity < now:
+                    ctx.last_activity = now
+            for i, seg in enumerate(plan, got - got % n):
                 if i not in held:
                     try:
                         w = self._herald(seg)
@@ -942,7 +951,7 @@ class Stack:
                 elapsed_s=self.sim.now - t_start, reason=reason,
             )
 
-        if ctx.state not in (QueState.CONNECTED, QueState.ENTANGLED):
+        if ctx.state not in (_CONNECTED, _ENTANGLED):
             return reject(f"requester-state-{ctx.state.value}")
         target_ctx = self.ues.get(target)
         if target_ctx is not None and target_ctx.state == QueState.INACTIVE:
@@ -950,7 +959,8 @@ class Stack:
         bs_a = ctx.serving_bs
         if bs_a is None or self.topo.nodes[bs_a].kind not in (NodeKind.QBS, NodeKind.SAT_QBS):
             return reject("serving-bs-not-quantum")
-        chain, plan, setup, period, w_max = self._plan(requester, target, bs_a, target_ctx)
+        chain, plan, setup, period, w_max, served = self._plan(requester, target, bs_a,
+                                                              target_ctx)
         if chain is None:
             return reject("no-delivery-chain")
         if plan is None:
@@ -968,9 +978,10 @@ class Stack:
         ok = yield from self.send_message((requester, bs_a), "request")
         if not ok:
             return reject("request-undeliverable")
-        ok = yield from self.send_message(setup, "request")
-        if not ok:
-            return reject("setup-undeliverable")
+        if len(setup) > 1:
+            ok = yield from self.send_message(setup, "request")
+            if not ok:
+                return reject("setup-undeliverable")
 
         deadline = t_start + request.max_latency_s
 
@@ -985,18 +996,20 @@ class Stack:
         for _ in range(2):
             delivered = survivors
             while len(delivered) < request.count:
-                slots, lost = yield from self._attempt_loop(period, deadline, plan, held,
-                                                            self._register_pair)
+                slots, lost = yield from self._attempt_loop(
+                    period, deadline, plan, served, held, self._register_pair,
+                    request.count - len(delivered) if len(plan) == 1 else 1)
                 attempts += slots
                 if lost is not None:
                     aborted = "coverage-lost"
                     records.session_coverage_lost(self.sim.trace, self.sim.now, requester,
                                                   detail=str(lost))
+                if len(plan) == 1:  # no swap: each pair is delivered as heralded
+                    delivered.extend(held.values())
+                    held.clear()
+                    break
                 if len(held) < len(plan):
                     break
-                if len(plan) == 1:  # one segment: its pair needs no swap
-                    delivered.append(held.pop(0))
-                    continue
                 pair_id = yield from self._swap_chain(
                     [held.pop(i).id for i in range(len(plan))], chain)
                 if pair_id is not None:
@@ -1070,10 +1083,11 @@ class Stack:
                 raise ProtocolError(f"no quantum link {bs_id}-{h}")
             legs.append(link)
         period = max(l.attempt_period_s for l in legs)
+        seg = self._segment(bs_id, legs, holders)
         held: dict[int, GhzResource] = {}
         _, lost = yield from self._attempt_loop(
-            period, self.sim.now + max_latency_s, (self._segment(bs_id, legs, holders),),
-            held, self._register_ghz)
+            period, self.sim.now + max_latency_s, (seg,), seg.held.ues, held,
+            self._register_ghz)
         if lost is not None:
             records.ghz_coverage_lost(self.sim.trace, self.sim.now, bs_id, detail=str(lost))
         return held[0].id if held else None
@@ -1232,7 +1246,7 @@ class Stack:
             ctx.serving_bs = bs_new
         if mode == HandoverMode.HARD:
             t_gap0 = self.sim.now
-            was_entangled = ctx.state == QueState.ENTANGLED
+            was_entangled = ctx.state == _ENTANGLED
             released = self._buffered(ue_id, bs_old)
             for pair in released:
                 self.discard_pair(pair.id, "handover-released")
@@ -1260,11 +1274,10 @@ class Stack:
         None).  The slots are those of _attempt_loop; the pair is held by
         two stations, so they touch no UE's activity.
         """
+        seg = self._segment(bs_old, (link,), (bs_old, bs_new), "bridge")
         held: dict[int, WernerPair] = {}
-        _, lost = yield from self._attempt_loop(
-            link.attempt_period_s, deadline,
-            (self._segment(bs_old, (link,), (bs_old, bs_new), "bridge"),),
-            held, self._register_pair)
+        _, lost = yield from self._attempt_loop(link.attempt_period_s, deadline, (seg,),
+                                                seg.held.ues, held, self._register_pair)
         return held.get(0), lost
 
     # ------------------------------------------------------------------

@@ -45,8 +45,8 @@ class Mutant(NamedTuple):
 MUTANTS = (
     Mutant(
         "last-slot-full-period", "oneq/protocol.py",
-        "yield (min(period, max(deadline - self.sim.now, 1e-12)),",
-        "yield (period,",
+        "slot = min(period, max(deadline - sim.now, 1e-12))",
+        "slot = period",
         (f"{DEADLINE}::test_last_slot_of_a_session_that_never_heralds_ends_at_the_deadline",
          f"{DIGEST}[qkd_baseline_deadline]"),
         "CHANGES.md, the qkd_baseline_deadline entry: mutant A"),
@@ -95,6 +95,24 @@ MUTANTS = (
          "tests/test_artifact_digests.py::"
          "test_lossy_backbone_variant_fails_messages_on_retries_past_the_first_hop"),
         "CHANGES.md, \"Per-event steps read per-run constants\""),
+    Mutant(
+        "advance-jumps-ties", "oneq/engine.py",
+        "t < self._heap[0][0]",
+        "t <= self._heap[0][0]",
+        ("tests/test_engine.py::TestAdvance::"
+         "test_a_step_tied_with_a_queued_event_is_not_advanced_and_runs_after_it",
+         f"{DIGEST}[qkd_local_vs_swapped]",
+         f"{DIGEST}[qkd_swapped_lossy_backbone]"),
+        "CHANGES.md, \"A step the queue would hand out next runs inside its process\""),
+    Mutant(
+        "one-segment-loop-stops-early", "oneq/protocol.py",
+        "request.count - len(delivered) if len(plan) == 1 else 1",
+        "request.count - len(delivered) - 1 if len(plan) == 1 else 1",
+        ("tests/test_protocol.py::TestHeraldLoopRuns::"
+         "test_one_segment_session_enters_the_loop_once_per_pass[4]",
+         "tests/test_ubqc.py::TestShippedChain::test_one_session_per_shot_keeps_the_counts",
+         "tests/test_qkd.py::TestAppOnEngine::test_ideal_pairs_give_identical_keys"),
+        "CHANGES.md, \"A step the queue would hand out next runs inside its process\""),
 )
 
 

@@ -249,6 +249,67 @@ class TestInlineContinuation:
         assert sum(sim.events_by_kind.values()) == sim.events_processed
 
 
+class TestAdvance:
+    """Simulator.advance, the rule by which a step runs inside its process."""
+
+    @staticmethod
+    def _asks(sim, delay, kind=EventKind.MESSAGE_DELIVERY):
+        """A process that asks advance once; what it saw: (taken, now, events, kind count)."""
+        seen = []
+
+        def proc():
+            seen.append((sim.advance(delay, kind), sim.now, sim.events_processed,
+                         sim.events_by_kind[kind.value]))
+            if not seen[-1][0]:
+                yield (delay, kind)
+            seen.append(("resumed", sim.now))
+
+        sim.spawn(proc())
+        return seen
+
+    def test_a_step_tied_with_a_queued_event_is_not_advanced_and_runs_after_it(self):
+        sim = Simulator(seed=0)
+        seen = self._asks(sim, 0.5)
+        sim.schedule_call(0.5, lambda: seen.append(("timer", sim.now)))
+        sim.run_until(1.0)
+        # queued behind the timer due at the same instant, FIFO by sequence number
+        assert seen == [(False, 0.0, 1, 0), ("timer", 0.5), ("resumed", 0.5)]
+        assert sim.events_by_kind == {
+            "app-step": 1, "decoherence-check": 0, "entanglement-attempt": 0,
+            "message-delivery": 1, "timer": 1}
+
+    def test_a_step_past_the_horizon_is_not_advanced(self):
+        sim = Simulator(seed=0)
+        seen = self._asks(sim, 2.0)
+        sim.run_until(1.0)
+        assert seen == [(False, 0.0, 1, 0)] and sim.now == 1.0 and sim.pending_events == 1
+        sim.run_until(2.0)
+        assert seen[1] == ("resumed", 2.0)
+
+    def test_a_step_at_the_horizon_is_advanced(self):
+        sim = Simulator(seed=0)
+        seen = self._asks(sim, 1.0)
+        sim.run_until(1.0)
+        assert seen == [(True, 1.0, 2, 1), ("resumed", 1.0)] and sim.pending_events == 0
+
+    def test_nothing_is_advanced_before_run_until(self):
+        sim = Simulator(seed=0)
+        assert sim.advance(0.0, EventKind.TIMER) is False
+        assert sim.now == 0.0 and sim.events_processed == 0
+        assert set(sim.events_by_kind.values()) == {0}
+
+    def test_an_advanced_step_moves_now_and_counts_one_event_of_its_kind(self):
+        sim = Simulator(seed=0)
+        sim.schedule_call(1.0, lambda: None)
+        seen = self._asks(sim, 0.25, EventKind.ENTANGLEMENT_ATTEMPT)
+        sim.run_until(0.5)
+        assert seen == [(True, 0.25, 2, 1), ("resumed", 0.25)]
+        assert sim.now == 0.5 and sim.pending_events == 1
+        assert sim.events_by_kind == {
+            "app-step": 1, "decoherence-check": 0, "entanglement-attempt": 1,
+            "message-delivery": 0, "timer": 0}
+
+
 class TestRngStreams:
     def test_same_key_same_sequence(self):
         a = Simulator(seed=42).rng_stream("n1", "basis")

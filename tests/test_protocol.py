@@ -556,7 +556,7 @@ class TestRegeneration:
         assert res.discarded_below_threshold == 2
         (rid,) = res.delivered
         assert set(stack.ledger.live(rid).holders) == {"QUE1", "QUE2"}
-        assert stack.ledger.live_ids() == [rid]
+        assert list(stack.ledger.resources) == [rid]
 
     def test_dual_downlink_round_rescreens_survivors(self, make_stack):
         sim, stack = make_stack(one_cell_topology(
@@ -574,6 +574,61 @@ class TestRegeneration:
         assert res.attempts == 3
         assert res.discarded_below_threshold == 2
         assert res.elapsed_s == pytest.approx(0.003003768, abs=1e-9)
+
+
+class TestHeraldLoopRuns:
+    """How often a session enters _attempt_loop, and with what count."""
+
+    @staticmethod
+    def _spy(sim, stack):
+        """Record (now, count) per entry of _attempt_loop and every route sent."""
+        loop, send, entries, routes = stack._attempt_loop, stack.send_message, [], []
+
+        def spy_loop(*args):
+            entries.append((sim.now, args[6] if len(args) > 6 else 1))
+            return loop(*args)
+
+        def spy_send(route, *args):
+            routes.append(tuple(route))
+            return send(route, *args)
+
+        stack._attempt_loop, stack.send_message = spy_loop, spy_send
+        return entries, routes
+
+    @pytest.mark.parametrize("count", [1, 4])
+    def test_one_segment_session_enters_the_loop_once_per_pass(self, make_stack, count):
+        sim, stack = make_stack(one_cell_topology(q_attempt=0.5, t_coh_s=1e9))
+        _attach(stack, "QUE1", "QBS1")
+        entries, routes = self._spy(sim, stack)
+        res = drive(sim, stack.entanglement_session(_request(peer="QBS1", count=count)))
+        assert res.outcome == SessionOutcome.FULFILLED and len(res.delivered) == count
+        assert res.attempts >= count
+        assert [c for _, c in entries] == [count]
+        # a chain of one station sends no set-up request
+        assert routes == [("QUE1", "QBS1"), ("QUE1", "QBS1")]
+
+    def test_one_segment_regeneration_round_enters_the_loop_again(self, make_stack):
+        sim, stack = make_stack(one_cell_topology(
+            q_attempt=1.0, w0=0.97, t_coh_s=0.01, attempt_period_s=1e-3))
+        _attach(stack, "QUE1", "QBS1")
+        _attach(stack, "QUE2", "QBS1")
+        entries, _ = self._spy(sim, stack)
+        res = drive(sim, stack.entanglement_session(
+            _request(count=2, max_latency_s=0.01, min_fidelity=0.95)))
+        assert res.discarded_below_threshold == 2 and len(res.delivered) == 1
+        assert [c for _, c in entries] == [2, 1]  # the second pass asks for the shortfall
+
+    def test_two_segment_chain_enters_the_loop_once_per_swapped_pair(self, make_stack):
+        sim, stack = make_stack(two_cell_topology(q_attempt=0.5, t_coh_ue=1e9, t_coh_bs=1e9))
+        _attach(stack, "QUE1", "QBS1")
+        entries, _ = self._spy(sim, stack)
+        res = drive(sim, stack.entanglement_session(_request(peer="QBS2", count=3)))
+        assert res.outcome == SessionOutcome.FULFILLED
+        swaps = [r["t"] for r in sim.trace if r["kind"] == "swap"]
+        assert len(swaps) == 3
+        assert [c for _, c in entries] == [1, 1, 1]
+        # each entry after the first follows the swap of the previous chain
+        assert all(s < t for s, (t, _) in zip(swaps, entries[1:]))
 
 
 class TestLedger:
@@ -733,7 +788,7 @@ class TestSwap:
                for a, b in [("QUE1", "QBS1"), ("QBS1", "QBS2"), ("QBS2", "QUE2")]]
         with pytest.raises(ResourceError):
             stack._measure_chain(ids, repeaters)
-        assert stack.ledger.live_ids() == ids
+        assert list(stack.ledger.resources) == ids
         assert not any(r["kind"] == "swap" for r in sim.trace)
 
     @pytest.mark.parametrize("k", range(2, 6))
@@ -805,7 +860,7 @@ class TestCrossCellSession:
         reasons = [r["details"]["reason"] for r in sim.trace if r["kind"] == "pair-discarded"]
         assert reasons and set(reasons) == {"correction-lost"}
         assert res.outcome == SessionOutcome.FULFILLED
-        assert stack.ledger.live_ids() == list(res.delivered)
+        assert list(stack.ledger.resources) == list(res.delivered)
 
     def test_line_chain_swaps_at_once_and_sends_one_correction(self, make_stack):
         topo = line_topology()
@@ -1324,7 +1379,7 @@ class TestGhz:
         assert sim.now == pytest.approx(2e-4)
         (lost,) = [r for r in sim.trace if r["kind"] == "ghz-coverage-lost"]
         assert lost["t"] == pytest.approx(2e-4) and "QUE1" in lost["details"]["detail"]
-        assert stack.ledger.live_ids() == []
+        assert list(stack.ledger.resources) == []
 
 
 def _deadline_session(stack, budget):
@@ -2142,7 +2197,7 @@ class TestResourceExitProperties:
             assert all(stack.ledger.state[rid] == "live" for rid in ctx.stored)
             if ctx.stored:
                 assert ctx.state == QueState.ENTANGLED
-        live = [stack.ledger.resources[rid] for rid in stack.ledger.live_ids()]
+        live = list(stack.ledger.resources.values())
         for node in topo.nodes.values():
             held = sum(node.id in res.holders for res in live)
             assert 0 <= stack.ledger.slots_free(node.id) == node.memory_slots - held
@@ -2158,7 +2213,7 @@ class TestResourceExitProperties:
             _attach(stack, ue, "QBS1")
 
         def live(kind):
-            return [rid for rid in stack.ledger.live_ids()
+            return [rid for rid in stack.ledger.resources
                     if isinstance(stack.ledger.resources[rid], kind)]
 
         def hold(res):
